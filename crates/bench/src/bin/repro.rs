@@ -9,6 +9,7 @@
 //! repro [--scale N] [--seed S] [--fuzz N] [--fuzz-espt N] check
 //! repro [--scale N] [--seed S] dump [NAMES-OR-TRACES...] [--trace-out DIR]
 //! repro [--scale N] [--seed S] [--threads T] [--intra-threads K] [--force] [--repeat N] bench
+//! repro [--threads T] --bless
 //! ```
 //!
 //! `--scale` is the per-benchmark instruction budget (default 400 000);
@@ -97,6 +98,7 @@ fn main() -> ExitCode {
     let mut sample_grain: u64 = SampleParams::default().grain_instrs;
     let mut learn = false;
     let mut learn_params = LearnParams::default();
+    let mut bless = false;
     let mut wanted: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -181,9 +183,16 @@ fn main() -> ExitCode {
                 }
                 _ => return usage("--learn-bound needs a positive number of percent"),
             },
+            "--bless" => bless = true,
             "--help" | "-h" => return usage(""),
             other => wanted.push(other.to_string()),
         }
+    }
+    if bless {
+        if !wanted.is_empty() {
+            return usage("--bless takes no figure or subcommand");
+        }
+        return bless_golden(threads.unwrap_or_else(esp_par::threads));
     }
     if wanted.is_empty() {
         return usage("no figure selected");
@@ -367,6 +376,21 @@ fn main() -> ExitCode {
         }
     }
     write_bench_json(&mut runner, t_start.elapsed().as_secs_f64(), cpi_stack, force);
+    ExitCode::SUCCESS
+}
+
+/// `repro --bless`: regenerates the committed golden digests
+/// (`esp_bench::golden`, checked by the root `tests/golden.rs`) at their
+/// fixed scale and seed. `--scale`/`--seed` do not apply.
+fn bless_golden(threads: usize) -> ExitCode {
+    let t = Instant::now();
+    let path = esp_bench::golden::default_path();
+    let text = esp_bench::golden::compute(threads);
+    if let Err(e) = std::fs::write(&path, &text) {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        return ExitCode::from(2);
+    }
+    eprintln!("# wrote {} in {:.2}s", path.display(), t.elapsed().as_secs_f64());
     ExitCode::SUCCESS
 }
 
@@ -1065,7 +1089,8 @@ fn usage(err: &str) -> ExitCode {
          [--force] [--fuzz N] [--fuzz-espt N] [--repeat N] [--sample-period P] [--sample-grain G] \
          [--learn] [--learn-model ridge|gbm] [--learn-train N] [--learn-suffix N] [--learn-bound F] \
          <all | fig3 fig6 fig7 fig8 fig9 fig10 fig11a fig11b fig12 fig13 fig14 | ablate \
-         | explain BENCHMARK-OR-TRACE... | check | dump [NAMES-OR-TRACES...] | bench>\n\
+         | explain BENCHMARK-OR-TRACE... | check | dump [NAMES-OR-TRACES...] | bench> | --bless\n\
+         --bless regenerates the golden digests in tests/golden_digests.txt;\n\
          threads default to ESP_THREADS or the machine's parallelism;\n\
          --trace writes a JSONL span trace, --cpi-stack embeds per-benchmark CPI stacks\n\
          in BENCH_repro.json (schema: docs/OBSERVABILITY.md);\n\

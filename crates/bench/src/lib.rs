@@ -20,6 +20,7 @@
 pub mod ablation;
 pub mod explain;
 pub mod figures;
+pub mod golden;
 pub mod runner;
 pub mod source;
 

@@ -7,25 +7,21 @@
 use crate::PathInfoRegister;
 use esp_types::Addr;
 
-/// A 2-bit saturating counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Counter2(u8);
-
-impl Counter2 {
-    const WEAK_TAKEN: Counter2 = Counter2(2);
-
-    fn predict_taken(self) -> bool {
-        self.0 >= 2
-    }
-
-    fn update(&mut self, taken: bool) {
-        if taken {
-            self.0 = (self.0 + 1).min(3);
-        } else {
-            self.0 = self.0.saturating_sub(1);
-        }
+/// The 2-bit saturating counter update, on a counter held in the low
+/// two bits of a packed table entry.
+#[inline(always)]
+fn counter_next(counter: u8, taken: bool) -> u8 {
+    if taken {
+        (counter + 1).min(3)
+    } else {
+        counter.saturating_sub(1)
     }
 }
+
+/// A fresh 2-bit counter: weakly taken.
+const WEAK_TAKEN: u8 = 2;
+/// Low bits of a packed entry holding its 2-bit counter.
+const COUNTER_MASK: u8 = 0b11;
 
 /// The PIR-indexed, tagged global direction predictor (2k entries in the
 /// paper's configuration).
@@ -34,83 +30,91 @@ impl Counter2 {
 /// predictor abstains and the local predictor decides. Entries are
 /// allocated on branches the local predictor got wrong, mirroring how the
 /// Pentium M's global predictor filters for history-correlated branches.
+///
+/// Each entry is one `u32`: `tag << 3 | valid << 2 | counter`, so a
+/// lookup touches one host cache line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GlobalPredictor {
-    tags: Vec<u16>,
-    valid: Vec<bool>,
-    counters: Vec<Counter2>,
+    entries: Vec<u32>,
 }
 
 impl GlobalPredictor {
     /// Creates an empty predictor with `entries` slots (power of two).
     pub fn new(entries: usize) -> Self {
-        GlobalPredictor {
-            tags: vec![0; entries],
-            valid: vec![false; entries],
-            counters: vec![Counter2::WEAK_TAKEN; entries],
-        }
+        GlobalPredictor { entries: vec![u32::from(WEAK_TAKEN); entries] }
+    }
+
+    /// The tag and valid bit an entry hit by `(pir, pc)` carries above
+    /// its counter bits.
+    #[inline(always)]
+    fn key(pir: PathInfoRegister, pc: Addr) -> u32 {
+        (u32::from(pir.tag(pc)) << 1) | 1
     }
 
     /// Looks up a direction; `None` on a tag miss.
+    #[inline]
     pub fn predict(&self, pir: PathInfoRegister, pc: Addr) -> Option<bool> {
-        let i = pir.index(pc, self.tags.len());
-        if self.valid[i] && self.tags[i] == pir.tag(pc) {
-            Some(self.counters[i].predict_taken())
-        } else {
-            None
-        }
+        let e = self.entries[pir.index(pc, self.entries.len())];
+        (e >> 2 == Self::key(pir, pc)).then_some(e & u32::from(COUNTER_MASK) >= 2)
     }
 
     /// Trains the matching entry, or allocates one when `allocate` is set
     /// (done when the fallback predictor mispredicted).
+    #[inline]
     pub fn update(&mut self, pir: PathInfoRegister, pc: Addr, taken: bool, allocate: bool) {
-        let i = pir.index(pc, self.tags.len());
-        let tag = pir.tag(pc);
-        if self.valid[i] && self.tags[i] == tag {
-            self.counters[i].update(taken);
+        let i = pir.index(pc, self.entries.len());
+        let key = Self::key(pir, pc);
+        let e = self.entries[i];
+        if e >> 2 == key {
+            let counter = counter_next((e & u32::from(COUNTER_MASK)) as u8, taken);
+            self.entries[i] = (key << 2) | u32::from(counter);
         } else if allocate {
-            self.valid[i] = true;
-            self.tags[i] = tag;
-            self.counters[i] = if taken { Counter2(3) } else { Counter2(0) };
+            self.entries[i] = (key << 2) | if taken { 3 } else { 0 };
         }
     }
 }
 
 /// The bimodal local predictor (4k entries): a PC-indexed table of 2-bit
 /// counters; the fallback when the global predictor abstains.
+///
+/// Each entry is one byte: the counter in the low two bits and a
+/// trained bit above them, so cold predictions can be told apart.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LocalPredictor {
-    counters: Vec<Counter2>,
-    /// Tracks whether the entry was ever trained, so cold predictions can
-    /// be distinguished in statistics.
-    trained: Vec<bool>,
+    entries: Vec<u8>,
 }
+
+/// The trained bit of a [`LocalPredictor`] entry.
+const TRAINED: u8 = 0b100;
 
 impl LocalPredictor {
     /// Creates a predictor with `entries` counters (power of two).
     pub fn new(entries: usize) -> Self {
-        LocalPredictor { counters: vec![Counter2::WEAK_TAKEN; entries], trained: vec![false; entries] }
+        LocalPredictor { entries: vec![WEAK_TAKEN; entries] }
     }
 
+    #[inline(always)]
     fn index(&self, pc: Addr) -> usize {
-        ((pc.as_u64() >> 2) & (self.counters.len() as u64 - 1)) as usize
+        ((pc.as_u64() >> 2) & (self.entries.len() as u64 - 1)) as usize
     }
 
     /// Predicted direction for `pc` (always produces a prediction).
+    #[inline]
     pub fn predict(&self, pc: Addr) -> bool {
-        self.counters[self.index(pc)].predict_taken()
+        self.entries[self.index(pc)] & COUNTER_MASK >= 2
     }
 
     /// Whether the entry for `pc` has ever been updated.
+    #[inline]
     pub fn is_trained(&self, pc: Addr) -> bool {
-        self.trained[self.index(pc)]
+        self.entries[self.index(pc)] & TRAINED != 0
     }
 
     /// Trains the entry for `pc`.
+    #[inline]
     pub fn update(&mut self, pc: Addr, taken: bool) {
         let i = self.index(pc);
-        self.counters[i].update(taken);
-        self.trained[i] = true;
+        self.entries[i] = TRAINED | counter_next(self.entries[i] & COUNTER_MASK, taken);
     }
 }
 
@@ -182,42 +186,52 @@ impl LoopPredictor {
     }
 }
 
+/// One target-buffer entry: the valid-encoded tag (`tag << 1 | 1`, `0`
+/// when empty) next to its target, so a lookup touches one host cache
+/// line.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct TargetEntry {
+    key: u64,
+    target: Addr,
+}
+
 /// The branch target buffer for direct branches (2k entries, tagged).
 /// A taken branch whose target is absent from the BTB is a front-end
 /// misprediction even when the direction was right.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Btb {
-    tags: Vec<u32>,
-    targets: Vec<Addr>,
-    valid: Vec<bool>,
+    entries: Vec<TargetEntry>,
 }
 
 impl Btb {
     /// Creates an empty BTB with `entries` slots (power of two).
     pub fn new(entries: usize) -> Self {
-        Btb { tags: vec![0; entries], targets: vec![Addr::NULL; entries], valid: vec![false; entries] }
+        Btb { entries: vec![TargetEntry::default(); entries] }
     }
 
+    #[inline(always)]
     fn index(&self, pc: Addr) -> usize {
-        ((pc.as_u64() >> 2) & (self.tags.len() as u64 - 1)) as usize
+        ((pc.as_u64() >> 2) & (self.entries.len() as u64 - 1)) as usize
     }
 
-    fn tag(&self, pc: Addr) -> u32 {
-        ((pc.as_u64() >> 2) >> self.tags.len().trailing_zeros()) as u32
+    #[inline(always)]
+    fn key(&self, pc: Addr) -> u64 {
+        let tag = ((pc.as_u64() >> 2) >> self.entries.len().trailing_zeros()) as u32;
+        (u64::from(tag) << 1) | 1
     }
 
     /// The stored target for `pc`, if present.
+    #[inline]
     pub fn lookup(&self, pc: Addr) -> Option<Addr> {
-        let i = self.index(pc);
-        (self.valid[i] && self.tags[i] == self.tag(pc)).then(|| self.targets[i])
+        let e = self.entries[self.index(pc)];
+        (e.key == self.key(pc)).then_some(e.target)
     }
 
     /// Installs or refreshes the target for `pc`.
+    #[inline]
     pub fn update(&mut self, pc: Addr, target: Addr) {
         let i = self.index(pc);
-        self.tags[i] = self.tag(pc);
-        self.targets[i] = target;
-        self.valid[i] = true;
+        self.entries[i] = TargetEntry { key: self.key(pc), target };
     }
 }
 
@@ -225,33 +239,32 @@ impl Btb {
 /// the same dispatch site can hold different targets on different paths.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndirectBtb {
-    tags: Vec<u16>,
-    targets: Vec<Addr>,
-    valid: Vec<bool>,
+    entries: Vec<TargetEntry>,
 }
 
 impl IndirectBtb {
     /// Creates an empty iBTB with `entries` slots (power of two).
     pub fn new(entries: usize) -> Self {
-        IndirectBtb {
-            tags: vec![0; entries],
-            targets: vec![Addr::NULL; entries],
-            valid: vec![false; entries],
-        }
+        IndirectBtb { entries: vec![TargetEntry::default(); entries] }
+    }
+
+    #[inline(always)]
+    fn key(pir: PathInfoRegister, pc: Addr) -> u64 {
+        (u64::from(pir.tag(pc)) << 1) | 1
     }
 
     /// The stored target for this (path, pc) pair, if present.
+    #[inline]
     pub fn lookup(&self, pir: PathInfoRegister, pc: Addr) -> Option<Addr> {
-        let i = pir.index(pc, self.tags.len());
-        (self.valid[i] && self.tags[i] == pir.tag(pc)).then(|| self.targets[i])
+        let e = self.entries[pir.index(pc, self.entries.len())];
+        (e.key == Self::key(pir, pc)).then_some(e.target)
     }
 
     /// Installs the observed target for this (path, pc) pair.
+    #[inline]
     pub fn update(&mut self, pir: PathInfoRegister, pc: Addr, target: Addr) {
-        let i = pir.index(pc, self.tags.len());
-        self.tags[i] = pir.tag(pc);
-        self.targets[i] = target;
-        self.valid[i] = true;
+        let i = pir.index(pc, self.entries.len());
+        self.entries[i] = TargetEntry { key: Self::key(pir, pc), target };
     }
 }
 
@@ -308,17 +321,15 @@ mod tests {
 
     #[test]
     fn counter_saturates() {
-        let mut c = Counter2(0);
+        let mut c = 0;
         for _ in 0..5 {
-            c.update(true);
+            c = counter_next(c, true);
         }
-        assert!(c.predict_taken());
-        assert_eq!(c.0, 3);
+        assert_eq!(c, 3);
         for _ in 0..5 {
-            c.update(false);
+            c = counter_next(c, false);
         }
-        assert!(!c.predict_taken());
-        assert_eq!(c.0, 0);
+        assert_eq!(c, 0);
     }
 
     #[test]

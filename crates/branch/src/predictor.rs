@@ -297,7 +297,10 @@ impl BranchPredictor {
     /// # Panics
     ///
     /// Panics if `instr` is not a branch.
-    #[inline]
+    ///
+    /// The predict → train body inlines into the caller, so the warm walk
+    /// runs it with the branch's kind already known.
+    #[inline(always)]
     pub fn warm_update(&mut self, instr: &Instr) -> Prediction {
         self.predict_train(PredictorContext::Normal, instr)
     }
@@ -305,6 +308,7 @@ impl BranchPredictor {
     /// The shared predict → compare → train body: every table, PIR, and
     /// RAS mutation of a retiring branch, with the outcome classification
     /// returned and *no* statistics or op-log side effects.
+    #[inline(always)]
     fn predict_train(&mut self, ctx: PredictorContext, instr: &Instr) -> Prediction {
         let pir_slot = self.pir_slot(ctx);
         let table_slot = self.table_of[ctx.idx()];

@@ -723,10 +723,14 @@ impl<'w> EspState<'w> {
         // Side caches shift with their slots; the freed one is recycled.
         if !self.side_i.is_empty() {
             if self.features.ideal {
-                self.side_i.remove(0);
-                self.side_d.remove(0);
-                self.side_i.push(SetAssocCache::new(Self::side_cache_config(true)));
-                self.side_d.push(SetAssocCache::new(Self::side_cache_config(true)));
+                // The retired slot's 4 MiB caches come back empty through
+                // a tag-array reset, not a fresh allocation.
+                for side in [&mut self.side_i, &mut self.side_d] {
+                    side.rotate_left(1);
+                    if let Some(freed) = side.last_mut() {
+                        freed.reset();
+                    }
+                }
             } else {
                 // Depth-2 promotion into the shared cachelet loses the
                 // probe slots' contents (they are measurement-only).

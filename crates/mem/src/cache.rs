@@ -80,13 +80,17 @@ pub struct SetAssocCache {
     /// `[ready, stamp, prefetched]`. `ready` is the raw [`Cycle`] at
     /// which the slot's fill completes (a demand access before it is a
     /// partial hit charged the remaining latency); `stamp` is the LRU
-    /// stamp, larger is more recent (0 only for never-used slots);
-    /// `prefetched` is nonzero while the line was brought in by a
-    /// prefetcher and not yet touched by a demand access. Kept as plain
-    /// zeroes-at-rest `u64`s so construction goes through `calloc` and
-    /// untouched pages stay lazily mapped.
+    /// stamp, larger is more recent; `prefetched` is nonzero while the
+    /// line was brought in by a prefetcher and not yet touched by a
+    /// demand access. A slot's words are read only while its tag is
+    /// valid (every install rewrites all three), so emptying the cache
+    /// clears tags alone. Kept as plain zeroes-at-rest `u64`s so
+    /// construction goes through `calloc` and untouched pages stay
+    /// lazily mapped.
     meta: Vec<u64>,
     set_mask: u64,
+    /// `log2(sets)`: the shift from a line address to its tag.
+    set_bits: u32,
     ways: usize,
     next_stamp: u64,
     stats: CacheStats,
@@ -105,6 +109,7 @@ impl SetAssocCache {
         let slots = sets * ways;
         SetAssocCache {
             set_mask: sets as u64 - 1,
+            set_bits: sets.trailing_zeros(),
             tags: vec![0; slots],
             meta: vec![0; slots * META],
             ways,
@@ -130,22 +135,22 @@ impl SetAssocCache {
     }
 
     /// Index of the first way of `line`'s set in the flat arrays.
-    #[inline]
+    #[inline(always)]
     fn set_base(&self, line: LineAddr) -> usize {
         (line.as_u64() & self.set_mask) as usize * self.ways
     }
 
     /// The valid-encoded tag `line` would be stored under.
-    #[inline]
+    #[inline(always)]
     fn key(&self, line: LineAddr) -> u64 {
-        ((line.as_u64() >> self.set_mask.count_ones()) << 1) | 1
+        ((line.as_u64() >> self.set_bits) << 1) | 1
     }
 
     /// Scans every way of the set for `key` with no early exit: the loop
     /// body is a compare and a conditional move, so the compiler keeps it
     /// branch-free and the L1 hit path never mispredicts on way position.
     /// At most one way can match (fills never duplicate a tag).
-    #[inline]
+    #[inline(always)]
     fn find_way(&self, base: usize, key: u64) -> Option<usize> {
         let mut hit = usize::MAX;
         for (w, &t) in self.tags[base..base + self.ways].iter().enumerate() {
@@ -239,17 +244,7 @@ impl SetAssocCache {
         if prefetched {
             self.stats.prefetch_fills += 1;
         }
-        // First way with the minimal (invalid ? 0 : stamp) key — the same
-        // victim `min_by_key` picked over the old array-of-structs sets.
-        let mut victim = base;
-        let mut best = u64::MAX;
-        for idx in base..base + self.ways {
-            let k = if self.tags[idx] != 0 { self.meta[idx * META + M_STAMP] } else { 0 };
-            if k < best {
-                best = k;
-                victim = idx;
-            }
-        }
+        let victim = self.lru_victim(base);
         self.tags[victim] = key;
         let m = victim * META;
         self.meta[m + M_READY] = ready.as_u64();
@@ -257,24 +252,11 @@ impl SetAssocCache {
         self.meta[m + M_PREFETCHED] = u64::from(prefetched);
     }
 
-    /// Functional-warming access: one set scan that refreshes the LRU
-    /// stamp on a hit and installs over the LRU victim on a miss, exactly
-    /// as a probe followed by an instant fill would — but without the
-    /// second scan, and with no statistics and no prefetched-bit changes.
-    /// Returns whether the line was absent.
+    /// The slot a fill of the set at `base` replaces: the first way with
+    /// the minimal (invalid ? 0 : stamp) key — invalid ways first, then
+    /// the least recently used.
     #[inline]
-    pub fn warm_touch(&mut self, line: LineAddr, now: Cycle) -> bool {
-        let base = self.set_base(line);
-        let key = self.key(line);
-        let stamp = self.bump_stamp();
-        if let Some(idx) = self.find_way(base, key) {
-            let m = idx * META;
-            self.meta[m + M_STAMP] = stamp;
-            if now.as_u64() < self.meta[m + M_READY] {
-                self.meta[m + M_READY] = now.as_u64();
-            }
-            return false;
-        }
+    fn lru_victim(&self, base: usize) -> usize {
         let mut victim = base;
         let mut best = u64::MAX;
         for idx in base..base + self.ways {
@@ -284,12 +266,47 @@ impl SetAssocCache {
                 victim = idx;
             }
         }
+        victim
+    }
+
+    /// Functional-warming access: one set scan that refreshes the LRU
+    /// stamp on a hit and installs over the LRU victim on a miss, exactly
+    /// as a probe followed by an instant fill would — but without the
+    /// second scan, and with no statistics and no prefetched-bit changes.
+    /// Returns whether the line was absent.
+    ///
+    /// The tag probe and hit bookkeeping inline into the warm walk; the
+    /// victim search of a miss stays out of line.
+    #[inline(always)]
+    pub fn warm_touch(&mut self, line: LineAddr, now: Cycle) -> bool {
+        let base = self.set_base(line);
+        let key = self.key(line);
+        let stamp = self.bump_stamp();
+        match self.find_way(base, key) {
+            Some(idx) => {
+                let m = &mut self.meta[idx * META..idx * META + META];
+                m[M_STAMP] = stamp;
+                m[M_READY] = m[M_READY].min(now.as_u64());
+                false
+            }
+            None => {
+                self.warm_install(base, key, stamp, now);
+                true
+            }
+        }
+    }
+
+    /// The miss half of [`SetAssocCache::warm_touch`]: installs `key`
+    /// over the set's LRU victim (invalid ways first) as a settled,
+    /// demand-owned line.
+    #[inline(never)]
+    fn warm_install(&mut self, base: usize, key: u64, stamp: u64, now: Cycle) {
+        let victim = self.lru_victim(base);
         self.tags[victim] = key;
         let m = victim * META;
         self.meta[m + M_READY] = now.as_u64();
         self.meta[m + M_STAMP] = stamp;
         self.meta[m + M_PREFETCHED] = 0;
-        true
     }
 
     /// Behavioural equality at a chunk boundary: whether `self` and
@@ -387,10 +404,19 @@ impl SetAssocCache {
         }
     }
 
-    /// Empties the cache (contents only; statistics are preserved).
+    /// Empties the cache (contents only; statistics are preserved). Only
+    /// the tag array is cleared (see the `meta` field).
     pub fn flush(&mut self) {
         self.tags.fill(0);
-        self.meta.fill(0);
+    }
+
+    /// Returns the cache to its just-constructed state — empty, stamp
+    /// counter and statistics reset — at the cost of a tag-array clear
+    /// (see [`SetAssocCache::flush`]) instead of a new allocation.
+    pub fn reset(&mut self) {
+        self.flush();
+        self.next_stamp = 1;
+        self.stats = CacheStats::default();
     }
 
     /// The number of currently valid lines.
@@ -398,6 +424,7 @@ impl SetAssocCache {
         self.tags.iter().filter(|&&t| t != 0).count()
     }
 
+    #[inline(always)]
     fn bump_stamp(&mut self) -> u64 {
         let s = self.next_stamp;
         self.next_stamp += 1;

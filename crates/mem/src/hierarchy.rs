@@ -490,24 +490,33 @@ impl MemoryHierarchy {
     /// Used by the sampling mode's fast-forward (see `esp-core`); the
     /// demand counters stay untouched so extrapolation scales only
     /// detailed-grain measurements.
-    #[inline]
+    ///
+    /// The L1 probe inlines into the warm walk; the L2 access of a miss
+    /// stays out of line.
+    #[inline(always)]
     pub fn warm_instr(&mut self, line: LineAddr, now: Cycle) -> bool {
         let missed = self.l1i.warm_touch(line, now);
         if missed {
-            self.l2.warm_touch(line, now);
+            self.warm_l2(line, now);
         }
         missed
     }
 
     /// Functional-warming data access (see [`Self::warm_instr`]).
     /// Returns whether the L1-D missed.
-    #[inline]
+    #[inline(always)]
     pub fn warm_data(&mut self, line: LineAddr, now: Cycle) -> bool {
         let missed = self.l1d.warm_touch(line, now);
         if missed {
-            self.l2.warm_touch(line, now);
+            self.warm_l2(line, now);
         }
         missed
+    }
+
+    /// The L2 half of an L1 warm miss.
+    #[inline(never)]
+    fn warm_l2(&mut self, line: LineAddr, now: Cycle) {
+        self.l2.warm_touch(line, now);
     }
 
     /// Functional-warming instruction prefetch: instant install in L2 and

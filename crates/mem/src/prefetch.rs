@@ -83,11 +83,23 @@ impl NextLineInstr {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DcuNextLine {
-    /// Small fully-associative tracker of recently touched lines:
-    /// (line, count, triggered, lru-stamp).
-    entries: Vec<(LineAddr, u32, bool, u64)>,
+    /// Small fully-associative tracker of recently touched lines; the
+    /// first `len` slots are live. Slot order is part of the state
+    /// [`DcuNextLine::same_state`] compares.
+    entries: [DcuEntry; DCU_TRACKED],
+    len: usize,
     clock: u64,
     stats: PrefetchStats,
+}
+
+/// One tracked line of a [`DcuNextLine`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct DcuEntry {
+    line: LineAddr,
+    touches: u32,
+    triggered: bool,
+    /// LRU stamp: the tracker clock at the last touch.
+    stamp: u64,
 }
 
 /// Accesses to the same line required before the DCU triggers.
@@ -108,27 +120,42 @@ impl DcuNextLine {
     pub fn on_access(&mut self, line: LineAddr) -> Option<LineAddr> {
         self.clock += 1;
         let clock = self.clock;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == line) {
-            e.1 += 1;
-            e.3 = clock;
-            if e.1 >= DCU_THRESHOLD && !e.2 {
-                e.2 = true;
+        // Tracked lines are distinct, so at most one slot matches; the
+        // scan has no early exit.
+        let mut hit = None;
+        for (i, e) in self.entries[..self.len].iter().enumerate() {
+            if e.line == line {
+                hit = Some(i);
+            }
+        }
+        if let Some(i) = hit {
+            let e = &mut self.entries[i];
+            e.touches += 1;
+            e.stamp = clock;
+            if e.touches >= DCU_THRESHOLD && !e.triggered {
+                e.triggered = true;
                 self.stats.record(false);
                 return Some(line.next());
             }
             return None;
         }
-        if self.entries.len() == DCU_TRACKED {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.3)
-                .map(|(i, _)| i)
-                .expect("tracker non-empty");
-            self.entries.swap_remove(lru);
+        let fresh = DcuEntry { line, touches: 1, triggered: false, stamp: clock };
+        if self.len < DCU_TRACKED {
+            self.entries[self.len] = fresh;
+            self.len += 1;
+        } else {
+            // Evict the least recently touched line (stamps are
+            // distinct): the last slot moves into the victim's place and
+            // the new line goes last.
+            let mut lru = 0;
+            for i in 1..DCU_TRACKED {
+                if self.entries[i].stamp < self.entries[lru].stamp {
+                    lru = i;
+                }
+            }
+            self.entries[lru] = self.entries[DCU_TRACKED - 1];
+            self.entries[DCU_TRACKED - 1] = fresh;
         }
-        self.entries.push((line, 1, false, clock));
         None
     }
 
@@ -138,11 +165,11 @@ impl DcuNextLine {
     }
 
     /// Whether `self` and `other` would issue identical prefetches for
-    /// any future access stream. The tracker entries and the LRU clock
-    /// both matter (the clock orders future evictions); statistics are
-    /// excluded.
+    /// any future access stream. The tracker entries (in slot order) and
+    /// the LRU clock both matter (the clock orders future evictions);
+    /// statistics are excluded.
     pub fn same_state(&self, other: &Self) -> bool {
-        self.entries == other.entries && self.clock == other.clock
+        self.entries[..self.len] == other.entries[..other.len] && self.clock == other.clock
     }
 }
 
@@ -299,6 +326,108 @@ mod tests {
             assert_eq!(d.on_access(a), None);
         }
         assert_eq!(d.on_access(a), Some(a.next()));
+    }
+
+    /// Reference model: the tracker as a `Vec` scanned with `find`,
+    /// evicted with `min_by_key` + `swap_remove`, appended with `push`.
+    /// The fixed-array tracker must match it step for step, slot order
+    /// included.
+    #[derive(Default)]
+    struct VecDcu {
+        entries: Vec<(LineAddr, u32, bool, u64)>,
+        clock: u64,
+    }
+
+    impl VecDcu {
+        fn on_access(&mut self, line: LineAddr) -> Option<LineAddr> {
+            self.clock += 1;
+            let clock = self.clock;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == line) {
+                e.1 += 1;
+                e.3 = clock;
+                if e.1 >= DCU_THRESHOLD && !e.2 {
+                    e.2 = true;
+                    return Some(line.next());
+                }
+                return None;
+            }
+            if self.entries.len() == DCU_TRACKED {
+                let lru = self.entries.iter().enumerate().min_by_key(|(_, e)| e.3).map(|(i, _)| i).unwrap();
+                self.entries.swap_remove(lru);
+            }
+            self.entries.push((line, 1, false, clock));
+            None
+        }
+
+        fn same_state(&self, other: &Self) -> bool {
+            self.entries == other.entries && self.clock == other.clock
+        }
+    }
+
+    /// A deterministic line stream over `span` lines, biased to revisit
+    /// recent lines so streaks, triggers and evictions all happen.
+    fn line_stream(seed: u64, span: u64, n: usize) -> Vec<LineAddr> {
+        let mut x = seed | 1;
+        let mut last = 0;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x % 3 != 0 {
+                    last = x % span;
+                }
+                LineAddr::new(last)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dcu_matches_vec_reference_model() {
+        for seed in 1..40 {
+            let mut d = DcuNextLine::new();
+            let mut r = VecDcu::default();
+            for line in line_stream(seed, 3 + seed % 9, 400) {
+                assert_eq!(d.on_access(line), r.on_access(line), "seed {seed}");
+                let slots: Vec<_> = d.entries[..d.len]
+                    .iter()
+                    .map(|e| (e.line, e.touches, e.triggered, e.stamp))
+                    .collect();
+                assert_eq!(slots, r.entries, "seed {seed}: slot order");
+            }
+        }
+    }
+
+    #[test]
+    fn dcu_same_state_matches_vec_reference_model() {
+        let streams: Vec<Vec<LineAddr>> = (1..12)
+            .map(|seed| line_stream(seed, 6, 30 + (seed as usize % 3)))
+            .chain([
+                // Same line set and clock, different slot order.
+                [1, 2, 3, 4].map(LineAddr::new).to_vec(),
+                [2, 1, 3, 4].map(LineAddr::new).to_vec(),
+                [1, 2, 3, 4, 5].map(LineAddr::new).to_vec(),
+                [1, 2, 3, 4, 5].map(LineAddr::new).to_vec(),
+            ])
+            .collect();
+        let run = |s: &[LineAddr]| {
+            let mut d = DcuNextLine::new();
+            let mut r = VecDcu::default();
+            for &l in s {
+                d.on_access(l);
+                r.on_access(l);
+            }
+            (d, r)
+        };
+        let mut equal_pairs = 0;
+        for a in &streams {
+            for b in &streams {
+                let ((da, ra), (db, rb)) = (run(a), run(b));
+                assert_eq!(da.same_state(&db), ra.same_state(&rb), "{a:?} vs {b:?}");
+                equal_pairs += usize::from(da.same_state(&db));
+            }
+        }
+        assert!(equal_pairs > streams.len(), "some distinct streams must compare equal");
     }
 
     #[test]

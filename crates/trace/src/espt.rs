@@ -278,6 +278,12 @@ impl From<io::Error> for EsptError {
     }
 }
 
+/// FNV-1a-64 of `bytes` — the container's checksum function, also the
+/// hash of the repository's golden digests.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a(FNV_OFFSET, bytes)
+}
+
 #[inline]
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     let mut h = hash;
@@ -864,6 +870,12 @@ mod tests {
         let n = write(&mut bytes, &meta(), w).unwrap();
         assert_eq!(n, bytes.len() as u64);
         bytes
+    }
+
+    #[test]
+    fn fnv_matches_published_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

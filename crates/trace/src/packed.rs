@@ -77,6 +77,20 @@ pub trait WarmSink {
     fn warm_branch(&mut self, instr: &Instr);
 }
 
+/// The sink of [`PackedCursor::skip_walk`]: observes nothing.
+struct NoSink;
+
+impl WarmSink for NoSink {
+    #[inline(always)]
+    fn warm_fetch_line(&mut self, _line: u64) {}
+    #[inline(always)]
+    fn warm_load(&mut self, _pc: u64, _addr: u64) {}
+    #[inline(always)]
+    fn warm_store(&mut self, _addr: u64) {}
+    #[inline(always)]
+    fn warm_branch(&mut self, _instr: &Instr) {}
+}
+
 /// The kind-byte encoding of a [`PackedTrace`], shared with the
 /// specialised simulation kernels in `esp-uarch`: the kernel's flat
 /// per-kind dispatch table is indexed directly by the low tag bits, so
@@ -419,6 +433,30 @@ impl FromIterator<Instr> for PackedTrace {
     }
 }
 
+/// The end of the run of plain-ALU kind bytes (exactly [`TAG_ALU`], which
+/// is zero) starting at `from`, capped at `end`. Eight kind bytes are
+/// tested per step as one word whose trailing zero bytes are the run, so
+/// a short run ends without a data-dependent branch per byte.
+#[inline(always)]
+fn plain_run_end(kinds: &[u8], from: usize, end: usize) -> usize {
+    let mut n = from;
+    while n < end {
+        let Some(bytes) = kinds.get(n..n + 8) else {
+            while n < end && kinds[n] == TAG_ALU {
+                n += 1;
+            }
+            return n;
+        };
+        let word = u64::from_le_bytes(bytes.try_into().expect("eight bytes"));
+        let zeros = (word.trailing_zeros() / 8) as usize;
+        n += zeros;
+        if zeros < 8 {
+            break;
+        }
+    }
+    n.min(end)
+}
+
 /// An allocation-free [`EventStream`] cursor over a [`PackedTrace`].
 ///
 /// Three words of state: position, operand index, and the re-derived
@@ -573,134 +611,23 @@ impl PackedCursor<'_> {
         line_bytes: u64,
         sink: &mut S,
     ) -> u64 {
-        debug_assert!(line_bytes.is_power_of_two());
-        let shift = line_bytes.trailing_zeros();
-        let mut last_line = u64::MAX;
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            // Batch runs of plain ALUs (kind byte exactly `TAG_ALU`): they
-            // carry no operand and advance the pc sequentially, so the only
-            // sink traffic is the fetch-line transitions the run crosses —
-            // one call per line instead of one decode per instruction. The
-            // reported line sequence is identical to the per-instruction
-            // walk (sequential pcs enter each line exactly once).
-            let cap = (max_instrs - walked).min(u32::MAX as u64) as usize;
-            let run = self.plain_alu_run(cap);
-            if run > 0 {
-                let mut line = self.pc >> shift;
-                if line != last_line {
-                    sink.warm_fetch_line(line);
-                }
-                let end_line = (self.pc + (run as u64 - 1) * INSTR_BYTES) >> shift;
-                while line < end_line {
-                    line += 1;
-                    sink.warm_fetch_line(line);
-                }
-                last_line = end_line;
-                self.skip_plain(run);
-                walked += run as u64;
-                continue;
-            }
-            let Some(&kind) = self.trace.kinds.get(self.pos) else { break };
-            if kind & EXPLICIT_PC != 0 {
-                self.pc = self.trace.ops[self.op_idx];
-                self.op_idx += 1;
-            }
-            let line = self.pc >> shift;
-            if line != last_line {
-                sink.warm_fetch_line(line);
-                last_line = line;
-            }
-            match kind & TAG_MASK {
-                TAG_ALU => self.pc += INSTR_BYTES,
-                TAG_LOAD => {
-                    sink.warm_load(self.pc, self.trace.ops[self.op_idx]);
-                    self.op_idx += 1;
-                    self.pc += INSTR_BYTES;
-                }
-                TAG_STORE => {
-                    sink.warm_store(self.trace.ops[self.op_idx]);
-                    self.op_idx += 1;
-                    self.pc += INSTR_BYTES;
-                }
-                tag => {
-                    let target = Addr::new(self.trace.ops[self.op_idx]);
-                    self.op_idx += 1;
-                    let at = Addr::new(self.pc);
-                    let instr = match tag {
-                        TAG_COND => Instr::cond_branch(at, kind & FLAG_BIT != 0, target),
-                        TAG_IND_BRANCH => Instr::indirect(at, target),
-                        TAG_IND_CALL => Instr::indirect_call(at, target),
-                        TAG_CALL => Instr::call(at, target),
-                        _ => Instr::ret(at, target),
-                    };
-                    sink.warm_branch(&instr);
-                    self.pc = instr.next_pc().as_u64();
-                }
-            }
-            self.pos += 1;
-            walked += 1;
-        }
-        walked
+        self.walk::<S, true>(max_instrs, line_bytes, sink)
     }
 
-    /// Decode-free fast-forward: advances the cursor past up to
-    /// `max_instrs` instructions with no sink, no [`Instr`], and no
-    /// fetch-line tracking — just the position, operand-index, and pc
-    /// bookkeeping [`PackedCursor::next`] would have performed. Plain-ALU
-    /// runs are skipped with a single byte sweep; everything else is a
-    /// three-field update per instruction. This is the learned sampling
-    /// mode's skipped-grain walk: the cursor (and therefore retirement
-    /// and the grain clock) stays exact while the walk touches none of
-    /// the operand-derived state a warming walk would.
-    pub fn skip_walk(&mut self, max_instrs: u64) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let cap = (max_instrs - walked).min(u32::MAX as u64) as usize;
-            let run = self.plain_alu_run(cap);
-            if run > 0 {
-                self.skip_plain(run);
-                walked += run as u64;
-                continue;
-            }
-            let Some(&kind) = self.trace.kinds.get(self.pos) else { break };
-            if kind & EXPLICIT_PC != 0 {
-                self.pc = self.trace.ops[self.op_idx];
-                self.op_idx += 1;
-            }
-            let tag = kind & TAG_MASK;
-            if tag == TAG_ALU {
-                self.pc += INSTR_BYTES;
-            } else {
-                let op = self.trace.ops[self.op_idx];
-                self.op_idx += 1;
-                // Mirror `Instr::next_pc`, as `next_raw` does.
-                self.pc = if tag < TAG_COND || (tag == TAG_COND && kind & FLAG_BIT == 0) {
-                    self.pc + INSTR_BYTES
-                } else {
-                    op
-                };
-            }
-            self.pos += 1;
-            walked += 1;
-        }
-        walked
-    }
-
-    /// [`PackedCursor::skip_walk`] with a memory-touch observer: fetch
-    /// lines (on transitions, as in
-    /// [`PackedCursor::warm_walk_bounded`]) and load/store addresses are
-    /// reported to `sink`, but **`warm_branch` is never called** — no
-    /// [`Instr`] is materialised, which is where most of the observed
-    /// walk's cost over a bare fast-forward lives. The operand words are
-    /// loaded for cursor advance anyway, so the reporting adds only the
-    /// sink calls themselves. Observers that need branch outcomes must
-    /// use the full warming walk.
+    /// The one functional-warming walk behind
+    /// [`PackedCursor::warm_walk_bounded`] (`BRANCHES = true`) and
+    /// [`PackedCursor::skip_walk_observed`] (`BRANCHES = false`, no
+    /// [`Instr`] is ever materialised).
     ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `line_bytes` is not a power of two.
-    pub fn skip_walk_observed<S: WarmSink>(
+    /// The cursor state lives in locals, written back once at the end,
+    /// so it stays in registers across the inlined sink calls instead of
+    /// being reloaded through `&mut self`. Runs of plain ALUs (kind byte
+    /// exactly `TAG_ALU`: no operand, sequential pc) are sized by one
+    /// byte sweep and cost only the fetch-line transitions they cross;
+    /// sequential pcs enter each line exactly once, so the reported line
+    /// sequence is the per-instruction walk's.
+    #[inline(always)]
+    fn walk<S: WarmSink, const BRANCHES: bool>(
         &mut self,
         max_instrs: u64,
         line_bytes: u64,
@@ -708,9 +635,6 @@ impl PackedCursor<'_> {
     ) -> u64 {
         debug_assert!(line_bytes.is_power_of_two());
         let shift = line_bytes.trailing_zeros();
-        // Hot loop: cursor state lives in locals (written back once at
-        // the end) so the compiler keeps it in registers across the
-        // sink calls instead of reloading through `&mut self`.
         let kinds = self.trace.kinds.as_slice();
         let ops = self.trace.ops.as_slice();
         let start = self.pos;
@@ -722,12 +646,7 @@ impl PackedCursor<'_> {
         while pos < end {
             let kind = kinds[pos];
             if kind == TAG_ALU {
-                // Plain-ALU run: one fused scan sizes it, the fetch
-                // lines it crosses are reported, and the cursor jumps.
-                let mut n = pos + 1;
-                while n < end && kinds[n] == TAG_ALU {
-                    n += 1;
-                }
+                let n = plain_run_end(kinds, pos + 1, end);
                 let run = (n - pos) as u64;
                 let mut line = pc >> shift;
                 if line != last_line {
@@ -765,6 +684,9 @@ impl PackedCursor<'_> {
                     sink.warm_store(op);
                     pc += INSTR_BYTES;
                 } else {
+                    if BRANCHES {
+                        sink.warm_branch(&RawStep { kind, pc, op }.to_instr());
+                    }
                     // Branch tags: sequential only for a not-taken
                     // conditional, the target otherwise (as `next_raw`).
                     pc = if tag == TAG_COND && kind & FLAG_BIT == 0 {
@@ -780,6 +702,44 @@ impl PackedCursor<'_> {
         self.op_idx = op_idx;
         self.pc = pc;
         (pos - start) as u64
+    }
+
+    /// Decode-free fast-forward: advances the cursor past up to
+    /// `max_instrs` instructions with no sink, no [`Instr`], and no
+    /// fetch-line tracking — just the position, operand-index, and pc
+    /// bookkeeping [`PackedCursor::next`] would have performed. Plain-ALU
+    /// runs are skipped with a single byte sweep; everything else is a
+    /// three-field update per instruction. This is the learned sampling
+    /// mode's skipped-grain walk: the cursor (and therefore retirement
+    /// and the grain clock) stays exact while the walk touches none of
+    /// the operand-derived state a warming walk would.
+    pub fn skip_walk(&mut self, max_instrs: u64) -> u64 {
+        // The observed walk with a sink that ignores everything; one
+        // "line" spanning the address space leaves no transitions to
+        // track, and the empty calls compile away.
+        self.walk::<NoSink, false>(max_instrs, 1 << 63, &mut NoSink)
+    }
+
+    /// [`PackedCursor::skip_walk`] with a memory-touch observer: fetch
+    /// lines (on transitions, as in
+    /// [`PackedCursor::warm_walk_bounded`]) and load/store addresses are
+    /// reported to `sink`, but **`warm_branch` is never called** — no
+    /// [`Instr`] is materialised, which is where most of the observed
+    /// walk's cost over a bare fast-forward lives. The operand words are
+    /// loaded for cursor advance anyway, so the reporting adds only the
+    /// sink calls themselves. Observers that need branch outcomes must
+    /// use the full warming walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `line_bytes` is not a power of two.
+    pub fn skip_walk_observed<S: WarmSink>(
+        &mut self,
+        max_instrs: u64,
+        line_bytes: u64,
+        sink: &mut S,
+    ) -> u64 {
+        self.walk::<S, false>(max_instrs, line_bytes, sink)
     }
 }
 
@@ -902,6 +862,41 @@ impl EventCursor<'_> {
         self.seg.raw_pc()
     }
 
+    /// Drives a bulk segment walk `walk(segment, budget)` for up to
+    /// `max_instrs` instructions, splitting the budget at the divergence
+    /// point so a speculative cursor switches to its tail exactly where
+    /// [`EventStream::next_instr`] would. `walk` returns the number of
+    /// instructions it consumed, short of `budget` only at segment end.
+    #[inline(always)]
+    fn walk_segments(
+        &mut self,
+        max_instrs: u64,
+        mut walk: impl FnMut(&mut PackedCursor<'_>, u64) -> u64,
+    ) -> u64 {
+        let mut walked = 0u64;
+        while walked < max_instrs {
+            let mut budget = max_instrs - walked;
+            if self.speculative && !self.in_tail {
+                if let Some(d) = self.event.diverge_at {
+                    let to_diverge = d - self.seg.position();
+                    if to_diverge == 0 {
+                        self.base = self.seg.position();
+                        self.seg = self.event.spec_tail.cursor();
+                        self.in_tail = true;
+                    } else {
+                        budget = budget.min(to_diverge);
+                    }
+                }
+            }
+            let n = walk(&mut self.seg, budget);
+            walked += n;
+            if n < budget {
+                break;
+            }
+        }
+        walked
+    }
+
     /// See [`PackedCursor::plain_alu_run`]; a speculative cursor's run is
     /// additionally clipped at the divergence point so batching never
     /// skips the segment switch.
@@ -947,53 +942,11 @@ impl EventStream for EventCursor<'_> {
     }
 
     fn warm_region<S: WarmSink>(&mut self, max_instrs: u64, line_bytes: u64, sink: &mut S) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let mut budget = max_instrs - walked;
-            if self.speculative && !self.in_tail {
-                if let Some(d) = self.event.diverge_at {
-                    let to_diverge = d - self.seg.position();
-                    if to_diverge == 0 {
-                        self.base = self.seg.position();
-                        self.seg = self.event.spec_tail.cursor();
-                        self.in_tail = true;
-                    } else {
-                        budget = budget.min(to_diverge);
-                    }
-                }
-            }
-            let n = self.seg.warm_walk_bounded(budget, line_bytes, sink);
-            walked += n;
-            if n < budget {
-                break;
-            }
-        }
-        walked
+        self.walk_segments(max_instrs, |seg, budget| seg.warm_walk_bounded(budget, line_bytes, sink))
     }
 
     fn skip_region(&mut self, max_instrs: u64) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let mut budget = max_instrs - walked;
-            if self.speculative && !self.in_tail {
-                if let Some(d) = self.event.diverge_at {
-                    let to_diverge = d - self.seg.position();
-                    if to_diverge == 0 {
-                        self.base = self.seg.position();
-                        self.seg = self.event.spec_tail.cursor();
-                        self.in_tail = true;
-                    } else {
-                        budget = budget.min(to_diverge);
-                    }
-                }
-            }
-            let n = self.seg.skip_walk(budget);
-            walked += n;
-            if n < budget {
-                break;
-            }
-        }
-        walked
+        self.walk_segments(max_instrs, |seg, budget| seg.skip_walk(budget))
     }
 
     fn skip_region_observed<S: WarmSink>(
@@ -1002,28 +955,7 @@ impl EventStream for EventCursor<'_> {
         line_bytes: u64,
         sink: &mut S,
     ) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let mut budget = max_instrs - walked;
-            if self.speculative && !self.in_tail {
-                if let Some(d) = self.event.diverge_at {
-                    let to_diverge = d - self.seg.position();
-                    if to_diverge == 0 {
-                        self.base = self.seg.position();
-                        self.seg = self.event.spec_tail.cursor();
-                        self.in_tail = true;
-                    } else {
-                        budget = budget.min(to_diverge);
-                    }
-                }
-            }
-            let n = self.seg.skip_walk_observed(budget, line_bytes, sink);
-            walked += n;
-            if n < budget {
-                break;
-            }
-        }
-        walked
+        self.walk_segments(max_instrs, |seg, budget| seg.skip_walk_observed(budget, line_bytes, sink))
     }
 }
 
@@ -1387,6 +1319,25 @@ mod tests {
             let mut cur = p.cursor();
             assert_eq!(cur.skip_walk(u64::MAX), v.len() as u64);
             assert_eq!(cur.next_instr(), None);
+        }
+    }
+
+    #[test]
+    fn plain_run_end_matches_a_byte_scan() {
+        // Runs of every length up to 20 at every offset, ending in a
+        // non-plain byte, at the slice tail, or at a cap short of either.
+        for len in 0..20 {
+            for lead in 0..9 {
+                for tail in [0usize, 1, 9] {
+                    let mut kinds = vec![TAG_LOAD; lead];
+                    kinds.extend(std::iter::repeat_n(TAG_ALU, len));
+                    kinds.extend(std::iter::repeat_n(TAG_STORE, tail));
+                    for end in lead..=kinds.len() {
+                        let want = (lead..end).find(|&i| kinds[i] != TAG_ALU).unwrap_or(end);
+                        assert_eq!(plain_run_end(&kinds, lead, end), want, "{kinds:?} from {lead} to {end}");
+                    }
+                }
+            }
         }
     }
 

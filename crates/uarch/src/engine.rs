@@ -460,7 +460,7 @@ impl Engine {
     // instant fills in place of timed ones.
 
     /// Warms the fetch path for instruction line `line`.
-    #[inline]
+    #[inline(always)]
     fn warm_fetch(&mut self, line: LineAddr) {
         if self.last_fetch_line == Some(line) {
             return;
@@ -482,7 +482,7 @@ impl Engine {
     }
 
     /// Warms the data path for a load at `pc` of `addr`.
-    #[inline]
+    #[inline(always)]
     fn warm_load(&mut self, pc: esp_types::Addr, addr: esp_types::Addr) {
         let line_bytes = self.cfg.machine.hierarchy.l1i.line_bytes;
         let line = addr.line(line_bytes);
@@ -503,7 +503,7 @@ impl Engine {
     }
 
     /// Warms the data path for a store of `addr`.
-    #[inline]
+    #[inline(always)]
     fn warm_store(&mut self, addr: esp_types::Addr) {
         let line_bytes = self.cfg.machine.hierarchy.l1i.line_bytes;
         let line = addr.line(line_bytes);
@@ -539,7 +539,7 @@ impl Engine {
     }
 
     /// Warms the branch predictor for one branch, counting the outcome.
-    #[inline]
+    #[inline(always)]
     fn warm_branch_instr(&mut self, instr: &Instr) {
         self.warm.branches += 1;
         if self.cfg.perfect.branch {
@@ -719,26 +719,26 @@ impl Engine {
 }
 
 impl esp_trace::WarmSink for Engine {
-    #[inline]
+    #[inline(always)]
     fn warm_fetch_line(&mut self, line: u64) {
         self.warm_fetch(LineAddr::new(line));
     }
 
-    #[inline]
+    #[inline(always)]
     fn warm_load(&mut self, pc: u64, addr: u64) {
         if !self.cfg.perfect.l1d {
             Engine::warm_load(self, esp_types::Addr::new(pc), esp_types::Addr::new(addr));
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn warm_store(&mut self, addr: u64) {
         if !self.cfg.perfect.l1d {
             Engine::warm_store(self, esp_types::Addr::new(addr));
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn warm_branch(&mut self, instr: &Instr) {
         self.warm_branch_instr(instr);
     }

@@ -15,6 +15,11 @@ cargo build --release
 echo "== tier-1: cargo test -q (workspace) =="
 cargo test -q --workspace
 
+echo "== benchmark: perfbench unit tests (it compiles against the simulator's API) =="
+# perfbench is a package of its own, outside the workspace, so the
+# workspace build above does not compile it.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "== lint: cargo clippy --all-targets (warnings denied) =="
 cargo clippy --all-targets --quiet -- -D warnings
 
