@@ -279,6 +279,11 @@ impl BranchPredictor {
     /// # Panics
     ///
     /// Panics if `instr` is not a branch.
+    ///
+    /// Force-inlined, so a caller that builds `instr` from a known kind (the
+    /// detailed kernel's per-kind branch handlers) folds the kind match
+    /// away.
+    #[inline(always)]
     pub fn predict_and_update(&mut self, ctx: PredictorContext, instr: &Instr) -> Prediction {
         let outcome = self.predict_train(ctx, instr);
         self.stats[ctx.idx()].record(outcome == Prediction::Correct);

@@ -291,6 +291,9 @@ impl<'w> EspState<'w> {
         }
         let base_millis = 1000 / engine.config().machine.width as u64
             + engine.config().timing.issue_extra_millis;
+        // Slots record and fetch lines at the configured line size, as
+        // the normal-mode kernel does.
+        let line_shift = engine.config().machine.hierarchy.l1i.line_bytes.trailing_zeros();
         let total_millis = stall.cycles * 1000;
         let mut spent = SWITCH_COST_CYCLES * 1000;
         // Millis of real pre-execution work (switch costs and tail waste
@@ -313,7 +316,7 @@ impl<'w> EspState<'w> {
                     break 'window;
                 }
                 let t = stall.start + spent / 1000;
-                match self.step_slot(s, t, base_millis, engine) {
+                match self.step_slot(s, t, base_millis, line_shift, engine) {
                     SlotStep::Ran(millis) => {
                         spent += millis;
                         utilized_millis += millis;
@@ -363,10 +366,17 @@ impl<'w> EspState<'w> {
     /// the same cachelet, bypass, predictor, and list calls in the same
     /// order, so runs through either are byte-identical (asserted by
     /// `packed_equivalence`).
-    fn step_slot(&mut self, s: usize, t: Cycle, base_millis: u64, engine: &mut Engine) -> SlotStep {
+    fn step_slot(
+        &mut self,
+        s: usize,
+        t: Cycle,
+        base_millis: u64,
+        line_shift: u32,
+        engine: &mut Engine,
+    ) -> SlotStep {
         match self.slots[s].cursor.as_ref().expect("step_slot on unstarted slot") {
-            SlotCursor::Packed(_) => self.step_slot_raw(s, t, base_millis, engine),
-            SlotCursor::Dyn(_) => self.step_slot_instr(s, t, base_millis, engine),
+            SlotCursor::Packed(_) => self.step_slot_raw(s, t, base_millis, line_shift, engine),
+            SlotCursor::Dyn(_) => self.step_slot_instr(s, t, base_millis, line_shift, engine),
         }
     }
 
@@ -377,6 +387,7 @@ impl<'w> EspState<'w> {
         s: usize,
         t: Cycle,
         base_millis: u64,
+        line_shift: u32,
         engine: &mut Engine,
     ) -> SlotStep {
         use esp_trace::kindbits::{TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
@@ -398,7 +409,7 @@ impl<'w> EspState<'w> {
         let mut millis = base_millis;
 
         // ---- instruction fetch ------------------------------------------
-        let fetch_line = LineAddr::new(rs.pc >> 6);
+        let fetch_line = LineAddr::new(rs.pc >> line_shift);
         if slot.last_fetch_line != Some(fetch_line) {
             slot.last_fetch_line = Some(fetch_line);
             if measure {
@@ -429,7 +440,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(fetch_line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_i[i].fill(fetch_line, t, ready, false),
+                            Some(i) => self.side_i[i].fill_absent(fetch_line, ready, false),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_i.fill(cs, fetch_line, t, ready);
@@ -463,7 +474,7 @@ impl<'w> EspState<'w> {
 
         // ---- data --------------------------------------------------------
         if tag == TAG_LOAD || tag == TAG_STORE {
-            let line = LineAddr::new(rs.op >> 6);
+            let line = LineAddr::new(rs.op >> line_shift);
             let is_store = tag == TAG_STORE;
             let slot = &mut self.slots[s];
             if measure {
@@ -504,7 +515,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_d[i].fill(line, t, ready, false),
+                            Some(i) => self.side_d[i].fill_absent(line, ready, false),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_d.fill(cs, line, t, ready);
@@ -536,6 +547,7 @@ impl<'w> EspState<'w> {
         s: usize,
         t: Cycle,
         base_millis: u64,
+        line_shift: u32,
         engine: &mut Engine,
     ) -> SlotStep {
         let features = self.features;
@@ -552,7 +564,7 @@ impl<'w> EspState<'w> {
         let mut millis = base_millis;
 
         // ---- instruction fetch ------------------------------------------
-        let fetch_line = instr.pc.line(64);
+        let fetch_line = LineAddr::new(instr.pc.as_u64() >> line_shift);
         if slot.last_fetch_line != Some(fetch_line) {
             slot.last_fetch_line = Some(fetch_line);
             if measure {
@@ -583,7 +595,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(fetch_line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_i[i].fill(fetch_line, t, ready, false),
+                            Some(i) => self.side_i[i].fill_absent(fetch_line, ready, false),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_i.fill(cs, fetch_line, t, ready);
@@ -616,7 +628,7 @@ impl<'w> EspState<'w> {
 
         // ---- data --------------------------------------------------------
         if let InstrKind::Load { addr, .. } | InstrKind::Store { addr } = instr.kind {
-            let line = addr.line(64);
+            let line = LineAddr::new(addr.as_u64() >> line_shift);
             let is_store = matches!(instr.kind, InstrKind::Store { .. });
             let slot = &mut self.slots[s];
             if measure {
@@ -657,7 +669,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_d[i].fill(line, t, ready, false),
+                            Some(i) => self.side_d[i].fill_absent(line, ready, false),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_d.fill(cs, line, t, ready);
@@ -757,7 +769,7 @@ impl<'w> EspState<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_trace::{EventRecord, Instr, VecEventStream};
+    use esp_trace::{EventRecord, Instr, PackedTrace, VecEventStream};
     use esp_types::{Addr, EventId, EventKindId};
     use esp_uarch::{EngineConfig, StallKind};
 
@@ -944,6 +956,63 @@ mod tests {
         esp.spend_window(&mut engine, stall(300), 0);
         let line = Addr::new(0x41_0000).line(64);
         assert!(!engine.mem().l1i().probe(line), "cachelets must isolate fills");
+    }
+
+    /// An engine whose three cache levels use `line_bytes`-byte lines.
+    fn engine_with_lines(line_bytes: u64) -> Engine {
+        let mut cfg = EngineConfig::baseline();
+        let h = &mut cfg.machine.hierarchy;
+        for c in [&mut h.l1i, &mut h.l1d, &mut h.l2] {
+            c.line_bytes = line_bytes;
+        }
+        Engine::new(cfg)
+    }
+
+    /// Under 32-byte lines, every I-list record an ESP slot keeps for an
+    /// event names the line `pc >> 5` of the fetch at its instruction
+    /// count, and every D-list record the line `addr >> 5` of the access
+    /// there — for the decoded (boxed stream) and the raw (packed) slot
+    /// step alike.
+    fn assert_lists_use_32_byte_lines(w: &dyn Workload, stream: &[Instr]) {
+        let mut esp = EspState::new(EspFeatures::full(), w);
+        let mut engine = engine_with_lines(32);
+        for k in 0..6 {
+            let mut st = stall(101);
+            st.start = Cycle::new(1000 + k * 2000);
+            esp.spend_window(&mut engine, st, 0);
+        }
+        let lists = esp.on_event_complete(1).expect("event 1 was pre-executed");
+        assert!(!lists.ilist.is_empty() && !lists.dlist.is_empty());
+        let fetched: std::collections::HashSet<u64> =
+            stream.iter().map(|i| i.pc.as_u64() >> 5).collect();
+        for rec in &lists.ilist {
+            let pc = stream[rec.icount as usize].pc.as_u64();
+            assert_eq!(rec.line.as_u64(), pc >> 5, "I-list record at icount {}", rec.icount);
+            assert!(rec.lines().all(|l| fetched.contains(&l.as_u64())));
+        }
+        for rec in &lists.dlist {
+            let addr = stream[rec.icount as usize].mem_addr().expect("a memory access").as_u64();
+            assert_eq!(rec.line.as_u64(), addr >> 5, "D-list record at icount {}", rec.icount);
+        }
+    }
+
+    #[test]
+    fn slot_lists_follow_the_configured_line_size() {
+        let w = toy(3, 400);
+        assert_lists_use_32_byte_lines(&w, &w.streams[1]);
+
+        let pack = |s: &Vec<Instr>| {
+            esp_trace::PackedEvent::new(PackedTrace::from_instrs(s), None, PackedTrace::default())
+        };
+        let events = w.streams.iter().map(pack).collect();
+        let total = w.streams.iter().map(|s| s.len() as u64).sum();
+        let packed = esp_trace::PackedWorkload::new(
+            w.records.clone(),
+            std::sync::Arc::new(esp_trace::TraceArena::new(events)),
+            total,
+        );
+        assert!(packed.as_packed().is_some());
+        assert_lists_use_32_byte_lines(&packed, &w.streams[1]);
     }
 
     #[test]

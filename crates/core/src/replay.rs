@@ -55,6 +55,10 @@ pub(crate) struct ReplayState {
     ipos: usize,
     dpos: usize,
     bpos: usize,
+    /// Whether every cursor is exhausted, kept current by
+    /// [`ReplayState::arm`] and each replay tick so the per-instruction
+    /// check is one flag.
+    drained: bool,
     ideal: bool,
     prefetch_lead: u64,
     bp_lead: u64,
@@ -68,6 +72,7 @@ impl Default for ReplayState {
             ipos: 0,
             dpos: 0,
             bpos: 0,
+            drained: true,
             ideal: false,
             prefetch_lead: PREFETCH_LEAD_INSTRS,
             bp_lead: BP_TRAIN_LEAD_BRANCHES,
@@ -90,6 +95,7 @@ impl ReplayState {
         self.ipos = 0;
         self.dpos = 0;
         self.bpos = 0;
+        self.drained = self.lists.is_empty();
         self.ideal = ideal;
         engine.bp_mut().begin_replay();
     }
@@ -107,9 +113,7 @@ impl ReplayState {
     /// instruction runs without per-instruction ticks.
     #[inline(always)]
     pub fn drained(&self) -> bool {
-        self.ipos >= self.lists.ilist.len()
-            && self.dpos >= self.lists.dlist.len()
-            && self.bpos >= self.lists.blist.len()
+        self.drained
     }
 
     /// Replay progress tick. `icount` is the instructions retired so far
@@ -168,6 +172,9 @@ impl ReplayState {
             }
             self.bpos += 1;
         }
+        self.drained = self.ipos >= self.lists.ilist.len()
+            && self.dpos >= self.lists.dlist.len()
+            && self.bpos >= self.lists.blist.len();
     }
 
     /// Accumulated replay counters.

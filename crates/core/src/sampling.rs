@@ -67,13 +67,12 @@ use crate::esp_state::{EspRunStats, EspState};
 use crate::lineset::LineSet;
 use crate::replay::{ReplayLists, ReplayState, ReplayStats};
 use crate::report::RunReport;
-use crate::simulator::Simulator;
+use crate::simulator::{DetailedLoop, Simulator, Stepped};
 use esp_energy::{ActivityCounts, EnergyModel};
 use esp_learn::{FastForward, LearnParams, LearnedStats};
 use esp_obs::{CpiStack, EventSpan, NullProbe, Probe, RunSummary};
 use esp_stats::{ratio_estimate, RatioEstimate};
-use esp_trace::kindbits::{TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
-use esp_trace::{EventCursor, EventStream, ForkStream, Instr, Workload, INSTR_BYTES};
+use esp_trace::{EventCursor, EventStream, ForkStream, Instr, Workload};
 use esp_uarch::{Engine, KernelParams, KindTable, WarmTee};
 
 /// Sampling-mode parameters: grain size and sampling period.
@@ -767,10 +766,9 @@ impl Simulator {
 
             span_windows += match workload.as_packed() {
                 Some(packed) => {
-                    let mut stream =
-                        packed.arena().event(record.id.index() as usize).actual_cursor();
+                    let stream = packed.arena().event(record.id.index() as usize).actual_cursor();
                     self.run_event_sampled_kernel(
-                        &mut stream,
+                        stream,
                         idx,
                         &mut engine,
                         &mut esp,
@@ -968,18 +966,18 @@ impl Simulator {
     }
 
     /// The fused-kernel twin of [`Simulator::run_event_sampled`], run for
-    /// packed workloads: detailed grains go through the same lowered
-    /// dispatch table and raw decode as the exact-mode kernel loop, with
-    /// plain-ALU runs batch-charged (clipped to stay strictly inside the
-    /// current grain, so the grain clock sees the same boundary
-    /// crossings); warming grains keep the bulk `warm_region` walk.
-    /// Performs the same engine/ctl call sequence as the generic loop, so
-    /// sampled reports stay byte-identical (asserted by
+    /// packed workloads: detailed grains run the exact-mode step body,
+    /// [`Simulator::detailed_step`], with plain-ALU batches clipped to
+    /// stay strictly inside the current grain, so the grain clock sees the
+    /// same boundary crossings (the skipped `after_instr` calls would all
+    /// have returned early); warming grains keep the bulk `warm_region`
+    /// walk. Performs the same engine/ctl call sequence as the generic
+    /// loop, so sampled reports stay byte-identical (asserted by
     /// `packed_equivalence`).
     #[allow(clippy::too_many_arguments)]
     fn run_event_sampled_kernel<P: Probe>(
         &self,
-        stream: &mut EventCursor<'_>,
+        mut stream: EventCursor<'_>,
         idx: usize,
         engine: &mut Engine,
         esp: &mut Option<EspState<'_>>,
@@ -993,10 +991,9 @@ impl Simulator {
         iws: &mut LineSet,
         dws: &mut LineSet,
     ) -> u64 {
-        let mut span_windows = 0u64;
-        let mut branches = 0u64;
         iws.clear();
         dws.clear();
+        let mut lp = DetailedLoop::new(kp, tbl, measure);
         loop {
             if ctl.kind() == GrainKind::Warm {
                 let want = ctl.until_boundary();
@@ -1022,49 +1019,16 @@ impl Simulator {
                 }
                 continue;
             }
-            replay.tick(engine, stream.executed(), branches);
-            // Grain batching, as in the exact kernel loop, additionally
-            // clipped below the grain boundary: the skipped `after_instr`
-            // calls would all have returned early, so the grain clock and
-            // measurement snapshots are unaffected.
-            let headroom = ctl.until_boundary().saturating_sub(1);
-            if headroom > 0 && replay.drained() {
-                let pc = stream.raw_pc();
-                let line = pc >> kp.line_shift;
-                if engine.on_fetch_line(line) {
-                    let line_end = (line + 1) << kp.line_shift;
-                    let max =
-                        (((line_end - pc) / INSTR_BYTES) as usize).min(headroom as usize);
-                    let n = stream.plain_run(max);
-                    if n > 0 {
-                        if measure {
-                            iws.insert(line);
-                        }
-                        stream.skip_plain(n);
-                        engine.charge_plain_alus(n as u64, probe);
-                        ctl.detailed_bulk(n as u64);
-                        continue;
-                    }
-                }
+            let cap = ctl.until_boundary().saturating_sub(1);
+            let step =
+                self.detailed_step(&mut stream, cap, &mut lp, idx, engine, esp, replay, probe, iws, dws);
+            match step {
+                Stepped::Batch(n) => ctl.detailed_bulk(n),
+                Stepped::One => ctl.after_instr(engine, replay, esp),
+                Stepped::End => break,
             }
-            let Some(rs) = stream.next_raw() else {
-                break;
-            };
-            let tag = rs.kind & TAG_MASK;
-            if measure {
-                iws.insert(rs.pc >> kp.line_shift);
-                if tag == TAG_LOAD || tag == TAG_STORE {
-                    dws.insert(rs.op >> kp.line_shift);
-                }
-            }
-            let out = engine.step_raw(kp, tbl, rs.kind, rs.pc, rs.op, probe);
-            branches += u64::from(tag >= TAG_COND);
-            if let Some(stall) = out.stall {
-                self.spend_stall(stall, stream, idx, engine, esp, probe, &mut span_windows);
-            }
-            ctl.after_instr(engine, replay, esp);
         }
-        span_windows
+        lp.windows
     }
 
     /// Replays pending prediction lists into warmed state: every listed

@@ -10,7 +10,7 @@ use esp_energy::{ActivityCounts, EnergyModel};
 use esp_mem::{HierarchySnapshot, MemOp};
 use esp_obs::{CycleClass, EventSpan, NullProbe, Probe, RunSummary, WindowRecord, WindowSpender};
 use esp_stats::BranchStats;
-use esp_trace::kindbits::{TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
+use esp_trace::kindbits::{TAG_ALU, TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
 use esp_trace::{EventCursor, EventStream, ForkStream, Instr, Workload, INSTR_BYTES};
 use esp_types::Addr;
 use esp_uarch::{Engine, KernelParams, KindTable, StallKind};
@@ -63,6 +63,38 @@ pub(crate) struct LiveState<'w> {
     pub replay: ReplayState,
     /// Lists promoted at the last event completion, to arm on the next.
     pub pending_lists: Option<ReplayLists>,
+}
+
+/// What one [`Simulator::detailed_step`] retired.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Stepped {
+    /// A batch of this many plain ALUs on the current fetch line.
+    Batch(u64),
+    /// One instruction through the fused kernel.
+    One,
+    /// Nothing: the event's stream had ended.
+    End,
+}
+
+/// The per-event state of a detailed kernel loop, carried from one
+/// [`Simulator::detailed_step`] to the next.
+pub(crate) struct DetailedLoop<'k, P: Probe> {
+    kp: &'k KernelParams,
+    tbl: &'k KindTable<P>,
+    /// Whether working sets are measured.
+    measure: bool,
+    /// Branches retired so far in the event (the B-list replay clock).
+    branches: u64,
+    /// The fetch line last inserted into the instruction working set.
+    iws_line: u64,
+    /// Pre-execution windows the event has opened.
+    pub(crate) windows: u64,
+}
+
+impl<'k, P: Probe> DetailedLoop<'k, P> {
+    pub(crate) fn new(kp: &'k KernelParams, tbl: &'k KindTable<P>, measure: bool) -> Self {
+        DetailedLoop { kp, tbl, measure, branches: 0, iws_line: u64::MAX, windows: 0 }
+    }
 }
 
 /// The ESP simulator: one machine configuration, runnable over any
@@ -263,10 +295,9 @@ impl Simulator {
             // sequence, so the outputs are bit-identical.
             span_windows += match workload.as_packed() {
                 Some(packed) => {
-                    let mut stream =
-                        packed.arena().event(record.id.index() as usize).actual_cursor();
+                    let stream = packed.arena().event(record.id.index() as usize).actual_cursor();
                     self.run_event_kernel(
-                        &mut stream,
+                        stream,
                         idx,
                         engine,
                         esp,
@@ -362,15 +393,16 @@ impl Simulator {
     }
 
     /// The fused-kernel twin of [`Simulator::run_event`], run for packed
-    /// workloads: decode→predict→access→charge in one pass over the raw
-    /// arena (no per-instruction [`Instr`] except for branches), with
-    /// runs of plain same-line ALU instructions batch-charged. Performs
-    /// the same engine-call sequence as the generic loop, so reports stay
-    /// byte-identical (asserted by `packed_equivalence`).
+    /// workloads: [`Simulator::detailed_step`] until the event ends.
+    /// Performs the same engine-call sequence as the generic loop, so
+    /// reports stay byte-identical (asserted by `packed_equivalence` and
+    /// the golden digests).
+    ///
+    /// The cursor is taken by value so its state stays in locals.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_event_kernel<P: Probe>(
         &self,
-        stream: &mut EventCursor<'_>,
+        mut stream: EventCursor<'_>,
         idx: usize,
         engine: &mut Engine,
         esp: &mut Option<EspState<'_>>,
@@ -382,54 +414,83 @@ impl Simulator {
         iws: &mut LineSet,
         dws: &mut LineSet,
     ) -> u64 {
-        let mut span_windows = 0u64;
-        let mut branches = 0u64;
         iws.clear();
         dws.clear();
+        let mut lp = DetailedLoop::new(kp, tbl, measure);
         loop {
-            replay.tick(engine, stream.executed(), branches);
-            // Grain batching: a run of plain ALU instructions on the
-            // already-fetched line performs no fetch, branch, data, or
-            // replay work — charge its base cycles in one accumulation.
-            // (Replay must be drained: tick_slow's prefetch timing
-            // depends on the per-instruction clock.)
-            if replay.drained() {
-                let pc = stream.raw_pc();
-                let line = pc >> kp.line_shift;
-                if engine.on_fetch_line(line) {
-                    let line_end = (line + 1) << kp.line_shift;
-                    let max = ((line_end - pc) / INSTR_BYTES) as usize;
-                    let n = stream.plain_run(max);
-                    if n > 0 {
-                        if measure {
-                            // Same line for the whole run; the set insert
-                            // is idempotent, as per-instruction inserts
-                            // would be.
-                            iws.insert(line);
-                        }
-                        stream.skip_plain(n);
-                        engine.charge_plain_alus(n as u64, probe);
-                        continue;
-                    }
-                }
-            }
-            let Some(rs) = stream.next_raw() else {
-                break;
-            };
-            let tag = rs.kind & TAG_MASK;
-            if measure {
-                iws.insert(rs.pc >> kp.line_shift);
-                if tag == TAG_LOAD || tag == TAG_STORE {
-                    dws.insert(rs.op >> kp.line_shift);
-                }
-            }
-            let out = engine.step_raw(kp, tbl, rs.kind, rs.pc, rs.op, probe);
-            branches += u64::from(tag >= TAG_COND);
-            if let Some(stall) = out.stall {
-                self.spend_stall(stall, stream, idx, engine, esp, probe, &mut span_windows);
+            let step =
+                self.detailed_step(&mut stream, u64::MAX, &mut lp, idx, engine, esp, replay, probe, iws, dws);
+            if step == Stepped::End {
+                return lp.windows;
             }
         }
-        span_windows
+    }
+
+    /// One step of the detailed kernel over a packed event — the single
+    /// step body of the exact and the sampled kernel loops. Decodes the
+    /// next instruction raw and tests its kind once:
+    ///
+    /// * a plain ALU (kind byte exactly `TAG_ALU`) on the current fetch
+    ///   line, with replay drained, retires together with the plain ALUs
+    ///   after it on that line, at most `batch_cap` instructions in all
+    ///   (0 disables batching): no fetch, branch, data or replay work
+    ///   exists for them, so their base cycles are charged in one
+    ///   accumulation. Replay must be drained because its prefetch timing
+    ///   depends on the per-instruction clock.
+    /// * anything else runs the fused kernel ([`Engine::step_raw`]) and
+    ///   spends a stall window it exposes.
+    ///
+    /// Replay ticks only while lists are pending; the fetch line enters
+    /// the instruction working set only when it changes (the set is the
+    /// same as with per-instruction inserts).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(crate) fn detailed_step<P: Probe>(
+        &self,
+        stream: &mut EventCursor<'_>,
+        batch_cap: u64,
+        lp: &mut DetailedLoop<'_, P>,
+        idx: usize,
+        engine: &mut Engine,
+        esp: &mut Option<EspState<'_>>,
+        replay: &mut ReplayState,
+        probe: &mut P,
+        iws: &mut LineSet,
+        dws: &mut LineSet,
+    ) -> Stepped {
+        let kp = lp.kp;
+        if !replay.drained() {
+            replay.tick(engine, stream.executed(), lp.branches);
+        }
+        let Some(rs) = stream.next_raw() else {
+            return Stepped::End;
+        };
+        let line = rs.pc >> kp.line_shift;
+        if lp.measure && line != lp.iws_line {
+            iws.insert(line);
+            lp.iws_line = line;
+        }
+        if rs.kind == TAG_ALU && batch_cap > 0 && replay.drained() && engine.on_fetch_line(line) {
+            // The rest of the line, this instruction included.
+            let room = (((line + 1) << kp.line_shift) - rs.pc) / INSTR_BYTES;
+            let more = stream.plain_run((room.min(batch_cap) - 1) as usize);
+            stream.skip_plain(more);
+            let n = 1 + more as u64;
+            engine.charge_plain_alus(n, probe);
+            return Stepped::Batch(n);
+        }
+        let tag = rs.kind & TAG_MASK;
+        if lp.measure && (tag == TAG_LOAD || tag == TAG_STORE) {
+            dws.insert(rs.op >> kp.line_shift);
+        }
+        let out = engine.step_raw(kp, lp.tbl, rs.kind, rs.pc, rs.op, probe);
+        lp.branches += u64::from(tag >= TAG_COND);
+        if let Some(stall) = out.stall {
+            // Runahead forks a copy; the loop's own cursor never escapes.
+            let at = stream.clone();
+            self.spend_stall(stall, &at, idx, engine, esp, probe, &mut lp.windows);
+        }
+        Stepped::One
     }
 
     /// Spends one exposed LLC-miss stall window according to the mode —

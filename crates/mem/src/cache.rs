@@ -32,11 +32,14 @@ impl AccessResult {
     }
 }
 
-/// Metadata words per slot and their offsets within a slot's group.
-const META: usize = 3;
+/// Metadata words per slot and their offsets within a slot's group:
+/// 16 bytes, so with the allocator's 16-byte alignment a slot never
+/// straddles a host cache line.
+const META: usize = 2;
 const M_READY: usize = 0;
+/// `stamp << 1 | prefetched`. Stamps are distinct, so comparing whole
+/// words orders slots exactly as comparing the stamps would.
 const M_STAMP: usize = 1;
-const M_PREFETCHED: usize = 2;
 
 /// A set-associative cache with true-LRU replacement and per-line fill
 /// latency.
@@ -48,12 +51,12 @@ const M_PREFETCHED: usize = 2;
 ///
 /// Internally the ways are split into a flat tag array (the only array a
 /// lookup scans) and one interleaved per-slot metadata array (ready
-/// cycle, LRU stamp, prefetch bit) consulted only on a hit. The tag
-/// array encodes validity in bit 0 (`(tag << 1) | 1`; `0` = invalid), so
-/// the hot way-scan is a branchless equality sweep over adjacent `u64`s
-/// with no per-way `valid` test and no early exit; the metadata
-/// interleave keeps the subsequent bookkeeping on a single host cache
-/// line.
+/// cycle, LRU stamp with the prefetch bit folded in) consulted only on a
+/// hit. The tag array encodes validity in bit 0 (`(tag << 1) | 1`; `0` =
+/// invalid), so the hot way-scan is a branchless equality sweep over
+/// adjacent `u64`s with no per-way `valid` test and no early exit; the
+/// metadata interleave keeps the subsequent bookkeeping on a single host
+/// cache line.
 ///
 /// # Examples
 ///
@@ -76,15 +79,15 @@ pub struct SetAssocCache {
     /// way-major within a set.
     tags: Vec<u64>,
     /// Per-slot metadata, [`META`] `u64` words per slot, interleaved so a
-    /// hit touches one host cache line instead of three scattered arrays:
-    /// `[ready, stamp, prefetched]`. `ready` is the raw [`Cycle`] at
-    /// which the slot's fill completes (a demand access before it is a
-    /// partial hit charged the remaining latency); `stamp` is the LRU
-    /// stamp, larger is more recent; `prefetched` is nonzero while the
-    /// line was brought in by a prefetcher and not yet touched by a
-    /// demand access. A slot's words are read only while its tag is
-    /// valid (every install rewrites all three), so emptying the cache
-    /// clears tags alone. Kept as plain zeroes-at-rest `u64`s so
+    /// hit touches one host cache line instead of scattered arrays:
+    /// `[ready, stamp << 1 | prefetched]`. `ready` is the raw [`Cycle`]
+    /// at which the slot's fill completes (a demand access before it is
+    /// a partial hit charged the remaining latency); the stamp is the
+    /// LRU stamp, larger is more recent; the `prefetched` bit is set
+    /// while the line was brought in by a prefetcher and not yet touched
+    /// by a demand access. A slot's words are read only while its tag is
+    /// valid (every install rewrites both), so emptying the cache clears
+    /// tags alone. Kept as plain zeroes-at-rest `u64`s so
     /// construction goes through `calloc` and untouched pages stay
     /// lazily mapped.
     meta: Vec<u64>,
@@ -164,17 +167,25 @@ impl SetAssocCache {
     /// Performs a demand access: updates LRU, statistics, and the
     /// prefetched bit, and returns the latency class.
     pub fn access(&mut self, line: LineAddr, now: Cycle) -> AccessResult {
+        self.demand_lookup(line, now)
+    }
+
+    /// The body of [`SetAssocCache::access`], forced inline. The demand
+    /// hierarchy inlines it into its L1 accesses so a hit costs one tag
+    /// sweep and no call; everything else goes through `access`, which
+    /// keeps it out of line.
+    #[inline(always)]
+    pub(crate) fn demand_lookup(&mut self, line: LineAddr, now: Cycle) -> AccessResult {
         let base = self.set_base(line);
         let key = self.key(line);
         let stamp = self.bump_stamp();
         let hit_latency = self.config.hit_latency;
         if let Some(idx) = self.find_way(base, key) {
             let m = idx * META;
-            self.meta[m + M_STAMP] = stamp;
-            if self.meta[m + M_PREFETCHED] != 0 {
-                self.meta[m + M_PREFETCHED] = 0;
-                self.stats.prefetch_useful += 1;
-            }
+            // A demand touch clears the prefetched bit; the first one
+            // after a prefetch fill counts it as useful.
+            self.stats.prefetch_useful += self.meta[m + M_STAMP] & 1;
+            self.meta[m + M_STAMP] = stamp << 1;
             let ready = Cycle::new(self.meta[m + M_READY]);
             return if ready.is_after(now) {
                 let remaining = (ready - now).max(hit_latency);
@@ -235,38 +246,65 @@ impl SetAssocCache {
         let stamp = self.bump_stamp();
         if let Some(idx) = self.find_way(base, key) {
             let m = idx * META;
-            self.meta[m + M_STAMP] = stamp;
+            self.meta[m + M_STAMP] = stamp << 1 | (self.meta[m + M_STAMP] & 1);
             if ready.as_u64() < self.meta[m + M_READY] {
                 self.meta[m + M_READY] = ready.as_u64();
             }
             return;
         }
-        if prefetched {
-            self.stats.prefetch_fills += 1;
-        }
+        self.install(base, key, stamp, ready, prefetched);
+    }
+
+    /// [`SetAssocCache::fill`] of a line the caller has just seen miss
+    /// (an [`SetAssocCache::access`] returning [`AccessResult::Miss`] with
+    /// no install in between): the set cannot hold it, so the tag sweep is
+    /// skipped and the fill goes straight to the victim search. Leaves the
+    /// cache exactly as `fill` would.
+    ///
+    /// Filling a resident line this way would duplicate its tag; debug
+    /// builds assert against it.
+    pub fn fill_absent(&mut self, line: LineAddr, ready: Cycle, prefetched: bool) {
+        debug_assert!(!self.probe(line), "fill_absent of a resident line");
+        let base = self.set_base(line);
+        let key = self.key(line);
+        let stamp = self.bump_stamp();
+        self.install(base, key, stamp, ready, prefetched);
+    }
+
+    /// Installs `key` over the LRU victim of the set at `base` (invalid
+    /// ways first).
+    #[inline(always)]
+    fn install(&mut self, base: usize, key: u64, stamp: u64, ready: Cycle, prefetched: bool) {
+        self.stats.prefetch_fills += u64::from(prefetched);
         let victim = self.lru_victim(base);
         self.tags[victim] = key;
         let m = victim * META;
         self.meta[m + M_READY] = ready.as_u64();
-        self.meta[m + M_STAMP] = stamp;
-        self.meta[m + M_PREFETCHED] = u64::from(prefetched);
+        self.meta[m + M_STAMP] = stamp << 1 | u64::from(prefetched);
     }
 
     /// The slot a fill of the set at `base` replaces: the first way with
-    /// the minimal (invalid ? 0 : stamp) key — invalid ways first, then
-    /// the least recently used.
+    /// the minimal (invalid ? 0 : stamp word) key — invalid ways first,
+    /// then the least recently used. Valid stamp words are at least 2, so
+    /// an invalid way always wins.
+    ///
+    /// The set's tags and metadata are sliced once, so the sweep carries
+    /// no per-way bounds check; the minimum is kept with conditional
+    /// moves.
     #[inline]
     fn lru_victim(&self, base: usize) -> usize {
-        let mut victim = base;
+        let tags = &self.tags[base..base + self.ways];
+        let meta = &self.meta[base * META..(base + self.ways) * META];
+        let mut victim = 0;
         let mut best = u64::MAX;
-        for idx in base..base + self.ways {
-            let k = if self.tags[idx] != 0 { self.meta[idx * META + M_STAMP] } else { 0 };
+        for (w, (&t, m)) in tags.iter().zip(meta.chunks_exact(META)).enumerate() {
+            let k = if t != 0 { m[M_STAMP] } else { 0 };
             if k < best {
                 best = k;
-                victim = idx;
+                victim = w;
             }
         }
-        victim
+        base + victim
     }
 
     /// Functional-warming access: one set scan that refreshes the LRU
@@ -285,7 +323,7 @@ impl SetAssocCache {
         match self.find_way(base, key) {
             Some(idx) => {
                 let m = &mut self.meta[idx * META..idx * META + META];
-                m[M_STAMP] = stamp;
+                m[M_STAMP] = stamp << 1 | (m[M_STAMP] & 1);
                 m[M_READY] = m[M_READY].min(now.as_u64());
                 false
             }
@@ -301,12 +339,7 @@ impl SetAssocCache {
     /// demand-owned line.
     #[inline(never)]
     fn warm_install(&mut self, base: usize, key: u64, stamp: u64, now: Cycle) {
-        let victim = self.lru_victim(base);
-        self.tags[victim] = key;
-        let m = victim * META;
-        self.meta[m + M_READY] = now.as_u64();
-        self.meta[m + M_STAMP] = stamp;
-        self.meta[m + M_PREFETCHED] = 0;
+        self.install(base, key, stamp, now, false);
     }
 
     /// Behavioural equality at a chunk boundary: whether `self` and
@@ -357,7 +390,7 @@ impl SetAssocCache {
                 }
                 let ma = ia * META;
                 let mb = ib * META;
-                if self.meta[ma + M_PREFETCHED] != other.meta[mb + M_PREFETCHED] {
+                if (self.meta[ma + M_STAMP] ^ other.meta[mb + M_STAMP]) & 1 != 0 {
                     return false;
                 }
                 let ra = self.meta[ma + M_READY];

@@ -240,6 +240,11 @@ impl MemoryHierarchy {
         self.record(MemOp::ResetStats);
     }
 
+    /// The demand path of one L1 and the shared L2: the L1 lookup inlines
+    /// into the caller, so an L1 hit (full or partial) costs one tag sweep
+    /// and no call; the rest of a miss runs out of line in
+    /// [`MemoryHierarchy::miss_via`].
+    #[inline(always)]
     fn access_via(
         l1: &mut SetAssocCache,
         l2: &mut SetAssocCache,
@@ -247,7 +252,7 @@ impl MemoryHierarchy {
         line: LineAddr,
         now: Cycle,
     ) -> ServedAccess {
-        match l1.access(line, now) {
+        match l1.demand_lookup(line, now) {
             AccessResult::Hit(lat) => ServedAccess {
                 latency: lat,
                 level: MemLevel::L1,
@@ -260,43 +265,34 @@ impl MemoryHierarchy {
                 llc_miss: false,
                 l1_miss: true,
             },
-            AccessResult::Miss => {
-                let l1_hit = l1.config().hit_latency;
-                match l2.access(line, now) {
-                    AccessResult::Hit(l2_lat) => {
-                        let latency = l1_hit + l2_lat;
-                        l1.fill(line, now, now + latency, false);
-                        ServedAccess {
-                            latency,
-                            level: MemLevel::L2,
-                            llc_miss: false,
-                            l1_miss: true,
-                        }
-                    }
-                    AccessResult::PartialHit(rem) => {
-                        let latency = l1_hit + rem;
-                        l1.fill(line, now, now + latency, false);
-                        ServedAccess {
-                            latency,
-                            level: MemLevel::L2,
-                            llc_miss: false,
-                            l1_miss: true,
-                        }
-                    }
-                    AccessResult::Miss => {
-                        let latency = mem_latency;
-                        l2.fill(line, now, now + latency, false);
-                        l1.fill(line, now, now + latency, false);
-                        ServedAccess {
-                            latency,
-                            level: MemLevel::Memory,
-                            llc_miss: true,
-                            l1_miss: true,
-                        }
-                    }
-                }
-            }
+            AccessResult::Miss => Self::miss_via(l1, l2, mem_latency, line, now),
         }
+    }
+
+    /// The miss half of [`MemoryHierarchy::access_via`]: the L2 access and
+    /// the demand fills. Both fills follow a miss just observed in the
+    /// level they install into, so they skip the tag sweep
+    /// ([`SetAssocCache::fill_absent`]): a memory-level miss scans each
+    /// set twice (lookup, victim) instead of three times.
+    #[inline(never)]
+    fn miss_via(
+        l1: &mut SetAssocCache,
+        l2: &mut SetAssocCache,
+        mem_latency: u64,
+        line: LineAddr,
+        now: Cycle,
+    ) -> ServedAccess {
+        let (latency, level) = match l2.demand_lookup(line, now) {
+            AccessResult::Hit(lat) | AccessResult::PartialHit(lat) => {
+                (l1.config().hit_latency + lat, MemLevel::L2)
+            }
+            AccessResult::Miss => {
+                l2.fill_absent(line, now + mem_latency, false);
+                (mem_latency, MemLevel::Memory)
+            }
+        };
+        l1.fill_absent(line, now + latency, false);
+        ServedAccess { latency, level, llc_miss: level == MemLevel::Memory, l1_miss: true }
     }
 
     /// A demand instruction fetch of `line` at time `now`.
@@ -336,11 +332,12 @@ impl MemoryHierarchy {
             mem_latency
         };
         let ready = now + latency;
+        // The probes just saw these lines absent: fill without a rescan.
         if !in_l2 {
-            l2.fill(line, now, ready, true);
+            l2.fill_absent(line, ready, true);
         }
         if into_l1 && !in_l1 {
-            l1.fill(line, now, ready, true);
+            l1.fill_absent(line, ready, true);
         }
         true
     }
@@ -399,10 +396,10 @@ impl MemoryHierarchy {
             };
             let ready = now + latency;
             if !in_l2 {
-                l2.fill(line, now, ready, true);
+                l2.fill_absent(line, ready, true);
             }
             if into_l1 && !in_l1 {
-                l1.fill(line, now, ready, true);
+                l1.fill_absent(line, ready, true);
             }
             issued_mask |= 1 << k;
         }

@@ -117,6 +117,7 @@ impl DcuNextLine {
 
     /// Observes a data access to `line`; returns the line to prefetch if
     /// this is the line's fourth recent touch (once per streak).
+    #[inline]
     pub fn on_access(&mut self, line: LineAddr) -> Option<LineAddr> {
         self.clock += 1;
         let clock = self.clock;
@@ -144,19 +145,25 @@ impl DcuNextLine {
             self.entries[self.len] = fresh;
             self.len += 1;
         } else {
-            // Evict the least recently touched line (stamps are
-            // distinct): the last slot moves into the victim's place and
-            // the new line goes last.
-            let mut lru = 0;
-            for i in 1..DCU_TRACKED {
-                if self.entries[i].stamp < self.entries[lru].stamp {
-                    lru = i;
-                }
-            }
+            // Evict the least recently touched line: the last slot moves
+            // into the victim's place and the new line goes last.
+            let lru = self.lru_slot();
             self.entries[lru] = self.entries[DCU_TRACKED - 1];
             self.entries[DCU_TRACKED - 1] = fresh;
         }
         None
+    }
+
+    /// The slot of the least recently touched line of a full tracker.
+    /// Stamps are distinct clock values far below 2^62, so each slot's
+    /// `stamp << 2 | slot` is a distinct key whose minimum names the LRU
+    /// slot: a min-reduction with no data-dependent branch, where a
+    /// compare-and-jump scan mispredicts on the victim's position.
+    #[inline(always)]
+    fn lru_slot(&self) -> usize {
+        const _: () = assert!(DCU_TRACKED <= 4, "slot indices must fit the key's two low bits");
+        let key = |i: usize| self.entries[i].stamp << 2 | i as u64;
+        ((1..DCU_TRACKED).fold(key(0), |m, i| m.min(key(i))) & 3) as usize
     }
 
     /// Issue statistics.
@@ -395,6 +402,52 @@ mod tests {
                     .collect();
                 assert_eq!(slots, r.entries, "seed {seed}: slot order");
             }
+        }
+    }
+
+    /// The branch-free victim pick on its own: for every order of four
+    /// distinct stamps, small and large, it names the slot `min_by_key`
+    /// on the stamp does.
+    #[test]
+    fn dcu_victim_pick_is_the_min_stamp_slot() {
+        let mut perms = vec![];
+        for a in 0..4u64 {
+            for b in (0..4).filter(|&b| b != a) {
+                for c in (0..4).filter(|&c| c != a && c != b) {
+                    perms.push([a, b, c, 6 - a - b - c]);
+                }
+            }
+        }
+        assert_eq!(perms.len(), 24);
+        for base in [1u64, 1 << 40, (1 << 61) - 64] {
+            for perm in &perms {
+                let mut d = DcuNextLine::new();
+                d.len = DCU_TRACKED;
+                for (e, &p) in d.entries.iter_mut().zip(perm) {
+                    e.stamp = base + 7 * p;
+                }
+                let want = (0..DCU_TRACKED).min_by_key(|&i| d.entries[i].stamp).unwrap();
+                assert_eq!(d.lru_slot(), want, "stamps {perm:?} over {base}");
+            }
+        }
+    }
+
+    /// Long streams over more lines than the tracker holds keep it full,
+    /// so nearly every new line runs the victim pick; started from a
+    /// large clock, the stamps exercise the pick's key range too.
+    #[test]
+    fn dcu_eviction_heavy_streams_match_vec_reference_model() {
+        for seed in 1..20 {
+            let mut d = DcuNextLine::new();
+            let mut r = VecDcu::default();
+            d.clock = 1 << 50;
+            r.clock = 1 << 50;
+            for line in line_stream(seed, 5 + seed % 6, 3000) {
+                assert_eq!(d.on_access(line), r.on_access(line), "seed {seed}");
+            }
+            let slots: Vec<_> =
+                d.entries[..d.len].iter().map(|e| (e.line, e.touches, e.triggered, e.stamp)).collect();
+            assert_eq!(slots, r.entries, "seed {seed}: slot order");
         }
     }
 

@@ -565,18 +565,15 @@ impl PackedCursor<'_> {
 
     /// The length of the run of *plain* ALU instructions (kind byte
     /// exactly [`kindbits::TAG_ALU`]: no flags, no explicit pc) starting
-    /// at the cursor, capped at `max`. The scan is a branch-free byte
-    /// sweep over the kind array — the grain-batching probe of the
-    /// specialised kernels.
+    /// at the cursor, capped at `max` — the grain-batching probe of the
+    /// specialised kernels. Sized eight kind bytes per step, like the warm
+    /// walk's runs.
     #[inline(always)]
     pub fn plain_alu_run(&self, max: usize) -> usize {
-        let ks = &self.trace.kinds[self.pos.min(self.trace.kinds.len())..];
-        let lim = ks.len().min(max);
-        let mut n = 0;
-        while n < lim && ks[n] == TAG_ALU {
-            n += 1;
-        }
-        n
+        let kinds = self.trace.kinds.as_slice();
+        let from = self.pos.min(kinds.len());
+        let end = from + (kinds.len() - from).min(max);
+        plain_run_end(kinds, from, end) - from
     }
 
     /// Skips `n` instructions previously sized with

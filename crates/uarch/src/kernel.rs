@@ -31,8 +31,13 @@
 //!
 //! [`Engine::charge_plain_alus`] is the grain-batch half: runs of plain
 //! ALU instructions on an already-fetched line charge base cycles in one
-//! accumulation instead of one division per instruction (callers verify
-//! eligibility with `PackedCursor::plain_alu_run`).
+//! accumulation instead of one division per instruction (callers size
+//! the run with `PackedCursor::plain_alu_run`).
+//!
+//! The branch handlers build their `Instr` from the known kind and call
+//! the force-inlined `BranchPredictor::predict_and_update`, so the
+//! predictor's match on the kind folds away; the memory handlers reach
+//! the hierarchy's inlined L1 lookup through one call.
 
 // Every kind handler shares one flat fn-pointer signature (the table's
 // whole point); the raw step's fields arrive unpacked, so the arity is

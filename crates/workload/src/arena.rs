@@ -214,6 +214,15 @@ mod tests {
     use super::*;
     use esp_trace::{record_stream, Workload};
 
+    /// The memo is process-wide and the test harness runs tests in
+    /// parallel: the tests that reset it or assert on what it holds take
+    /// this lock, so one cannot clear another's entries mid-test.
+    static MEMO: Mutex<()> = Mutex::new(());
+
+    fn memo_lock() -> std::sync::MutexGuard<'static, ()> {
+        MEMO.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn profile() -> BenchmarkProfile {
         // Small but non-trivial: enough events for diverging ones to
         // exist at the default 2 % rate... not guaranteed, so tests that
@@ -280,6 +289,7 @@ mod tests {
 
     #[test]
     fn cache_returns_shared_arcs() {
+        let _memo = memo_lock();
         reset();
         let pr = BenchmarkProfile::gdocs().scaled(30_000);
         let g1 = generated(&pr, 5);
@@ -298,6 +308,7 @@ mod tests {
 
     #[test]
     fn imported_arena_substitutes_for_generation() {
+        let _memo = memo_lock();
         reset();
         let pr = BenchmarkProfile::iot_fsm().scaled(20_000);
         let built = packed_for(&pr, 3, 1);
@@ -332,6 +343,7 @@ mod tests {
 
     #[test]
     fn import_reads_and_seats_from_a_file() {
+        let _memo = memo_lock();
         reset();
         let pr = BenchmarkProfile::server_async().scaled(15_000);
         let built = packed_for(&pr, 8, 1);

@@ -47,6 +47,9 @@ cargo test -q --release -p esp-bench --test sampling_error
 echo "== learned fast-forward: accuracy + non-vacuous skipping + determinism (esp-learn) =="
 cargo test -q --release -p esp-bench --test learned_ff_error
 
+echo "== interval coverage: sampled + learned ci95 hold the exact CPI on >= 90% of the panel =="
+cargo test -q --release -p esp-bench --test interval_coverage -- --nocapture
+
 echo "== observability: conservation + thread-count invariance =="
 cargo test -q --release -p esp-bench --test observability
 
