@@ -575,12 +575,15 @@ fn check(scale: u64, seed: u64, fuzz_cases: usize, espt_fuzz_cases: usize) -> Ex
 /// `--sample-period`, defaulting to the documented operating point) and
 /// cross-checks its CPI against the exact reports of every profile ×
 /// {base, runahead, esp_nl} — the per-profile error table goes to
-/// stderr and to the JSON (`sampled.per_profile`), the max/mean to the
-/// JSON. Pass 3b repeats the sampled protocol with learned
-/// fast-forwarding on top (`--learn-*` to override the model and its
-/// operating point) and records its throughput, speedups over exact and
-/// plain sampling, error envelope, mean skip fraction, and the
-/// fallback-ladder counters. Each pass is repeated `--repeat`
+/// stderr and to the JSON (`sampled.per_profile`), the max/mean and the
+/// share of those cells whose 95% interval holds the exact CPI
+/// (`ci95_coverage`) to the JSON. Pass 3b repeats the sampled protocol
+/// with learned fast-forwarding on top (`--learn-*` to override the
+/// model and its operating point) and records its throughput, speedups
+/// over exact and plain sampling, error envelope, interval coverage,
+/// mean skip fraction, and the fallback-ladder counters. Pass 1 also
+/// records the bytes and build time of the DCU trigger-bit sidecars its
+/// next-line runs built (`dcu_triggers`). Each pass is repeated `--repeat`
 /// times (default 3) and the fastest repetition is recorded — the
 /// standard protocol for shared machines, where the minimum is the run
 /// least disturbed by background load (every repetition simulates the
@@ -614,7 +617,7 @@ fn bench(
         "# bench pass 1: cold, 1 thread (scale {scale}, seed {seed}, {} families), best of {repeat}...",
         families.len()
     );
-    let mut best: Option<(f64, esp_bench::PhaseSeconds, u64, u64, u64)> = None;
+    let mut best: Option<(f64, esp_bench::PhaseSeconds, u64, (u64, f64), u64, u64)> = None;
     for rep in 1..=repeat {
         // A cold repetition regenerates and re-materialises everything:
         // drop the process-wide arena cache left by the previous one.
@@ -629,12 +632,14 @@ fn bench(
                 total,
                 cold.phase_seconds(),
                 cold.arena_resident_bytes(),
+                cold.trigger_footprint(),
                 cold.sims_run(),
                 cold.instructions_simulated(),
             ));
         }
     }
-    let (total_1t, phases, arena_bytes, sims, instrs) = best.expect("repeat >= 1");
+    let (total_1t, phases, arena_bytes, (trigger_bytes, trigger_s), sims, instrs) =
+        best.expect("repeat >= 1");
     // Instructions per wall-second across the whole matrix — retired plus
     // speculative (ESP pre-execution, runahead re-execution), which is
     // real simulation work; the per-sim count is deterministic, so MIPS
@@ -642,12 +647,15 @@ fn bench(
     let mips_1t = instrs as f64 / total_1t.max(1e-9) / 1e6;
     eprintln!(
         "# pass 1: {sims} sims in {total_1t:.2}s ({:.3} sims/s, {mips_1t:.2} MIPS; \
-         generate {:.2}s, materialise {:.2}s, simulate {:.2}s, arena {:.1} MiB)",
+         generate {:.2}s, materialise {:.2}s, simulate {:.2}s, arena {:.1} MiB; \
+         DCU trigger sidecars {:.1} KiB built in {:.1} ms)",
         sims as f64 / total_1t.max(1e-9),
         phases.generate,
         phases.materialise,
         phases.simulate,
         arena_bytes as f64 / (1024.0 * 1024.0),
+        trigger_bytes as f64 / 1024.0,
+        trigger_s * 1e3,
     );
 
     // Pass 2 measures multi-thread scaling, so it is only honest when
@@ -710,6 +718,7 @@ fn bench(
     let mut exact = Runner::with_profiles(&families, scale, seed, 1);
     exact.ensure(&MATRIX);
     let mut errs: Vec<f64> = Vec::new();
+    let mut covered = 0usize;
     let mut per_profile_rows: Vec<String> = Vec::new();
     eprintln!("# sampled CPI error vs exact (per profile; base / runahead / esp_nl):");
     for (i, name) in exact.names().iter().enumerate() {
@@ -722,6 +731,7 @@ fn bench(
             let s_cpi = s.busy_cycles() as f64 / s.engine.retired as f64;
             let err = 100.0 * (s_cpi - e_cpi) / e_cpi;
             errs.push(err);
+            covered += usize::from(ci95_covers(sampled.estimate(i, key), e_cpi));
             row.push_str(&format!(" {err:+6.2}%"));
             cells.push(format!("\"{jkey}\": {err:.3}"));
         }
@@ -730,7 +740,13 @@ fn bench(
     }
     let max_err = errs.iter().fold(0f64, |m, e| m.max(e.abs()));
     let mean_err = errs.iter().map(|e| e.abs()).sum::<f64>() / errs.len() as f64;
-    eprintln!("# sampled error: max |{max_err:.2}|%, mean |{mean_err:.2}|% over {} cells", errs.len());
+    let coverage = covered as f64 / errs.len() as f64;
+    eprintln!(
+        "# sampled error: max |{max_err:.2}|%, mean |{mean_err:.2}|% over {} cells; \
+         ci95 coverage {covered}/{}",
+        errs.len(),
+        errs.len()
+    );
     let per_profile_json = per_profile_rows.join(",\n      ");
 
     // Pass 3b: the same sampled matrix with learned fast-forwarding on
@@ -771,6 +787,7 @@ fn bench(
         phases_l.simulate
     );
     let mut errs_l: Vec<f64> = Vec::new();
+    let mut covered_l = 0usize;
     eprintln!("# learned CPI error vs exact (per profile; base / runahead / esp_nl):");
     for (i, name) in exact.names().iter().enumerate() {
         let mut row = format!("#   {name:<11}");
@@ -781,18 +798,21 @@ fn bench(
             let l_cpi = l.busy_cycles() as f64 / l.engine.retired as f64;
             let err = 100.0 * (l_cpi - e_cpi) / e_cpi;
             errs_l.push(err);
+            covered_l += usize::from(ci95_covers(learned.estimate(i, key), e_cpi));
             row.push_str(&format!(" {err:+6.2}%"));
         }
         eprintln!("{row}");
     }
     let max_err_l = errs_l.iter().fold(0f64, |m, e| m.max(e.abs()));
     let mean_err_l = errs_l.iter().map(|e| e.abs()).sum::<f64>() / errs_l.len() as f64;
+    let coverage_l = covered_l as f64 / errs_l.len() as f64;
     let (skip_frac, fb_rate, n_disabled, n_rerun) =
         learned.learned_summary().unwrap_or((0.0, 0.0, 0, 0));
     eprintln!(
         "# learned error: max |{max_err_l:.2}|%, mean |{mean_err_l:.2}|% over {} cells; \
          skip fraction {skip_frac:.3}, fallback rate {fb_rate:.4}, \
-         {n_disabled} disabled, {n_rerun} rerun",
+         {n_disabled} disabled, {n_rerun} rerun; ci95 coverage {covered_l}/{}",
+        errs_l.len(),
         errs_l.len()
     );
 
@@ -914,6 +934,7 @@ fn bench(
          \"sims_per_sec\": {:.3},\n  \"sims_per_sec_1t\": {:.3},\n  \
          \"mips\": {mips_1t:.3},\n  \"mips_1t\": {mips_1t:.3},\n  \
          \"arena_bytes\": {arena_bytes},\n  \
+         \"dcu_triggers\": {{\"bytes\": {trigger_bytes}, \"build_seconds\": {trigger_s:.4}}},\n  \
          \"phase_seconds\": {{\"generate\": {:.3}, \"materialise\": {:.3}, \
          \"simulate\": {:.3}}},\n  \
          \"sampled\": {{\"scale\": {scale}, \"grain_instrs\": {}, \"period\": {}, \
@@ -921,7 +942,8 @@ fn bench(
          \"total_seconds\": {total_s:.3}, \"simulate_seconds\": {:.3}, \
          \"sims_per_sec\": {:.3}, \"effective_mips\": {effective_mips:.3},\n    \
          \"simulate_speedup_vs_exact\": {speedup:.3}, \
-         \"max_cpi_error_pct\": {max_err:.3}, \"mean_cpi_error_pct\": {mean_err:.3},\n    \
+         \"max_cpi_error_pct\": {max_err:.3}, \"mean_cpi_error_pct\": {mean_err:.3}, \
+         \"ci95_coverage\": {coverage:.4},\n    \
          \"per_profile\": {{\n      {per_profile_json}\n    }}}},\n  \
          \"learned\": {{\"scale\": {scale}, \"model\": \"{}\", \
          \"train_stretches\": {}, \"warm_suffix_grains\": {}, \
@@ -930,7 +952,8 @@ fn bench(
          \"simulate_seconds\": {:.3}, \"sims_per_sec\": {:.3},\n    \
          \"simulate_speedup_vs_exact\": {speedup_l:.3}, \
          \"simulate_speedup_vs_sampled\": {speedup_l_vs_s:.3},\n    \
-         \"max_cpi_error_pct\": {max_err_l:.3}, \"mean_cpi_error_pct\": {mean_err_l:.3},\n    \
+         \"max_cpi_error_pct\": {max_err_l:.3}, \"mean_cpi_error_pct\": {mean_err_l:.3}, \
+         \"ci95_coverage\": {coverage_l:.4},\n    \
          \"skip_fraction\": {skip_frac:.4}, \"fallback_rate\": {fb_rate:.5}, \
          \"disabled_runs\": {n_disabled}, \"rerun_full_runs\": {n_rerun}}}\n}}\n",
         sims as f64 / total_1t.max(1e-9),
@@ -959,6 +982,13 @@ fn bench(
             ExitCode::FAILURE
         }
     }
+}
+
+/// Whether a sampled cell's 95% CPI interval holds the exact CPI (the
+/// `interval_coverage` test's rule); a cell without an estimate is not
+/// covered.
+fn ci95_covers(estimate: Option<&esp_core::SamplingEstimate>, exact_cpi: f64) -> bool {
+    estimate.is_some_and(|e| (e.cpi.ratio - exact_cpi).abs() <= e.cpi.ci95)
 }
 
 /// The trace-I/O measurement behind the `trace_io` block: exports every

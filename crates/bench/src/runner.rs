@@ -7,7 +7,10 @@
 //! [`Runner::improvements`] / [`Runner::metric`] become cache lookups.
 
 use crate::source::WorkloadSpec;
-use esp_core::{LearnParams, LearnedStats, RunReport, SampleParams, SimConfig, SimMode, Simulator};
+use esp_core::{
+    LearnParams, LearnedStats, RunReport, SampleParams, SamplingEstimate, SimConfig, SimMode,
+    Simulator,
+};
 use esp_obs::TraceProbe;
 use esp_stats::Table;
 use esp_trace::{PackedWorkload, Workload};
@@ -20,8 +23,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One planned simulation's outputs: the report, its serialised trace
-/// bytes, and the learned-mode stats when learned fast-forwarding ran.
-type RunOutput = (RunReport, Vec<u8>, Option<LearnedStats>);
+/// bytes, the sampling estimate when the run sampled, and the
+/// learned-mode stats when learned fast-forwarding ran.
+type RunOutput = (RunReport, Vec<u8>, Option<SamplingEstimate>, Option<LearnedStats>);
 
 /// Every machine configuration the evaluation compares, as a nameable
 /// key (so runs can be cached and reports labelled consistently).
@@ -320,6 +324,9 @@ pub struct Runner {
     /// Learned-mode statistics per (slot, configuration), captured by
     /// [`Runner::ensure`] whenever `learned` is active.
     learned_stats: HashMap<(usize, ConfigKey), LearnedStats>,
+    /// Sampling estimates per (slot, configuration), captured by
+    /// [`Runner::ensure`] whenever `sampling` is active.
+    estimates: HashMap<(usize, ConfigKey), SamplingEstimate>,
     /// JSONL trace sink; when set, every simulation runs with a
     /// [`TraceProbe`] and per-worker buffers are appended here in input
     /// order (so the file is byte-identical for any thread count).
@@ -448,6 +455,7 @@ impl Runner {
             sampling: None,
             learned: None,
             learned_stats: HashMap::new(),
+            estimates: HashMap::new(),
             trace: None,
         })
     }
@@ -458,6 +466,7 @@ impl Runner {
     pub fn set_sampling(&mut self, params: Option<SampleParams>) {
         if self.sampling != params {
             self.cache.clear();
+            self.estimates.clear();
         }
         self.sampling = params;
     }
@@ -475,6 +484,7 @@ impl Runner {
     pub fn set_learned(&mut self, params: Option<LearnParams>) {
         if self.learned != params {
             self.cache.clear();
+            self.estimates.clear();
             self.learned_stats.clear();
         }
         self.learned = params;
@@ -489,6 +499,12 @@ impl Runner {
     /// simulated with learned fast-forwarding.
     pub fn learned_stats(&self, i: usize, key: ConfigKey) -> Option<&LearnedStats> {
         self.learned_stats.get(&(i, key))
+    }
+
+    /// The sampling estimate for `(i, key)`, if that cell was simulated
+    /// in sampling mode.
+    pub fn estimate(&self, i: usize, key: ConfigKey) -> Option<&SamplingEstimate> {
+        self.estimates.get(&(i, key))
     }
 
     /// Aggregates learned-mode statistics over every cached cell:
@@ -585,6 +601,15 @@ impl Runner {
     /// Heap bytes resident in the packed trace arenas of all profiles.
     pub fn arena_resident_bytes(&self) -> u64 {
         self.slots.iter().map(|s| s.packed.resident_bytes()).sum()
+    }
+
+    /// `(bytes, build seconds)` of the DCU trigger-bit sidecars built so
+    /// far on all profiles' packed workloads
+    /// (`PackedWorkload::trigger_footprint`).
+    pub fn trigger_footprint(&self) -> (u64, f64) {
+        self.slots.iter().map(|s| s.packed.trigger_footprint()).fold((0, 0.0), |(b, t), (sb, st)| {
+            (b + sb, t + st)
+        })
     }
 
     /// Measures intra-run (single-run) scaling: every profile's packed
@@ -695,34 +720,28 @@ impl Runner {
             let workload: &PackedWorkload = &slots[i].packed;
             let sim = Simulator::new(key.config());
             match (sampling, tracing) {
-                (None, false) => (sim.run(workload), Vec::new(), None),
+                (None, false) => (sim.run(workload), Vec::new(), None, None),
                 (None, true) => {
                     let mut probe = TraceProbe::new(&slots[i].name, key.label());
                     let report = sim.run_probed(workload, &mut probe);
-                    (report, probe.into_bytes(), None)
+                    (report, probe.into_bytes(), None, None)
                 }
-                (Some(p), false) => match learned {
-                    Some(lp) => {
-                        let run = sim.run_sampled_learned(workload, p, lp);
-                        (run.report, Vec::new(), run.learned)
-                    }
-                    None => (sim.run_sampled(workload, p).report, Vec::new(), None),
-                },
+                (Some(p), false) => {
+                    let run = match learned {
+                        Some(lp) => sim.run_sampled_learned(workload, p, lp),
+                        None => sim.run_sampled(workload, p),
+                    };
+                    (run.report, Vec::new(), Some(run.estimate), run.learned)
+                }
                 (Some(p), true) => {
                     let mode = if learned.is_some() { "learned" } else { "sampled" };
                     let mut probe =
                         TraceProbe::new(&slots[i].name, key.label()).with_mode(mode);
-                    match learned {
-                        Some(lp) => {
-                            let run =
-                                sim.run_sampled_learned_probed(workload, p, lp, &mut probe);
-                            (run.report, probe.into_bytes(), run.learned)
-                        }
-                        None => {
-                            let run = sim.run_sampled_probed(workload, p, &mut probe);
-                            (run.report, probe.into_bytes(), None)
-                        }
-                    }
+                    let run = match learned {
+                        Some(lp) => sim.run_sampled_learned_probed(workload, p, lp, &mut probe),
+                        None => sim.run_sampled_probed(workload, p, &mut probe),
+                    };
+                    (run.report, probe.into_bytes(), Some(run.estimate), run.learned)
                 }
             }
         });
@@ -737,7 +756,7 @@ impl Runner {
         self.sims_run += results.len() as u64;
         let mut write_err = None;
         if let Some(out) = self.trace.as_mut() {
-            for (_, buf, _) in &results {
+            for (_, buf, ..) in &results {
                 if let Err(e) = out.write_all(buf).and_then(|()| out.flush()) {
                     write_err = Some(e);
                     break;
@@ -750,7 +769,10 @@ impl Runner {
             eprintln!("warning: trace output failed ({e}); tracing disabled");
             self.trace = None;
         }
-        for (pair, (report, _, stats)) in pairs.into_iter().zip(results) {
+        for (pair, (report, _, estimate, stats)) in pairs.into_iter().zip(results) {
+            if let Some(estimate) = estimate {
+                self.estimates.insert(pair, estimate);
+            }
             if let Some(stats) = stats {
                 self.learned_stats.insert(pair, stats);
             }

@@ -8,6 +8,10 @@
 //! engine/ESP/replay/energy/working-set stats), identical CPI-stack
 //! JSON, and identical JSONL trace output, regardless of the thread
 //! count used to materialise the arena.
+//!
+//! The next-line data configurations also compare the two DCU paths:
+//! packed runs replay the workload's precomputed trigger bits, while
+//! regenerative runs keep the live tracker.
 
 use esp_bench::ConfigKey;
 use esp_core::{SampleParams, Simulator};
@@ -17,7 +21,14 @@ use esp_workload::BenchmarkProfile;
 
 const SCALE: u64 = 18_000;
 const SEED: u64 = 13;
-const KEYS: [ConfigKey; 3] = [ConfigKey::Base, ConfigKey::Runahead, ConfigKey::EspNl];
+const KEYS: [ConfigKey; 6] = [
+    ConfigKey::Base,
+    ConfigKey::Runahead,
+    ConfigKey::EspNl,
+    ConfigKey::NlDOnly,
+    ConfigKey::EspDNlD,
+    ConfigKey::IdealEspDNlD,
+];
 
 #[test]
 fn packed_replay_matches_regenerative_walk_bit_for_bit() {

@@ -141,6 +141,62 @@ fn caps_for(depth_idx: usize, ideal: bool) -> ListCapacities {
     }
 }
 
+/// One slot's side cache plus the lines filled into it since it was
+/// last empty, so emptying it for reuse clears only the sets those fills
+/// touched ([`SetAssocCache::reset_filled`]): an ideal slot's 4 MiB cache
+/// sees a few hundred fills per event, against 65,536 tag slots. Past one
+/// fill per set, a whole-array clear is no dearer, so the list stops
+/// growing and emptying falls back to it.
+struct SideCache {
+    cache: SetAssocCache,
+    /// Lines filled since the cache was last empty; `None` once there
+    /// were more fills than sets.
+    filled: Option<Vec<LineAddr>>,
+    sets: usize,
+}
+
+impl SideCache {
+    fn new(config: CacheConfig) -> Self {
+        let sets = config.sets() as usize;
+        SideCache { cache: SetAssocCache::new(config), filled: Some(Vec::new()), sets }
+    }
+
+    #[inline]
+    fn access(&mut self, line: LineAddr, t: Cycle) -> AccessResult {
+        self.cache.access(line, t)
+    }
+
+    /// Fills `line`, which the caller has just seen miss.
+    #[inline]
+    fn fill_absent(&mut self, line: LineAddr, ready: Cycle) {
+        self.cache.fill_absent(line, ready, false);
+        if let Some(filled) = &mut self.filled {
+            if filled.len() == self.sets {
+                self.filled = None;
+            } else {
+                filled.push(line);
+            }
+        }
+    }
+
+    /// Empties the cache, keeping its stamp counter and statistics.
+    fn flush(&mut self) {
+        self.cache.flush();
+        self.filled.get_or_insert_with(Vec::new).clear();
+    }
+
+    /// Returns the cache to its just-constructed state.
+    fn reset(&mut self) {
+        match &mut self.filled {
+            Some(filled) => self.cache.reset_filled(filled.drain(..)),
+            None => {
+                self.cache.reset();
+                self.filled = Some(Vec::new());
+            }
+        }
+    }
+}
+
 /// The ESP hardware state for one simulated core.
 pub(crate) struct EspState<'w> {
     features: EspFeatures,
@@ -151,8 +207,8 @@ pub(crate) struct EspState<'w> {
     cachelet_d: Cachelet,
     /// Per-slot caches standing in for the cachelets beyond depth 2 (the
     /// Fig. 13 probe) or for the unbounded ideal configuration.
-    side_i: Vec<SetAssocCache>,
-    side_d: Vec<SetAssocCache>,
+    side_i: Vec<SideCache>,
+    side_d: Vec<SideCache>,
     stats: EspRunStats,
     working_sets: WorkingSetReport,
     /// Scratch buffer for the per-window RAS/PIR checkpoint, reused so
@@ -165,8 +221,8 @@ impl<'w> EspState<'w> {
         features.validate().expect("invalid ESP features");
         let depth = features.depth;
         let slots = (0..depth).map(|i| Slot::empty(caps_for(i, features.ideal))).collect();
-        let side = |n: usize| -> Vec<SetAssocCache> {
-            (0..n).map(|_| SetAssocCache::new(Self::side_cache_config(features.ideal))).collect()
+        let side = |n: usize| -> Vec<SideCache> {
+            (0..n).map(|_| SideCache::new(Self::side_cache_config(features.ideal))).collect()
         };
         // Ideal mode gives every slot its own huge cache; otherwise only
         // depths >= 2 (which exist only in the Fig. 13 probe) need side
@@ -440,7 +496,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(fetch_line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_i[i].fill_absent(fetch_line, ready, false),
+                            Some(i) => self.side_i[i].fill_absent(fetch_line, ready),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_i.fill(cs, fetch_line, t, ready);
@@ -515,7 +571,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_d[i].fill_absent(line, ready, false),
+                            Some(i) => self.side_d[i].fill_absent(line, ready),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_d.fill(cs, line, t, ready);
@@ -595,7 +651,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(fetch_line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_i[i].fill_absent(fetch_line, ready, false),
+                            Some(i) => self.side_i[i].fill_absent(fetch_line, ready),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_i.fill(cs, fetch_line, t, ready);
@@ -669,7 +725,7 @@ impl<'w> EspState<'w> {
                         let (lat, llc) = engine.mem().bypass_latency(line);
                         let ready = if features.ideal { t } else { t + lat };
                         match side {
-                            Some(i) => self.side_d[i].fill_absent(line, ready, false),
+                            Some(i) => self.side_d[i].fill_absent(line, ready),
                             None => {
                                 let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
                                 self.cachelet_d.fill(cs, line, t, ready);
@@ -735,8 +791,9 @@ impl<'w> EspState<'w> {
         // Side caches shift with their slots; the freed one is recycled.
         if !self.side_i.is_empty() {
             if self.features.ideal {
-                // The retired slot's 4 MiB caches come back empty through
-                // a tag-array reset, not a fresh allocation.
+                // The retired slot's 4 MiB caches come back empty, their
+                // filled sets cleared: no fresh allocation, no sweep of
+                // the whole tag array.
                 for side in [&mut self.side_i, &mut self.side_d] {
                     side.rotate_left(1);
                     if let Some(freed) = side.last_mut() {

@@ -703,6 +703,11 @@ impl Simulator {
         learn: Option<LearnParams>,
     ) -> SampledRun {
         let mut engine = Engine::new(self.config().engine.clone());
+        // Skipped stretches feed the DCU nothing, so only plain sampling
+        // retires the stream its trigger bits were built from.
+        if learn.is_none() {
+            self.attach_dcu_triggers(workload, &mut engine);
+        }
         let mut esp: Option<EspState<'_>> = match &self.config().mode {
             SimMode::Esp(f) => Some(EspState::new(*f, workload)),
             _ => None,
@@ -822,6 +827,7 @@ impl Simulator {
             });
         }
         ctl.finish(&mut engine, &replay, &esp);
+        assert_ne!(engine.dcu_replay_finished(), Some(false), "DCU replay out of step with the run");
 
         let total_instrs = engine.stats().retired;
         let measured_instrs = ctl.measured_instrs;

@@ -7,12 +7,16 @@ use crate::replay::{ReplayLists, ReplayState};
 use crate::report::RunReport;
 use esp_branch::{BpOp, PredictorContext};
 use esp_energy::{ActivityCounts, EnergyModel};
+use esp_mem::prefetch::DcuTriggerBuilder;
 use esp_mem::{HierarchySnapshot, MemOp};
 use esp_obs::{CycleClass, EventSpan, NullProbe, Probe, RunSummary, WindowRecord, WindowSpender};
 use esp_stats::BranchStats;
 use esp_trace::kindbits::{TAG_ALU, TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
-use esp_trace::{EventCursor, EventStream, ForkStream, Instr, Workload, INSTR_BYTES};
-use esp_types::Addr;
+use esp_trace::{
+    EventCursor, EventStream, ForkStream, Instr, PackedWorkload, TriggerKey, WarmSink, Workload,
+    INSTR_BYTES,
+};
+use esp_types::{Addr, LineAddr};
 use esp_uarch::{Engine, KernelParams, KindTable, StallKind};
 
 /// Code region of the synthetic looper (event-queue management): a small
@@ -145,6 +149,31 @@ impl Simulator {
         }
     }
 
+    /// Makes `engine` replay the DCU trigger bits of `workload` instead
+    /// of running the tracker, when that is possible: the workload is
+    /// packed, the DCU is on, and the L1-D is not perfect (a perfect L1-D
+    /// feeds the DCU nothing). The bits are built on first use per
+    /// workload, line size and looper length, then shared by every
+    /// configuration that asks (see [`dcu_trigger_words`]).
+    ///
+    /// Called only for runs that feed the DCU every retired data access
+    /// in order, from the first: exact runs and plain sampled runs, not
+    /// learned or intra-run ones.
+    pub(crate) fn attach_dcu_triggers(&self, workload: &dyn Workload, engine: &mut Engine) {
+        let e = &self.config.engine;
+        if !e.nl_data || e.perfect.l1d {
+            return;
+        }
+        let Some(packed) = workload.as_packed() else {
+            return;
+        };
+        let key = TriggerKey {
+            line_bytes: e.machine.hierarchy.l1i.line_bytes,
+            looper_instrs: self.config.looper_instrs,
+        };
+        engine.replay_dcu(packed.trigger_bits(key, |p| dcu_trigger_words(p, key)));
+    }
+
     /// Runs the workload to completion and reports.
     pub fn run(&self, workload: &dyn Workload) -> RunReport {
         self.run_probed(workload, &mut NullProbe)
@@ -196,6 +225,7 @@ impl Simulator {
         record: bool,
     ) -> (RunReport, Option<SideEffectLog>) {
         let mut live = self.new_live(workload);
+        self.attach_dcu_triggers(workload, &mut live.engine);
         if record {
             live.engine.mem_mut().set_recording(true);
             live.engine.bp_mut().set_recording(true);
@@ -206,6 +236,7 @@ impl Simulator {
         let mut dws = LineSet::new();
         self.run_events_range(workload, &mut live, 0..events.len(), probe, &mut iws, &mut dws);
         let LiveState { mut engine, esp, replay, .. } = live;
+        assert_ne!(engine.dcu_replay_finished(), Some(false), "DCU replay out of step with the run");
 
         let mem_snap = engine.mem().snapshot();
         let (esp_branches, esp_mispredicts) = {
@@ -572,6 +603,53 @@ impl Simulator {
         report.energy = EnergyModel::mcpat_32nm().report(&report.activity);
         report
     }
+}
+
+/// Builds the DCU trigger words of `packed` for `key` (the
+/// `esp_mem::prefetch::DcuTriggerBuilder` format): the tracker run once
+/// over the data line stream every exact or plain sampled run retires,
+/// which does not depend on the machine configuration. Per event, in
+/// order: the looper prologue's loads, then the event's loads and
+/// stores. Runahead episodes and ESP pre-execution access the hierarchy
+/// directly and never reach the DCU, so they are not in the stream.
+pub(crate) fn dcu_trigger_words(packed: &PackedWorkload, key: TriggerKey) -> Vec<u64> {
+    /// Forwards the walk's data lines to the builder.
+    struct DataLines {
+        shift: u32,
+        dcu: DcuTriggerBuilder,
+    }
+    impl DataLines {
+        #[inline(always)]
+        fn push(&mut self, addr: u64) {
+            self.dcu.push(LineAddr::new(addr >> self.shift));
+        }
+    }
+    impl WarmSink for DataLines {
+        #[inline(always)]
+        fn warm_fetch_line(&mut self, _line: u64) {}
+        #[inline(always)]
+        fn warm_load(&mut self, _pc: u64, addr: u64) {
+            self.push(addr);
+        }
+        #[inline(always)]
+        fn warm_store(&mut self, addr: u64) {
+            self.push(addr);
+        }
+        #[inline(always)]
+        fn warm_branch(&mut self, _instr: &Instr) {}
+    }
+    let mut lines =
+        DataLines { shift: key.line_bytes.trailing_zeros(), dcu: DcuTriggerBuilder::new() };
+    for (idx, record) in packed.events().iter().enumerate() {
+        for i in 0..u64::from(key.looper_instrs) {
+            if let Some(addr) = Simulator::looper_instr(idx, i).mem_addr() {
+                lines.push(addr.as_u64());
+            }
+        }
+        let mut cursor = packed.arena().event(record.id.index() as usize).actual_cursor();
+        cursor.skip_region_observed(u64::MAX, key.line_bytes, &mut lines);
+    }
+    lines.dcu.finish()
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ mod stream;
 pub use instr::{Instr, InstrKind, INSTR_BYTES};
 pub use packed::{
     kindbits, EventCursor, PackedCursor, PackedEvent, PackedTrace, PackedWorkload, RawStep,
-    RawTraceError, TraceArena, WarmSink,
+    RawTraceError, TraceArena, TriggerKey, WarmSink,
 };
 pub use record::EventRecord;
 pub use stream::{record_stream, EventStream, ForkStream, VecEventStream, Workload};

@@ -54,7 +54,7 @@
 use crate::instr::INSTR_BYTES;
 use crate::{EventRecord, EventStream, Instr, InstrKind, Workload};
 use esp_types::{Addr, EventId};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A consumer of the functional-warming walk ([`PackedTrace::warm_walk`]):
 /// the architectural-state updates a detailed engine would make — cache
@@ -1023,6 +1023,37 @@ pub struct PackedWorkload {
     records: Vec<EventRecord>,
     arena: Arc<TraceArena>,
     total_instructions: u64,
+    /// Trigger-bit sidecars built so far (see
+    /// [`PackedWorkload::trigger_bits`]), shared by clones.
+    triggers: Arc<Mutex<Vec<TriggerSidecar>>>,
+}
+
+/// What a trigger-bit sidecar of a [`PackedWorkload`] is keyed by: the
+/// two settings that decide which data lines a run retires, in which
+/// order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TriggerKey {
+    /// Cache line size in bytes: data addresses map to lines by it.
+    pub line_bytes: u64,
+    /// Instructions of the looper prologue a run retires before each
+    /// event (its loads come first in the event's data stream).
+    pub looper_instrs: u32,
+}
+
+/// One memoised sidecar and what it cost to build.
+struct TriggerSidecar {
+    key: TriggerKey,
+    words: Arc<[u64]>,
+    build_seconds: f64,
+}
+
+impl std::fmt::Debug for TriggerSidecar {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TriggerSidecar")
+            .field("key", &self.key)
+            .field("words", &self.words.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl PackedWorkload {
@@ -1033,7 +1064,38 @@ impl PackedWorkload {
     /// Panics if `records` and `arena` disagree on the event count.
     pub fn new(records: Vec<EventRecord>, arena: Arc<TraceArena>, total_instructions: u64) -> Self {
         assert_eq!(records.len(), arena.len(), "one packed event per record");
-        PackedWorkload { records, arena, total_instructions }
+        PackedWorkload { records, arena, total_instructions, triggers: Arc::default() }
+    }
+
+    /// The trigger-bit sidecar for `key`: words holding one decision bit
+    /// per retired data access of a run over this workload, in run order.
+    /// Built by `build` on first use for `key` (lazily, never when the
+    /// workload is set up) and memoised next to the arena, shared by
+    /// every thread and every clone; it is dropped with the workload.
+    ///
+    /// What the bits mean is the builder's business: `esp-core` builds the
+    /// DCU prefetcher's decisions here (`esp_mem::prefetch::DcuTriggerBuilder`
+    /// owns the format), so all next-line configurations of a matrix
+    /// replay one tracker run. Concurrent first callers of one key wait
+    /// for a single build.
+    pub fn trigger_bits(&self, key: TriggerKey, build: impl FnOnce(&Self) -> Vec<u64>) -> Arc<[u64]> {
+        let mut built = self.triggers.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(s) = built.iter().find(|s| s.key == key) {
+            return s.words.clone();
+        }
+        let t = std::time::Instant::now();
+        let words: Arc<[u64]> = build(self).into();
+        let build_seconds = t.elapsed().as_secs_f64();
+        built.push(TriggerSidecar { key, words: words.clone(), build_seconds });
+        words
+    }
+
+    /// `(bytes, build seconds)` of every trigger-bit sidecar built so far.
+    pub fn trigger_footprint(&self) -> (u64, f64) {
+        let built = self.triggers.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        built.iter().fold((0, 0.0), |(bytes, secs), s| {
+            (bytes + 8 * s.words.len() as u64, secs + s.build_seconds)
+        })
     }
 
     /// The shared instruction store.
@@ -1092,6 +1154,25 @@ mod tests {
             Instr::ret(a(0x5000), a(0x4004)),
             Instr::load(a(0x4004), a(0xdead_bee8), false),
         ]
+    }
+
+    #[test]
+    fn trigger_bits_are_built_once_per_key_and_shared_by_clones() {
+        let packed = PackedWorkload::new(Vec::new(), Arc::new(TraceArena::new(Vec::new())), 0);
+        let key = TriggerKey { line_bytes: 64, looper_instrs: 70 };
+        let mut builds = 0;
+        let a = packed.trigger_bits(key, |_| {
+            builds += 1;
+            vec![3, 0b101]
+        });
+        let b = packed.clone().trigger_bits(key, |_| unreachable!("memoised"));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(builds, 1);
+        let other = TriggerKey { line_bytes: 32, ..key };
+        let c = packed.trigger_bits(other, |_| vec![0]);
+        assert_eq!(&*c, &[0]);
+        assert_eq!(packed.trigger_footprint().0, 24);
+        assert!(format!("{packed:?}").contains("words: 2"), "Debug shows sizes, not bits");
     }
 
     /// A stream with pc discontinuities (as an arbitrary external trace

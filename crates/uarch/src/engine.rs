@@ -2,7 +2,7 @@
 
 use crate::EngineConfig;
 use esp_branch::{BranchPredictor, Prediction, PredictorContext};
-use esp_mem::prefetch::{DcuNextLine, NextLineInstr, StridePrefetcher};
+use esp_mem::prefetch::{DcuNextLine, DcuReplay, NextLineInstr, StridePrefetcher};
 use esp_mem::MemoryHierarchy;
 use esp_obs::{CpiStack, CycleClass, NullProbe, Probe, StepRecord};
 use esp_trace::{Instr, InstrKind};
@@ -124,6 +124,9 @@ pub struct Engine {
     pub(crate) bp: BranchPredictor,
     pub(crate) nl_i: NextLineInstr,
     pub(crate) dcu: DcuNextLine,
+    /// Precomputed DCU decisions played back in place of `dcu` (see
+    /// [`Engine::replay_dcu`]).
+    dcu_replay: Option<DcuReplay>,
     pub(crate) stride: StridePrefetcher,
     pub(crate) now: Cycle,
     pub(crate) millis: u64,
@@ -175,6 +178,7 @@ impl Engine {
             bp,
             nl_i: NextLineInstr::new(),
             dcu: DcuNextLine::new(),
+            dcu_replay: None,
             stride: StridePrefetcher::new(256),
             now: Cycle::ZERO,
             millis: 0,
@@ -258,6 +262,41 @@ impl Engine {
         if t.is_after(self.now) {
             self.stack.charge(CycleClass::Idle, t - self.now);
             self.now = t;
+        }
+    }
+
+    /// Makes the DCU next-line prefetcher play back `triggers` (built by
+    /// `esp_mem::prefetch::DcuTriggerBuilder`) instead of running its
+    /// tracker: one bit test per data access instead of a tracker search.
+    ///
+    /// Byte-identical only when the engine then feeds the DCU exactly the
+    /// data line stream the bits were built from, from its first access
+    /// on: every load and store it steps or warms, in order, and nothing
+    /// else. Runs that skip accesses (learned fast-forwarding) or start
+    /// mid-stream (intra-run chunks) must keep the live tracker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `triggers` is malformed, or if the engine has already
+    /// retired an instruction.
+    pub fn replay_dcu(&mut self, triggers: std::sync::Arc<[u64]>) {
+        assert_eq!(self.stats.retired, 0, "DCU replay must start with the stream");
+        self.dcu_replay = Some(DcuReplay::new(triggers));
+    }
+
+    /// Whether a DCU replay is attached and has consumed exactly its
+    /// whole stream; `None` when the live tracker runs.
+    pub fn dcu_replay_finished(&self) -> Option<bool> {
+        self.dcu_replay.as_ref().map(DcuReplay::is_finished)
+    }
+
+    /// The DCU's decision for a data access to `line`: replayed when
+    /// triggers are attached, from the live tracker otherwise.
+    #[inline(always)]
+    pub(crate) fn dcu_access(&mut self, line: LineAddr) -> Option<LineAddr> {
+        match &mut self.dcu_replay {
+            Some(r) => r.on_access(line),
+            None => self.dcu.on_access(line),
         }
     }
 
@@ -375,7 +414,7 @@ impl Engine {
                 let t_access = self.now;
                 let r = self.mem.access_data(line, t_access, false);
                 if self.cfg.nl_data {
-                    if let Some(p) = self.dcu.on_access(line) {
+                    if let Some(p) = self.dcu_access(line) {
                         self.mem.prefetch_data(p, t_access, true);
                     }
                 }
@@ -435,7 +474,7 @@ impl Engine {
                     out.l1d_miss = true;
                 }
                 if self.cfg.nl_data {
-                    if let Some(p) = self.dcu.on_access(line) {
+                    if let Some(p) = self.dcu_access(line) {
                         self.mem.prefetch_data(p, self.now, true);
                     }
                 }
@@ -491,7 +530,7 @@ impl Engine {
             self.warm.l1d_misses += 1;
         }
         if self.cfg.nl_data {
-            if let Some(p) = self.dcu.on_access(line) {
+            if let Some(p) = self.dcu_access(line) {
                 self.mem.warm_prefetch_data(p, self.now);
             }
         }
@@ -512,7 +551,7 @@ impl Engine {
             self.warm.l1d_misses += 1;
         }
         if self.cfg.nl_data {
-            if let Some(p) = self.dcu.on_access(line) {
+            if let Some(p) = self.dcu_access(line) {
                 self.mem.warm_prefetch_data(p, self.now);
             }
         }

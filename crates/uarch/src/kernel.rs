@@ -175,7 +175,7 @@ fn k_load<P: Probe, const NL: bool, const STRIDE: bool>(
     let t_access = e.now;
     let r = e.mem.access_data(line, t_access, false);
     if NL {
-        if let Some(p) = e.dcu.on_access(line) {
+        if let Some(p) = e.dcu_access(line) {
             e.mem.prefetch_data(p, t_access, true);
         }
     }
@@ -236,7 +236,7 @@ fn k_store<P: Probe, const NL: bool>(
         out.l1d_miss = true;
     }
     if NL {
-        if let Some(p) = e.dcu.on_access(line) {
+        if let Some(p) = e.dcu_access(line) {
             e.mem.prefetch_data(p, e.now, true);
         }
     }

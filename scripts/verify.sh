@@ -76,16 +76,23 @@ s = d["sampled"]
 mips = f", {d['mips_1t']:.1f} MIPS" if "mips_1t" in d else ""
 print(f"  sims/sec: {d['sims_per_sec_1t']:.1f} (1 thread, cold){mips} "
       f"at scale {d['scale']}")
+t = d.get("dcu_triggers")
+if t:
+    print(f"  DCU trigger sidecars: {t['bytes'] / 1024:.1f} KiB, built in "
+          f"{t['build_seconds'] * 1e3:.1f} ms (once per family, shared by every "
+          f"next-line configuration)")
 print(f"  sampled: {s['sims_per_sec']:.1f} sims/sec, simulate speedup "
       f"{s['simulate_speedup_vs_exact']:.2f}x, max CPI error "
-      f"{s['max_cpi_error_pct']:.1f}% (small scale -- error shrinks with scale; "
+      f"{s['max_cpi_error_pct']:.1f}%, ci95 coverage {s.get('ci95_coverage', float('nan')):.2f} "
+      f"(small scale -- error shrinks with scale; "
       f"the gated accuracy test runs at 2.4M)")
 l = d.get("learned")
 if l:
     print(f"  learned: {l['sims_per_sec']:.1f} sims/sec, simulate speedup "
           f"{l['simulate_speedup_vs_exact']:.2f}x vs exact "
           f"({l['simulate_speedup_vs_sampled']:.2f}x vs sampled), max CPI error "
-          f"{l['max_cpi_error_pct']:.1f}%, skip fraction {l['skip_fraction']:.2f}, "
+          f"{l['max_cpi_error_pct']:.1f}%, ci95 coverage "
+          f"{l.get('ci95_coverage', float('nan')):.2f}, skip fraction {l['skip_fraction']:.2f}, "
           f"fallback rate {l['fallback_rate']:.3f} (small scale -- few stretches "
           f"to skip; the gated accuracy test runs at 2.4M)")
 # Intra-run (single-run) scaling pass: informational. Conflict
