@@ -74,7 +74,7 @@ fn bench_workload(iters: u32) {
 }
 
 fn bench_simulator(iters: u32) {
-    let w = BenchmarkProfile::amazon().scaled(60_000).build(3);
+    let w = BenchmarkProfile::amazon().scaled(60_000).build(3).materialise();
     for (name, cfg) in [
         ("simulator/baseline_60k", SimConfig::next_line()),
         ("simulator/esp_nl_60k", SimConfig::esp_nl()),

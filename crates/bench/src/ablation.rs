@@ -12,7 +12,7 @@
 use crate::runner::FigureReport;
 use esp_core::{RunReport, SimConfig, SimMode, Simulator};
 use esp_stats::{improvement_pct, Table};
-use esp_trace::Workload;
+use esp_trace::PackedWorkload;
 use esp_workload::{arena, BenchmarkProfile};
 
 fn esp_with(mutate: impl FnOnce(&mut esp_core::EspFeatures)) -> SimConfig {
@@ -23,13 +23,13 @@ fn esp_with(mutate: impl FnOnce(&mut esp_core::EspFeatures)) -> SimConfig {
     cfg
 }
 
-fn run(cfg: SimConfig, w: &dyn Workload) -> RunReport {
+fn run(cfg: SimConfig, w: &PackedWorkload) -> RunReport {
     Simulator::new(cfg).run(w)
 }
 
 /// The sweep's memoised packed workload: decoded once per (profile,
 /// scale, seed) process-wide, replayed by every sweep point.
-fn packed(profile: BenchmarkProfile, scale: u64, seed: u64) -> std::sync::Arc<esp_trace::PackedWorkload> {
+fn packed(profile: BenchmarkProfile, scale: u64, seed: u64) -> std::sync::Arc<PackedWorkload> {
     arena::packed_for(&profile.scaled(scale), seed, esp_par::threads())
 }
 
@@ -40,7 +40,7 @@ pub fn prefetch_lead(scale: u64, seed: u64) -> FigureReport {
     // One job per sweep point plus the NL baseline, all on the pool.
     let mut configs = vec![SimConfig::next_line()];
     configs.extend(LEADS.iter().map(|&lead| esp_with(|f| f.prefetch_lead_instrs = lead)));
-    let reports = esp_par::parallel_map(esp_par::threads(), &configs, |_, cfg| run(cfg.clone(), &*w));
+    let reports = esp_par::parallel_map(esp_par::threads(), &configs, |_, cfg| run(cfg.clone(), &w));
     let nl = &reports[0];
     let mut t = Table::with_headers(&["lead (instrs)", "speedup over NL %", "I-MPKI"]);
     for (lead, r) in LEADS.iter().zip(&reports[1..]) {
@@ -68,7 +68,7 @@ pub fn bp_train_lead(scale: u64, seed: u64) -> FigureReport {
     let w = packed(BenchmarkProfile::cnn(), scale, seed);
     const LEADS: [u64; 5] = [2, 10, 30, 100, 400];
     let reports = esp_par::parallel_map(esp_par::threads(), &LEADS, |_, &lead| {
-        run(esp_with(|f| f.bp_train_lead_branches = lead), &*w)
+        run(esp_with(|f| f.bp_train_lead_branches = lead), &w)
     });
     let mut t = Table::with_headers(&["lead (branches)", "mispredict %"]);
     for (lead, r) in LEADS.iter().zip(&reports) {
@@ -87,7 +87,7 @@ pub fn depth(scale: u64, seed: u64) -> FigureReport {
     let w = packed(BenchmarkProfile::facebook(), scale, seed);
     let mut configs = vec![SimConfig::next_line()];
     configs.extend((1usize..=4).map(|d| esp_with(|f| f.depth = d)));
-    let reports = esp_par::parallel_map(esp_par::threads(), &configs, |_, cfg| run(cfg.clone(), &*w));
+    let reports = esp_par::parallel_map(esp_par::threads(), &configs, |_, cfg| run(cfg.clone(), &w));
     let nl = &reports[0];
     let mut t = Table::with_headers(&[
         "depth",
@@ -131,7 +131,7 @@ pub fn looper_window(scale: u64, seed: u64) -> FigureReport {
             [nl_cfg, cfg]
         })
         .collect();
-    let reports = esp_par::parallel_map(esp_par::threads(), &configs, |_, cfg| run(cfg.clone(), &*w));
+    let reports = esp_par::parallel_map(esp_par::threads(), &configs, |_, cfg| run(cfg.clone(), &w));
     let mut t = Table::with_headers(&["looper instrs", "speedup over NL %"]);
     for (k, n) in WINDOWS.iter().enumerate() {
         let (nl_r, r) = (&reports[2 * k], &reports[2 * k + 1]);
@@ -177,8 +177,8 @@ mod tests {
     #[test]
     fn depth_sweep_monotone_spec_instrs() {
         let w = packed(BenchmarkProfile::amazon(), 40_000, 5);
-        let shallow = run(esp_with(|f| f.depth = 1), &*w);
-        let deep = run(esp_with(|f| f.depth = 3), &*w);
+        let shallow = run(esp_with(|f| f.depth = 1), &w);
+        let deep = run(esp_with(|f| f.depth = 3), &w);
         assert!(deep.esp.spec_instrs() >= shallow.esp.spec_instrs());
     }
 }

@@ -105,8 +105,8 @@ fn main() -> ExitCode {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => scale = v,
-                None => return usage("--scale needs an integer"),
+                Some(v) if v > 0 => scale = v,
+                _ => return usage("--scale needs a positive integer"),
             },
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => seed = v,
@@ -230,6 +230,21 @@ fn main() -> ExitCode {
     // `check` and `dump` drive the simulator directly at the requested
     // scale — no Runner (and no BENCH_repro.json) involved. `bench`
     // runs the timing protocol and owns its BENCH_repro.json write.
+    // None of the three reads `--trace-in`; refuse it rather than
+    // silently run the generated families instead.
+    if !trace_ins.is_empty() {
+        match wanted.first().map(String::as_str) {
+            Some("dump") => {
+                return usage(
+                    "dump does not take --trace-in; name the traces instead: dump FILE.espt ...",
+                )
+            }
+            Some(cmd @ ("check" | "bench")) => {
+                return usage(&format!("{cmd} does not take --trace-in"))
+            }
+            _ => {}
+        }
+    }
     match wanted.first().map(String::as_str) {
         Some("dump") => return dump(scale, seed, &wanted[1..], trace_out.as_deref()),
         Some("check") => return check(scale, seed, fuzz_cases, espt_fuzz_cases),

@@ -715,8 +715,7 @@ impl Runner {
         let ordered: Vec<(usize, ConfigKey)> = order.iter().map(|&j| pairs[j]).collect();
         let t = Instant::now();
         let ljf_results = esp_par::parallel_map(self.threads, &ordered, |_, &(i, key)| {
-            // Replay the shared packed arena — never the regenerative
-            // walk (the equivalence suite pins the two bit-identical).
+            // Replay the shared packed arena.
             let workload: &PackedWorkload = &slots[i].packed;
             let sim = Simulator::new(key.config());
             match (sampling, tracing) {

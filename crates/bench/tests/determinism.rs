@@ -25,7 +25,7 @@ fn parallel_runner_matches_sequential_across_thread_counts() {
     let reference: Vec<Vec<RunReport>> = BenchmarkProfile::all()
         .iter()
         .map(|p| {
-            let w = p.scaled(SCALE).build(SEED);
+            let w = p.scaled(SCALE).build(SEED).materialise();
             KEYS.iter().map(|k| Simulator::new(k.config()).run(&w)).collect()
         })
         .collect();

@@ -5,6 +5,10 @@
 //! under accept-heavy (Base), runahead, and always-repair (ESP)
 //! configurations alike. Covers all nine built-in families, including
 //! the server-side async and IoT/MQTT FSM extras.
+//!
+//! The next-line data configuration also cross-checks the two DCU
+//! paths: serial runs replay the workload's trigger-bit sidecar, while
+//! intra-run chunks keep the live tracker.
 
 use esp_core::{SimConfig, Simulator};
 use esp_obs::TraceProbe;
@@ -14,11 +18,12 @@ const SCALE: u64 = 60_000;
 const SEED: u64 = 42;
 const THREADS: [usize; 3] = [1, 2, 4];
 
-fn configs() -> [(&'static str, SimConfig); 3] {
+fn configs() -> [(&'static str, SimConfig); 4] {
     [
         ("base", SimConfig::base()),
         ("runahead", SimConfig::runahead()),
         ("esp_nl", SimConfig::esp_nl()),
+        ("nl_d_only", SimConfig::nl_d_only()),
     ]
 }
 
@@ -26,7 +31,7 @@ fn configs() -> [(&'static str, SimConfig); 3] {
 fn intra_parallel_runs_are_byte_identical_to_serial() {
     let mut chunked_runs = 0usize;
     for profile in BenchmarkProfile::all_families() {
-        let w = profile.scaled(SCALE).build(SEED);
+        let w = profile.scaled(SCALE).build(SEED).materialise();
         for (label, cfg) in configs() {
             let sim = Simulator::new(cfg);
             let mut serial_probe = TraceProbe::new(profile.name(), label).with_windows();

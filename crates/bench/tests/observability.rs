@@ -28,7 +28,7 @@ const KEYS: [ConfigKey; 3] = [ConfigKey::Base, ConfigKey::EspNl, ConfigKey::Runa
 #[test]
 fn cpi_stack_conserves_cycles_everywhere() {
     for profile in BenchmarkProfile::all() {
-        let workload = profile.scaled(SCALE).build(SEED);
+        let workload = profile.scaled(SCALE).build(SEED).materialise();
         for key in KEYS {
             let what = format!("{} / {}", profile.name(), key.label());
             let mut obs = CpiObserver::default();

@@ -1,22 +1,22 @@
-//! Packed replay is bit-equivalent to the regenerative walk.
+//! The two ways into the packed arena agree bit for bit.
 //!
-//! The decode-once arena (`esp_trace::PackedWorkload`) is a pure
-//! performance layer: for every benchmark profile and every
-//! configuration of the check matrix it must produce the *same bytes* as
-//! simulating the regenerative `GeneratedWorkload` — identical
-//! `RunReport`s (full `Debug` rendering, covering cycles, CPI stack,
+//! The simulator runs only `esp_trace::PackedWorkload`s. A generated
+//! workload gets there by `materialise_par`, which records each event's
+//! divergence point from the generator's schedule; any other workload
+//! gets there by `PackedWorkload::pack`, which drains the generic
+//! `Workload` streams and finds the divergence point by comparing the
+//! speculative stream with the actual one. For every benchmark profile
+//! and every configuration of the check matrix, simulating
+//! `PackedWorkload::pack(&generated)` must produce the *same bytes* as
+//! simulating `generated.materialise_par(2)` — identical `RunReport`s
+//! (full `Debug` rendering, covering cycles, CPI stack,
 //! engine/ESP/replay/energy/working-set stats), identical CPI-stack
-//! JSON, and identical JSONL trace output, regardless of the thread
-//! count used to materialise the arena.
-//!
-//! The next-line data configurations also compare the two DCU paths:
-//! packed runs replay the workload's precomputed trigger bits, while
-//! regenerative runs keep the live tracker.
+//! JSON, identical JSONL trace output, and identical sampled runs.
 
 use esp_bench::ConfigKey;
 use esp_core::{SampleParams, Simulator};
 use esp_obs::TraceProbe;
-use esp_trace::Workload;
+use esp_trace::{PackedWorkload, Workload};
 use esp_workload::BenchmarkProfile;
 
 const SCALE: u64 = 18_000;
@@ -31,12 +31,13 @@ const KEYS: [ConfigKey; 6] = [
 ];
 
 #[test]
-fn packed_replay_matches_regenerative_walk_bit_for_bit() {
+fn pack_matches_materialise_bit_for_bit() {
     for profile in BenchmarkProfile::all() {
-        let walk = profile.scaled(SCALE).build(SEED);
+        let generated = profile.scaled(SCALE).build(SEED);
+        let walk = PackedWorkload::pack(&generated);
         // Materialise with >1 thread: arena contents must not depend on
         // the decode fan-out (also asserted directly in esp-workload).
-        let packed = walk.materialise_par(2);
+        let packed = generated.materialise_par(2);
         assert_eq!(walk.events(), packed.events(), "{}: event records", profile.name());
         for key in KEYS {
             let mut probe_walk = TraceProbe::new(profile.name(), key.label());
@@ -66,17 +67,15 @@ fn packed_replay_matches_regenerative_walk_bit_for_bit() {
 }
 
 #[test]
-fn packed_sampled_replay_matches_regenerative_walk_bit_for_bit() {
-    // Sampled mode takes the fused-kernel path for packed workloads
-    // (raw decode + lowered dispatch table in detailed grains, batched
-    // plain-ALU charging clipped to grain boundaries). The whole
-    // SampledRun — extrapolated report and estimator — must still render
-    // byte-identically to the regenerative walk, which runs the decoded
-    // per-instruction loop.
+fn pack_sampled_matches_materialise_bit_for_bit() {
+    // Sampled runs walk the arena in bulk between detailed grains. The
+    // whole SampledRun — extrapolated report and estimator — must render
+    // byte-identically from either packing.
     let params = SampleParams { grain_instrs: 500, period: 4 };
     for profile in BenchmarkProfile::all() {
-        let walk = profile.scaled(SCALE).build(SEED);
-        let packed = walk.materialise_par(2);
+        let generated = profile.scaled(SCALE).build(SEED);
+        let walk = PackedWorkload::pack(&generated);
+        let packed = generated.materialise_par(2);
         for key in KEYS {
             let sampled_walk = Simulator::new(key.config()).run_sampled(&walk, params);
             let sampled_packed = Simulator::new(key.config()).run_sampled(&packed, params);

@@ -13,7 +13,8 @@ use crate::oracle;
 use esp_core::{EspFeatures, SimConfig, SimMode};
 use esp_types::{Rng, SplitMix64};
 use esp_uarch::EngineConfig;
-use esp_workload::{BenchmarkProfile, GeneratedWorkload};
+use esp_trace::PackedWorkload;
+use esp_workload::BenchmarkProfile;
 
 /// Execution mode of a fuzz case (mirrors [`SimMode`] minus its payload).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,9 +78,10 @@ impl FuzzCase {
         all[self.profile % all.len()].clone()
     }
 
-    /// Builds the deterministic workload for this case.
-    pub fn workload(&self) -> GeneratedWorkload {
-        self.profile().scaled(self.scale).build(self.wl_seed)
+    /// Builds the deterministic workload for this case, materialised:
+    /// the packed form every simulation runs.
+    pub fn workload(&self) -> PackedWorkload {
+        self.profile().scaled(self.scale).build(self.wl_seed).materialise()
     }
 
     /// Builds the simulator configuration for this case.
@@ -118,6 +120,7 @@ impl FuzzCase {
     pub fn check(&self) -> Result<(), String> {
         let cfg = self.config();
         cfg.validate().map_err(|e| format!("invalid config: {e}"))?;
+        // One materialisation serves every check of the case.
         let w = self.workload();
         oracle::check_run(&cfg, &w).map_err(|e| format!("[oracle] {e}"))?;
         metamorphic::perfect_ordering(&w, false).map_err(|e| format!("[perfect-ordering] {e}"))?;

@@ -20,15 +20,15 @@
 
 use esp_core::{RunReport, SimConfig, Simulator};
 use esp_obs::CpiObserver;
-use esp_trace::{EventRecord, EventStream, Workload};
-use esp_types::{Cycle, EventId};
+use esp_trace::{PackedWorkload, Workload};
+use esp_types::Cycle;
 use esp_uarch::PerfectFlags;
 
-fn run(config: SimConfig, workload: &dyn Workload) -> RunReport {
+fn run(config: SimConfig, workload: &PackedWorkload) -> RunReport {
     Simulator::new(config).run(workload)
 }
 
-fn run_summary(config: SimConfig, workload: &dyn Workload) -> esp_obs::RunSummary {
+fn run_summary(config: SimConfig, workload: &PackedWorkload) -> esp_obs::RunSummary {
     let mut obs = CpiObserver::default();
     let _ = Simulator::new(config).run_probed(workload, &mut obs);
     obs.run.expect("run summary must be emitted")
@@ -49,7 +49,7 @@ fn run_summary(config: SimConfig, workload: &dyn Workload) -> esp_obs::RunSummar
 /// # Errors
 ///
 /// Describes the first violated ordering link.
-pub fn perfect_ordering(workload: &dyn Workload, include_empirical: bool) -> Result<(), String> {
+pub fn perfect_ordering(workload: &PackedWorkload, include_empirical: bool) -> Result<(), String> {
     let base = run(SimConfig::base(), workload);
     let p_l1i = run(
         SimConfig::perfect(PerfectFlags { l1i: true, l1d: false, branch: false }),
@@ -108,7 +108,7 @@ pub fn perfect_ordering(workload: &dyn Workload, include_empirical: bool) -> Res
 /// # Errors
 ///
 /// Describes which cache (L1-I or L1-D) violated inclusion.
-pub fn cache_doubling(workload: &dyn Workload) -> Result<(), String> {
+pub fn cache_doubling(workload: &PackedWorkload) -> Result<(), String> {
     let base_cfg = SimConfig::base();
     let base = run_summary(base_cfg.clone(), workload);
 
@@ -140,66 +140,39 @@ pub fn cache_doubling(workload: &dyn Workload) -> Result<(), String> {
 // ESP with nothing to peek == baseline
 // ---------------------------------------------------------------------
 
-/// A workload wrapper that re-times event posts so far apart that no
-/// later event is ever in the queue while an earlier one runs — ESP's
-/// sneak peek never finds a candidate, so every window degenerates to a
-/// plain stall.
-pub struct NoPeekWorkload<'a> {
-    inner: &'a dyn Workload,
-    events: Vec<EventRecord>,
-}
-
 /// Spacing between re-timed posts; far larger than any event's runtime
 /// at fuzzable scales, so event `i+1` is always posted after event `i`
 /// (and its trailing idle gap) completes.
 const NO_PEEK_GAP: u64 = 1_000_000_000;
 
-impl<'a> NoPeekWorkload<'a> {
-    /// Wraps `inner`, spacing each event's post time `NO_PEEK_GAP`
-    /// cycles apart.
-    pub fn new(inner: &'a dyn Workload) -> Self {
-        let events = inner
-            .events()
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let mut e = *e;
-                e.post_time = Cycle::new(NO_PEEK_GAP * (i as u64 + 1));
-                e
-            })
-            .collect();
-        NoPeekWorkload { inner, events }
-    }
-}
-
-impl Workload for NoPeekWorkload<'_> {
-    fn events(&self) -> &[EventRecord] {
-        &self.events
-    }
-
-    fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-        self.inner.actual_stream(id)
-    }
-
-    fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-        self.inner.speculative_stream(id)
-    }
-
-    fn approx_total_instructions(&self) -> u64 {
-        self.inner.approx_total_instructions()
-    }
+/// `inner` with its event posts re-timed `NO_PEEK_GAP` cycles apart, so
+/// that no later event is ever in the queue while an earlier one runs —
+/// ESP's sneak peek never finds a candidate, so every window degenerates
+/// to a plain stall. The instruction arena is shared, not copied.
+pub fn no_peek(inner: &PackedWorkload) -> PackedWorkload {
+    let events = inner
+        .events()
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let mut e = *e;
+            e.post_time = Cycle::new(NO_PEEK_GAP * (i as u64 + 1));
+            e
+        })
+        .collect();
+    PackedWorkload::new(events, inner.arena().clone(), inner.approx_total_instructions())
 }
 
 /// ESP that never finds a peekable event must behave exactly like the
 /// baseline with the same engine configuration: identical busy cycles
 /// and identical architectural event counts. Both runs use the
-/// [`NoPeekWorkload`] re-timing so absolute timestamps match too.
+/// [`no_peek`] re-timing so absolute timestamps match too.
 ///
 /// # Errors
 ///
 /// Describes the first diverging statistic.
-pub fn no_peek_esp_equals_baseline(workload: &dyn Workload) -> Result<(), String> {
-    let quiet = NoPeekWorkload::new(workload);
+pub fn no_peek_esp_equals_baseline(workload: &PackedWorkload) -> Result<(), String> {
+    let quiet = no_peek(workload);
     let esp = run(SimConfig::esp_nl(), &quiet);
     let base = run(SimConfig::next_line(), &quiet);
 
@@ -237,7 +210,7 @@ pub fn no_peek_esp_equals_baseline(workload: &dyn Workload) -> Result<(), String
 /// # Errors
 ///
 /// Describes the first diverging architectural count.
-pub fn runahead_arch_invariance(workload: &dyn Workload) -> Result<(), String> {
+pub fn runahead_arch_invariance(workload: &PackedWorkload) -> Result<(), String> {
     let base = run(SimConfig::base(), workload);
     let ra = run(SimConfig::runahead(), workload);
 
@@ -282,8 +255,8 @@ pub fn scale_rate_stability(
     scale: u64,
     seed: u64,
 ) -> Result<(), String> {
-    let small = run(SimConfig::base(), &profile.scaled(scale).build(seed));
-    let large = run(SimConfig::base(), &profile.scaled(scale * 2).build(seed));
+    let small = run(SimConfig::base(), &profile.scaled(scale).build(seed).materialise());
+    let large = run(SimConfig::base(), &profile.scaled(scale * 2).build(seed).materialise());
 
     let cpi = |r: &RunReport| r.busy_cycles() as f64 / r.engine.retired.max(1) as f64;
     let (cpi_s, cpi_l) = (cpi(&small), cpi(&large));
@@ -309,9 +282,10 @@ mod tests {
     use esp_workload::BenchmarkProfile;
 
     #[test]
-    fn no_peek_wrapper_retimes_posts() {
-        let w = BenchmarkProfile::amazon().scaled(5_000).build(3);
-        let quiet = NoPeekWorkload::new(&w);
+    fn no_peek_retimes_posts_and_shares_the_arena() {
+        let w = BenchmarkProfile::amazon().scaled(5_000).build(3).materialise();
+        let quiet = no_peek(&w);
+        assert!(std::sync::Arc::ptr_eq(quiet.arena(), w.arena()));
         assert_eq!(quiet.events().len(), w.events().len());
         for (i, e) in quiet.events().iter().enumerate() {
             assert_eq!(e.post_time, Cycle::new(NO_PEEK_GAP * (i as u64 + 1)));

@@ -29,7 +29,7 @@ use esp_branch::{BpOp, BranchPredictor, SpeculativeCheckpoint};
 use esp_core::{SideEffectLog, SimConfig, Simulator};
 use esp_mem::{MemOp, MemoryHierarchy};
 use esp_obs::{Probe, StepRecord};
-use esp_trace::Workload;
+use esp_trace::PackedWorkload;
 use esp_uarch::EngineStats;
 
 /// A [`Probe`] that accumulates the serial no-overlap cycle count and an
@@ -114,7 +114,7 @@ pub struct OracleReport {
 ///
 /// Returns a human-readable description of the first violated check:
 /// recount mismatch, serial bound violation, or replay divergence.
-pub fn check_run(config: &SimConfig, workload: &dyn Workload) -> Result<OracleReport, String> {
+pub fn check_run(config: &SimConfig, workload: &PackedWorkload) -> Result<OracleReport, String> {
     let sim = Simulator::new(config.clone());
     let mut probe = OracleProbe::default();
     let (report, log) = sim.run_logged(workload, &mut probe);
@@ -261,7 +261,7 @@ mod tests {
 
     #[test]
     fn oracle_passes_on_a_small_esp_run() {
-        let w = BenchmarkProfile::amazon().scaled(20_000).build(11);
+        let w = BenchmarkProfile::amazon().scaled(20_000).build(11).materialise();
         let r = check_run(&SimConfig::esp_nl(), &w).expect("oracle must pass");
         assert!(r.serial_cycles >= r.busy_cycles);
         assert!(r.mem_ops > 0);
@@ -272,7 +272,7 @@ mod tests {
     fn serial_bound_is_meaningfully_above_busy() {
         // The interval engine hides latency; on a real workload the
         // serial machine must be strictly slower, not merely equal.
-        let w = BenchmarkProfile::gmaps().scaled(20_000).build(5);
+        let w = BenchmarkProfile::gmaps().scaled(20_000).build(5).materialise();
         let r = check_run(&SimConfig::base(), &w).unwrap();
         assert!(r.serial_cycles > r.busy_cycles, "{} !> {}", r.serial_cycles, r.busy_cycles);
     }

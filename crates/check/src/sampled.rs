@@ -26,7 +26,7 @@
 //! checks vacuously while measuring nothing about the learned path.
 
 use esp_core::{LearnParams, SampleParams, SimConfig, Simulator};
-use esp_trace::Workload;
+use esp_trace::PackedWorkload;
 
 /// What [`check_sampled`] measured, for reporting.
 #[derive(Clone, Debug)]
@@ -56,7 +56,7 @@ pub struct SampledCheck {
 /// Returns a human-readable description of the first violated check.
 pub fn check_sampled(
     config: &SimConfig,
-    workload: &dyn Workload,
+    workload: &PackedWorkload,
     params: SampleParams,
     tolerance_pct: f64,
 ) -> Result<SampledCheck, String> {
@@ -143,7 +143,7 @@ pub struct LearnedCheck {
 /// Returns a human-readable description of the first violated check.
 pub fn check_learned(
     config: &SimConfig,
-    workload: &dyn Workload,
+    workload: &PackedWorkload,
     params: SampleParams,
     learn: LearnParams,
     tolerance_pct: f64,
@@ -230,14 +230,14 @@ pub fn check_learned(
 ///
 /// Returns the concatenated descriptions of every failing cell.
 pub fn check_sampled_matrix(
-    cells: &[(&dyn Workload, &str, SimConfig)],
+    cells: &[(&PackedWorkload, &str, SimConfig)],
     params: SampleParams,
     tolerance_pct: f64,
 ) -> Result<Vec<(String, SampledCheck)>, String> {
     let mut ok = Vec::new();
     let mut failures = Vec::new();
     for (workload, label, config) in cells {
-        match check_sampled(config, *workload, params, tolerance_pct) {
+        match check_sampled(config, workload, params, tolerance_pct) {
             Ok(c) => ok.push(((*label).to_string(), c)),
             Err(e) => failures.push(format!("{label}: {e}")),
         }
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn sampled_check_passes_at_the_default_operating_point() {
-        let w = BenchmarkProfile::amazon().scaled(600_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(600_000).build(42).materialise();
         let c = check_sampled(&SimConfig::esp_nl(), &w, SampleParams::default(), 8.0)
             .expect("sampled check must pass");
         assert!(c.grains_measured >= 10);
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn learned_check_passes_at_the_default_operating_point() {
-        let w = BenchmarkProfile::amazon().scaled(600_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(600_000).build(42).materialise();
         let c = check_learned(
             &SimConfig::esp_nl(),
             &w,
@@ -282,7 +282,7 @@ mod tests {
     fn learned_check_rejects_a_never_skipping_run() {
         // An absurd training requirement means the model never finishes
         // training inside the run, so no grain is ever skipped.
-        let w = BenchmarkProfile::amazon().scaled(400_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(400_000).build(42).materialise();
         let err = check_learned(
             &SimConfig::base(),
             &w,
@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn tiny_workload_is_rejected_as_vacuous() {
-        let w = BenchmarkProfile::amazon().scaled(2_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(2_000).build(42).materialise();
         let err = check_sampled(&SimConfig::base(), &w, SampleParams::default(), 50.0)
             .expect_err("fallback must be reported");
         assert!(err.contains("vacuous"));

@@ -12,7 +12,7 @@ const SEED: u64 = 42;
 
 fn check_matrix(config_of: fn() -> SimConfig, label: &str) {
     for profile in BenchmarkProfile::all() {
-        let w = profile.scaled(SCALE).build(SEED);
+        let w = profile.scaled(SCALE).build(SEED).materialise();
         let r = check_run(&config_of(), &w)
             .unwrap_or_else(|e| panic!("{label} / {}: {e}", profile.name()));
         assert!(
@@ -44,7 +44,7 @@ fn oracle_holds_for_esp_nl_on_all_profiles() {
 
 #[test]
 fn oracle_report_carries_the_run_report() {
-    let w = BenchmarkProfile::amazon().scaled(SCALE).build(SEED);
+    let w = BenchmarkProfile::amazon().scaled(SCALE).build(SEED).materialise();
     let direct = esp_core::Simulator::new(SimConfig::esp_nl()).run(&w);
     let checked = check_run(&SimConfig::esp_nl(), &w).unwrap();
     // The checked run is the same deterministic simulation: its embedded

@@ -14,7 +14,7 @@ const SEED: u64 = 42;
 #[test]
 fn perfect_ordering_holds_on_all_profiles() {
     for profile in BenchmarkProfile::all() {
-        let w = profile.scaled(SCALE).build(SEED);
+        let w = profile.scaled(SCALE).build(SEED).materialise();
         perfect_ordering(&w, true).unwrap_or_else(|e| panic!("{}: {e}", profile.name()));
     }
 }
@@ -22,7 +22,7 @@ fn perfect_ordering_holds_on_all_profiles() {
 #[test]
 fn cache_doubling_never_adds_misses_on_all_profiles() {
     for profile in BenchmarkProfile::all() {
-        let w = profile.scaled(SCALE).build(SEED);
+        let w = profile.scaled(SCALE).build(SEED).materialise();
         cache_doubling(&w).unwrap_or_else(|e| panic!("{}: {e}", profile.name()));
     }
 }
@@ -30,7 +30,7 @@ fn cache_doubling_never_adds_misses_on_all_profiles() {
 #[test]
 fn esp_with_nothing_to_peek_is_the_baseline() {
     for profile in BenchmarkProfile::all() {
-        let w = profile.scaled(SCALE).build(SEED);
+        let w = profile.scaled(SCALE).build(SEED).materialise();
         no_peek_esp_equals_baseline(&w).unwrap_or_else(|e| panic!("{}: {e}", profile.name()));
     }
 }
@@ -38,7 +38,7 @@ fn esp_with_nothing_to_peek_is_the_baseline() {
 #[test]
 fn runahead_preserves_architectural_counts() {
     for profile in BenchmarkProfile::all() {
-        let w = profile.scaled(SCALE).build(SEED);
+        let w = profile.scaled(SCALE).build(SEED).materialise();
         runahead_arch_invariance(&w).unwrap_or_else(|e| panic!("{}: {e}", profile.name()));
     }
 }

@@ -56,7 +56,7 @@ fn check_cache(line: &Json, key: &str, ctx: &str) {
 /// Runs one simulation with a trace probe and validates every line.
 /// Returns (event_lines, run_lines, window_lines).
 fn validate_trace(config: SimConfig, with_windows: bool) -> (u64, u64, u64) {
-    let w = BenchmarkProfile::amazon().scaled(20_000).build(42);
+    let w = BenchmarkProfile::amazon().scaled(20_000).build(42).materialise();
     let mut probe = TraceProbe::new("amazon", "test-config");
     if with_windows {
         probe = probe.with_windows();

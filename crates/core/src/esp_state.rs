@@ -17,7 +17,7 @@ use esp_branch::{PredictorContext, SpeculativeCheckpoint};
 use esp_lists::{AddrList, BList, ListCapacities};
 use esp_mem::{AccessResult, CacheConfig, Cachelet, CacheletSlot, SetAssocCache};
 use esp_obs::{CycleClass, NullProbe, Probe, WindowRecord, WindowSpender};
-use esp_trace::{EventCursor, EventRecord, EventStream, Instr, InstrKind, Workload};
+use esp_trace::{EventCursor, EventRecord, EventStream, PackedWorkload, Workload};
 use esp_types::{Cycle, LineAddr};
 use esp_uarch::{Engine, Stall, StallKind};
 
@@ -53,38 +53,12 @@ impl EspRunStats {
     }
 }
 
-/// A slot's resumable stream cursor. Packed workloads get the concrete
-/// arena cursor — one predictable match instead of a per-instruction
-/// virtual call, and the decode inlines into [`EspState::step_slot`] —
-/// while any other workload keeps its boxed stream. Both variants
-/// produce the same instruction sequence.
-enum SlotCursor<'w> {
-    Dyn(Box<dyn EventStream + 'w>),
-    Packed(EventCursor<'w>),
-}
-
-impl SlotCursor<'_> {
-    #[inline]
-    fn next_instr(&mut self) -> Option<Instr> {
-        match self {
-            SlotCursor::Dyn(c) => c.next_instr(),
-            SlotCursor::Packed(c) => c.next_instr(),
-        }
-    }
-
-    #[inline]
-    fn executed(&self) -> u64 {
-        match self {
-            SlotCursor::Dyn(c) => c.executed(),
-            SlotCursor::Packed(c) => c.executed(),
-        }
-    }
-}
-
 struct Slot<'w> {
     /// Absolute event index this slot pre-executes.
     event_idx: Option<u64>,
-    cursor: Option<SlotCursor<'w>>,
+    /// The event's resumable speculative cursor (the persisted execution
+    /// context of §3.4), opened when the slot starts.
+    cursor: Option<EventCursor<'w>>,
     ilist: AddrList,
     dlist: AddrList,
     blist: BList,
@@ -200,7 +174,7 @@ impl SideCache {
 /// The ESP hardware state for one simulated core.
 pub(crate) struct EspState<'w> {
     features: EspFeatures,
-    workload: &'w dyn Workload,
+    workload: &'w PackedWorkload,
     slots: Vec<Slot<'w>>,
     /// Shared way-partitioned cachelets for ESP-1/ESP-2 (§4.2).
     cachelet_i: Cachelet,
@@ -217,7 +191,7 @@ pub(crate) struct EspState<'w> {
 }
 
 impl<'w> EspState<'w> {
-    pub fn new(features: EspFeatures, workload: &'w dyn Workload) -> Self {
+    pub fn new(features: EspFeatures, workload: &'w PackedWorkload) -> Self {
         features.validate().expect("invalid ESP features");
         let depth = features.depth;
         let slots = (0..depth).map(|i| Slot::empty(caps_for(i, features.ideal))).collect();
@@ -302,12 +276,8 @@ impl<'w> EspState<'w> {
         let e = current_idx + 1 + s;
         let id = events[e].id;
         self.slots[s].event_idx = Some(e as u64);
-        self.slots[s].cursor = Some(match self.workload.as_packed() {
-            Some(p) => {
-                SlotCursor::Packed(p.arena().event(id.index() as usize).speculative_cursor())
-            }
-            None => SlotCursor::Dyn(self.workload.speculative_stream(id)),
-        });
+        self.slots[s].cursor =
+            Some(self.workload.arena().event(id.index() as usize).speculative_cursor());
         self.stats.events_started += 1;
     }
 
@@ -416,29 +386,10 @@ impl<'w> EspState<'w> {
         });
     }
 
-    /// Executes one instruction of slot `s` at time `t`. Packed cursors
-    /// take the raw-decode kernel path (no [`Instr`] materialised except
-    /// for branches); boxed streams keep the decoded path. Both perform
-    /// the same cachelet, bypass, predictor, and list calls in the same
-    /// order, so runs through either are byte-identical (asserted by
-    /// `packed_equivalence`).
+    /// Executes one instruction of slot `s` at time `t`, decoded raw (no
+    /// `Instr` is materialised except for branches) — the
+    /// window-spending half of the specialised kernels.
     fn step_slot(
-        &mut self,
-        s: usize,
-        t: Cycle,
-        base_millis: u64,
-        line_shift: u32,
-        engine: &mut Engine,
-    ) -> SlotStep {
-        match self.slots[s].cursor.as_ref().expect("step_slot on unstarted slot") {
-            SlotCursor::Packed(_) => self.step_slot_raw(s, t, base_millis, line_shift, engine),
-            SlotCursor::Dyn(_) => self.step_slot_instr(s, t, base_millis, line_shift, engine),
-        }
-    }
-
-    /// The raw-decode twin of [`EspState::step_slot_instr`] for packed
-    /// cursors — the window-spending half of the specialised kernels.
-    fn step_slot_raw(
         &mut self,
         s: usize,
         t: Cycle,
@@ -454,9 +405,7 @@ impl<'w> EspState<'w> {
         let record_lists = s < 2 || features.ideal;
 
         let slot = &mut self.slots[s];
-        let Some(SlotCursor::Packed(cursor)) = slot.cursor.as_mut() else {
-            unreachable!("step_slot_raw on a non-packed cursor");
-        };
+        let cursor = slot.cursor.as_mut().expect("step_slot on unstarted slot");
         let Some(rs) = cursor.next_raw() else {
             return SlotStep::Finished;
         };
@@ -532,160 +481,6 @@ impl<'w> EspState<'w> {
         if tag == TAG_LOAD || tag == TAG_STORE {
             let line = LineAddr::new(rs.op >> line_shift);
             let is_store = tag == TAG_STORE;
-            let slot = &mut self.slots[s];
-            if measure {
-                slot.dws.insert(line.as_u64());
-            }
-            if features.dlist && record_lists {
-                slot.dlist.record(line, icount);
-            }
-            let overlapped = |slot: &mut Slot<'_>| {
-                let within = slot
-                    .last_data_llc_at
-                    .is_some_and(|at| icount.saturating_sub(at) < 96);
-                slot.last_data_llc_at = Some(icount);
-                within
-            };
-            if features.naive {
-                let r = engine.mem_mut().access_data(line, t, is_store);
-                if r.llc_miss {
-                    let slot = &mut self.slots[s];
-                    if !overlapped(slot) {
-                        return SlotStep::Blocked(t + r.latency, millis);
-                    }
-                } else {
-                    millis += r.latency.saturating_sub(2) * 1000;
-                }
-            } else {
-                let result = match side {
-                    Some(i) => self.side_d[i].access(line, t),
-                    None => {
-                        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                        self.cachelet_d.access(cs, line, t)
-                    }
-                };
-                match result {
-                    AccessResult::Hit(_) => {}
-                    AccessResult::PartialHit(rem) => millis += rem * 1000,
-                    AccessResult::Miss => {
-                        let (lat, llc) = engine.mem().bypass_latency(line);
-                        let ready = if features.ideal { t } else { t + lat };
-                        match side {
-                            Some(i) => self.side_d[i].fill_absent(line, ready),
-                            None => {
-                                let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                                self.cachelet_d.fill(cs, line, t, ready);
-                            }
-                        }
-                        if llc {
-                            let slot = &mut self.slots[s];
-                            if !overlapped(slot) {
-                                return SlotStep::Blocked(t + lat, millis);
-                            }
-                            // Overlapped miss: the fill proceeds in the
-                            // background while the pre-execution keeps
-                            // issuing, like any other OoO miss cluster.
-                        } else {
-                            millis += lat * 1000;
-                        }
-                    }
-                }
-            }
-        }
-
-        SlotStep::Ran(millis)
-    }
-
-    /// The decoded-instruction slot step, kept for boxed (non-packed)
-    /// workload streams.
-    fn step_slot_instr(
-        &mut self,
-        s: usize,
-        t: Cycle,
-        base_millis: u64,
-        line_shift: u32,
-        engine: &mut Engine,
-    ) -> SlotStep {
-        let features = self.features;
-        let side = self.side_index(s);
-        let measure = features.measure_working_sets;
-        let record_lists = s < 2 || features.ideal;
-
-        let slot = &mut self.slots[s];
-        let cursor = slot.cursor.as_mut().expect("step_slot on unstarted slot");
-        let Some(instr) = cursor.next_instr() else {
-            return SlotStep::Finished;
-        };
-        let icount = cursor.executed() - 1;
-        let mut millis = base_millis;
-
-        // ---- instruction fetch ------------------------------------------
-        let fetch_line = LineAddr::new(instr.pc.as_u64() >> line_shift);
-        if slot.last_fetch_line != Some(fetch_line) {
-            slot.last_fetch_line = Some(fetch_line);
-            if measure {
-                slot.iws.insert(fetch_line.as_u64());
-            }
-            if features.ilist && record_lists {
-                slot.ilist.record(fetch_line, icount);
-            }
-            if features.naive {
-                // Naive ESP fetches straight into L1-I/L2, polluting them.
-                let r = engine.mem_mut().access_instr(fetch_line, t);
-                millis += r.latency.saturating_sub(2) * 1000;
-                if r.llc_miss {
-                    return SlotStep::Blocked(t + r.latency, millis);
-                }
-            } else {
-                let result = match side {
-                    Some(i) => self.side_i[i].access(fetch_line, t),
-                    None => {
-                        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                        self.cachelet_i.access(cs, fetch_line, t)
-                    }
-                };
-                match result {
-                    AccessResult::Hit(_) => {}
-                    AccessResult::PartialHit(rem) => millis += rem * 1000,
-                    AccessResult::Miss => {
-                        let (lat, llc) = engine.mem().bypass_latency(fetch_line);
-                        let ready = if features.ideal { t } else { t + lat };
-                        match side {
-                            Some(i) => self.side_i[i].fill_absent(fetch_line, ready),
-                            None => {
-                                let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                                self.cachelet_i.fill(cs, fetch_line, t, ready);
-                            }
-                        }
-                        if llc {
-                            return SlotStep::Blocked(t + lat, millis);
-                        }
-                        millis += lat * 1000;
-                    }
-                }
-            }
-        }
-
-        // ---- branch ------------------------------------------------------
-        if instr.is_branch() {
-            let ctx = if features.naive {
-                PredictorContext::Normal
-            } else if s == 0 {
-                PredictorContext::Esp1
-            } else {
-                PredictorContext::Esp2
-            };
-            let outcome = engine.bp_mut().predict_and_update(ctx, &instr);
-            millis += engine.bp().penalty_of(outcome) * 1000;
-            if features.blist && record_lists {
-                self.slots[s].blist.record(&instr, icount);
-            }
-        }
-
-        // ---- data --------------------------------------------------------
-        if let InstrKind::Load { addr, .. } | InstrKind::Store { addr } = instr.kind {
-            let line = LineAddr::new(addr.as_u64() >> line_shift);
-            let is_store = matches!(instr.kind, InstrKind::Store { .. });
             let slot = &mut self.slots[s];
             if measure {
                 slot.dws.insert(line.as_u64());
@@ -826,7 +621,7 @@ impl<'w> EspState<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_trace::{EventRecord, Instr, PackedTrace, VecEventStream};
+    use esp_trace::{EventRecord, Instr, VecEventStream};
     use esp_types::{Addr, EventId, EventKindId};
     use esp_uarch::{EngineConfig, StallKind};
 
@@ -883,7 +678,7 @@ mod tests {
 
     #[test]
     fn window_pre_executes_first_pending_event() {
-        let w = toy(3, 1000);
+        let w = PackedWorkload::pack(&toy(3, 1000));
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         // The first window blocks almost immediately on the cold fetch
@@ -900,7 +695,7 @@ mod tests {
 
     #[test]
     fn esp_mode_llc_miss_jumps_deeper() {
-        let w = toy(3, 1000);
+        let w = PackedWorkload::pack(&toy(3, 1000));
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         // ESP-1 hits cold-memory misses and blocks, letting ESP-2 run;
@@ -917,7 +712,7 @@ mod tests {
 
     #[test]
     fn pre_execution_resumes_across_windows() {
-        let w = toy(2, 200);
+        let w = PackedWorkload::pack(&toy(2, 200));
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         esp.spend_window(&mut engine, stall(101), 0);
@@ -933,7 +728,7 @@ mod tests {
 
     #[test]
     fn lists_are_recorded_and_promoted() {
-        let w = toy(3, 400);
+        let w = PackedWorkload::pack(&toy(3, 400));
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         for k in 0..6 {
@@ -948,15 +743,16 @@ mod tests {
 
     #[test]
     fn unstarted_event_yields_no_lists() {
-        let w = toy(3, 400);
+        let w = PackedWorkload::pack(&toy(3, 400));
         let mut esp = EspState::new(EspFeatures::full(), &w);
         assert!(esp.on_event_complete(1).is_none());
     }
 
     #[test]
     fn order_mispredicted_event_discards_lists() {
-        let mut w = toy(3, 400);
-        w.records[1].order_mispredicted = true;
+        let mut toy = toy(3, 400);
+        toy.records[1].order_mispredicted = true;
+        let w = PackedWorkload::pack(&toy);
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         for k in 0..4 {
@@ -970,8 +766,9 @@ mod tests {
 
     #[test]
     fn unposted_events_are_not_pre_executed() {
-        let mut w = toy(2, 400);
-        w.records[1].post_time = Cycle::new(1_000_000_000);
+        let mut toy = toy(2, 400);
+        toy.records[1].post_time = Cycle::new(1_000_000_000);
+        let w = PackedWorkload::pack(&toy);
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         esp.spend_window(&mut engine, stall(101), 0);
@@ -981,7 +778,7 @@ mod tests {
 
     #[test]
     fn depth_one_never_uses_second_slot() {
-        let w = toy(4, 500);
+        let w = PackedWorkload::pack(&toy(4, 500));
         let mut f = EspFeatures::full();
         f.depth = 1;
         let mut esp = EspState::new(f, &w);
@@ -996,7 +793,7 @@ mod tests {
 
     #[test]
     fn naive_mode_pollutes_the_real_hierarchy() {
-        let w = toy(2, 300);
+        let w = PackedWorkload::pack(&toy(2, 300));
         let mut esp = EspState::new(EspFeatures::naive(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         esp.spend_window(&mut engine, stall(300), 0);
@@ -1007,7 +804,7 @@ mod tests {
 
     #[test]
     fn non_naive_mode_leaves_hierarchy_clean() {
-        let w = toy(2, 300);
+        let w = PackedWorkload::pack(&toy(2, 300));
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
         esp.spend_window(&mut engine, stall(300), 0);
@@ -1028,10 +825,13 @@ mod tests {
     /// Under 32-byte lines, every I-list record an ESP slot keeps for an
     /// event names the line `pc >> 5` of the fetch at its instruction
     /// count, and every D-list record the line `addr >> 5` of the access
-    /// there — for the decoded (boxed stream) and the raw (packed) slot
-    /// step alike.
-    fn assert_lists_use_32_byte_lines(w: &dyn Workload, stream: &[Instr]) {
-        let mut esp = EspState::new(EspFeatures::full(), w);
+    /// there.
+    #[test]
+    fn slot_lists_follow_the_configured_line_size() {
+        let toy = toy(3, 400);
+        let stream = &toy.streams[1];
+        let w = PackedWorkload::pack(&toy);
+        let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = engine_with_lines(32);
         for k in 0..6 {
             let mut st = stall(101);
@@ -1054,27 +854,8 @@ mod tests {
     }
 
     #[test]
-    fn slot_lists_follow_the_configured_line_size() {
-        let w = toy(3, 400);
-        assert_lists_use_32_byte_lines(&w, &w.streams[1]);
-
-        let pack = |s: &Vec<Instr>| {
-            esp_trace::PackedEvent::new(PackedTrace::from_instrs(s), None, PackedTrace::default())
-        };
-        let events = w.streams.iter().map(pack).collect();
-        let total = w.streams.iter().map(|s| s.len() as u64).sum();
-        let packed = esp_trace::PackedWorkload::new(
-            w.records.clone(),
-            std::sync::Arc::new(esp_trace::TraceArena::new(events)),
-            total,
-        );
-        assert!(packed.as_packed().is_some());
-        assert_lists_use_32_byte_lines(&packed, &w.streams[1]);
-    }
-
-    #[test]
     fn working_sets_are_sampled_on_completion() {
-        let w = toy(3, 300);
+        let w = PackedWorkload::pack(&toy(3, 300));
         let mut f = EspFeatures::full();
         f.measure_working_sets = true;
         f.depth = 4;

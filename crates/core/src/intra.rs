@@ -65,14 +65,14 @@ use crate::lineset::LineSet;
 use crate::replay::ReplayStats;
 use crate::report::RunReport;
 use crate::sampling::{add_engine, add_esp, add_replay, add_stack};
-use crate::simulator::{LiveState, Simulator};
+use crate::simulator::{Exact, LiveState, Simulator};
 use crate::EspRunStats;
 use esp_branch::PredictorContext;
 use esp_energy::{ActivityCounts, EnergyModel};
 use esp_mem::HierarchySnapshot;
 use esp_obs::{CpiStack, EventSpan, NullProbe, Probe, RunSummary, WindowRecord};
 use esp_stats::CacheStats;
-use esp_trace::{EventStream, Workload};
+use esp_trace::{PackedWorkload, Workload};
 use esp_types::Cycle;
 use esp_uarch::{BoundaryView, CycleBreakdown, EngineStats};
 use std::ops::Range;
@@ -249,7 +249,7 @@ impl Simulator {
     /// docs). The returned report is byte-identical to the serial one at
     /// every thread count; `threads <= 1` or a small run takes the serial
     /// path outright.
-    pub fn run_intra(&self, workload: &dyn Workload, threads: usize) -> IntraRun {
+    pub fn run_intra(&self, workload: &PackedWorkload, threads: usize) -> IntraRun {
         self.run_intra_probed(workload, threads, &mut NullProbe)
     }
 
@@ -259,7 +259,7 @@ impl Simulator {
     /// per-instruction `on_step`/`on_stall` callbacks (see module docs).
     pub fn run_intra_probed<P: Probe>(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         threads: usize,
         probe: &mut P,
     ) -> IntraRun {
@@ -293,11 +293,11 @@ impl Simulator {
     /// full detail, buffering probe records and counter snapshots.
     fn simulate_chunk<'w>(
         &self,
-        workload: &'w dyn Workload,
+        workload: &'w PackedWorkload,
         k: usize,
         range: Range<usize>,
     ) -> ChunkSim<'w> {
-        let mut live = self.new_live(workload);
+        let mut live = self.new_live(workload, Exact);
         let mut entry = None;
         if k > 0 {
             if live.esp.is_some() {
@@ -328,7 +328,7 @@ impl Simulator {
     /// compared and must be repaired).
     fn warm_to_chunk<'w>(
         &self,
-        workload: &'w dyn Workload,
+        workload: &'w PackedWorkload,
         live: &mut LiveState<'w>,
         start: usize,
         ref_at: Cycle,
@@ -345,17 +345,8 @@ impl Simulator {
             for i in 0..n_looper {
                 live.engine.warm_step(&Simulator::looper_instr(idx, i));
             }
-            let walked = match workload.as_packed() {
-                Some(packed) => {
-                    let mut stream =
-                        packed.arena().event(record.id.index() as usize).actual_cursor();
-                    stream.warm_region(u64::MAX, line_bytes, &mut live.engine)
-                }
-                None => {
-                    let mut stream = workload.actual_stream(record.id);
-                    stream.warm_region(u64::MAX, line_bytes, &mut live.engine)
-                }
-            };
+            let mut stream = workload.arena().event(record.id.index() as usize).actual_cursor();
+            let walked = stream.warm_region(u64::MAX, line_bytes, &mut live.engine);
             live.engine.warm_retire(walked);
         }
         live.engine.resync_chunk_entry(ref_at)
@@ -366,7 +357,7 @@ impl Simulator {
     /// repairing the rest, while replaying probe records in order.
     fn merge_chunks<'w, P: Probe>(
         &self,
-        workload: &'w dyn Workload,
+        workload: &'w PackedWorkload,
         plan: &[Range<usize>],
         sims: Vec<ChunkSim<'w>>,
         threads: usize,
@@ -581,8 +572,8 @@ mod tests {
     use esp_obs::CpiObserver;
     use esp_workload::BenchmarkProfile;
 
-    fn workload() -> esp_workload::GeneratedWorkload {
-        BenchmarkProfile::amazon().scaled(120_000).build(42)
+    fn workload() -> PackedWorkload {
+        BenchmarkProfile::amazon().scaled(120_000).build(42).materialise()
     }
 
     #[test]
@@ -619,7 +610,7 @@ mod tests {
     /// translate-and-reuse machinery rather than the repair fallback.
     #[test]
     fn accepted_speculative_chunks_match_serial_bytes() {
-        let w = BenchmarkProfile::bing().scaled(120_000).build(42);
+        let w = BenchmarkProfile::bing().scaled(120_000).build(42).materialise();
         let sim = Simulator::new(SimConfig::base());
         let serial = sim.run(&w);
         let intra = sim.run_intra(&w, 4);

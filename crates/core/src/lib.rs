@@ -30,7 +30,7 @@
 //! use esp_core::{SimConfig, Simulator};
 //! use esp_workload::BenchmarkProfile;
 //!
-//! let w = BenchmarkProfile::amazon().scaled(60_000).build(7);
+//! let w = BenchmarkProfile::amazon().scaled(60_000).build(7).materialise();
 //! let nl = Simulator::new(SimConfig::next_line()).run(&w);
 //! let esp = Simulator::new(SimConfig::esp_nl()).run(&w);
 //! assert!(esp.busy_cycles() <= nl.busy_cycles());

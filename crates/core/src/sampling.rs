@@ -24,8 +24,10 @@
 //! Whole-run counters are then extrapolated from the measured grains by
 //! the combined ratio estimator of `esp-stats`, with a per-metric standard
 //! error and 95% confidence half-width reported alongside the
-//! [`RunReport`]. The default exact mode shares none of this code path:
-//! `Simulator::run` is untouched and stays byte-identical.
+//! [`RunReport`]. Exact, sampled and learned runs share one per-event
+//! driver, `Simulator::run_events_range`; this module supplies its grain
+//! policy, the grain clock `SampleCtl`. Under the exact policy every
+//! grain is detailed and the grain hooks compile away.
 //!
 //! The same warming walk (stat-free cache/predictor/prefetcher/replay
 //! updates) is reused by the intra-run parallel mode
@@ -44,9 +46,10 @@
 //! predicting the next measured grain's per-instruction cycle metrics,
 //! and — once trained and in bounds — *skips* the engine-warming walk
 //! for the stretch interior. Skipped grains advance the cursor with a
-//! decode-free fast-forward ([`esp_trace::EventStream::skip_region`]) —
-//! no sink, no operand decode — so retirement and the grain clock stay
-//! exact while the walk costs a small fraction of functional warming.
+//! decode-free fast-forward
+//! ([`esp_trace::EventCursor::skip_region_observed`], which reports only
+//! the memory footprint) so retirement and the grain clock stay exact
+//! while the walk costs a small fraction of functional warming.
 //! The last `warm_suffix_grains` grains of every stretch are always
 //! fully warmed to rebuild short-term cache/predictor state, and the
 //! suffix is also the only region features are extracted from (in
@@ -62,18 +65,17 @@
 //! for the estimator derivation, warming rules, and measured error
 //! tables.
 
-use crate::config::SimMode;
 use crate::esp_state::{EspRunStats, EspState};
 use crate::lineset::LineSet;
 use crate::replay::{ReplayLists, ReplayState, ReplayStats};
 use crate::report::RunReport;
-use crate::simulator::{DetailedLoop, Simulator, Stepped};
+use crate::simulator::{GrainPolicy, LiveState, Simulator};
 use esp_energy::{ActivityCounts, EnergyModel};
 use esp_learn::{FastForward, LearnParams, LearnedStats};
-use esp_obs::{CpiStack, EventSpan, NullProbe, Probe, RunSummary};
+use esp_obs::{CpiStack, NullProbe, Probe, RunSummary};
 use esp_stats::{ratio_estimate, RatioEstimate};
-use esp_trace::{EventCursor, EventStream, ForkStream, Instr, Workload};
-use esp_uarch::{Engine, KernelParams, KindTable, WarmTee};
+use esp_trace::{EventCursor, Instr, PackedWorkload, Workload};
+use esp_uarch::{Engine, WarmTee};
 
 /// Sampling-mode parameters: grain size and sampling period.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -315,9 +317,10 @@ impl SampleCtl {
     /// warmup grain. The suffix is always fully engine-warmed, and it is
     /// the only region features are extracted from, in training and
     /// skipping modes alike: skipped interiors are fast-forwarded with no
-    /// observer at all ([`esp_trace::EventStream::skip_region`]), so
-    /// collecting training features from interiors would feed the model a
-    /// view prediction-time stretches never see.
+    /// feature observer at all
+    /// ([`esp_trace::EventCursor::skip_region_observed`]), so collecting
+    /// training features from interiors would feed the model a view
+    /// prediction-time stretches never see.
     fn in_learn_suffix(&self) -> bool {
         let Some(l) = self.learn.as_ref() else { return false };
         let pos = self.grain_idx % self.period;
@@ -337,25 +340,6 @@ impl SampleCtl {
             self.learn_skip_acc += n;
         } else {
             self.learn_warm_acc += n;
-        }
-    }
-
-    /// Feeds one looper instruction to the feature extractor (suffix
-    /// grains of learned runs; the looper is always engine-warmed).
-    fn learn_note_step(&mut self, instr: &Instr) {
-        let collect = self.in_learn_suffix();
-        let Some(l) = self.learn.as_mut() else { return };
-        if collect && l.in_stretch() {
-            l.extractor_mut().note_step(instr);
-        }
-        self.learn_warm_acc += 1;
-    }
-
-    /// Notes an event boundary (feature context; ignored outside warm
-    /// stretches).
-    fn learn_note_event(&mut self) {
-        if let Some(l) = self.learn.as_mut() {
-            l.note_event();
         }
     }
 
@@ -403,12 +387,6 @@ impl SampleCtl {
         kind_of(self.grain_idx, self.period)
     }
 
-    /// Notes one functionally-warmed instruction (clock advance deferred
-    /// to the next [`SampleCtl::flush_warm`]).
-    fn warm_instr(&mut self) {
-        self.warm_pending += 1;
-    }
-
     /// Instructions left in the current grain.
     fn until_boundary(&self) -> u64 {
         self.grain_instrs - self.grain_acc
@@ -431,32 +409,6 @@ impl SampleCtl {
             self.grain_acc = 0;
             self.cross_boundary(engine, replay, esp);
         }
-    }
-
-    /// Advances the grain clock by `n` detailed instructions that are
-    /// guaranteed to stay strictly inside the current grain (`n <
-    /// until_boundary()`). Equivalent to `n` calls of
-    /// [`SampleCtl::after_instr`] that each return early — the batched
-    /// kernel loop uses this for plain-ALU runs it charges in one step.
-    fn detailed_bulk(&mut self, n: u64) {
-        debug_assert!(n < self.until_boundary());
-        self.grain_acc += n;
-    }
-
-    /// Advances the grain clock by one retired instruction and performs
-    /// the kind transition when a grain boundary is crossed.
-    fn after_instr(
-        &mut self,
-        engine: &mut Engine,
-        replay: &ReplayState,
-        esp: &Option<EspState<'_>>,
-    ) {
-        self.grain_acc += 1;
-        if self.grain_acc < self.grain_instrs {
-            return;
-        }
-        self.grain_acc = 0;
-        self.cross_boundary(engine, replay, esp);
     }
 
     /// The grain-boundary transition: flushes/closes the grain that just
@@ -576,23 +528,126 @@ impl SampleCtl {
     }
 }
 
+impl GrainPolicy for SampleCtl {
+    #[inline(always)]
+    fn warming(&self) -> bool {
+        self.kind() == GrainKind::Warm
+    }
+
+    #[inline(always)]
+    fn batch_cap(&self) -> u64 {
+        self.until_boundary().saturating_sub(1)
+    }
+
+    /// Notes an event boundary (feature context; ignored outside warm
+    /// stretches).
+    fn note_event(&mut self) {
+        if let Some(l) = self.learn.as_mut() {
+            l.note_event();
+        }
+    }
+
+    /// Defers the warmed looper instruction's clock advance to the next
+    /// [`SampleCtl::flush_warm`] and, in the suffix grains of learned
+    /// runs, feeds it to the feature extractor (the looper is always
+    /// engine-warmed).
+    fn note_warm_looper(&mut self, instr: &Instr) {
+        self.warm_pending += 1;
+        let collect = self.in_learn_suffix();
+        let Some(l) = self.learn.as_mut() else { return };
+        if collect && l.in_stretch() {
+            l.extractor_mut().note_step(instr);
+        }
+        self.learn_warm_acc += 1;
+    }
+
+    /// Advances the grain clock by one retired instruction and performs
+    /// the kind transition when a grain boundary is crossed.
+    #[inline(always)]
+    fn after_instr(
+        &mut self,
+        engine: &mut Engine,
+        replay: &ReplayState,
+        esp: &Option<EspState<'_>>,
+    ) {
+        self.grain_acc += 1;
+        if self.grain_acc < self.grain_instrs {
+            return;
+        }
+        self.grain_acc = 0;
+        self.cross_boundary(engine, replay, esp);
+    }
+
+    /// Equivalent to `n` calls of [`GrainPolicy::after_instr`] that each
+    /// return early: the batch stays strictly inside the grain.
+    #[inline(always)]
+    fn detailed_bulk(&mut self, n: u64) {
+        debug_assert!(n < self.until_boundary());
+        self.grain_acc += n;
+    }
+
+    /// Fast-forwards in bulk, straight off the packed arrays, up to the
+    /// next grain boundary or end of event. In learned mode the walk
+    /// depends on the grain: a decode-free cursor advance that only
+    /// collects the footprint (skipped interior), engine + extractor tee
+    /// (stretch suffix), or plain engine warming (everything else).
+    ///
+    /// Inlined so the event loop's cursor never has its address taken
+    /// and stays in registers through the detailed grains.
+    #[inline(always)]
+    fn warm_grain(
+        &mut self,
+        stream: &mut EventCursor<'_>,
+        line_bytes: u64,
+        engine: &mut Engine,
+        replay: &ReplayState,
+        esp: &Option<EspState<'_>>,
+    ) -> bool {
+        let want = self.until_boundary();
+        let skipped = self.skip_now();
+        let collect = self.in_learn_suffix();
+        let walked = if skipped {
+            let l = self.learn.as_mut().expect("skipping requires a controller");
+            stream.skip_region_observed(want, line_bytes, l.footprint_mut())
+        } else {
+            match self.learn.as_mut() {
+                Some(l) if collect && l.in_stretch() => {
+                    let mut tee = WarmTee::new(engine, l.extractor_mut());
+                    stream.warm_region(want, line_bytes, &mut tee)
+                }
+                _ => stream.warm_region(want, line_bytes, engine),
+            }
+        };
+        self.note_learn_walk(walked, skipped);
+        engine.warm_retire(walked);
+        self.warm_bulk(walked, engine, replay, esp);
+        walked < want
+    }
+
+    /// Keeps the coarse clock caught up before the next event's
+    /// post-time idling.
+    fn end_event(&mut self, engine: &mut Engine) {
+        self.flush_warm(engine);
+    }
+}
+
 impl Simulator {
     /// Runs the workload in sampling mode: detailed simulation of a
     /// periodic sample of instruction grains, functional warming in
     /// between, and a whole-run report extrapolated from the measured
     /// grains (see the module docs). Falls back to exact simulation for
     /// workloads too small to hold two sampling periods.
-    pub fn run_sampled(&self, workload: &dyn Workload, params: SampleParams) -> SampledRun {
+    pub fn run_sampled(&self, workload: &PackedWorkload, params: SampleParams) -> SampledRun {
         self.run_sampled_probed(workload, params, &mut NullProbe)
     }
 
     /// [`Simulator::run_sampled`] with an observability probe. The probe
     /// sees the detailed grains only — stall charges, windows, and one
-    /// [`EventSpan`] per event — plus a final [`RunSummary`] carrying the
-    /// extrapolated totals.
+    /// [`EventSpan`](esp_obs::EventSpan) per event — plus a final
+    /// [`RunSummary`] carrying the extrapolated totals.
     pub fn run_sampled_probed<P: Probe>(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         params: SampleParams,
         probe: &mut P,
     ) -> SampledRun {
@@ -619,7 +674,7 @@ impl Simulator {
     /// ([`LearnParams::validate`] — CLI front ends validate first).
     pub fn run_sampled_learned(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         params: SampleParams,
         learn: LearnParams,
     ) -> SampledRun {
@@ -632,7 +687,7 @@ impl Simulator {
     /// what the probe already saw, minus the skip bias).
     pub fn run_sampled_learned_probed<P: Probe>(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         params: SampleParams,
         learn: LearnParams,
         probe: &mut P,
@@ -663,7 +718,7 @@ impl Simulator {
     /// workload cannot hold two sampling periods.
     fn sampled_exact_fallback<P: Probe>(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         params: SampleParams,
         probe: &mut P,
     ) -> Option<SampledRun> {
@@ -697,135 +752,29 @@ impl Simulator {
 
     fn run_sampled_inner<P: Probe>(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         params: SampleParams,
         probe: &mut P,
         learn: Option<LearnParams>,
     ) -> SampledRun {
-        let mut engine = Engine::new(self.config().engine.clone());
+        let line_bytes = self.config().engine.machine.hierarchy.l1i.line_bytes;
+        let ff = learn
+            .map(|lp| Box::new(FastForward::new(lp, line_bytes).expect("params pre-validated")));
+        let mut live = self.new_live(workload, SampleCtl::new(params, ff));
         // Skipped stretches feed the DCU nothing, so only plain sampling
         // retires the stream its trigger bits were built from.
         if learn.is_none() {
-            self.attach_dcu_triggers(workload, &mut engine);
+            self.attach_dcu_triggers(workload, &mut live.engine);
         }
-        let mut esp: Option<EspState<'_>> = match &self.config().mode {
-            SimMode::Esp(f) => Some(EspState::new(*f, workload)),
-            _ => None,
-        };
         let measure_ws = self
             .config()
             .esp_features()
             .is_some_and(|f| f.measure_working_sets);
-        let ideal = self.config().esp_features().is_some_and(|f| f.ideal);
-        let mut replay = ReplayState::default();
-        if let Some(f) = self.config().esp_features() {
-            replay.set_leads(f.prefetch_lead_instrs, f.bp_train_lead_branches);
-        }
-        let mut pending_lists: Option<ReplayLists> = None;
         let events = workload.events();
-        let line_bytes = self.config().engine.machine.hierarchy.l1i.line_bytes;
-        // Same once-per-run lowering as exact mode: detailed grains over
-        // packed workloads run the fused kernel through this table.
-        let kernel_params = engine.lower_kernel();
-        let kind_table = KindTable::<P>::new(&kernel_params);
-        let n_looper = self.config().looper_instrs as u64;
         let mut iws = LineSet::new();
         let mut dws = LineSet::new();
-        let ff = learn
-            .map(|lp| Box::new(FastForward::new(lp, line_bytes).expect("params pre-validated")));
-        let mut ctl = SampleCtl::new(params, ff);
-
-        for (idx, record) in events.iter().enumerate() {
-            ctl.learn_note_event();
-            let span_start = engine.now();
-            let stack_before = *engine.cpi_stack();
-            let retired_before = engine.stats().retired;
-            let mut span_windows = 0u64;
-
-            engine.idle_until(record.post_time);
-
-            // Pending prediction lists: armed for timed replay when the
-            // event opens in a detailed grain, applied as instant warm
-            // state otherwise.
-            if ctl.kind() == GrainKind::Warm {
-                if let Some(lists) = pending_lists.take() {
-                    Self::warm_apply_lists(&mut engine, &lists);
-                }
-                replay.arm(None, ideal, &mut engine);
-            } else {
-                replay.arm(pending_lists.take(), ideal, &mut engine);
-            }
-
-            for i in 0..n_looper {
-                let instr = Self::looper_instr(idx, i);
-                if ctl.kind() == GrainKind::Warm {
-                    engine.warm_step(&instr);
-                    ctl.warm_instr();
-                    ctl.learn_note_step(&instr);
-                } else {
-                    replay.tick(&mut engine, 0, 0);
-                    engine.step_probed(&instr, probe);
-                }
-                ctl.after_instr(&mut engine, &replay, &esp);
-            }
-
-            span_windows += match workload.as_packed() {
-                Some(packed) => {
-                    let stream = packed.arena().event(record.id.index() as usize).actual_cursor();
-                    self.run_event_sampled_kernel(
-                        stream,
-                        idx,
-                        &mut engine,
-                        &mut esp,
-                        &mut replay,
-                        probe,
-                        &mut ctl,
-                        measure_ws,
-                        line_bytes,
-                        &kernel_params,
-                        &kind_table,
-                        &mut iws,
-                        &mut dws,
-                    )
-                }
-                None => {
-                    let mut stream = workload.actual_stream(record.id);
-                    self.run_event_sampled(
-                        &mut stream,
-                        idx,
-                        &mut engine,
-                        &mut esp,
-                        &mut replay,
-                        probe,
-                        &mut ctl,
-                        measure_ws,
-                        line_bytes,
-                        &mut iws,
-                        &mut dws,
-                    )
-                }
-            };
-
-            if let Some(esp) = esp.as_mut() {
-                if measure_ws {
-                    esp.record_normal_working_set(iws.len(), dws.len());
-                }
-                pending_lists = esp.on_event_complete(idx + 1);
-                engine.bp_mut().promote_event();
-            }
-            // Keep the coarse clock caught up before the next event's
-            // post-time idling.
-            ctl.flush_warm(&mut engine);
-
-            probe.on_event(&EventSpan {
-                idx: idx as u64,
-                start: span_start,
-                end: engine.now(),
-                retired: engine.stats().retired - retired_before,
-                windows: span_windows,
-                stack: engine.cpi_stack().since(&stack_before),
-            });
-        }
+        self.run_events_range(workload, &mut live, 0..events.len(), probe, &mut iws, &mut dws);
+        let LiveState { mut engine, esp, replay, grains: mut ctl, .. } = live;
         ctl.finish(&mut engine, &replay, &esp);
         assert_ne!(engine.dcu_replay_finished(), Some(false), "DCU replay out of step with the run");
 
@@ -896,152 +845,11 @@ impl Simulator {
         SampledRun { report, estimate, learned }
     }
 
-    /// The per-instruction loop of one event under the grain clock: the
-    /// exact-mode loop body in detailed grains, warm stepping in warming
-    /// grains, switching at grain boundaries mid-stream.
-    #[allow(clippy::too_many_arguments)]
-    fn run_event_sampled<P: Probe, S: ForkStream>(
-        &self,
-        stream: &mut S,
-        idx: usize,
-        engine: &mut Engine,
-        esp: &mut Option<EspState<'_>>,
-        replay: &mut ReplayState,
-        probe: &mut P,
-        ctl: &mut SampleCtl,
-        measure: bool,
-        line_bytes: u64,
-        iws: &mut LineSet,
-        dws: &mut LineSet,
-    ) -> u64 {
-        let mut span_windows = 0u64;
-        let mut branches = 0u64;
-        iws.clear();
-        dws.clear();
-        loop {
-            if ctl.kind() == GrainKind::Warm {
-                // Fast-forward in bulk, straight off the packed arrays,
-                // up to the next grain boundary or end of event. In
-                // learned mode the walk depends on the grain: a decode-
-                // free cursor advance (skipped interior), engine +
-                // extractor tee (stretch suffix), or plain engine
-                // warming (everything else).
-                let want = ctl.until_boundary();
-                let skipped = ctl.skip_now();
-                let collect = ctl.in_learn_suffix();
-                let walked = if skipped {
-                    let l = ctl.learn.as_mut().expect("skipping requires a controller");
-                    stream.skip_region_observed(want, line_bytes, l.footprint_mut())
-                } else {
-                    match ctl.learn.as_mut() {
-                        Some(l) if collect && l.in_stretch() => {
-                            let mut tee = WarmTee::new(engine, l.extractor_mut());
-                            stream.warm_region(want, line_bytes, &mut tee)
-                        }
-                        _ => stream.warm_region(want, line_bytes, engine),
-                    }
-                };
-                ctl.note_learn_walk(walked, skipped);
-                engine.warm_retire(walked);
-                ctl.warm_bulk(walked, engine, replay, esp);
-                if walked < want {
-                    break;
-                }
-                continue;
-            }
-            replay.tick(engine, stream.executed(), branches);
-            let Some(instr) = stream.next_instr() else {
-                break;
-            };
-            if measure {
-                iws.insert(instr.pc.line(line_bytes).as_u64());
-                if let Some(a) = instr.mem_addr() {
-                    dws.insert(a.line(line_bytes).as_u64());
-                }
-            }
-            let out = engine.step_probed(&instr, probe);
-            if instr.is_branch() {
-                branches += 1;
-            }
-            if let Some(stall) = out.stall {
-                self.spend_stall(stall, stream, idx, engine, esp, probe, &mut span_windows);
-            }
-            ctl.after_instr(engine, replay, esp);
-        }
-        span_windows
-    }
-
-    /// The fused-kernel twin of [`Simulator::run_event_sampled`], run for
-    /// packed workloads: detailed grains run the exact-mode step body,
-    /// [`Simulator::detailed_step`], with plain-ALU batches clipped to
-    /// stay strictly inside the current grain, so the grain clock sees the
-    /// same boundary crossings (the skipped `after_instr` calls would all
-    /// have returned early); warming grains keep the bulk `warm_region`
-    /// walk. Performs the same engine/ctl call sequence as the generic
-    /// loop, so sampled reports stay byte-identical (asserted by
-    /// `packed_equivalence`).
-    #[allow(clippy::too_many_arguments)]
-    fn run_event_sampled_kernel<P: Probe>(
-        &self,
-        mut stream: EventCursor<'_>,
-        idx: usize,
-        engine: &mut Engine,
-        esp: &mut Option<EspState<'_>>,
-        replay: &mut ReplayState,
-        probe: &mut P,
-        ctl: &mut SampleCtl,
-        measure: bool,
-        line_bytes: u64,
-        kp: &KernelParams,
-        tbl: &KindTable<P>,
-        iws: &mut LineSet,
-        dws: &mut LineSet,
-    ) -> u64 {
-        iws.clear();
-        dws.clear();
-        let mut lp = DetailedLoop::new(kp, tbl, measure);
-        loop {
-            if ctl.kind() == GrainKind::Warm {
-                let want = ctl.until_boundary();
-                let skipped = ctl.skip_now();
-                let collect = ctl.in_learn_suffix();
-                let walked = if skipped {
-                    let l = ctl.learn.as_mut().expect("skipping requires a controller");
-                    stream.skip_region_observed(want, line_bytes, l.footprint_mut())
-                } else {
-                    match ctl.learn.as_mut() {
-                        Some(l) if collect && l.in_stretch() => {
-                            let mut tee = WarmTee::new(engine, l.extractor_mut());
-                            stream.warm_region(want, line_bytes, &mut tee)
-                        }
-                        _ => stream.warm_region(want, line_bytes, engine),
-                    }
-                };
-                ctl.note_learn_walk(walked, skipped);
-                engine.warm_retire(walked);
-                ctl.warm_bulk(walked, engine, replay, esp);
-                if walked < want {
-                    break;
-                }
-                continue;
-            }
-            let cap = ctl.until_boundary().saturating_sub(1);
-            let step =
-                self.detailed_step(&mut stream, cap, &mut lp, idx, engine, esp, replay, probe, iws, dws);
-            match step {
-                Stepped::Batch(n) => ctl.detailed_bulk(n),
-                Stepped::One => ctl.after_instr(engine, replay, esp),
-                Stepped::End => break,
-            }
-        }
-        lp.windows
-    }
-
     /// Replays pending prediction lists into warmed state: every listed
     /// line becomes an instant stat-free fill, every replayable branch a
     /// predictor training — what the timed replay of a detailed event
     /// would eventually have installed.
-    fn warm_apply_lists(engine: &mut Engine, lists: &ReplayLists) {
+    pub(crate) fn warm_apply_lists(engine: &mut Engine, lists: &ReplayLists) {
         let now = engine.now();
         for rec in &lists.ilist {
             for line in rec.lines() {
@@ -1154,7 +962,7 @@ mod tests {
 
     #[test]
     fn sampled_cpi_tracks_exact_for_base_and_esp() {
-        let w = BenchmarkProfile::amazon().scaled(600_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(600_000).build(42).materialise();
         for cfg in [SimConfig::base(), SimConfig::esp_nl(), SimConfig::runahead()] {
             let sim = Simulator::new(cfg);
             let exact = sim.run(&w);
@@ -1174,7 +982,7 @@ mod tests {
 
     #[test]
     fn sampled_run_is_deterministic() {
-        let w = BenchmarkProfile::pixlr().scaled(120_000).build(7);
+        let w = BenchmarkProfile::pixlr().scaled(120_000).build(7).materialise();
         let sim = Simulator::new(SimConfig::esp_nl());
         let a = sim.run_sampled(&w, SampleParams::default());
         let b = sim.run_sampled(&w, SampleParams::default());
@@ -1186,7 +994,7 @@ mod tests {
 
     #[test]
     fn tiny_workload_falls_back_to_exact() {
-        let w = BenchmarkProfile::amazon().scaled(5_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(5_000).build(42).materialise();
         let sim = Simulator::new(SimConfig::base());
         let exact = sim.run(&w);
         let sampled = sim.run_sampled(&w, SampleParams::new(10_000, 20));
@@ -1198,7 +1006,7 @@ mod tests {
 
     #[test]
     fn estimate_reports_confidence_interval() {
-        let w = BenchmarkProfile::gmaps().scaled(200_000).build(42);
+        let w = BenchmarkProfile::gmaps().scaled(200_000).build(42).materialise();
         let sim = Simulator::new(SimConfig::base());
         let sampled = sim.run_sampled(&w, SampleParams::default());
         let est = &sampled.estimate;
@@ -1217,7 +1025,7 @@ mod tests {
 
     #[test]
     fn learned_cpi_tracks_exact_and_actually_skips() {
-        let w = BenchmarkProfile::amazon().scaled(600_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(600_000).build(42).materialise();
         for cfg in [SimConfig::base(), SimConfig::esp_nl()] {
             let sim = Simulator::new(cfg);
             let exact = sim.run(&w);
@@ -1244,7 +1052,7 @@ mod tests {
 
     #[test]
     fn learned_run_is_deterministic() {
-        let w = BenchmarkProfile::pixlr().scaled(300_000).build(7);
+        let w = BenchmarkProfile::pixlr().scaled(300_000).build(7).materialise();
         let sim = Simulator::new(SimConfig::esp_nl());
         let a = sim.run_sampled_learned(&w, SampleParams::default(), LearnParams::default());
         let b = sim.run_sampled_learned(&w, SampleParams::default(), LearnParams::default());
@@ -1256,7 +1064,7 @@ mod tests {
 
     #[test]
     fn learned_tiny_workload_reports_empty_stats() {
-        let w = BenchmarkProfile::amazon().scaled(5_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(5_000).build(42).materialise();
         let sim = Simulator::new(SimConfig::base());
         let run = sim.run_sampled_learned(&w, SampleParams::new(10_000, 20), LearnParams::default());
         assert!(run.estimate.exact_fallback);
@@ -1266,7 +1074,7 @@ mod tests {
 
     #[test]
     fn learned_ladder_bottom_reruns_with_plain_warming() {
-        let w = BenchmarkProfile::amazon().scaled(600_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(600_000).build(42).materialise();
         let sim = Simulator::new(SimConfig::base());
         // amazon/base at this scale predicts well enough up front to pass
         // the skip-entry gate, then drifts past the bias threshold later
@@ -1288,7 +1096,7 @@ mod tests {
 
     #[test]
     fn learned_intervals_never_narrower_than_plain() {
-        let w = BenchmarkProfile::amazon().scaled(600_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(600_000).build(42).materialise();
         let sim = Simulator::new(SimConfig::base());
         let run =
             sim.run_sampled_learned(&w, SampleParams::default(), LearnParams::default());
@@ -1304,7 +1112,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "--learn-train must be at least 1")]
     fn learned_invalid_params_panic_with_cli_message() {
-        let w = BenchmarkProfile::amazon().scaled(10_000).build(42);
+        let w = BenchmarkProfile::amazon().scaled(10_000).build(42).materialise();
         let sim = Simulator::new(SimConfig::base());
         let learn = LearnParams { train_stretches: 0, ..LearnParams::default() };
         let _ = sim.run_sampled_learned(&w, SampleParams::default(), learn);

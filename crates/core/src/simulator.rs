@@ -13,8 +13,7 @@ use esp_obs::{CycleClass, EventSpan, NullProbe, Probe, RunSummary, WindowRecord,
 use esp_stats::BranchStats;
 use esp_trace::kindbits::{TAG_ALU, TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
 use esp_trace::{
-    EventCursor, EventStream, ForkStream, Instr, PackedWorkload, TriggerKey, WarmSink, Workload,
-    INSTR_BYTES,
+    EventCursor, EventStream, Instr, PackedWorkload, TriggerKey, WarmSink, Workload, INSTR_BYTES,
 };
 use esp_types::{Addr, LineAddr};
 use esp_uarch::{Engine, KernelParams, KindTable, StallKind};
@@ -49,16 +48,15 @@ pub struct SideEffectLog {
 
 /// The complete mutable state of one in-progress simulation: the interval
 /// engine plus the mode-specific speculation state that travels with it
-/// between events.
+/// between events, and the run's grain schedule.
 ///
-/// The serial driver owns exactly one of these for a whole run; the
-/// intra-run parallel mode (see `intra`) gives each chunk worker its own
-/// and moves the authoritative one forward chunk by chunk. Keeping the
-/// quadruple together is what lets [`Simulator::run_events_range`] resume
-/// a run mid-sequence: everything event `k+1` can observe from event `k`
-/// is in here (or in the memory hierarchy and branch predictor inside
-/// `engine`).
-pub(crate) struct LiveState<'w> {
+/// Every run owns exactly one of these; the intra-run parallel mode (see
+/// `intra`) gives each chunk worker its own and moves the authoritative
+/// one forward chunk by chunk. Keeping it together is what lets
+/// [`Simulator::run_events_range`] resume a run mid-sequence: everything
+/// event `k+1` can observe from event `k` is in here (or in the memory
+/// hierarchy and branch predictor inside `engine`).
+pub(crate) struct LiveState<'w, G = Exact> {
     /// The interval core: clock, caches, predictor, prefetchers, stack.
     pub engine: Engine,
     /// ESP contexts and list state (ESP modes only).
@@ -67,11 +65,83 @@ pub(crate) struct LiveState<'w> {
     pub replay: ReplayState,
     /// Lists promoted at the last event completion, to arm on the next.
     pub pending_lists: Option<ReplayLists>,
+    /// Which instructions are simulated in detail and which are warmed.
+    pub grains: G,
 }
+
+/// How a run divides its instructions into detailed and functionally
+/// warmed grains — the one thing exact, sampled and learned runs of
+/// [`Simulator::run_events_range`] do differently. The driver is
+/// monomorphised over the policy.
+///
+/// The defaults are exact mode's, [`Exact`]: every grain detailed, no
+/// grain clock to keep, so every hook compiles away and the driver is
+/// the plain exact loop. Sampled and learned runs use the grain clock of
+/// the `sampling` module, `SampleCtl`.
+pub(crate) trait GrainPolicy {
+    /// Whether the run is inside a functionally warmed grain.
+    #[inline(always)]
+    fn warming(&self) -> bool {
+        false
+    }
+
+    /// The most plain ALUs one detailed batch may retire (batches must
+    /// stay strictly inside the current grain).
+    #[inline(always)]
+    fn batch_cap(&self) -> u64 {
+        u64::MAX
+    }
+
+    /// An event begins.
+    #[inline(always)]
+    fn note_event(&mut self) {}
+
+    /// A looper instruction was functionally warmed.
+    #[inline(always)]
+    fn note_warm_looper(&mut self, _instr: &Instr) {}
+
+    /// One instruction retired, detailed or warmed.
+    #[inline(always)]
+    fn after_instr(
+        &mut self,
+        _engine: &mut Engine,
+        _replay: &ReplayState,
+        _esp: &Option<EspState<'_>>,
+    ) {
+    }
+
+    /// A batch of `n` plain ALUs retired in detail, strictly inside the
+    /// current grain.
+    #[inline(always)]
+    fn detailed_bulk(&mut self, _n: u64) {}
+
+    /// Warms (or, in learned mode, may fast-forward) `stream` up to the
+    /// next grain boundary; returns whether the event's stream ended.
+    fn warm_grain(
+        &mut self,
+        _stream: &mut EventCursor<'_>,
+        _line_bytes: u64,
+        _engine: &mut Engine,
+        _replay: &ReplayState,
+        _esp: &Option<EspState<'_>>,
+    ) -> bool {
+        unreachable!("an exact run never warms")
+    }
+
+    /// An event ended (its ESP completion done, its span not yet
+    /// emitted).
+    #[inline(always)]
+    fn end_event(&mut self, _engine: &mut Engine) {}
+}
+
+/// The exact-mode grain policy: every instruction in detail.
+pub(crate) struct Exact;
+
+impl GrainPolicy for Exact {}
 
 /// What one [`Simulator::detailed_step`] retired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Stepped {
+enum Stepped {
     /// A batch of this many plain ALUs on the current fetch line.
     Batch(u64),
     /// One instruction through the fused kernel.
@@ -82,7 +152,7 @@ pub(crate) enum Stepped {
 
 /// The per-event state of a detailed kernel loop, carried from one
 /// [`Simulator::detailed_step`] to the next.
-pub(crate) struct DetailedLoop<'k, P: Probe> {
+struct DetailedLoop<'k, P: Probe> {
     kp: &'k KernelParams,
     tbl: &'k KindTable<P>,
     /// Whether working sets are measured.
@@ -92,17 +162,18 @@ pub(crate) struct DetailedLoop<'k, P: Probe> {
     /// The fetch line last inserted into the instruction working set.
     iws_line: u64,
     /// Pre-execution windows the event has opened.
-    pub(crate) windows: u64,
+    windows: u64,
 }
 
 impl<'k, P: Probe> DetailedLoop<'k, P> {
-    pub(crate) fn new(kp: &'k KernelParams, tbl: &'k KindTable<P>, measure: bool) -> Self {
+    fn new(kp: &'k KernelParams, tbl: &'k KindTable<P>, measure: bool) -> Self {
         DetailedLoop { kp, tbl, measure, branches: 0, iws_line: u64::MAX, windows: 0 }
     }
 }
 
 /// The ESP simulator: one machine configuration, runnable over any
-/// [`Workload`].
+/// [`PackedWorkload`] (pack a hand-built [`Workload`] with
+/// [`PackedWorkload::pack`]; generated workloads materialise).
 ///
 /// # Examples
 ///
@@ -110,7 +181,7 @@ impl<'k, P: Probe> DetailedLoop<'k, P> {
 /// use esp_core::{SimConfig, Simulator};
 /// use esp_workload::BenchmarkProfile;
 ///
-/// let w = BenchmarkProfile::pixlr().scaled(30_000).build(1);
+/// let w = BenchmarkProfile::pixlr().scaled(30_000).build(1).materialise();
 /// let report = Simulator::new(SimConfig::base()).run(&w);
 /// assert!(report.engine.retired > 30_000);
 /// ```
@@ -150,32 +221,29 @@ impl Simulator {
     }
 
     /// Makes `engine` replay the DCU trigger bits of `workload` instead
-    /// of running the tracker, when that is possible: the workload is
-    /// packed, the DCU is on, and the L1-D is not perfect (a perfect L1-D
-    /// feeds the DCU nothing). The bits are built on first use per
-    /// workload, line size and looper length, then shared by every
-    /// configuration that asks (see [`dcu_trigger_words`]).
+    /// of running the tracker, when that is possible: the DCU is on and
+    /// the L1-D is not perfect (a perfect L1-D feeds the DCU nothing).
+    /// The bits are built on first use per workload, line size and looper
+    /// length, then shared by every configuration that asks (see
+    /// [`dcu_trigger_words`]).
     ///
     /// Called only for runs that feed the DCU every retired data access
     /// in order, from the first: exact runs and plain sampled runs, not
     /// learned or intra-run ones.
-    pub(crate) fn attach_dcu_triggers(&self, workload: &dyn Workload, engine: &mut Engine) {
+    pub(crate) fn attach_dcu_triggers(&self, workload: &PackedWorkload, engine: &mut Engine) {
         let e = &self.config.engine;
         if !e.nl_data || e.perfect.l1d {
             return;
         }
-        let Some(packed) = workload.as_packed() else {
-            return;
-        };
         let key = TriggerKey {
             line_bytes: e.machine.hierarchy.l1i.line_bytes,
             looper_instrs: self.config.looper_instrs,
         };
-        engine.replay_dcu(packed.trigger_bits(key, |p| dcu_trigger_words(p, key)));
+        engine.replay_dcu(workload.trigger_bits(key, |p| dcu_trigger_words(p, key)));
     }
 
     /// Runs the workload to completion and reports.
-    pub fn run(&self, workload: &dyn Workload) -> RunReport {
+    pub fn run(&self, workload: &PackedWorkload) -> RunReport {
         self.run_probed(workload, &mut NullProbe)
     }
 
@@ -186,7 +254,7 @@ impl Simulator {
     /// span stacks sum to the total CPI stack), and a final
     /// [`RunSummary`]. Statically dispatched: `run` is this method
     /// monomorphized over the no-op probe, at identical speed.
-    pub fn run_probed<P: Probe>(&self, workload: &dyn Workload, probe: &mut P) -> RunReport {
+    pub fn run_probed<P: Probe>(&self, workload: &PackedWorkload, probe: &mut P) -> RunReport {
         self.run_inner(workload, probe, false).0
     }
 
@@ -196,7 +264,7 @@ impl Simulator {
     /// replay by `esp-check`.
     pub fn run_logged<P: Probe>(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         probe: &mut P,
     ) -> (RunReport, SideEffectLog) {
         let (report, log) = self.run_inner(workload, probe, true);
@@ -204,8 +272,9 @@ impl Simulator {
     }
 
     /// Builds the initial [`LiveState`] of a run over `workload`: a fresh
-    /// engine plus the mode's speculation state, leads configured.
-    pub(crate) fn new_live<'w>(&self, workload: &'w dyn Workload) -> LiveState<'w> {
+    /// engine plus the mode's speculation state, leads configured, on the
+    /// grain schedule `grains`.
+    pub(crate) fn new_live<'w, G>(&self, workload: &'w PackedWorkload, grains: G) -> LiveState<'w, G> {
         let engine = Engine::new(self.config.engine.clone());
         let esp: Option<EspState<'w>> = match &self.config.mode {
             SimMode::Esp(f) => Some(EspState::new(*f, workload)),
@@ -215,16 +284,16 @@ impl Simulator {
         if let Some(f) = self.config.esp_features() {
             replay.set_leads(f.prefetch_lead_instrs, f.bp_train_lead_branches);
         }
-        LiveState { engine, esp, replay, pending_lists: None }
+        LiveState { engine, esp, replay, pending_lists: None, grains }
     }
 
     fn run_inner<P: Probe>(
         &self,
-        workload: &dyn Workload,
+        workload: &PackedWorkload,
         probe: &mut P,
         record: bool,
     ) -> (RunReport, Option<SideEffectLog>) {
-        let mut live = self.new_live(workload);
+        let mut live = self.new_live(workload, Exact);
         self.attach_dcu_triggers(workload, &mut live.engine);
         if record {
             live.engine.mem_mut().set_recording(true);
@@ -267,20 +336,25 @@ impl Simulator {
         (report, log)
     }
 
-    /// Runs events `range` (indices into `workload.events()`) on `live`,
-    /// the per-event loop of [`Simulator::run`] factored so a run can be
-    /// executed in resumable slices: calling this over `[0, n)` is
-    /// byte-identical to calling it over any partition of `[0, n)` in
-    /// order on the same `live` state. The chunk-parallel mode leans on
-    /// exactly that property for its repair path, and on workers it calls
-    /// this with a chunk's range over a warm-predicted state.
+    /// Runs events `range` (indices into `workload.events()`) on `live` —
+    /// the one per-event driver of every run, exact, sampled, learned or
+    /// intra-run chunk, monomorphised over the run's grain policy `G`.
+    /// Per event: idle until it is posted, arm replay (or, in a warmed
+    /// grain, apply the pending lists as warm state), run the looper
+    /// prologue and the event body, complete the ESP context shift, and
+    /// emit the span. A run can be executed in resumable slices: calling
+    /// this over `[0, n)` is byte-identical to calling it over any
+    /// partition of `[0, n)` in order on the same `live` state. The
+    /// chunk-parallel mode leans on exactly that property for its repair
+    /// path, and on workers it calls this with a chunk's range over a
+    /// warm-predicted state.
     ///
     /// Emits window and event records to `probe` (no `on_run`; drivers
     /// summarise once at end of run).
-    pub(crate) fn run_events_range<'w, P: Probe>(
+    pub(crate) fn run_events_range<'w, P: Probe, G: GrainPolicy>(
         &self,
-        workload: &'w dyn Workload,
-        live: &mut LiveState<'w>,
+        workload: &'w PackedWorkload,
+        live: &mut LiveState<'w, G>,
         range: std::ops::Range<usize>,
         probe: &mut P,
         iws: &mut LineSet,
@@ -292,71 +366,62 @@ impl Simulator {
             .is_some_and(|f| f.measure_working_sets);
         let ideal = self.config.esp_features().is_some_and(|f| f.ideal);
         let events = workload.events();
-        let line_bytes = self.config.engine.machine.hierarchy.l1i.line_bytes;
-        // Lower the configuration once: the packed event loop runs the
-        // fused kernel through this flat parameter block + kind table.
+        // Lower the configuration once: the event loop runs the fused
+        // kernel through this flat parameter block + kind table.
         let kernel_params = live.engine.lower_kernel();
         let kind_table = KindTable::<P>::new(&kernel_params);
         let n_looper = self.config.looper_instrs as u64;
-        let LiveState { engine, esp, replay, pending_lists } = live;
+        let LiveState { engine, esp, replay, pending_lists, grains } = live;
 
         for idx in range {
             let record = &events[idx];
+            grains.note_event();
             let span_start = engine.now();
             let stack_before = *engine.cpi_stack();
             let retired_before = engine.stats().retired;
-            let mut span_windows = 0u64;
 
             // The looper cannot dequeue an event before it is posted.
             engine.idle_until(record.post_time);
 
             // Arm replay with whatever the event's pre-execution gathered
-            // and use the looper prologue as the prefetch head start.
-            replay.arm(pending_lists.take(), ideal, engine);
+            // and use the looper prologue as the prefetch head start. An
+            // event opening in a warmed grain gets the lists as instant
+            // warm state instead.
+            if grains.warming() {
+                if let Some(lists) = pending_lists.take() {
+                    Self::warm_apply_lists(engine, &lists);
+                }
+                replay.arm(None, ideal, engine);
+            } else {
+                replay.arm(pending_lists.take(), ideal, engine);
+            }
             for i in 0..n_looper {
-                replay.tick(engine, 0, 0);
-                engine.step_probed(&Self::looper_instr(idx, i), probe);
+                let instr = Self::looper_instr(idx, i);
+                if grains.warming() {
+                    engine.warm_step(&instr);
+                    grains.note_warm_looper(&instr);
+                } else {
+                    replay.tick(engine, 0, 0);
+                    engine.step_probed(&instr, probe);
+                }
+                grains.after_instr(engine, replay, esp);
             }
 
-            // Dispatch once per event, not once per instruction: packed
-            // workloads run the *fused kernel* loop over a concrete arena
-            // cursor (raw kind bytes through the lowered dispatch table),
-            // everything else the generic decoded loop over its boxed
-            // stream. Both instantiations perform the same engine-call
-            // sequence, so the outputs are bit-identical.
-            span_windows += match workload.as_packed() {
-                Some(packed) => {
-                    let stream = packed.arena().event(record.id.index() as usize).actual_cursor();
-                    self.run_event_kernel(
-                        stream,
-                        idx,
-                        engine,
-                        esp,
-                        replay,
-                        probe,
-                        measure,
-                        &kernel_params,
-                        &kind_table,
-                        iws,
-                        dws,
-                    )
-                }
-                None => {
-                    let mut stream = workload.actual_stream(record.id);
-                    self.run_event(
-                        &mut stream,
-                        idx,
-                        engine,
-                        esp,
-                        replay,
-                        probe,
-                        measure,
-                        line_bytes,
-                        iws,
-                        dws,
-                    )
-                }
-            };
+            let stream = workload.arena().event(record.id.index() as usize).actual_cursor();
+            let span_windows = self.run_event_kernel(
+                stream,
+                idx,
+                engine,
+                esp,
+                replay,
+                grains,
+                probe,
+                measure,
+                &kernel_params,
+                &kind_table,
+                iws,
+                dws,
+            );
 
             if let Some(esp) = esp.as_mut() {
                 if measure {
@@ -365,6 +430,7 @@ impl Simulator {
                 *pending_lists = esp.on_event_complete(idx + 1);
                 engine.bp_mut().promote_event();
             }
+            grains.end_event(engine);
 
             probe.on_event(&EventSpan {
                 idx: idx as u64,
@@ -377,67 +443,23 @@ impl Simulator {
         }
     }
 
-    /// The per-instruction loop of one event, monomorphised over the
-    /// stream type `S`. For packed workloads `S` is the concrete arena
-    /// cursor, so `next_instr`/`executed` inline into the loop instead of
-    /// going through per-instruction virtual dispatch; generative
-    /// workloads instantiate it with their boxed stream. Returns the
-    /// number of pre-execution windows the event opened.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_event<P: Probe, S: ForkStream>(
-        &self,
-        stream: &mut S,
-        idx: usize,
-        engine: &mut Engine,
-        esp: &mut Option<EspState<'_>>,
-        replay: &mut ReplayState,
-        probe: &mut P,
-        measure: bool,
-        line_bytes: u64,
-        iws: &mut LineSet,
-        dws: &mut LineSet,
-    ) -> u64 {
-        let mut span_windows = 0u64;
-        let mut branches = 0u64;
-        iws.clear();
-        dws.clear();
-        loop {
-            replay.tick(engine, stream.executed(), branches);
-            let Some(instr) = stream.next_instr() else {
-                break;
-            };
-            if measure {
-                iws.insert(instr.pc.line(line_bytes).as_u64());
-                if let Some(a) = instr.mem_addr() {
-                    dws.insert(a.line(line_bytes).as_u64());
-                }
-            }
-            let out = engine.step_probed(&instr, probe);
-            if instr.is_branch() {
-                branches += 1;
-            }
-            if let Some(stall) = out.stall {
-                self.spend_stall(stall, stream, idx, engine, esp, probe, &mut span_windows);
-            }
-        }
-        span_windows
-    }
-
-    /// The fused-kernel twin of [`Simulator::run_event`], run for packed
-    /// workloads: [`Simulator::detailed_step`] until the event ends.
-    /// Performs the same engine-call sequence as the generic loop, so
-    /// reports stay byte-identical (asserted by `packed_equivalence` and
-    /// the golden digests).
+    /// The per-instruction loop of one event: detailed grains run
+    /// [`Simulator::detailed_step`], with plain-ALU batches clipped by
+    /// the grain policy to stay strictly inside the current grain (so the
+    /// grain clock sees the same boundary crossings as stepping one by
+    /// one); warmed grains run the policy's bulk walk. Returns the number
+    /// of pre-execution windows the event opened.
     ///
     /// The cursor is taken by value so its state stays in locals.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_event_kernel<P: Probe>(
+    pub(crate) fn run_event_kernel<P: Probe, G: GrainPolicy>(
         &self,
         mut stream: EventCursor<'_>,
         idx: usize,
         engine: &mut Engine,
         esp: &mut Option<EspState<'_>>,
         replay: &mut ReplayState,
+        grains: &mut G,
         probe: &mut P,
         measure: bool,
         kp: &KernelParams,
@@ -449,16 +471,24 @@ impl Simulator {
         dws.clear();
         let mut lp = DetailedLoop::new(kp, tbl, measure);
         loop {
-            let step =
-                self.detailed_step(&mut stream, u64::MAX, &mut lp, idx, engine, esp, replay, probe, iws, dws);
-            if step == Stepped::End {
-                return lp.windows;
+            if grains.warming() {
+                if grains.warm_grain(&mut stream, kp.line_bytes, engine, replay, esp) {
+                    break;
+                }
+                continue;
+            }
+            let cap = grains.batch_cap();
+            match self.detailed_step(&mut stream, cap, &mut lp, idx, engine, esp, replay, probe, iws, dws) {
+                Stepped::Batch(n) => grains.detailed_bulk(n),
+                Stepped::One => grains.after_instr(engine, replay, esp),
+                Stepped::End => break,
             }
         }
+        lp.windows
     }
 
     /// One step of the detailed kernel over a packed event — the single
-    /// step body of the exact and the sampled kernel loops. Decodes the
+    /// step body of every run's event loop. Decodes the
     /// next instruction raw and tests its kind once:
     ///
     /// * a plain ALU (kind byte exactly `TAG_ALU`) on the current fetch
@@ -476,7 +506,7 @@ impl Simulator {
     /// same as with per-instruction inserts).
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub(crate) fn detailed_step<P: Probe>(
+    fn detailed_step<P: Probe>(
         &self,
         stream: &mut EventCursor<'_>,
         batch_cap: u64,
@@ -524,14 +554,15 @@ impl Simulator {
         Stepped::One
     }
 
-    /// Spends one exposed LLC-miss stall window according to the mode —
-    /// shared by the generic and kernel event loops, exact and sampled.
+    /// Spends one exposed LLC-miss stall window according to the mode.
+    /// Runahead pre-executes a copy of `stream`, the event's cursor just
+    /// past the blocking load.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub(crate) fn spend_stall<P: Probe, S: ForkStream>(
+    pub(crate) fn spend_stall<P: Probe>(
         &self,
         stall: esp_uarch::Stall,
-        stream: &S,
+        stream: &EventCursor<'_>,
         idx: usize,
         engine: &mut Engine,
         esp: &mut Option<EspState<'_>>,
@@ -544,7 +575,7 @@ impl Simulator {
                 if stall.kind == StallKind::DataLlcMiss {
                     *span_windows += 1;
                     let ra = engine.run_runahead_cursor(
-                        stream.fork_stream(),
+                        stream.clone(),
                         stall.start,
                         stall.cycles,
                         *data_only,
@@ -659,8 +690,8 @@ mod tests {
     use esp_uarch::PerfectFlags;
     use esp_workload::BenchmarkProfile;
 
-    fn workload() -> esp_workload::GeneratedWorkload {
-        BenchmarkProfile::amazon().scaled(120_000).build(42)
+    fn workload() -> PackedWorkload {
+        BenchmarkProfile::amazon().scaled(120_000).build(42).materialise()
     }
 
     #[test]
@@ -669,7 +700,7 @@ mod tests {
         let r = Simulator::new(SimConfig::base()).run(&w);
         assert_eq!(r.events_run, w.events().len() as u64);
         // Retired = workload instructions + looper prologues.
-        let expected = w.schedule().total_instructions() + 70 * r.events_run;
+        let expected = w.approx_total_instructions() + 70 * r.events_run;
         assert_eq!(r.engine.retired, expected);
         assert!(r.total_cycles > 0);
         assert!(r.ipc() > 0.1 && r.ipc() < 4.0, "ipc={}", r.ipc());
@@ -748,7 +779,7 @@ mod tests {
 
     #[test]
     fn working_sets_are_collected_in_probe_mode() {
-        let w = BenchmarkProfile::pixlr().scaled(60_000).build(3);
+        let w = BenchmarkProfile::pixlr().scaled(60_000).build(3).materialise();
         let r = Simulator::new(SimConfig::esp_depth_probe()).run(&w);
         let ws = r.working_sets.expect("probe mode must collect samples");
         assert!(!ws.normal_i.is_empty());

@@ -23,7 +23,7 @@ fn divergence_degrades_but_never_breaks() {
     // Same seed: schedules differ slightly (divergence draws consume
     // RNG), so compare each against its own baseline.
     let improvement = |p: WorkloadParams| {
-        let w = GeneratedWorkload::generate(p, 5);
+        let w = GeneratedWorkload::generate(p, 5).materialise();
         let nl = Simulator::new(SimConfig::next_line()).run(&w);
         let esp = Simulator::new(SimConfig::esp_nl()).run(&w);
         esp_stats::improvement_pct(nl.busy_cycles(), esp.busy_cycles())
@@ -41,7 +41,7 @@ fn divergence_degrades_but_never_breaks() {
 fn order_mispredictions_discard_lists() {
     let mut p = params(80_000);
     p.p_order_mispredict = 1.0;
-    let w = GeneratedWorkload::generate(p, 6);
+    let w = GeneratedWorkload::generate(p, 6).materialise();
     let r = Simulator::new(SimConfig::esp_nl()).run(&w);
     assert!(
         r.esp.lists_discarded > 0,
@@ -51,7 +51,7 @@ fn order_mispredictions_discard_lists() {
     let per_event = r.replay.iprefetches as f64 / r.events_run as f64;
     let mut p2 = params(80_000);
     p2.p_order_mispredict = 0.0;
-    let w2 = GeneratedWorkload::generate(p2, 6);
+    let w2 = GeneratedWorkload::generate(p2, 6).materialise();
     let r2 = Simulator::new(SimConfig::esp_nl()).run(&w2);
     let per_event2 = r2.replay.iprefetches as f64 / r2.events_run as f64;
     assert!(
@@ -64,7 +64,7 @@ fn order_mispredictions_discard_lists() {
 fn sparse_arrivals_produce_idle_and_busy_excludes_it() {
     let mut p = params(60_000);
     p.utilization = 0.10; // the looper is mostly waiting
-    let w = GeneratedWorkload::generate(p, 7);
+    let w = GeneratedWorkload::generate(p, 7).materialise();
     let r = Simulator::new(SimConfig::base()).run(&w);
     assert!(r.breakdown.idle > 0, "low utilization must idle the looper");
     assert_eq!(r.busy_cycles(), r.total_cycles - r.breakdown.idle);
@@ -77,7 +77,7 @@ fn dense_arrivals_leave_no_idle_gaps() {
     let mut p = params(60_000);
     p.utilization = 1.0;
     p.mean_burst = 16.0;
-    let w = GeneratedWorkload::generate(p, 8);
+    let w = GeneratedWorkload::generate(p, 8).materialise();
     let r = Simulator::new(SimConfig::base()).run(&w);
     // The first event posts at 0; with 100% utilization the queue should
     // essentially never drain.
@@ -87,7 +87,7 @@ fn dense_arrivals_leave_no_idle_gaps() {
 
 #[test]
 fn feature_subsets_nest_sensibly() {
-    let w = GeneratedWorkload::generate(params(150_000), 9);
+    let w = GeneratedWorkload::generate(params(150_000), 9).materialise();
     let run = |cfg: SimConfig| Simulator::new(cfg).run(&w);
     let nl = run(SimConfig::next_line());
     let i_only = run(SimConfig::esp_i_nl());
@@ -104,7 +104,7 @@ fn feature_subsets_nest_sensibly() {
 
 #[test]
 fn naive_esp_runs_without_lists_or_cachelets() {
-    let w = GeneratedWorkload::generate(params(100_000), 10);
+    let w = GeneratedWorkload::generate(params(100_000), 10).materialise();
     let r = Simulator::new(SimConfig::naive_esp_nl()).run(&w);
     assert!(r.esp.spec_instrs() > 0, "naive ESP still pre-executes");
     assert_eq!(r.replay.iprefetches, 0);
@@ -114,7 +114,7 @@ fn naive_esp_runs_without_lists_or_cachelets() {
 
 #[test]
 fn custom_replay_leads_are_respected() {
-    let w = GeneratedWorkload::generate(params(100_000), 11);
+    let w = GeneratedWorkload::generate(params(100_000), 11).materialise();
     let mut short = SimConfig::esp_nl();
     if let esp_core::SimMode::Esp(ref mut f) = short.mode {
         f.prefetch_lead_instrs = 1;
@@ -128,7 +128,7 @@ fn custom_replay_leads_are_respected() {
 
 #[test]
 fn deeper_probes_do_not_break_correct_accounting() {
-    let w = GeneratedWorkload::generate(params(100_000), 12);
+    let w = GeneratedWorkload::generate(params(100_000), 12).materialise();
     let r = Simulator::new(SimConfig::esp_depth_probe()).run(&w);
     assert_eq!(r.esp.instrs_by_depth.len(), 8);
     // Depth usage is (weakly) front-loaded: ESP-1 gets the most work.

@@ -12,9 +12,7 @@
 //!   point, argument-object address, posting time, and the
 //!   order-misprediction flag of §4.5 of the paper.
 //! * [`EventStream`] — a resumable cursor over one event's instruction
-//!   stream. Resumability is load-bearing: ESP pre-execution is re-entrant
-//!   (§3.4), so the simulator suspends and resumes these cursors as the
-//!   processor bounces between normal and ESP modes.
+//!   stream, the form a workload produces its instructions in.
 //! * [`Workload`] — a full program: an ordered schedule of events, each of
 //!   which can be opened as an *actual* stream (normal execution) or a
 //!   *speculative* stream (what a pre-execution would observe, which may
@@ -22,10 +20,14 @@
 //! * [`VecEventStream`] / [`record_stream`] — in-memory trace replay and
 //!   capture, used heavily by tests.
 //! * [`PackedTrace`] / [`TraceArena`] / [`PackedWorkload`] — the
-//!   decode-once, replay-many form: instruction streams materialised once
-//!   into compact struct-of-arrays storage and replayed by allocation-free
-//!   cursors, shared across simulator configurations (see
-//!   `docs/PERFORMANCE.md`).
+//!   decode-once, replay-many form and the only one the simulator runs:
+//!   instruction streams materialised once into compact struct-of-arrays
+//!   storage ([`PackedWorkload::pack`] for any [`Workload`]) and replayed
+//!   by allocation-free, resumable cursors, shared across simulator
+//!   configurations (see `docs/PERFORMANCE.md`). Resumability is
+//!   load-bearing: ESP pre-execution is re-entrant (§3.4), so the
+//!   simulator suspends and resumes these cursors as the processor
+//!   bounces between normal and ESP modes.
 //! * [`espt`] — the versioned on-disk interchange form of a packed
 //!   workload (`.espt` files): export a materialised trace once, import
 //!   and replay it byte-identically without the generator (see
@@ -63,4 +65,4 @@ pub use packed::{
     RawTraceError, TraceArena, TriggerKey, WarmSink,
 };
 pub use record::EventRecord;
-pub use stream::{record_stream, EventStream, ForkStream, VecEventStream, Workload};
+pub use stream::{record_stream, EventStream, VecEventStream, Workload};

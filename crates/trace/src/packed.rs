@@ -29,8 +29,9 @@
 //!
 //! Packing is lossless: a cursor reproduces the recorded [`Instr`]
 //! sequence bit for bit (the equivalence tests in `esp-bench` assert
-//! byte-identical `RunReport`s and JSONL traces against the
-//! regenerative walk).
+//! byte-identical `RunReport`s and JSONL traces between a workload packed
+//! by [`PackedWorkload::pack`] and the same workload materialised by its
+//! generator).
 //!
 //! # Examples
 //!
@@ -75,20 +76,6 @@ pub trait WarmSink {
     fn warm_store(&mut self, addr: u64);
     /// A branch executed; `instr` carries its kind, outcome, and target.
     fn warm_branch(&mut self, instr: &Instr);
-}
-
-/// The sink of [`PackedCursor::skip_walk`]: observes nothing.
-struct NoSink;
-
-impl WarmSink for NoSink {
-    #[inline(always)]
-    fn warm_fetch_line(&mut self, _line: u64) {}
-    #[inline(always)]
-    fn warm_load(&mut self, _pc: u64, _addr: u64) {}
-    #[inline(always)]
-    fn warm_store(&mut self, _addr: u64) {}
-    #[inline(always)]
-    fn warm_branch(&mut self, _instr: &Instr) {}
 }
 
 /// The kind-byte encoding of a [`PackedTrace`], shared with the
@@ -701,31 +688,17 @@ impl PackedCursor<'_> {
         (pos - start) as u64
     }
 
-    /// Decode-free fast-forward: advances the cursor past up to
-    /// `max_instrs` instructions with no sink, no [`Instr`], and no
-    /// fetch-line tracking — just the position, operand-index, and pc
-    /// bookkeeping [`PackedCursor::next`] would have performed. Plain-ALU
-    /// runs are skipped with a single byte sweep; everything else is a
-    /// three-field update per instruction. This is the learned sampling
-    /// mode's skipped-grain walk: the cursor (and therefore retirement
-    /// and the grain clock) stays exact while the walk touches none of
-    /// the operand-derived state a warming walk would.
-    pub fn skip_walk(&mut self, max_instrs: u64) -> u64 {
-        // The observed walk with a sink that ignores everything; one
-        // "line" spanning the address space leaves no transitions to
-        // track, and the empty calls compile away.
-        self.walk::<NoSink, false>(max_instrs, 1 << 63, &mut NoSink)
-    }
-
-    /// [`PackedCursor::skip_walk`] with a memory-touch observer: fetch
-    /// lines (on transitions, as in
-    /// [`PackedCursor::warm_walk_bounded`]) and load/store addresses are
-    /// reported to `sink`, but **`warm_branch` is never called** — no
-    /// [`Instr`] is materialised, which is where most of the observed
-    /// walk's cost over a bare fast-forward lives. The operand words are
-    /// loaded for cursor advance anyway, so the reporting adds only the
-    /// sink calls themselves. Observers that need branch outcomes must
-    /// use the full warming walk.
+    /// Fast-forward with a memory-touch observer — the learned sampling
+    /// mode's skipped-grain walk: advances the cursor past up to
+    /// `max_instrs` instructions exactly as [`PackedCursor::next`] would
+    /// (so retirement and the grain clock stay exact), reporting fetch
+    /// lines (on transitions, as in [`PackedCursor::warm_walk_bounded`])
+    /// and load/store addresses to `sink`, but **`warm_branch` is never
+    /// called** — no [`Instr`] is materialised, which is where most of a
+    /// warming walk's cost lives. The operand words are loaded for cursor
+    /// advance anyway, so the reporting adds only the sink calls
+    /// themselves. Observers that need branch outcomes must use the full
+    /// warming walk. Returns the number of instructions walked.
     ///
     /// # Panics
     ///
@@ -753,19 +726,6 @@ impl EventStream for PackedCursor<'_> {
 
     fn fork(&self) -> Box<dyn EventStream + '_> {
         Box::new(self.clone())
-    }
-
-    fn skip_region(&mut self, max_instrs: u64) -> u64 {
-        self.skip_walk(max_instrs)
-    }
-
-    fn skip_region_observed<S: WarmSink>(
-        &mut self,
-        max_instrs: u64,
-        line_bytes: u64,
-        sink: &mut S,
-    ) -> u64 {
-        self.skip_walk_observed(max_instrs, line_bytes, sink)
     }
 }
 
@@ -859,6 +819,26 @@ impl EventCursor<'_> {
         self.seg.raw_pc()
     }
 
+    /// Bounded, resumable functional-warming walk over the event: see
+    /// [`PackedCursor::warm_walk_bounded`]. A speculative cursor switches
+    /// to its tail at the divergence point exactly as
+    /// [`EventStream::next_instr`] would. Fetch lines are reported on
+    /// transitions within one call, first instruction included.
+    pub fn warm_region<S: WarmSink>(&mut self, max_instrs: u64, line_bytes: u64, sink: &mut S) -> u64 {
+        self.walk_segments(max_instrs, |seg, budget| seg.warm_walk_bounded(budget, line_bytes, sink))
+    }
+
+    /// Fast-forward with a memory-touch observer over the event: see
+    /// [`PackedCursor::skip_walk_observed`] (no `warm_branch` calls).
+    pub fn skip_region_observed<S: WarmSink>(
+        &mut self,
+        max_instrs: u64,
+        line_bytes: u64,
+        sink: &mut S,
+    ) -> u64 {
+        self.walk_segments(max_instrs, |seg, budget| seg.skip_walk_observed(budget, line_bytes, sink))
+    }
+
     /// Drives a bulk segment walk `walk(segment, budget)` for up to
     /// `max_instrs` instructions, splitting the budget at the divergence
     /// point so a speculative cursor switches to its tail exactly where
@@ -936,35 +916,6 @@ impl EventStream for EventCursor<'_> {
 
     fn fork(&self) -> Box<dyn EventStream + '_> {
         Box::new(self.clone())
-    }
-
-    fn warm_region<S: WarmSink>(&mut self, max_instrs: u64, line_bytes: u64, sink: &mut S) -> u64 {
-        self.walk_segments(max_instrs, |seg, budget| seg.warm_walk_bounded(budget, line_bytes, sink))
-    }
-
-    fn skip_region(&mut self, max_instrs: u64) -> u64 {
-        self.walk_segments(max_instrs, |seg, budget| seg.skip_walk(budget))
-    }
-
-    fn skip_region_observed<S: WarmSink>(
-        &mut self,
-        max_instrs: u64,
-        line_bytes: u64,
-        sink: &mut S,
-    ) -> u64 {
-        self.walk_segments(max_instrs, |seg, budget| seg.skip_walk_observed(budget, line_bytes, sink))
-    }
-}
-
-impl<'a> crate::ForkStream for EventCursor<'a> {
-    type Forked<'s>
-        = EventCursor<'a>
-    where
-        Self: 's;
-
-    #[inline]
-    fn fork_stream(&self) -> EventCursor<'a> {
-        self.clone()
     }
 }
 
@@ -1067,6 +1018,55 @@ impl PackedWorkload {
         PackedWorkload { records, arena, total_instructions, triggers: Arc::default() }
     }
 
+    /// Packs any [`Workload`] — the boundary every hand-built workload
+    /// crosses on its way to the simulator. Each event's actual stream is
+    /// drained into its trace; the speculative stream is then walked in
+    /// lockstep with it, and the first index where the two differ (an
+    /// instruction that differs, or one stream ending before the other)
+    /// becomes the event's divergence point, with the rest of the
+    /// speculative stream as its tail. Events whose streams agree to the
+    /// end store no tail. Cursors over the result replay both source
+    /// streams exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event's id is not its position in
+    /// [`Workload::events`] (cursors are opened by id).
+    pub fn pack(workload: &dyn Workload) -> Self {
+        let records = workload.events();
+        let events = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                assert_eq!(r.id.index(), i as u64, "event ids must index the event list");
+                let mut actual = PackedTrace::from_stream(&mut *workload.actual_stream(r.id));
+                actual.shrink_to_fit();
+                let mut spec = workload.speculative_stream(r.id);
+                let mut replay = actual.cursor();
+                let mut at = 0u64;
+                loop {
+                    match (replay.next(), spec.next_instr()) {
+                        (Some(a), Some(s)) if a == s => at += 1,
+                        (None, None) => return PackedEvent::new(actual, None, PackedTrace::new()),
+                        (_, first) => {
+                            let mut tail: PackedTrace = first.into_iter().collect();
+                            while let Some(s) = spec.next_instr() {
+                                tail.push(&s);
+                            }
+                            tail.shrink_to_fit();
+                            return PackedEvent::new(actual, Some(at), tail);
+                        }
+                    }
+                }
+            })
+            .collect();
+        PackedWorkload::new(
+            records.to_vec(),
+            Arc::new(TraceArena::new(events)),
+            workload.approx_total_instructions(),
+        )
+    }
+
     /// The trigger-bit sidecar for `key`: words holding one decision bit
     /// per retired data access of a run over this workload, in run order.
     /// Built by `build` on first use for `key` (lazily, never when the
@@ -1124,10 +1124,6 @@ impl Workload for PackedWorkload {
 
     fn approx_total_instructions(&self) -> u64 {
         self.total_instructions
-    }
-
-    fn as_packed(&self) -> Option<&PackedWorkload> {
-        Some(self)
     }
 }
 
@@ -1382,25 +1378,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_walk_lands_where_decoding_does() {
-        // After fast-forwarding k instructions the cursor must decode
-        // exactly the suffix a freshly decoded cursor would — position,
-        // operand index, and pc all line up at every split point.
-        for v in [consistent(), discontinuous()] {
-            let p = PackedTrace::from_instrs(&v);
-            for k in 0..=v.len() {
-                let mut cur = p.cursor();
-                assert_eq!(cur.skip_walk(k as u64), k as u64);
-                assert_eq!(record_stream(&mut cur, usize::MAX), v[k..]);
-            }
-            // Budget past the end stops at the end.
-            let mut cur = p.cursor();
-            assert_eq!(cur.skip_walk(u64::MAX), v.len() as u64);
-            assert_eq!(cur.next_instr(), None);
-        }
-    }
-
-    #[test]
     fn plain_run_end_matches_a_byte_scan() {
         // Runs of every length up to 20 at every offset, ending in a
         // non-plain byte, at the slice tail, or at a cap short of either.
@@ -1522,5 +1499,70 @@ mod tests {
         assert_eq!(got, actual);
         let spec = record_stream(&mut *w.speculative_stream(EventId::new(0)), usize::MAX);
         assert_eq!(spec.len(), 4 + 2, "divergence prefix plus recorded tail");
+    }
+
+    /// A hand-built workload: one `(actual, speculative)` stream pair per
+    /// event.
+    struct Pairs(Vec<EventRecord>, Vec<(Vec<Instr>, Vec<Instr>)>);
+
+    impl Workload for Pairs {
+        fn events(&self) -> &[EventRecord] {
+            &self.0
+        }
+        fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
+            Box::new(VecEventStream::new(self.1[id.index() as usize].0.clone()))
+        }
+        fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
+            Box::new(VecEventStream::new(self.1[id.index() as usize].1.clone()))
+        }
+    }
+
+    fn pairs(streams: Vec<(Vec<Instr>, Vec<Instr>)>) -> Pairs {
+        let records = (0..streams.len() as u64)
+            .map(|i| EventRecord {
+                id: EventId::new(i),
+                kind: esp_types::EventKindId::new(0),
+                handler_pc: a(0x1000),
+                arg_addr: a(0x8000_0000),
+                approx_len: streams[i as usize].0.len() as u64,
+                post_time: esp_types::Cycle::ZERO,
+                order_mispredicted: false,
+            })
+            .collect();
+        Pairs(records, streams)
+    }
+
+    #[test]
+    fn pack_replays_both_streams_and_finds_the_first_difference() {
+        let actual = consistent();
+        let mut veers = actual[..3].to_vec();
+        veers.push(Instr::alu(a(0x7777)));
+        veers.push(Instr::store(a(0x777b), a(0x99_0000)));
+        let mut longer = actual.clone();
+        longer.push(Instr::alu(a(0x4008)));
+        longer.push(Instr::alu(a(0x400c)));
+        // (actual, speculative, expected divergence point)
+        let cases = [
+            (actual.clone(), actual.clone(), None),
+            (actual.clone(), veers, Some(3)),
+            (actual.clone(), actual[..6].to_vec(), Some(6)),
+            (actual.clone(), longer, Some(actual.len() as u64)),
+            (Vec::new(), Vec::new(), None),
+        ];
+        let w = pairs(cases.iter().map(|(a, s, _)| (a.clone(), s.clone())).collect());
+        let packed = PackedWorkload::pack(&w);
+        assert_eq!(packed.events(), w.events());
+        assert_eq!(packed.approx_total_instructions(), w.approx_total_instructions());
+        for (i, (want_actual, want_spec, diverge_at)) in cases.iter().enumerate() {
+            let ev = packed.arena().event(i);
+            assert_eq!(ev.diverge_at(), *diverge_at, "event {i}");
+            assert_eq!(&record_stream(&mut ev.actual_cursor(), usize::MAX), want_actual, "event {i}");
+            let mut spec = ev.speculative_cursor();
+            assert_eq!(&record_stream(&mut spec, usize::MAX), want_spec, "event {i}");
+            assert_eq!(spec.executed(), want_spec.len() as u64, "event {i}");
+            if diverge_at.is_none() {
+                assert!(ev.spec_tail().is_empty(), "event {i}: no tail without divergence");
+            }
+        }
     }
 }

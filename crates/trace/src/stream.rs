@@ -1,6 +1,6 @@
 //! Resumable event instruction streams and the workload abstraction.
 
-use crate::{EventRecord, Instr, InstrKind, PackedWorkload, WarmSink};
+use crate::{EventRecord, Instr};
 use esp_types::EventId;
 
 /// A resumable cursor over one event's dynamic instruction stream.
@@ -29,129 +29,6 @@ pub trait EventStream: Send {
     /// current event's stream at the blocking load; the original cursor
     /// resumes normal execution untouched.
     fn fork(&self) -> Box<dyn EventStream + '_>;
-
-    /// Consumes up to `max_instrs` instructions, feeding their
-    /// architectural state into a functional-warming `sink` instead of
-    /// returning them (the sampling mode's fast-forward). Returns the
-    /// number of instructions consumed, short of `max_instrs` only at end
-    /// of stream.
-    ///
-    /// The default decodes through [`EventStream::next_instr`]; packed
-    /// cursors override it with a walk straight off the packed arrays
-    /// (see `PackedCursor::warm_walk_bounded`). Fetch lines are reported
-    /// on transitions within one call, first instruction included, so
-    /// sinks that dedup fetch lines themselves see identical sequences
-    /// from either path.
-    fn warm_region<S: WarmSink>(&mut self, max_instrs: u64, line_bytes: u64, sink: &mut S) -> u64
-    where
-        Self: Sized,
-    {
-        let mut last_line = u64::MAX;
-        let mut walked = 0u64;
-        while walked < max_instrs {
-            let Some(i) = self.next_instr() else { break };
-            let line = i.pc.line(line_bytes).as_u64();
-            if line != last_line {
-                sink.warm_fetch_line(line);
-                last_line = line;
-            }
-            match i.kind {
-                InstrKind::Alu => {}
-                InstrKind::Load { addr, .. } => sink.warm_load(i.pc.as_u64(), addr.as_u64()),
-                InstrKind::Store { addr } => sink.warm_store(addr.as_u64()),
-                _ => sink.warm_branch(&i),
-            }
-            walked += 1;
-        }
-        walked
-    }
-
-    /// Consumes up to `max_instrs` instructions with no observer at all —
-    /// the learned sampling mode's skipped-grain fast-forward. The cursor
-    /// advances exactly as [`EventStream::warm_region`] would (so
-    /// retirement accounting stays exact), but no architectural state is
-    /// reported anywhere. Returns the number of instructions consumed,
-    /// short of `max_instrs` only at end of stream.
-    ///
-    /// The default decodes through [`EventStream::next_instr`]; packed
-    /// cursors override it with a decode-free walk over the packed
-    /// arrays (see `PackedCursor::skip_walk`).
-    fn skip_region(&mut self, max_instrs: u64) -> u64 {
-        let mut walked = 0u64;
-        while walked < max_instrs && self.next_instr().is_some() {
-            walked += 1;
-        }
-        walked
-    }
-
-    /// [`EventStream::skip_region`] with a memory-touch observer: fetch
-    /// lines and load/store addresses are reported to `sink` so a
-    /// footprint can be collected almost for free, but branch reporting
-    /// is *not* guaranteed — packed cursors never call
-    /// [`WarmSink::warm_branch`] here (see
-    /// `PackedCursor::skip_walk_observed`), while this decoded default
-    /// does. Sinks used with this method must not depend on the branch
-    /// hook.
-    fn skip_region_observed<S: WarmSink>(
-        &mut self,
-        max_instrs: u64,
-        line_bytes: u64,
-        sink: &mut S,
-    ) -> u64
-    where
-        Self: Sized,
-    {
-        self.warm_region(max_instrs, line_bytes, sink)
-    }
-}
-
-impl<S: EventStream + ?Sized> EventStream for Box<S> {
-    #[inline]
-    fn next_instr(&mut self) -> Option<Instr> {
-        (**self).next_instr()
-    }
-
-    #[inline]
-    fn executed(&self) -> u64 {
-        (**self).executed()
-    }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        (**self).fork()
-    }
-
-    #[inline]
-    fn skip_region(&mut self, max_instrs: u64) -> u64 {
-        (**self).skip_region(max_instrs)
-    }
-}
-
-/// [`EventStream::fork`] without the mandatory box: implementors name
-/// the concrete cursor type their fork produces, so a monomorphised
-/// simulation loop (see `as_packed` on [`Workload`]) can spin off a
-/// runahead side-execution with a plain struct copy instead of a heap
-/// allocation and virtual dispatch per pre-executed instruction.
-/// Runahead opens one fork per stall window — hundreds of thousands per
-/// simulation.
-pub trait ForkStream: EventStream {
-    /// The stream type a fork yields.
-    type Forked<'s>: EventStream
-    where
-        Self: 's;
-
-    /// Checkpoints the cursor, like [`EventStream::fork`].
-    fn fork_stream(&self) -> Self::Forked<'_>;
-}
-
-impl<S: EventStream + ?Sized> ForkStream for Box<S> {
-    type Forked<'s>
-        = Box<dyn EventStream + 's>
-    where
-        Self: 's;
-
-    fn fork_stream(&self) -> Box<dyn EventStream + '_> {
-        (**self).fork()
-    }
 }
 
 /// A complete asynchronous program: an ordered schedule of events, each of
@@ -163,6 +40,10 @@ impl<S: EventStream + ?Sized> ForkStream for Box<S> {
 /// stream is what a forked-off pre-execution observes. For most events they
 /// are identical (the paper measured > 99 % match); a workload may inject
 /// divergence to model inter-event dependences.
+///
+/// The simulator does not read a `Workload` directly: it runs the packed
+/// form, [`crate::PackedWorkload`], which [`crate::PackedWorkload::pack`]
+/// builds from any workload by draining each stream once.
 ///
 /// Workloads are `Sync`: one workload is shared by reference across the
 /// matrix workers and, within a single run, across the intra-run chunk
@@ -182,15 +63,6 @@ pub trait Workload: Sync {
     /// observe. May diverge from [`Workload::actual_stream`] part-way
     /// through.
     fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_>;
-
-    /// Downcast hook for the decode-once arena: [`PackedWorkload`]
-    /// returns itself, letting the simulator's per-instruction loops run
-    /// over a concrete, inlinable cursor instead of a boxed trait object.
-    /// Timing and statistics are identical on both paths — this is purely
-    /// a dispatch optimisation.
-    fn as_packed(&self) -> Option<&PackedWorkload> {
-        None
-    }
 
     /// Total dynamic instructions across all events (sum of `approx_len`
     /// unless an implementation knows better).

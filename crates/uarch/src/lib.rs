@@ -21,7 +21,7 @@
 //! A stalled LLC miss is returned to the caller as a [`Stall`] *window*:
 //! the cycles the core would otherwise idle. The driver (the `esp-core`
 //! crate) spends those windows on ESP pre-execution; this crate's own
-//! [`Engine::run_runahead`] spends them on classic runahead execution —
+//! [`Engine::run_runahead_cursor`] spends them on classic runahead execution —
 //! pre-executing the *same* event past the blocking load, warming the
 //! data (and incidentally instruction) caches and the branch predictor,
 //! skipping loads whose addresses chase in-flight data, and stalling (in

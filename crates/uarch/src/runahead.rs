@@ -51,40 +51,17 @@ pub struct RunaheadOutcome {
 impl Engine {
     /// Spends an LLC-miss stall window on runahead execution.
     ///
-    /// `stream` is the *current* event's cursor positioned just past the
-    /// blocking load; it is forked, so the caller's cursor is untouched.
-    /// `window` is the stall length in cycles and `start` its first cycle
-    /// (both from [`crate::Stall`]). Cache fills and predictor updates are
-    /// real; cycle time is not advanced (the stall was already charged).
-    pub fn run_runahead(
-        &mut self,
-        stream: &dyn EventStream,
-        start: Cycle,
-        window: u64,
-    ) -> RunaheadOutcome {
-        self.run_runahead_flavored(stream, start, window, false)
-    }
-
-    /// [`Engine::run_runahead`] with the Fig. 11b "Runahead-D" flavour:
-    /// when `data_only` is set, only the data cache is warmed — the
-    /// branch predictor is untouched and instruction fetches neither fill
-    /// nor train anything (their latency is still paid out of the
-    /// window via non-updating probes).
-    pub fn run_runahead_flavored(
-        &mut self,
-        stream: &dyn EventStream,
-        start: Cycle,
-        window: u64,
-        data_only: bool,
-    ) -> RunaheadOutcome {
-        self.run_runahead_cursor(stream.fork(), start, window, data_only)
-    }
-
-    /// The runahead episode loop over an already-forked cursor. Generic
-    /// so the packed-arena fast path (see `Workload::as_packed`) runs it
-    /// over a concrete [`EventStream`] — no heap-allocated fork, no
-    /// virtual dispatch per pre-executed instruction. Timing is
-    /// identical on both paths.
+    /// `cursor` is a copy of the *current* event's cursor positioned just
+    /// past the blocking load (callers clone theirs, so their own cursor
+    /// is untouched). `window` is the stall length in cycles and `start`
+    /// its first cycle (both from [`crate::Stall`]). Cache fills and
+    /// predictor updates are real; cycle time is not advanced (the stall
+    /// was already charged).
+    ///
+    /// With `data_only` set this is the Fig. 11b "Runahead-D" flavour:
+    /// only the data cache is warmed — the branch predictor is untouched
+    /// and instruction fetches neither fill nor train anything (their
+    /// latency is still paid out of the window via non-updating probes).
     pub fn run_runahead_cursor<C: EventStream>(
         &mut self,
         mut cursor: C,
@@ -247,7 +224,7 @@ mod tests {
         let mut e = Engine::new(EngineConfig::baseline());
         warm_code(&mut e);
         let stream = load_stream(30, 0x50_0000, false);
-        let out = e.run_runahead(&stream, Cycle::new(10_000), 101);
+        let out = e.run_runahead_cursor(stream.clone(), Cycle::new(10_000), 101, false);
         assert!(out.instrs > 20, "instrs={}", out.instrs);
         // The first future lines are now resident (in flight or filled).
         assert!(e.mem().l1d().probe(Addr::new(0x50_0000).line(64)));
@@ -258,7 +235,7 @@ mod tests {
         let mut e = Engine::new(EngineConfig::baseline());
         warm_code(&mut e);
         let stream = load_stream(30, 0x60_0000, true);
-        let out = e.run_runahead(&stream, Cycle::new(10_000), 101);
+        let out = e.run_runahead_cursor(stream.clone(), Cycle::new(10_000), 101, false);
         assert!(out.skipped_chained_loads > 0);
         assert!(!e.mem().l1d().probe(Addr::new(0x60_0000).line(64)));
     }
@@ -270,7 +247,7 @@ mod tests {
         // new line, each a 99-cycle window stall.
         let v: Vec<Instr> = (0..2000u64).map(|i| Instr::alu(Addr::new(0x40_0000 + i * 4))).collect();
         let stream = VecEventStream::new(v);
-        let out = e.run_runahead(&stream, Cycle::ZERO, 101);
+        let out = e.run_runahead_cursor(stream.clone(), Cycle::ZERO, 101, false);
         assert!(out.instrs < 40, "cold code should throttle runahead: {}", out.instrs);
         assert!(out.ifetch_stall_cycles > 50);
     }
@@ -282,7 +259,7 @@ mod tests {
         e.mem_mut().prefetch_instr(Addr::new(0x1000).line(64), Cycle::ZERO, true);
         let v: Vec<Instr> = (0..10_000).map(|i| Instr::alu(Addr::new(0x1000 + (i % 8) * 4))).collect();
         let stream = VecEventStream::new(v);
-        let out = e.run_runahead(&stream, Cycle::new(1000), 101);
+        let out = e.run_runahead_cursor(stream.clone(), Cycle::new(1000), 101, false);
         // 101 cycles at 0.75 CPI ≈ 134 instructions.
         assert!((100..160).contains(&(out.instrs as i64)), "instrs={}", out.instrs);
         assert!(!out.stream_ended);
@@ -292,25 +269,16 @@ mod tests {
     fn short_stream_ends_cleanly() {
         let mut e = Engine::new(EngineConfig::baseline());
         let stream = VecEventStream::new(vec![Instr::alu(Addr::new(0x1000)); 5]);
-        let out = e.run_runahead(&stream, Cycle::ZERO, 500);
+        let out = e.run_runahead_cursor(stream.clone(), Cycle::ZERO, 500, false);
         assert!(out.stream_ended);
         assert_eq!(out.instrs, 5);
-    }
-
-    #[test]
-    fn caller_cursor_is_untouched() {
-        let mut e = Engine::new(EngineConfig::baseline());
-        let stream = load_stream(10, 0x70_0000, false);
-        let before = stream.executed();
-        e.run_runahead(&stream, Cycle::ZERO, 101);
-        assert_eq!(stream.executed(), before);
     }
 
     #[test]
     fn runahead_counts_into_stats() {
         let mut e = Engine::new(EngineConfig::baseline());
         let stream = load_stream(10, 0x80_0000, false);
-        let out = e.run_runahead(&stream, Cycle::ZERO, 101);
+        let out = e.run_runahead_cursor(stream.clone(), Cycle::ZERO, 101, false);
         assert_eq!(e.stats().runahead_instrs, out.instrs);
     }
 }

@@ -32,7 +32,7 @@ fn main() {
     let mut improvements = Vec::new();
 
     for profile in BenchmarkProfile::all() {
-        let workload = profile.scaled(scale).build(1);
+        let workload = profile.scaled(scale).build(1).materialise();
         let base = Simulator::new(SimConfig::next_line()).run(&workload);
         let esp = Simulator::new(SimConfig::esp_nl()).run(&workload);
         let improvement = improvement_pct(base.busy_cycles(), esp.busy_cycles());

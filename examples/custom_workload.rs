@@ -4,7 +4,8 @@
 //! 1. Tune [`WorkloadParams`] — every knob of the synthetic generator is
 //!    public (here: an IoT-style sensor hub with tiny, bursty events).
 //! 2. Implement the [`Workload`] trait directly over hand-built traces,
-//!    using the trace codec to dump what runs.
+//!    pack it once with [`PackedWorkload::pack`] (the form the simulator
+//!    runs), and use the trace codec to dump what runs.
 //!
 //! ```text
 //! cargo run --release --example custom_workload
@@ -32,7 +33,7 @@ fn tuned_generator() {
     p.heap_per_event = 2 * 1024;
     p.mean_burst = 10.0; // sensor readings arrive in volleys
     p.utilization = 0.95;
-    let workload = event_sneak_peek::workload::GeneratedWorkload::generate(p, 2026);
+    let workload = event_sneak_peek::workload::GeneratedWorkload::generate(p, 2026).materialise();
 
     let base = Simulator::new(SimConfig::next_line()).run(&workload);
     let esp = Simulator::new(SimConfig::esp_nl()).run(&workload);
@@ -40,18 +41,20 @@ fn tuned_generator() {
         "sensor hub: {} events of ~{} instrs; ESP speedup over NL: {:.1}% \
          (pre-executed {:.1}%)",
         workload.events().len(),
-        workload.schedule().total_instructions() / workload.events().len() as u64,
+        workload.approx_total_instructions() / workload.events().len() as u64,
         event_sneak_peek::stats::improvement_pct(base.busy_cycles(), esp.busy_cycles()),
         esp.extra_instr_pct(),
     );
 }
 
-/// Part 2: a hand-built two-event workload over explicit traces, plus a
-/// codec dump of the first event.
+/// Part 2: a hand-built two-event workload over explicit traces, packed
+/// for the simulator, plus a codec dump of the first event.
 fn hand_built_workload() {
     struct TinyWorkload {
         records: Vec<EventRecord>,
         traces: Vec<Vec<event_sneak_peek::trace::Instr>>,
+        /// What a pre-execution of each event observes.
+        speculative: Vec<Vec<event_sneak_peek::trace::Instr>>,
     }
 
     impl Workload for TinyWorkload {
@@ -62,8 +65,7 @@ fn hand_built_workload() {
             Box::new(VecEventStream::new(self.traces[id.index() as usize].clone()))
         }
         fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-            // Perfectly predictable events: speculation never diverges.
-            self.actual_stream(id)
+            Box::new(VecEventStream::new(self.speculative[id.index() as usize].clone()))
         }
     }
 
@@ -89,14 +91,26 @@ fn hand_built_workload() {
         post_time: Cycle::ZERO,
         order_mispredicted: false,
     };
+    let traces = vec![make_trace(0x40_0000), make_trace(0x80_0000)];
+    // Event 0 is perfectly predictable; a pre-execution of event 1 takes
+    // a different path after 250 instructions (an inter-event dependence).
+    let mut veered = traces[1][..250].to_vec();
+    veered.extend(make_trace(0xc0_0000).into_iter().take(150));
     let w = TinyWorkload {
         records: vec![record(0, 0x40_0000), record(1, 0x80_0000)],
-        traces: vec![make_trace(0x40_0000), make_trace(0x80_0000)],
+        speculative: vec![traces[0].clone(), veered],
+        traces,
     };
 
-    let report = Simulator::new(SimConfig::esp_nl()).run(&w);
+    // Packing drains every stream once and stores each speculative
+    // stream as the shared actual prefix plus the tail past its first
+    // differing instruction.
+    let packed = PackedWorkload::pack(&w);
+    let diverge = packed.arena().event(1).diverge_at().expect("event 1 diverges");
+    let report = Simulator::new(SimConfig::esp_nl()).run(&packed);
     println!(
-        "hand-built: {} events, {} cycles, {} ESP windows",
+        "hand-built: {} events (event 1 pre-executes off-path from instruction {diverge}), \
+         {} cycles, {} ESP windows",
         report.events_run, report.total_cycles, report.esp.windows
     );
 

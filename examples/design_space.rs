@@ -12,7 +12,7 @@ use event_sneak_peek::prelude::*;
 use event_sneak_peek::stats::{improvement_pct, Table};
 
 fn main() {
-    let workload = BenchmarkProfile::facebook().scaled(300_000).build(7);
+    let workload = BenchmarkProfile::facebook().scaled(300_000).build(7).materialise();
     let base = Simulator::new(SimConfig::base()).run(&workload);
 
     println!("facebook profile, {} events; all speedups vs the no-prefetch baseline\n", workload.events().len());

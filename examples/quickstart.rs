@@ -10,11 +10,11 @@ use event_sneak_peek::prelude::*;
 fn main() {
     // A scaled-down "amazon" browsing session: event lengths follow the
     // paper's Fig. 6 ratio, the total is capped for a quick run.
-    let workload = BenchmarkProfile::amazon().scaled(300_000).build(42);
+    let workload = BenchmarkProfile::amazon().scaled(300_000).build(42).materialise();
     println!(
         "workload: {} events, {} instructions",
         workload.events().len(),
-        workload.schedule().total_instructions()
+        workload.approx_total_instructions()
     );
 
     // The strongest conventional baseline: next-line + stride prefetching.

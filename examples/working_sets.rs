@@ -14,7 +14,7 @@ use event_sneak_peek::prelude::*;
 use event_sneak_peek::stats::Table;
 
 fn main() {
-    let workload = BenchmarkProfile::gmaps().scaled(400_000).build(11);
+    let workload = BenchmarkProfile::gmaps().scaled(400_000).build(11).materialise();
     let report = Simulator::new(SimConfig::esp_depth_probe()).run(&workload);
     let ws = report.working_sets.expect("depth probe collects working sets");
 

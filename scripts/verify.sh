@@ -38,8 +38,11 @@ cargo test -q --release -p esp-bench --test determinism
 echo "== intra-run: chunk-parallel merge == serial bytes (reports + traces) =="
 cargo test -q --release -p esp-bench --test intra_determinism
 
-echo "== packed arena: bit-equivalence vs regenerative streams =="
+echo "== packed arena: PackedWorkload::pack == materialise, bit for bit =="
 cargo test -q --release -p esp-bench --test packed_equivalence
+
+echo "== hand-built workload: the custom_workload example packs and runs one =="
+cargo run --release -q --example custom_workload
 
 echo "== sampling: accuracy + thread-count determinism (esp-sample) =="
 cargo test -q --release -p esp-bench --test sampling_error

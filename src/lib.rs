@@ -14,7 +14,7 @@
 //! use event_sneak_peek::prelude::*;
 //!
 //! // A small scaled-down "amazon" browsing session.
-//! let workload = BenchmarkProfile::amazon().scaled(400_000).build(42);
+//! let workload = BenchmarkProfile::amazon().scaled(400_000).build(42).materialise();
 //! // Baseline with next-line prefetching, then ESP on top.
 //! let base = Simulator::new(SimConfig::next_line()).run(&workload);
 //! let esp = Simulator::new(SimConfig::esp_nl()).run(&workload);
@@ -26,7 +26,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`types`] | `esp-types` | Addresses, cycles, ids, deterministic RNG |
-//! | [`trace`] | `esp-trace` | Micro-ops, event records, streams |
+//! | [`trace`] | `esp-trace` | Micro-ops, event records, streams, the packed arena |
 //! | [`workload`] | `esp-workload` | Synthetic async-program generator, the 7 profiles |
 //! | [`mem`] | `esp-mem` | Caches, prefetchers, cachelets |
 //! | [`branch`] | `esp-branch` | Pentium-M-style predictor + ESP contexts |
@@ -58,7 +58,7 @@ pub use esp_workload as workload;
 pub mod prelude {
     pub use esp_core::{EspFeatures, RunReport, SimConfig, SimMode, Simulator};
     pub use esp_obs::{CpiObserver, CpiStack};
-    pub use esp_trace::{EventStream, Workload};
+    pub use esp_trace::{EventStream, PackedWorkload, Workload};
     pub use esp_types::{Addr, Cycle, EventId, EventKindId, LineAddr};
     pub use esp_uarch::MachineConfig;
     pub use esp_workload::{BenchmarkProfile, GeneratedWorkload};

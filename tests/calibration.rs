@@ -10,7 +10,7 @@ const SCALE: u64 = 300_000;
 const SEED: u64 = 42;
 
 fn base_report(profile: &BenchmarkProfile) -> RunReport {
-    Simulator::new(SimConfig::base()).run(&profile.scaled(SCALE).build(SEED))
+    Simulator::new(SimConfig::base()).run(&profile.scaled(SCALE).build(SEED).materialise())
 }
 
 #[test]
@@ -70,7 +70,7 @@ fn headline_speedup_band() {
     // average of 16% over the prefetching baseline (32% over none).
     let mut over_base = Vec::new();
     for p in BenchmarkProfile::all() {
-        let w = p.scaled(SCALE).build(SEED);
+        let w = p.scaled(SCALE).build(SEED).materialise();
         let base = Simulator::new(SimConfig::base()).run(&w);
         let esp = Simulator::new(SimConfig::esp_nl()).run(&w);
         over_base.push(event_sneak_peek::stats::improvement_pct(
@@ -89,8 +89,8 @@ fn headline_speedup_band() {
 fn pixlr_is_the_odd_one_out() {
     // The paper singles pixlr out: data-intensive, runahead-friendly,
     // least ESP-friendly. Verify the relative character.
-    let pixlr = BenchmarkProfile::pixlr().scaled(SCALE).build(SEED);
-    let amazon = BenchmarkProfile::amazon().scaled(SCALE).build(SEED);
+    let pixlr = BenchmarkProfile::pixlr().scaled(SCALE).build(SEED).materialise();
+    let amazon = BenchmarkProfile::amazon().scaled(SCALE).build(SEED).materialise();
     let p_base = Simulator::new(SimConfig::base()).run(&pixlr);
     let a_base = Simulator::new(SimConfig::base()).run(&amazon);
     assert!(p_base.l1i_mpki() < a_base.l1i_mpki());

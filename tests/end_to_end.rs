@@ -4,14 +4,14 @@
 use event_sneak_peek::prelude::*;
 use event_sneak_peek::stats::improvement_pct;
 
-fn run(cfg: SimConfig, w: &GeneratedWorkload) -> RunReport {
+fn run(cfg: SimConfig, w: &PackedWorkload) -> RunReport {
     Simulator::new(cfg).run(w)
 }
 
 #[test]
 fn fig9_orderings_hold_per_profile() {
     for profile in BenchmarkProfile::all() {
-        let w = profile.scaled(150_000).build(9);
+        let w = profile.scaled(150_000).build(9).materialise();
         let base = run(SimConfig::base(), &w);
         let nl = run(SimConfig::next_line(), &w);
         let esp = run(SimConfig::esp_nl(), &w);
@@ -31,7 +31,7 @@ fn fig9_orderings_hold_per_profile() {
 
 #[test]
 fn perfect_all_bounds_everything() {
-    let w = BenchmarkProfile::cnn().scaled(150_000).build(3);
+    let w = BenchmarkProfile::cnn().scaled(150_000).build(3).materialise();
     let perfect = run(
         SimConfig::perfect(event_sneak_peek::uarch::PerfectFlags::all()),
         &w,
@@ -49,7 +49,7 @@ fn perfect_all_bounds_everything() {
 
 #[test]
 fn esp_reduces_all_three_bottlenecks() {
-    let w = BenchmarkProfile::facebook().scaled(200_000).build(5);
+    let w = BenchmarkProfile::facebook().scaled(200_000).build(5).materialise();
     let nl = run(SimConfig::next_line(), &w);
     let esp = run(SimConfig::esp_nl(), &w);
     assert!(esp.l1i_mpki() < nl.l1i_mpki(), "instruction side");
@@ -65,7 +65,7 @@ fn esp_reduces_all_three_bottlenecks() {
 
 #[test]
 fn runahead_is_data_side_only() {
-    let w = BenchmarkProfile::amazon().scaled(150_000).build(4);
+    let w = BenchmarkProfile::amazon().scaled(150_000).build(4).materialise();
     let base = run(SimConfig::base(), &w);
     let ra = run(SimConfig::runahead(), &w);
     // Strong D-side effect...
@@ -81,7 +81,7 @@ fn runahead_is_data_side_only() {
 
 #[test]
 fn ideal_esp_bounds_real_esp() {
-    let w = BenchmarkProfile::bing().scaled(150_000).build(6);
+    let w = BenchmarkProfile::bing().scaled(150_000).build(6).materialise();
     let real = run(SimConfig::esp_i_nl_i(), &w);
     let ideal = run(SimConfig::ideal_esp_i_nl_i(), &w);
     assert!(ideal.l1i_mpki() <= real.l1i_mpki());
@@ -89,7 +89,7 @@ fn ideal_esp_bounds_real_esp() {
 
 #[test]
 fn full_run_is_deterministic_across_simulators() {
-    let w = BenchmarkProfile::gdocs().scaled(120_000).build(11);
+    let w = BenchmarkProfile::gdocs().scaled(120_000).build(11).materialise();
     let a = run(SimConfig::esp_nl(), &w);
     let b = run(SimConfig::esp_nl(), &w);
     assert_eq!(a.total_cycles, b.total_cycles);
@@ -100,7 +100,7 @@ fn full_run_is_deterministic_across_simulators() {
 
 #[test]
 fn esp_pre_executes_a_meaningful_fraction() {
-    let w = BenchmarkProfile::amazon().scaled(250_000).build(12);
+    let w = BenchmarkProfile::amazon().scaled(250_000).build(12).materialise();
     let esp = run(SimConfig::esp_nl(), &w);
     let pct = esp.extra_instr_pct();
     assert!(
@@ -114,7 +114,7 @@ fn esp_pre_executes_a_meaningful_fraction() {
 
 #[test]
 fn blist_improves_over_no_blist() {
-    let w = BenchmarkProfile::cnn().scaled(200_000).build(13);
+    let w = BenchmarkProfile::cnn().scaled(200_000).build(13).materialise();
     let without = run(SimConfig::esp_bp_separate_context(), &w);
     let with = run(SimConfig::esp_nl(), &w);
     assert!(with.mispredict_rate_pct() <= without.mispredict_rate_pct());
@@ -122,7 +122,7 @@ fn blist_improves_over_no_blist() {
 
 #[test]
 fn shared_bp_context_pollutes() {
-    let w = BenchmarkProfile::amazon().scaled(150_000).build(14);
+    let w = BenchmarkProfile::amazon().scaled(150_000).build(14).materialise();
     let shared = run(SimConfig::esp_bp_shared(), &w);
     let separate = run(SimConfig::esp_bp_separate_context(), &w);
     assert!(
@@ -135,7 +135,7 @@ fn shared_bp_context_pollutes() {
 
 #[test]
 fn depth_probe_collects_decaying_working_sets() {
-    let w = BenchmarkProfile::gmaps().scaled(200_000).build(15);
+    let w = BenchmarkProfile::gmaps().scaled(200_000).build(15).materialise();
     let r = run(SimConfig::esp_depth_probe(), &w);
     let ws = r.working_sets.expect("probe collects");
     let p95 = |s: &[usize]| event_sneak_peek::core::percentile(s, 95.0);
@@ -149,7 +149,7 @@ fn depth_probe_collects_decaying_working_sets() {
 
 #[test]
 fn energy_overhead_is_bounded() {
-    let w = BenchmarkProfile::facebook().scaled(200_000).build(16);
+    let w = BenchmarkProfile::facebook().scaled(200_000).build(16).materialise();
     let nl = run(SimConfig::next_line(), &w);
     let esp = run(SimConfig::esp_nl(), &w);
     let rel = esp.energy.relative_to(&nl.energy).total();
@@ -161,7 +161,7 @@ fn energy_overhead_is_bounded() {
 
 #[test]
 fn improvement_metric_is_consistent() {
-    let w = BenchmarkProfile::bing().scaled(100_000).build(17);
+    let w = BenchmarkProfile::bing().scaled(100_000).build(17).materialise();
     let base = run(SimConfig::base(), &w);
     let esp = run(SimConfig::esp_nl(), &w);
     let imp = improvement_pct(base.busy_cycles(), esp.busy_cycles());
@@ -171,11 +171,11 @@ fn improvement_metric_is_consistent() {
 
 #[test]
 fn all_events_run_exactly_once() {
-    let w = BenchmarkProfile::pixlr().scaled(100_000).build(18);
+    let w = BenchmarkProfile::pixlr().scaled(100_000).build(18).materialise();
     for cfg in [SimConfig::base(), SimConfig::esp_nl(), SimConfig::runahead_nl()] {
         let r = run(cfg, &w);
         assert_eq!(r.events_run, w.events().len() as u64);
-        let expected = w.schedule().total_instructions() + 70 * r.events_run;
+        let expected = w.approx_total_instructions() + 70 * r.events_run;
         assert_eq!(r.engine.retired, expected);
     }
 }
