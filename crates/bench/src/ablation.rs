@@ -5,9 +5,9 @@
 //! the paper fixes by fiat (the 190-instruction prefetch lead of §3.6,
 //! the ~30-branch training lead, the depth-2 limit of §3.1, the
 //! 70-instruction looper window) and show each sits on a plateau or knee.
-//! Each sweep fans its simulation points out over [`esp_par`] worker
-//! threads; runs share only the immutable workload, so results are
-//! thread-count-independent.
+//! Each sweep fans its simulation points out over `threads`
+//! [`esp_par`] workers; runs share only the immutable workload, so
+//! results are thread-count-independent.
 
 use crate::runner::FigureReport;
 use esp_core::{RunReport, SimConfig, SimMode, Simulator};
@@ -29,18 +29,23 @@ fn run(cfg: SimConfig, w: &PackedWorkload) -> RunReport {
 
 /// The sweep's memoised packed workload: decoded once per (profile,
 /// scale, seed) process-wide, replayed by every sweep point.
-fn packed(profile: BenchmarkProfile, scale: u64, seed: u64) -> std::sync::Arc<PackedWorkload> {
-    arena::packed_for(&profile.scaled(scale), seed, esp_par::threads())
+fn packed(
+    profile: BenchmarkProfile,
+    scale: u64,
+    seed: u64,
+    threads: usize,
+) -> std::sync::Arc<PackedWorkload> {
+    arena::packed_for(&profile.scaled(scale), seed, threads)
 }
 
 /// Sweeps the list-prefetch lead distance (§3.6 fixes 190).
-pub fn prefetch_lead(scale: u64, seed: u64) -> FigureReport {
-    let w = packed(BenchmarkProfile::amazon(), scale, seed);
+pub fn prefetch_lead(scale: u64, seed: u64, threads: usize) -> FigureReport {
+    let w = packed(BenchmarkProfile::amazon(), scale, seed, threads);
     const LEADS: [u64; 5] = [16, 64, 190, 500, 1500];
     // One job per sweep point plus the NL baseline, all on the pool.
     let mut configs = vec![SimConfig::next_line()];
     configs.extend(LEADS.iter().map(|&lead| esp_with(|f| f.prefetch_lead_instrs = lead)));
-    let reports = esp_par::parallel_map(esp_par::threads(), &configs, |_, cfg| run(cfg.clone(), &w));
+    let reports = esp_par::parallel_map(threads, &configs, |_, cfg| run(cfg.clone(), &w));
     let nl = &reports[0];
     let mut t = Table::with_headers(&["lead (instrs)", "speedup over NL %", "I-MPKI"]);
     for (lead, r) in LEADS.iter().zip(&reports[1..]) {
@@ -64,10 +69,10 @@ pub fn prefetch_lead(scale: u64, seed: u64) -> FigureReport {
 
 /// Sweeps the B-list training lead (§3.6: "a preset number of branches
 /// ahead ... neither too far in the future nor too short").
-pub fn bp_train_lead(scale: u64, seed: u64) -> FigureReport {
-    let w = packed(BenchmarkProfile::cnn(), scale, seed);
+pub fn bp_train_lead(scale: u64, seed: u64, threads: usize) -> FigureReport {
+    let w = packed(BenchmarkProfile::cnn(), scale, seed, threads);
     const LEADS: [u64; 5] = [2, 10, 30, 100, 400];
-    let reports = esp_par::parallel_map(esp_par::threads(), &LEADS, |_, &lead| {
+    let reports = esp_par::parallel_map(threads, &LEADS, |_, &lead| {
         run(esp_with(|f| f.bp_train_lead_branches = lead), &w)
     });
     let mut t = Table::with_headers(&["lead (branches)", "mispredict %"]);
@@ -83,11 +88,11 @@ pub fn bp_train_lead(scale: u64, seed: u64) -> FigureReport {
 }
 
 /// Sweeps the jump-ahead depth (§3.1 fixes 2).
-pub fn depth(scale: u64, seed: u64) -> FigureReport {
-    let w = packed(BenchmarkProfile::facebook(), scale, seed);
+pub fn depth(scale: u64, seed: u64, threads: usize) -> FigureReport {
+    let w = packed(BenchmarkProfile::facebook(), scale, seed, threads);
     let mut configs = vec![SimConfig::next_line()];
     configs.extend((1usize..=4).map(|d| esp_with(|f| f.depth = d)));
-    let reports = esp_par::parallel_map(esp_par::threads(), &configs, |_, cfg| run(cfg.clone(), &w));
+    let reports = esp_par::parallel_map(threads, &configs, |_, cfg| run(cfg.clone(), &w));
     let nl = &reports[0];
     let mut t = Table::with_headers(&[
         "depth",
@@ -116,8 +121,8 @@ pub fn depth(scale: u64, seed: u64) -> FigureReport {
 }
 
 /// Sweeps the looper prologue length (§3.6 observes ~70 instructions).
-pub fn looper_window(scale: u64, seed: u64) -> FigureReport {
-    let w = packed(BenchmarkProfile::bing(), scale, seed);
+pub fn looper_window(scale: u64, seed: u64, threads: usize) -> FigureReport {
+    let w = packed(BenchmarkProfile::bing(), scale, seed, threads);
     const WINDOWS: [u32; 4] = [0, 20, 70, 200];
     // Keep the baseline comparable: same looper cost on both sides —
     // one (NL, ESP) config pair per sweep point, all on the pool.
@@ -131,7 +136,7 @@ pub fn looper_window(scale: u64, seed: u64) -> FigureReport {
             [nl_cfg, cfg]
         })
         .collect();
-    let reports = esp_par::parallel_map(esp_par::threads(), &configs, |_, cfg| run(cfg.clone(), &w));
+    let reports = esp_par::parallel_map(threads, &configs, |_, cfg| run(cfg.clone(), &w));
     let mut t = Table::with_headers(&["looper instrs", "speedup over NL %"]);
     for (k, n) in WINDOWS.iter().enumerate() {
         let (nl_r, r) = (&reports[2 * k], &reports[2 * k + 1]);
@@ -153,12 +158,12 @@ pub fn looper_window(scale: u64, seed: u64) -> FigureReport {
 }
 
 /// All ablation sweeps.
-pub fn all(scale: u64, seed: u64) -> Vec<FigureReport> {
+pub fn all(scale: u64, seed: u64, threads: usize) -> Vec<FigureReport> {
     vec![
-        prefetch_lead(scale, seed),
-        bp_train_lead(scale, seed),
-        depth(scale, seed),
-        looper_window(scale, seed),
+        prefetch_lead(scale, seed, threads),
+        bp_train_lead(scale, seed, threads),
+        depth(scale, seed, threads),
+        looper_window(scale, seed, threads),
     ]
 }
 
@@ -168,7 +173,7 @@ mod tests {
 
     #[test]
     fn sweeps_run_at_tiny_scale() {
-        for rep in all(15_000, 3) {
+        for rep in all(15_000, 3, 2) {
             assert!(!rep.tables.is_empty());
             assert!(!rep.render().is_empty());
         }
@@ -176,7 +181,7 @@ mod tests {
 
     #[test]
     fn depth_sweep_monotone_spec_instrs() {
-        let w = packed(BenchmarkProfile::amazon(), 40_000, 5);
+        let w = packed(BenchmarkProfile::amazon(), 40_000, 5, 1);
         let shallow = run(esp_with(|f| f.depth = 1), &w);
         let deep = run(esp_with(|f| f.depth = 3), &w);
         assert!(deep.esp.spec_instrs() >= shallow.esp.spec_instrs());

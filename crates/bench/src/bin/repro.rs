@@ -3,12 +3,13 @@
 //! ```text
 //! repro [--scale N] [--seed S] [--threads T] all
 //! repro [--scale N] [--seed S] fig9 fig11a ...
+//! repro [--scale N] [--seed S] [--threads T] ablate
 //! repro [--trace out.jsonl] [--cpi-stack] fig9
 //! repro [--trace-in FILE.espt ...] fig9
 //! repro explain <benchmark-or-trace ...>
-//! repro [--scale N] [--seed S] [--fuzz N] [--fuzz-espt N] check
-//! repro [--scale N] [--seed S] dump [NAMES-OR-TRACES...] [--trace-out DIR]
-//! repro [--scale N] [--seed S] [--threads T] [--intra-threads K] [--force] [--repeat N] bench
+//! repro [--scale N] [--seed S] [--threads T] [--fuzz N] [--fuzz-espt N] check
+//! repro [--scale N] [--seed S] [--threads T] dump [NAMES-OR-TRACES...] [--trace-out DIR]
+//! repro [--scale N] [--seed S] [--threads T] [--force] [--repeat N] bench
 //! repro [--threads T] --bless
 //! ```
 //!
@@ -51,20 +52,21 @@
 //! generator never invoked; `explain` and `dump` accept trace paths
 //! anywhere a benchmark name is expected. Imported arenas replay
 //! byte-identically to generated ones (the trace-import equivalence
-//! suite pins this in all four execution modes).
+//! suite pins this in exact and sampled modes).
 //!
 //! Performance (see `docs/PERFORMANCE.md`): `bench` runs the full
-//! evaluation matrix three times — cold at one thread, warm at
+//! evaluation matrix four times — cold at one thread, warm at
 //! `--threads` (skipped, with a JSON note, when only one core is
-//! visible), and warm in statistical-sampling mode — then a fourth,
-//! intra-run pass that chunks each profile's *single* baseline run
-//! across `--intra-threads` workers (`docs/PARALLELISM.md`), and
-//! writes a `BENCH_repro.json` with per-phase wall times
-//! (generate/materialise/simulate), arena resident bytes, exact and
-//! sampled throughput, the sampled run's measured CPI error against
-//! exact ground truth, and the intra pass's chunk/conflict accounting
-//! with serial-vs-chunked single-run throughput. `scripts/bench.sh`
-//! wraps the documented scale-600000 invocation.
+//! visible), warm in statistical-sampling mode, and warm in learned
+//! mode — and writes a `BENCH_repro.json` with per-phase wall times
+//! (generate/materialise/simulate), arena resident bytes, exact,
+//! sampled and learned throughput, and the estimated modes' measured
+//! CPI error against exact ground truth. `scripts/bench.sh` wraps the
+//! documented scale-600000 invocation.
+//!
+//! Every command reads a fixed set of flags (`flags_read`); any other
+//! flag on its command line is a usage error, raised before any
+//! workload is generated, so a flag is never silently ignored.
 //!
 //! Sampling (the `esp-sample` engine, `--sample-period` /
 //! `--sample-grain`): any figure run can trade exactness for speed by
@@ -74,7 +76,7 @@
 //! build without the sampling engine.
 
 use esp_bench::{explain, figures, ConfigKey, Runner, WorkloadSpec};
-use esp_core::{LearnParams, ModelKind, SampleParams};
+use esp_core::{LearnParams, SampleParams};
 use esp_trace::Workload;
 use esp_workload::BenchmarkProfile;
 use std::path::{Path, PathBuf};
@@ -85,7 +87,6 @@ fn main() -> ExitCode {
     let mut scale: u64 = 400_000;
     let mut seed: u64 = 42;
     let mut threads: Option<usize> = None;
-    let mut intra_threads: Option<usize> = None;
     let mut trace: Option<PathBuf> = None;
     let mut trace_ins: Vec<PathBuf> = Vec::new();
     let mut trace_out: Option<PathBuf> = None;
@@ -100,9 +101,13 @@ fn main() -> ExitCode {
     let mut learn_params = LearnParams::default();
     let mut bless = false;
     let mut wanted: Vec<String> = Vec::new();
+    let mut given: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        if a.starts_with('-') && a != "--bless" {
+            given.push(a.clone());
+        }
         match a.as_str() {
             "--scale" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => scale = v,
@@ -115,10 +120,6 @@ fn main() -> ExitCode {
             "--threads" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => threads = Some(v),
                 _ => return usage("--threads needs a positive integer"),
-            },
-            "--intra-threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => intra_threads = Some(v),
-                _ => return usage("--intra-threads needs a positive integer"),
             },
             "--trace" => match args.next() {
                 Some(p) => trace = Some(p.into()),
@@ -155,13 +156,6 @@ fn main() -> ExitCode {
                 _ => return usage("--sample-grain needs a positive integer"),
             },
             "--learn" => learn = true,
-            "--learn-model" => match args.next().as_deref().and_then(ModelKind::parse) {
-                Some(m) => {
-                    learn = true;
-                    learn_params.model = m;
-                }
-                None => return usage("--learn-model needs 'ridge' or 'gbm'"),
-            },
             "--learn-train" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v >= 1 => {
                     learn = true;
@@ -185,23 +179,46 @@ fn main() -> ExitCode {
             },
             "--bless" => bless = true,
             "--help" | "-h" => return usage(""),
+            other if other.starts_with('-') => return usage(&format!("unknown flag {other}")),
             other => wanted.push(other.to_string()),
         }
     }
-    if bless {
-        if !wanted.is_empty() {
-            return usage("--bless takes no figure or subcommand");
-        }
-        return bless_golden(threads.unwrap_or_else(esp_par::threads));
+    if bless && !wanted.is_empty() {
+        return usage("--bless takes no figure or subcommand");
     }
-    if wanted.is_empty() {
-        return usage("no figure selected");
+    let command = if bless {
+        "--bless".to_string()
+    } else {
+        match wanted.first() {
+            Some(c) => c.clone(),
+            None => return usage("no figure selected"),
+        }
+    };
+    // A figure run that includes `ablate` reads only the flags the
+    // ablation sweeps read, since they run exact on their own workloads.
+    let is_figure_run = !matches!(command.as_str(), "--bless" | "explain" | "dump" | "check" | "bench");
+    let command = if is_figure_run && wanted.iter().any(|w| w == "ablate") {
+        "ablate".to_string()
+    } else {
+        command
+    };
+    let reads = flags_read(&command);
+    if let Some(flag) = given.iter().find(|f| !reads.contains(&f.as_str())) {
+        let hint = if flag == "--trace-in" && matches!(command.as_str(), "dump" | "explain") {
+            format!("; name the traces instead: {command} FILE.espt ...")
+        } else {
+            String::new()
+        };
+        return usage(&format!("{command} does not take {flag}{hint}"));
+    }
+    if bless {
+        return bless_golden(threads.unwrap_or_else(esp_par::threads));
     }
     // Learned fast-forwarding refines the sampled mode, so the flags are
     // meaningless without a sampling period; catch both bad combinations
     // and bad parameter values before any workload generation happens.
     if learn {
-        if sample_period.is_none() && wanted.first().map(String::as_str) != Some("bench") {
+        if sample_period.is_none() && command != "bench" {
             return usage("learned fast-forwarding requires sampling mode (--sample-period)");
         }
         if let Err(e) = learn_params.validate() {
@@ -230,30 +247,15 @@ fn main() -> ExitCode {
     // `check` and `dump` drive the simulator directly at the requested
     // scale — no Runner (and no BENCH_repro.json) involved. `bench`
     // runs the timing protocol and owns its BENCH_repro.json write.
-    // None of the three reads `--trace-in`; refuse it rather than
-    // silently run the generated families instead.
-    if !trace_ins.is_empty() {
-        match wanted.first().map(String::as_str) {
-            Some("dump") => {
-                return usage(
-                    "dump does not take --trace-in; name the traces instead: dump FILE.espt ...",
-                )
-            }
-            Some(cmd @ ("check" | "bench")) => {
-                return usage(&format!("{cmd} does not take --trace-in"))
-            }
-            _ => {}
-        }
-    }
-    match wanted.first().map(String::as_str) {
-        Some("dump") => return dump(scale, seed, &wanted[1..], trace_out.as_deref()),
-        Some("check") => return check(scale, seed, fuzz_cases, espt_fuzz_cases),
-        Some("bench") => {
+    let threads_or_default = threads.unwrap_or_else(esp_par::threads);
+    match command.as_str() {
+        "dump" => return dump(scale, seed, threads_or_default, &wanted[1..], trace_out.as_deref()),
+        "check" => return check(scale, seed, threads_or_default, fuzz_cases, espt_fuzz_cases),
+        "bench" => {
             return bench(
                 scale,
                 seed,
                 threads,
-                intra_threads,
                 force,
                 repeat,
                 sample_grain,
@@ -273,7 +275,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let threads = threads.unwrap_or_else(esp_par::threads);
+    let threads = threads_or_default;
     let t_start = Instant::now();
     // The slot list: explain's resolved arguments take precedence; then
     // `--trace-in` (the run simulates exactly the imported traces, in
@@ -358,24 +360,22 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if wanted.iter().any(|w| w == "all") {
-        let t = Instant::now();
-        let reports = figures::all(&mut runner);
-        eprintln!(
-            "# simulated {} runs in {:.2}s",
-            runner.sims_run(),
-            t.elapsed().as_secs_f64()
-        );
-        for report in reports {
-            println!("{}", report.render());
-        }
-        write_bench_json(&mut runner, t_start.elapsed().as_secs_f64(), cpi_stack, force);
-        return ExitCode::SUCCESS;
-    }
     for name in &wanted {
         let t = Instant::now();
+        if name == "all" {
+            let reports = figures::all(&mut runner);
+            eprintln!(
+                "# simulated {} runs in {:.2}s",
+                runner.sims_run(),
+                t.elapsed().as_secs_f64()
+            );
+            for report in reports {
+                println!("{}", report.render());
+            }
+            continue;
+        }
         if name == "ablate" {
-            for report in esp_bench::ablation::all(scale, seed) {
+            for report in esp_bench::ablation::all(scale, seed, threads) {
                 println!("{}", report.render());
             }
             eprintln!("# ablate in {:.2}s", t.elapsed().as_secs_f64());
@@ -394,9 +394,58 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Flags every figure run reads: the runner's workload, thread count,
+/// trace sink, sampling mode, and `BENCH_repro.json` record. `--trace-in`
+/// comes last because `explain` reads all the others.
+const FIGURE_FLAGS: [&str; 13] = [
+    "--scale",
+    "--seed",
+    "--threads",
+    "--trace",
+    "--cpi-stack",
+    "--force",
+    "--sample-period",
+    "--sample-grain",
+    "--learn",
+    "--learn-train",
+    "--learn-suffix",
+    "--learn-bound",
+    "--trace-in",
+];
+
+/// The flags `command` reads: the first positional argument (a figure
+/// name, `all`, `explain`, `dump`, `check` or `bench`), `ablate` when a
+/// figure run includes it, or `--bless`. `ablate` reads the sweeps'
+/// workload and thread count and the `BENCH_repro.json` record; `explain`
+/// names its traces as arguments instead of taking `--trace-in`; `bench`
+/// always runs its learned pass, so it reads the learned parameters but
+/// not the bare `--learn`.
+fn flags_read(command: &str) -> &'static [&'static str] {
+    match command {
+        "--bless" => &["--threads"],
+        "ablate" => &["--scale", "--seed", "--threads", "--cpi-stack", "--force"],
+        "dump" => &["--scale", "--seed", "--threads", "--trace-out"],
+        "check" => &["--scale", "--seed", "--threads", "--fuzz", "--fuzz-espt"],
+        "bench" => &[
+            "--scale",
+            "--seed",
+            "--threads",
+            "--force",
+            "--repeat",
+            "--sample-period",
+            "--sample-grain",
+            "--learn-train",
+            "--learn-suffix",
+            "--learn-bound",
+        ],
+        "explain" => &FIGURE_FLAGS[..FIGURE_FLAGS.len() - 1],
+        _ => &FIGURE_FLAGS,
+    }
+}
+
 /// `repro --bless`: regenerates the committed golden digests
 /// (`esp_bench::golden`, checked by the root `tests/golden.rs`) at their
-/// fixed scale and seed. `--scale`/`--seed` do not apply.
+/// fixed scale and seed, so `--scale`/`--seed` are not accepted.
 fn bless_golden(threads: usize) -> ExitCode {
     let t = Instant::now();
     let path = esp_bench::golden::default_path();
@@ -427,7 +476,13 @@ const MATRIX: [ConfigKey; 3] = [ConfigKey::Base, ConfigKey::Runahead, ConfigKey:
 /// selected workload as `DIR/<name>.espt` (built-ins under the CLI
 /// scale/seed provenance; imports re-encoded under their recorded one)
 /// and reports sizes on stderr.
-fn dump(scale: u64, seed: u64, names: &[String], trace_out: Option<&Path>) -> ExitCode {
+fn dump(
+    scale: u64,
+    seed: u64,
+    threads: usize,
+    names: &[String],
+    trace_out: Option<&Path>,
+) -> ExitCode {
     let specs: Vec<WorkloadSpec> = if names.is_empty() {
         BenchmarkProfile::all_families().into_iter().map(WorkloadSpec::Builtin).collect()
     } else {
@@ -452,7 +507,7 @@ fn dump(scale: u64, seed: u64, names: &[String], trace_out: Option<&Path>) -> Ex
         let (meta, w) = match spec {
             WorkloadSpec::Builtin(p) => {
                 let scaled = p.scaled(scale);
-                let w = esp_workload::arena::packed_for(&scaled, seed, esp_par::threads());
+                let w = esp_workload::arena::packed_for(&scaled, seed, threads);
                 let meta = esp_trace::espt::TraceMeta {
                     profile: scaled.name().to_string(),
                     scale,
@@ -501,12 +556,18 @@ fn dump(scale: u64, seed: u64, names: &[String], trace_out: Option<&Path>) -> Ex
 /// a seeded configuration fuzz sweep, then a structural fuzz of the
 /// ESPT trace decoder. Any violation prints a shrunk, ready-to-paste
 /// reproducer and fails the process.
-fn check(scale: u64, seed: u64, fuzz_cases: usize, espt_fuzz_cases: usize) -> ExitCode {
+fn check(
+    scale: u64,
+    seed: u64,
+    threads: usize,
+    fuzz_cases: usize,
+    espt_fuzz_cases: usize,
+) -> ExitCode {
     let mut failed = false;
 
     let t = Instant::now();
     for profile in BenchmarkProfile::all_families() {
-        let w = esp_workload::arena::packed_for(&profile.scaled(scale), seed, esp_par::threads());
+        let w = esp_workload::arena::packed_for(&profile.scaled(scale), seed, threads);
         for key in MATRIX {
             match esp_check::check_run(&key.config(), &*w) {
                 Ok(r) => eprintln!(
@@ -594,7 +655,7 @@ fn check(scale: u64, seed: u64, fuzz_cases: usize, espt_fuzz_cases: usize) -> Ex
 /// share of those cells whose 95% interval holds the exact CPI
 /// (`ci95_coverage`) to the JSON. Pass 3b repeats the sampled protocol
 /// with learned fast-forwarding on top (`--learn-*` to override the
-/// model and its operating point) and records its throughput, speedups
+/// model's operating point) and records its throughput, speedups
 /// over exact and plain sampling, error envelope, interval coverage,
 /// mean skip fraction, and the fallback-ladder counters. Pass 1 also
 /// records the bytes and build time of the DCU trigger-bit sidecars its
@@ -614,7 +675,6 @@ fn bench(
     scale: u64,
     seed: u64,
     threads: Option<usize>,
-    intra_threads: Option<usize>,
     force: bool,
     repeat: usize,
     sample_grain: u64,
@@ -831,87 +891,6 @@ fn bench(
         errs_l.len()
     );
 
-    // Pass 4: intra-run (single-run) scaling — the second parallelism
-    // axis (docs/PARALLELISM.md). Each profile's single run is chunked
-    // across `--intra-threads` workers and merged deterministically;
-    // the pass records chunk size, conflict accounting, and serial vs
-    // chunk-parallel sims/s. On a 1-core host the accounting (a pure
-    // function of the thread count) is still meaningful, but the wall
-    // times are not a scaling measurement — noted in the JSON.
-    let threads_intra = intra_threads.unwrap_or(if cores > 1 { cores } else { 4 });
-    eprintln!(
-        "# bench pass 4: intra-run scaling, {threads_intra} chunk workers, best of {repeat}..."
-    );
-    let intra = exact.intra_scaling(threads_intra, repeat);
-    let intra_rate = intra.conflict_rate();
-    eprintln!(
-        "# pass 4: {} runs, {} events, {} chunks ({} accepted, {} repaired, \
-         conflict rate {:.2}); serial {:.2}s vs intra {:.2}s",
-        intra.runs,
-        intra.events,
-        intra.chunks,
-        intra.accepted,
-        intra.repaired,
-        intra_rate,
-        intra.seconds_1t,
-        intra.seconds_nt,
-    );
-    let intra_conflicts = intra
-        .conflicts
-        .iter()
-        .map(|(r, n)| format!("\"{r}\": {n}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let intra_note = if cores > 1 {
-        String::new()
-    } else {
-        format!("\n    \"note\": \"wall times measured on {cores} visible core; not a scaling number\",")
-    };
-    // Per-family chunk/conflict tables: the aggregate hides which
-    // workloads chunk cleanly and which repair everything.
-    let intra_profiles = intra
-        .per_profile
-        .iter()
-        .map(|p| {
-            let conflicts = p
-                .conflicts
-                .iter()
-                .map(|(r, n)| format!("\"{r}\": {n}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                "\"{}\": {{\"events\": {}, \"chunks\": {}, \"accepted\": {}, \
-                 \"repaired\": {}, \"conflict_rate\": {:.3}, \"conflicts\": {{{conflicts}}}}}",
-                p.name,
-                p.events,
-                p.chunks,
-                p.accepted,
-                p.repaired,
-                p.conflict_rate(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n      ");
-    let intra_json = format!(
-        "\n  \"intra\": {{\"threads\": {threads_intra}, \"runs\": {}, \"events\": {}, \
-         \"events_per_chunk\": {:.1},\n    \
-         \"chunks\": {}, \"accepted\": {}, \"repaired\": {}, \"conflict_rate\": {intra_rate:.3},\n    \
-         \"conflicts\": {{{intra_conflicts}}},{intra_note}\n    \
-         \"per_profile\": {{\n      {intra_profiles}\n    }},\n    \
-         \"seconds_1t\": {:.3}, \"seconds_nt\": {:.3}, \
-         \"sims_per_sec_1t\": {:.3}, \"sims_per_sec_nt\": {:.3}}},",
-        intra.runs,
-        intra.events,
-        intra.events as f64 / intra.chunks.max(1) as f64,
-        intra.chunks,
-        intra.accepted,
-        intra.repaired,
-        intra.seconds_1t,
-        intra.seconds_nt,
-        intra.runs as f64 / intra.seconds_1t.max(1e-9),
-        intra.runs as f64 / intra.seconds_nt.max(1e-9),
-    );
-
     // Trace I/O: what a consumer of exported `.espt` files pays
     // (decode-only import) versus what this process paid to build the
     // same arenas (generate + materialise, cold pass 1 numbers).
@@ -942,7 +921,7 @@ fn bench(
     // workload), so its numbers are only meaningful next to their scale.
     let effective_mips = sampled.instructions_simulated() as f64 / total_s.max(1e-9) / 1e6;
     let json = format!(
-        "{{\n  \"scale\": {scale},\n  \"seed\": {seed},\n  \"threads\": 1,{nt_json}{intra_json}{trace_io_json}\n  \
+        "{{\n  \"scale\": {scale},\n  \"seed\": {seed},\n  \"threads\": 1,{nt_json}{trace_io_json}\n  \
          \"repeat\": {repeat},\n  \"sims_run\": {sims},\n  \
          \"instructions_simulated\": {instrs},\n  \
          \"total_seconds\": {total_1t:.3},\n  \
@@ -980,7 +959,7 @@ fn bench(
         sp.period,
         phases_s.simulate,
         sims as f64 / total_s.max(1e-9),
-        format!("{:?}", learn_params.model).to_lowercase(),
+        learn_params.model.as_str(),
         learn_params.train_stretches,
         learn_params.warm_suffix_grains,
         learn_params.residual_bound_pct,
@@ -1129,10 +1108,10 @@ fn usage(err: &str) -> ExitCode {
         eprintln!("error: {err}");
     }
     eprintln!(
-        "usage: repro [--scale N] [--seed S] [--threads T] [--intra-threads K] \
+        "usage: repro [--scale N] [--seed S] [--threads T] \
          [--trace FILE.jsonl] [--trace-in FILE.espt ...] [--trace-out DIR] [--cpi-stack] \
          [--force] [--fuzz N] [--fuzz-espt N] [--repeat N] [--sample-period P] [--sample-grain G] \
-         [--learn] [--learn-model ridge|gbm] [--learn-train N] [--learn-suffix N] [--learn-bound F] \
+         [--learn] [--learn-train N] [--learn-suffix N] [--learn-bound F] \
          <all | fig3 fig6 fig7 fig8 fig9 fig10 fig11a fig11b fig12 fig13 fig14 | ablate \
          | explain BENCHMARK-OR-TRACE... | check | dump [NAMES-OR-TRACES...] | bench> | --bless\n\
          --bless regenerates the golden digests in tests/golden_digests.txt;\n\
@@ -1146,20 +1125,19 @@ fn usage(err: &str) -> ExitCode {
          --sample-period P runs figures in statistical-sampling mode (1 of every P\n\
          grains of --sample-grain instructions is measured; see docs/PERFORMANCE.md);\n\
          --learn adds learned fast-forwarding on top of sampling (skips most of the\n\
-         functional-warming walk once the per-run model trains); --learn-model picks\n\
-         ridge (default) or gbm, --learn-train the training stretches, --learn-suffix\n\
-         the always-warmed suffix grains, --learn-bound the residual bound in percent;\n\
+         functional-warming walk once the per-run ridge model trains); --learn-train\n\
+         sets the training stretches, --learn-suffix the always-warmed suffix grains,\n\
+         --learn-bound the residual bound in percent;\n\
          check runs the differential oracle over all 9 families + a --fuzz N seeded\n\
          sweep + a --fuzz-espt N trace-decoder sweep (docs/TESTING.md);\n\
          dump prints every selected workload's RunReports for cross-process\n\
          determinism checks (default: all 9 families);\n\
          bench runs the full matrix cold at 1 thread, warm at --threads (skipped on a\n\
-         1-core machine), warm in sampled then learned mode with error cross-checks,\n\
-         then an\n\
-         intra-run pass chunking each single run over --intra-threads workers (each\n\
-         pass best of --repeat, default 3), measures .espt export/import against\n\
+         1-core machine), warm in sampled then learned mode with error cross-checks\n\
+         (each pass best of --repeat, default 3), measures .espt export/import against\n\
          generate+materialise, and records all passes in BENCH_repro.json\n\
-         (docs/PERFORMANCE.md, docs/PARALLELISM.md, docs/TRACE_FORMAT.md)"
+         (docs/PERFORMANCE.md, docs/TRACE_FORMAT.md);\n\
+         a flag the selected command does not read is a usage error"
     );
     if err.is_empty() {
         ExitCode::SUCCESS

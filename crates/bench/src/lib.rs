@@ -24,5 +24,5 @@ pub mod golden;
 pub mod runner;
 pub mod source;
 
-pub use runner::{ConfigKey, FigureReport, IntraProfile, IntraScaling, PhaseSeconds, Runner};
+pub use runner::{ConfigKey, FigureReport, PhaseSeconds, Runner};
 pub use source::WorkloadSpec;

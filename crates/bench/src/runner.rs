@@ -220,80 +220,6 @@ pub struct PhaseSeconds {
     pub simulate: f64,
 }
 
-/// One benchmark's slice of an intra-run scaling pass: chunk and
-/// conflict accounting for that profile's single chunked baseline run.
-/// The per-profile view is what distinguishes a workload whose chunks
-/// all merge cleanly from one that repairs everything — the aggregate
-/// in [`IntraScaling`] cannot.
-#[derive(Clone, Debug, Default)]
-pub struct IntraProfile {
-    /// Benchmark name (presentation order of the runner's slots).
-    pub name: String,
-    /// Events in this profile's run.
-    pub events: u64,
-    /// Chunks the run was split into (1 when the serial fallback ran).
-    pub chunks: u64,
-    /// Chunks accepted at merge.
-    pub accepted: u64,
-    /// Chunks re-simulated serially from the authoritative state.
-    pub repaired: u64,
-    /// Why chunks conflicted: `(reason, count)` for this run.
-    pub conflicts: Vec<(&'static str, u64)>,
-}
-
-impl IntraProfile {
-    /// Fraction of this run's speculative chunks that took the repair
-    /// path (see [`IntraScaling::conflict_rate`]).
-    pub fn conflict_rate(&self) -> f64 {
-        let speculative = self.chunks.saturating_sub(1);
-        if speculative == 0 {
-            0.0
-        } else {
-            self.repaired as f64 / speculative as f64
-        }
-    }
-}
-
-/// Accounting from one intra-run scaling pass ([`Runner::intra_scaling`]):
-/// chunk/conflict totals at the parallel thread count plus the best wall
-/// times of the serial and chunk-parallel sweeps over the same runs.
-#[derive(Clone, Debug, Default)]
-pub struct IntraScaling {
-    /// Worker threads the chunk-parallel sweep used per run.
-    pub threads: usize,
-    /// Single runs measured (one per benchmark profile).
-    pub runs: u64,
-    /// Events across all measured runs.
-    pub events: u64,
-    /// Chunks across all runs (serial fallbacks count 1).
-    pub chunks: u64,
-    /// Chunks accepted at merge (chunk 0 of every run always is).
-    pub accepted: u64,
-    /// Chunks re-simulated serially from the authoritative state.
-    pub repaired: u64,
-    /// Why chunks conflicted: `(reason, count)`, aggregated over runs.
-    pub conflicts: Vec<(&'static str, u64)>,
-    /// Per-benchmark accounting, in the runner's slot order.
-    pub per_profile: Vec<IntraProfile>,
-    /// Best wall-clock seconds for the serial sweep.
-    pub seconds_1t: f64,
-    /// Best wall-clock seconds for the chunk-parallel sweep.
-    pub seconds_nt: f64,
-}
-
-impl IntraScaling {
-    /// Fraction of speculative chunks (all but each run's chunk 0) that
-    /// conflicted and took the repair path.
-    pub fn conflict_rate(&self) -> f64 {
-        let speculative = self.chunks.saturating_sub(self.runs);
-        if speculative == 0 {
-            0.0
-        } else {
-            self.repaired as f64 / speculative as f64
-        }
-    }
-}
-
 /// A caching simulation runner: one workload per benchmark profile, one
 /// memoised [`RunReport`] per (profile, configuration), with parallel
 /// batch execution of whatever the figures plan ahead via
@@ -612,62 +538,6 @@ impl Runner {
         })
     }
 
-    /// Measures intra-run (single-run) scaling: every profile's packed
-    /// workload is simulated under the baseline configuration twice —
-    /// serially, then chunk-parallel across `threads` workers
-    /// (`Simulator::run_intra`, which is byte-identical to the serial
-    /// run) — each sweep repeated `repeat` times with the best wall time
-    /// kept. Chunk/conflict accounting is aggregated from the parallel
-    /// sweep; the baseline configuration is used because it is the
-    /// accept-eligible mode (ESP configurations always repair — see
-    /// `docs/PARALLELISM.md`).
-    pub fn intra_scaling(&self, threads: usize, repeat: usize) -> IntraScaling {
-        let mut out = IntraScaling {
-            threads,
-            seconds_1t: f64::INFINITY,
-            seconds_nt: f64::INFINITY,
-            ..IntraScaling::default()
-        };
-        let cfg = ConfigKey::Base.config();
-        for _ in 0..repeat.max(1) {
-            let t = Instant::now();
-            for s in &self.slots {
-                let _ = Simulator::new(cfg.clone()).run(s.packed.as_ref());
-            }
-            out.seconds_1t = out.seconds_1t.min(t.elapsed().as_secs_f64());
-        }
-        for rep in 0..repeat.max(1) {
-            let t = Instant::now();
-            for s in &self.slots {
-                let run = Simulator::new(cfg.clone()).run_intra(s.packed.as_ref(), threads);
-                if rep == 0 {
-                    let per = IntraProfile {
-                        name: s.name.clone(),
-                        events: run.stats.events as u64,
-                        chunks: run.stats.chunks as u64,
-                        accepted: run.stats.accepted as u64,
-                        repaired: run.stats.repaired as u64,
-                        conflicts: run.stats.conflicts.clone(),
-                    };
-                    out.runs += 1;
-                    out.events += per.events;
-                    out.chunks += per.chunks;
-                    out.accepted += per.accepted;
-                    out.repaired += per.repaired;
-                    for (reason, n) in &per.conflicts {
-                        match out.conflicts.iter_mut().find(|(r, _)| r == reason) {
-                            Some((_, total)) => *total += n,
-                            None => out.conflicts.push((reason, *n)),
-                        }
-                    }
-                    out.per_profile.push(per);
-                }
-            }
-            out.seconds_nt = out.seconds_nt.min(t.elapsed().as_secs_f64());
-        }
-        out
-    }
-
     /// Executes every not-yet-cached `(profile, key)` pair of the plan
     /// `keys × all profiles` on the worker pool and stores the reports in
     /// the cache. After `ensure`, [`Runner::run`] for any planned pair is
@@ -960,24 +830,5 @@ mod tests {
             Ok(_) => panic!("importing a missing file must fail"),
         };
         assert!(err.to_string().contains("no/such/file.espt"));
-    }
-
-    #[test]
-    fn intra_scaling_reports_per_profile_tables() {
-        let r = Runner::with_threads(20_000, 1, 1);
-        let intra = r.intra_scaling(2, 1);
-        assert_eq!(intra.per_profile.len(), 7);
-        assert_eq!(
-            intra.per_profile.iter().map(|p| p.chunks).sum::<u64>(),
-            intra.chunks
-        );
-        assert_eq!(
-            intra.per_profile.iter().map(|p| p.repaired).sum::<u64>(),
-            intra.repaired
-        );
-        for p in &intra.per_profile {
-            assert!(!p.name.is_empty());
-            assert!(p.accepted + p.repaired == p.chunks);
-        }
     }
 }

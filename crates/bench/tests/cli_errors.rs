@@ -1,15 +1,31 @@
 //! Bad command lines fail as usage errors: exit code 2 with a message on
-//! stderr, before any workload is generated — never a panic.
+//! stderr, before any workload is generated or any file written — never a
+//! panic. A flag the selected command does not read is one of them, so no
+//! flag is silently ignored.
 
 use std::process::Command;
 
 #[test]
 fn bad_argument_vectors_exit_2_without_panicking() {
-    let cases: [&[&str]; 4] = [
+    let cases: [&[&str]; 16] = [
         &["--scale", "0", "dump", "amazon"],
         &["--scale", "0", "check"],
         &["--trace-in", "x.espt", "dump"],
         &["--trace-in", "x.espt", "check"],
+        // Flags the selected command never reads.
+        &["--scale", "5000", "--trace", "t.jsonl", "dump", "amazon"],
+        &["--sample-period", "20", "dump", "amazon"],
+        &["--trace", "t.jsonl", "check"],
+        &["--cpi-stack", "dump", "amazon"],
+        &["--trace-out", "x", "fig9"],
+        &["--repeat", "2", "fig9"],
+        &["--fuzz", "3", "fig9"],
+        &["--sample-period", "20", "ablate"],
+        &["--trace-in", "x.espt", "ablate"],
+        &["--trace", "t.jsonl", "fig9", "ablate"],
+        // Options that no longer exist.
+        &["--intra-threads", "2", "bench"],
+        &["--learn-model", "gbm", "--sample-period", "20", "fig9"],
     ];
     let dir = std::env::temp_dir().join(format!("esp-cli-errors-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -23,6 +39,8 @@ fn bad_argument_vectors_exit_2_without_panicking() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: want a usage error, got stderr:\n{stderr}");
         assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
         assert!(stderr.contains("error: "), "{args:?}: no error message:\n{stderr}");
+        let written: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,16 +4,16 @@
 //! is cleared so nothing generated survives, and the files are imported
 //! back. From then on the imported runner must be byte-identical to the
 //! generated one through every execution mode: exact simulation at any
-//! thread count, statistical sampling, intra-run chunked execution, the
-//! CPI-stack JSON, and the JSONL observability trace. A single diverging
-//! byte means the container dropped information.
+//! thread count, statistical sampling, the CPI-stack JSON, and the JSONL
+//! observability trace. A single diverging byte means the container
+//! dropped information.
 //!
 //! Everything lives in one `#[test]` because the arena memo is
 //! process-wide and this test calls `arena::reset()` — concurrent tests
 //! in the same binary would race it.
 
 use esp_bench::{ConfigKey, Runner, WorkloadSpec};
-use esp_core::{SampleParams, Simulator};
+use esp_core::SampleParams;
 use esp_trace::espt::{self, TraceMeta};
 use esp_workload::{arena, BenchmarkProfile};
 use std::path::PathBuf;
@@ -130,27 +130,6 @@ fn imported_traces_are_byte_identical_to_generated() {
             format!("{:#?}", imp_sampled.run(i, ConfigKey::EspNl)),
             "sampled report diverged: slot {name}"
         );
-    }
-
-    // --- Intra-run event-level parallelism: chunked execution over the
-    // imported packed form matches the generated one at every width.
-    let gen_again = Runner::with_profiles(&families, SCALE, SEED, 1);
-    let imp_again = Runner::from_specs(&specs, SCALE, SEED, 1).expect("import");
-    for (i, name) in want_names.iter().enumerate() {
-        for threads in [2usize, 3] {
-            let cfg = ConfigKey::EspNl.config();
-            let a = Simulator::new(cfg.clone()).run_intra(gen_again.packed(i).as_ref(), threads);
-            let b = Simulator::new(cfg).run_intra(imp_again.packed(i).as_ref(), threads);
-            assert_eq!(
-                format!("{:#?}", a.report),
-                format!("{:#?}", b.report),
-                "intra report diverged: slot {name} width {threads}"
-            );
-            assert_eq!(
-                a.stats.repaired, b.stats.repaired,
-                "intra repair count diverged: slot {name}"
-            );
-        }
     }
 
     std::fs::remove_dir_all(&dir).ok();

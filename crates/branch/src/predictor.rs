@@ -486,8 +486,9 @@ impl BranchPredictor {
     /// replay PIR, and the RAS. Statistics and the side-effect log are
     /// deliberately excluded — two predictors that agree on this method
     /// produce identical outcomes for any subsequent input sequence.
-    /// The intra-run merge uses it to decide whether an optimistically
-    /// warmed worker's predictor matches the authoritative one.
+    /// `Engine::state_difference` uses it to check that functional
+    /// warming trains the predictor exactly as per-instruction warming
+    /// does.
     pub fn same_state(&self, other: &Self) -> bool {
         self.tables == other.tables
             && self.table_of == other.table_of

@@ -42,7 +42,6 @@
 mod area;
 mod config;
 mod esp_state;
-mod intra;
 mod lineset;
 mod replay;
 mod report;
@@ -53,7 +52,6 @@ mod working_set;
 pub use area::{area_table, total_added_bytes, AreaRow};
 pub use config::{EspFeatures, SimConfig, SimMode};
 pub use esp_state::EspRunStats;
-pub use intra::{IntraRun, IntraStats};
 pub use lineset::LineSet;
 pub use replay::{ReplayLists, ReplayStats};
 pub use report::RunReport;

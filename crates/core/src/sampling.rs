@@ -29,12 +29,6 @@
 //! policy, the grain clock `SampleCtl`. Under the exact policy every
 //! grain is detailed and the grain hooks compile away.
 //!
-//! The same warming walk (stat-free cache/predictor/prefetcher/replay
-//! updates) is reused by the intra-run parallel mode
-//! ([`crate::intra`]) to predict chunk-entry state — there it feeds a
-//! behavioural-equality check instead of an estimator, so sampling
-//! stays the only mode that returns an estimate.
-//!
 //! # Learned fast-forwarding
 //!
 //! Functional warming is only ~1.5–2.5× cheaper than detailed
@@ -197,7 +191,7 @@ struct MeasuredTotals {
     esp: EspRunStats,
 }
 
-pub(crate) fn add_stack(into: &mut CpiStack, d: &CpiStack) {
+fn add_stack(into: &mut CpiStack, d: &CpiStack) {
     into.base += d.base;
     into.icache_l2 += d.icache_l2;
     into.icache_llc += d.icache_llc;
@@ -209,7 +203,7 @@ pub(crate) fn add_stack(into: &mut CpiStack, d: &CpiStack) {
     into.pre_exec_overlap += d.pre_exec_overlap;
 }
 
-pub(crate) fn add_engine(
+fn add_engine(
     into: &mut esp_uarch::EngineStats,
     a: &esp_uarch::EngineStats,
     b: &esp_uarch::EngineStats,
@@ -225,13 +219,13 @@ pub(crate) fn add_engine(
     into.runahead_instrs += a.runahead_instrs - b.runahead_instrs;
 }
 
-pub(crate) fn add_replay(into: &mut ReplayStats, a: &ReplayStats, b: &ReplayStats) {
+fn add_replay(into: &mut ReplayStats, a: &ReplayStats, b: &ReplayStats) {
     into.iprefetches += a.iprefetches - b.iprefetches;
     into.dprefetches += a.dprefetches - b.dprefetches;
     into.btrains += a.btrains - b.btrains;
 }
 
-pub(crate) fn add_esp(into: &mut EspRunStats, a: &EspRunStats, b: &EspRunStats) {
+fn add_esp(into: &mut EspRunStats, a: &EspRunStats, b: &EspRunStats) {
     into.windows += a.windows - b.windows;
     into.wasted_window_cycles += a.wasted_window_cycles - b.wasted_window_cycles;
     into.events_started += a.events_started - b.events_started;

@@ -49,13 +49,6 @@ pub struct SideEffectLog {
 /// The complete mutable state of one in-progress simulation: the interval
 /// engine plus the mode-specific speculation state that travels with it
 /// between events, and the run's grain schedule.
-///
-/// Every run owns exactly one of these; the intra-run parallel mode (see
-/// `intra`) gives each chunk worker its own and moves the authoritative
-/// one forward chunk by chunk. Keeping it together is what lets
-/// [`Simulator::run_events_range`] resume a run mid-sequence: everything
-/// event `k+1` can observe from event `k` is in here (or in the memory
-/// hierarchy and branch predictor inside `engine`).
 pub(crate) struct LiveState<'w, G = Exact> {
     /// The interval core: clock, caches, predictor, prefetchers, stack.
     pub engine: Engine,
@@ -229,7 +222,7 @@ impl Simulator {
     ///
     /// Called only for runs that feed the DCU every retired data access
     /// in order, from the first: exact runs and plain sampled runs, not
-    /// learned or intra-run ones.
+    /// learned ones.
     pub(crate) fn attach_dcu_triggers(&self, workload: &PackedWorkload, engine: &mut Engine) {
         let e = &self.config.engine;
         if !e.nl_data || e.perfect.l1d {
@@ -337,20 +330,20 @@ impl Simulator {
     }
 
     /// Runs events `range` (indices into `workload.events()`) on `live` —
-    /// the one per-event driver of every run, exact, sampled, learned or
-    /// intra-run chunk, monomorphised over the run's grain policy `G`.
-    /// Per event: idle until it is posted, arm replay (or, in a warmed
-    /// grain, apply the pending lists as warm state), run the looper
-    /// prologue and the event body, complete the ESP context shift, and
-    /// emit the span. A run can be executed in resumable slices: calling
-    /// this over `[0, n)` is byte-identical to calling it over any
-    /// partition of `[0, n)` in order on the same `live` state. The
-    /// chunk-parallel mode leans on exactly that property for its repair
-    /// path, and on workers it calls this with a chunk's range over a
-    /// warm-predicted state.
+    /// the one per-event loop of every run, exact, sampled or learned,
+    /// monomorphised over the run's grain policy `G`. Per event: idle
+    /// until it is posted, arm replay (or, in a warmed grain, apply the
+    /// pending lists as warm state), run the looper prologue and the
+    /// event body, complete the ESP context shift, and emit the span.
     ///
     /// Emits window and event records to `probe` (no `on_run`; drivers
     /// summarise once at end of run).
+    ///
+    /// This and [`Simulator::run_event_kernel`] are always inlined, so
+    /// each grain policy's whole event loop is one function. Left to its
+    /// own heuristics LLVM outlines the sampled kernel, and perfbench's
+    /// `sampled-matrix` then runs about 4% slower.
+    #[inline(always)]
     pub(crate) fn run_events_range<'w, P: Probe, G: GrainPolicy>(
         &self,
         workload: &'w PackedWorkload,
@@ -452,6 +445,7 @@ impl Simulator {
     ///
     /// The cursor is taken by value so its state stays in locals.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     pub(crate) fn run_event_kernel<P: Probe, G: GrainPolicy>(
         &self,
         mut stream: EventCursor<'_>,
@@ -775,6 +769,40 @@ mod tests {
             with.mispredict_rate_pct(),
             without.mispredict_rate_pct()
         );
+    }
+
+    /// Whole runs with the DCU decisions replayed from trigger bits (what
+    /// [`Simulator::run`] does) report exactly what the live tracker
+    /// reports, on every family and every kind of next-line run: plain,
+    /// data-only, and under ESP pre-execution.
+    #[test]
+    fn trigger_replay_matches_the_live_dcu_tracker() {
+        for profile in BenchmarkProfile::all_families() {
+            let w = profile.scaled(20_000).build(5).materialise();
+            let configs = [
+                ("NL-D", SimConfig::nl_d_only()),
+                ("ESP-D + NL-D", SimConfig::esp_d_nl_d()),
+                ("NL", SimConfig::next_line()),
+            ];
+            for (name, cfg) in configs {
+                assert!(cfg.engine.nl_data && !cfg.engine.perfect.l1d, "DCU off: nothing replayed");
+                let sim = Simulator::new(cfg);
+                let replayed = sim.run(&w);
+                let mut live = sim.new_live(&w, Exact);
+                let (mut iws, mut dws) = (LineSet::new(), LineSet::new());
+                let events = w.events().len();
+                sim.run_events_range(&w, &mut live, 0..events, &mut NullProbe, &mut iws, &mut dws);
+                assert_eq!(live.engine.dcu_replay_finished(), None, "the live tracker must run");
+                let LiveState { engine, esp, replay, .. } = live;
+                let tracked = sim.assemble_report(engine, esp, replay, events as u64);
+                assert_eq!(
+                    format!("{replayed:?}"),
+                    format!("{tracked:?}"),
+                    "{} / {name}: trigger replay and live tracker disagree",
+                    profile.name()
+                );
+            }
+        }
     }
 
     #[test]

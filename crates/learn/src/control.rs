@@ -153,7 +153,7 @@ pub struct LearnedStats {
     /// Whole-run RMS relative busy-CPI residual, percent.
     pub rmse_pct: f64,
     /// `1 − rolling/bound`, clamped to `[0, 1]`; 0 until the model is
-    /// fitted. Exposed for reuse (e.g. intra-run chunk-entry prediction).
+    /// fitted.
     pub confidence: f64,
 }
 

@@ -13,9 +13,9 @@
 //!   branch-taken entropy, fetch-line locality, I/D footprint signatures,
 //!   events spanned, replay-list occupancy, and the previous measured
 //!   grain's CPI.
-//! * [`RidgeModel`] / [`GbmModel`] — online, deterministic predictors
-//!   (no RNG, no allocation in the ridge path) trained prequentially
-//!   during each run: stretch features in, the next measured grain's
+//! * [`Model`] — an online, deterministic ridge regression (no RNG, no
+//!   allocation after construction) trained prequentially during each
+//!   run: stretch features in, the next measured grain's
 //!   per-instruction cycle metrics out.
 //! * [`FastForward`] — the controller: after a training prefix it lets
 //!   the sampling loop *skip* the engine-warming walk for the interior
@@ -31,13 +31,12 @@
 //!
 //! The residual series also widens the ratio-estimator confidence
 //! intervals (`esp_stats::ResidualAccum::inflate`), and the model's
-//! rolling confidence is exported ([`LearnedStats::confidence`]) as a
-//! reusable signal for chunk-entry prediction in the intra-run parallel
-//! mode. See `docs/PERFORMANCE.md` ("Learned fast-forwarding").
+//! rolling confidence is reported ([`LearnedStats::confidence`]). See
+//! `docs/PERFORMANCE.md` ("Learned fast-forwarding").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// The ridge/GBM fitting code is dense fixed-dimension linear algebra
+// The ridge fitting code is dense fixed-dimension linear algebra
 // over `[f64; N]` arrays; index loops mirror the maths (row/column
 // subscripts) better than iterator chains there.
 #![allow(clippy::needless_range_loop)]
@@ -48,4 +47,4 @@ mod model;
 
 pub use control::{FastForward, LearnParams, LearnedStats, Phase};
 pub use features::{FeatureExtractor, Footprint, FEATURE_DIM};
-pub use model::{GbmModel, Model, ModelKind, RidgeModel, TARGETS};
+pub use model::{Model, ModelKind, TARGETS};

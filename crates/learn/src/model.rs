@@ -1,15 +1,13 @@
-//! Online, deterministic predictors: ridge regression and a tiny GBM.
+//! The online, deterministic predictor: ridge regression.
 //!
-//! Both models map a stretch feature vector ([`crate::FEATURE_DIM`]
-//! dims) to the next measured grain's per-instruction cycle metrics
-//! ([`TARGETS`] targets: busy, i-cache, d-cache, and branch CPI). They
-//! are trained prequentially — predict first, observe the measurement,
-//! update — and contain no randomness whatsoever: the ridge path is a
-//! Gram-matrix accumulation solved by Gaussian elimination with partial
-//! pivoting; the GBM grows greedy depth-1 stumps over exact split
-//! points in deterministic (dimension, sample) order. Identical inputs
-//! therefore produce bit-identical predictions in any thread count and
-//! any OS process.
+//! The model maps a stretch feature vector ([`crate::FEATURE_DIM`] dims)
+//! to the next measured grain's per-instruction cycle metrics
+//! ([`TARGETS`] targets: busy, i-cache, d-cache, and branch CPI). It is
+//! trained prequentially — predict first, observe the measurement,
+//! update — and contains no randomness whatsoever: a Gram-matrix
+//! accumulation solved by Gaussian elimination with partial pivoting.
+//! Identical inputs therefore produce bit-identical predictions in any
+//! thread count and any OS process.
 
 use crate::features::FEATURE_DIM;
 
@@ -32,28 +30,16 @@ const RIDGE_SHRINK: f64 = 2.0;
 /// Which predictor the learned mode trains.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ModelKind {
-    /// Online ridge regression (the default: cheapest, monotone updates).
+    /// Online ridge regression.
     #[default]
     Ridge,
-    /// Gradient-boosted depth-1 stumps over a bounded sample buffer.
-    Gbm,
 }
 
 impl ModelKind {
-    /// Stable lower-case name (CLI flag value and JSON field).
+    /// Stable lower-case name (the `BENCH_repro.json` field).
     pub fn as_str(self) -> &'static str {
         match self {
             ModelKind::Ridge => "ridge",
-            ModelKind::Gbm => "gbm",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    pub fn parse(s: &str) -> Option<ModelKind> {
-        match s {
-            "ridge" => Some(ModelKind::Ridge),
-            "gbm" => Some(ModelKind::Gbm),
-            _ => None,
         }
     }
 }
@@ -69,7 +55,7 @@ impl ModelKind {
 /// no allocation after construction, no iteration-order
 /// nondeterminism.
 #[derive(Clone, Debug)]
-pub struct RidgeModel {
+pub struct Model {
     xtx: [[f64; FEATURE_DIM]; FEATURE_DIM],
     xty: [[f64; TARGETS]; FEATURE_DIM],
     sum_x: [f64; FEATURE_DIM],
@@ -81,9 +67,11 @@ pub struct RidgeModel {
     fitted: bool,
 }
 
-impl Default for RidgeModel {
-    fn default() -> Self {
-        RidgeModel {
+impl Model {
+    /// Creates an empty model of the given kind.
+    pub fn new(kind: ModelKind) -> Model {
+        let ModelKind::Ridge = kind;
+        Model {
             xtx: [[0.0; FEATURE_DIM]; FEATURE_DIM],
             xty: [[0.0; TARGETS]; FEATURE_DIM],
             sum_x: [0.0; FEATURE_DIM],
@@ -95,9 +83,7 @@ impl Default for RidgeModel {
             fitted: false,
         }
     }
-}
 
-impl RidgeModel {
     /// Adds one `(features, targets)` observation and refits.
     pub fn observe(&mut self, x: &[f64; FEATURE_DIM], y: &[f64; TARGETS]) {
         for i in 0..FEATURE_DIM {
@@ -205,217 +191,6 @@ impl RidgeModel {
     }
 }
 
-/// Samples the GBM keeps (a bounded ring; runs here observe at most a
-/// few hundred measured grains).
-const GBM_CAP: usize = 128;
-/// Boosting rounds per target.
-const GBM_ROUNDS: usize = 16;
-/// Shrinkage per stump.
-const GBM_ETA: f64 = 0.5;
-
-/// One decision stump: `if x[dim] <= thresh { left } else { right }`.
-#[derive(Clone, Copy, Debug, Default)]
-struct Stump {
-    dim: usize,
-    thresh: f64,
-    left: f64,
-    right: f64,
-}
-
-impl Stump {
-    #[inline]
-    fn eval(&self, x: &[f64; FEATURE_DIM]) -> f64 {
-        if x[self.dim] <= self.thresh {
-            self.left
-        } else {
-            self.right
-        }
-    }
-}
-
-/// A tiny fixed-depth gradient-boosted model: per target, a mean base
-/// plus `GBM_ROUNDS` greedy depth-1 stumps refit over the sample
-/// buffer on every observation. Strictly deterministic: candidate
-/// splits are the observed feature values, scanned in (dimension,
-/// sorted-sample) order with first-wins tie-breaking.
-#[derive(Clone, Debug, Default)]
-pub struct GbmModel {
-    xs: Vec<[f64; FEATURE_DIM]>,
-    ys: Vec<[f64; TARGETS]>,
-    head: usize,
-    base: [f64; TARGETS],
-    stumps: Vec<[Stump; GBM_ROUNDS]>,
-    fitted: bool,
-}
-
-impl GbmModel {
-    /// Adds one observation (evicting the oldest beyond the cap) and
-    /// refits every target.
-    pub fn observe(&mut self, x: &[f64; FEATURE_DIM], y: &[f64; TARGETS]) {
-        if self.xs.len() < GBM_CAP {
-            self.xs.push(*x);
-            self.ys.push(*y);
-        } else {
-            self.xs[self.head] = *x;
-            self.ys[self.head] = *y;
-            self.head = (self.head + 1) % GBM_CAP;
-        }
-        self.fit();
-    }
-
-    /// Observations currently buffered.
-    pub fn count(&self) -> u64 {
-        self.xs.len() as u64
-    }
-
-    /// Whether the model has been fit.
-    pub fn fitted(&self) -> bool {
-        self.fitted
-    }
-
-    fn fit(&mut self) {
-        let n = self.xs.len();
-        if n == 0 {
-            return;
-        }
-        self.stumps = vec![[Stump::default(); GBM_ROUNDS]; TARGETS];
-        for t in 0..TARGETS {
-            let mean: f64 = self.ys.iter().map(|y| y[t]).sum::<f64>() / n as f64;
-            self.base[t] = mean;
-            let mut resid: Vec<f64> = self.ys.iter().map(|y| y[t] - mean).collect();
-            // Small buffers get few (or zero) stumps: a handful of noisy
-            // grains should predict their mean, not memorise themselves.
-            let rounds = GBM_ROUNDS.min(n / 4);
-            for round in 0..rounds {
-                let Some(stump) = best_stump(&self.xs, &resid) else { break };
-                let mut damped = stump;
-                damped.left *= GBM_ETA;
-                damped.right *= GBM_ETA;
-                for (x, r) in self.xs.iter().zip(resid.iter_mut()) {
-                    *r -= damped.eval(x);
-                }
-                self.stumps[t][round] = damped;
-            }
-        }
-        self.fitted = true;
-    }
-
-    /// Predicts all targets for `x`, clamped at zero.
-    pub fn predict(&self, x: &[f64; FEATURE_DIM]) -> [f64; TARGETS] {
-        let mut y = [0.0; TARGETS];
-        for (t, out) in y.iter_mut().enumerate() {
-            let mut v = self.base[t];
-            if let Some(stumps) = self.stumps.get(t) {
-                for s in stumps {
-                    v += s.eval(x);
-                }
-            }
-            *out = v.max(0.0);
-        }
-        y
-    }
-}
-
-/// The squared-error-optimal stump over `(xs, resid)`, or `None` when no
-/// split improves on the zero predictor. O(D · n log n) per call.
-fn best_stump(xs: &[[f64; FEATURE_DIM]], resid: &[f64]) -> Option<Stump> {
-    let n = xs.len();
-    if n < 2 {
-        return None;
-    }
-    let total: f64 = resid.iter().sum();
-    let mut best: Option<(f64, Stump)> = None;
-    let mut order: Vec<usize> = (0..n).collect();
-    for dim in 0..FEATURE_DIM {
-        order.sort_by(|&a, &b| {
-            xs[a][dim].partial_cmp(&xs[b][dim]).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut left_sum = 0.0;
-        for (k, &i) in order.iter().enumerate().take(n - 1) {
-            left_sum += resid[i];
-            // Can't split between equal feature values.
-            if xs[order[k + 1]][dim] <= xs[i][dim] {
-                continue;
-            }
-            let nl = (k + 1) as f64;
-            let nr = (n - k - 1) as f64;
-            let right_sum = total - left_sum;
-            // Variance-reduction gain of predicting each side's mean.
-            let gain = left_sum * left_sum / nl + right_sum * right_sum / nr;
-            let better = match best {
-                None => true,
-                Some((g, _)) => gain > g + 1e-15,
-            };
-            if better {
-                best = Some((
-                    gain,
-                    Stump {
-                        dim,
-                        thresh: xs[i][dim],
-                        left: left_sum / nl,
-                        right: right_sum / nr,
-                    },
-                ));
-            }
-        }
-    }
-    best.map(|(_, s)| s)
-}
-
-/// The predictor behind the learned mode, dispatching on [`ModelKind`].
-// One `Model` lives per simulated run; the ~2 KiB ridge state is not
-// worth an indirection on every observe/predict call.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-pub enum Model {
-    /// Online ridge regression.
-    Ridge(RidgeModel),
-    /// Bounded-buffer GBM.
-    Gbm(Box<GbmModel>),
-}
-
-impl Model {
-    /// Creates an empty model of the given kind.
-    pub fn new(kind: ModelKind) -> Model {
-        match kind {
-            ModelKind::Ridge => Model::Ridge(RidgeModel::default()),
-            ModelKind::Gbm => Model::Gbm(Box::default()),
-        }
-    }
-
-    /// The model's kind.
-    pub fn kind(&self) -> ModelKind {
-        match self {
-            Model::Ridge(_) => ModelKind::Ridge,
-            Model::Gbm(_) => ModelKind::Gbm,
-        }
-    }
-
-    /// Adds one observation and refits.
-    pub fn observe(&mut self, x: &[f64; FEATURE_DIM], y: &[f64; TARGETS]) {
-        match self {
-            Model::Ridge(m) => m.observe(x, y),
-            Model::Gbm(m) => m.observe(x, y),
-        }
-    }
-
-    /// Whether predictions are available.
-    pub fn fitted(&self) -> bool {
-        match self {
-            Model::Ridge(m) => m.fitted(),
-            Model::Gbm(m) => m.fitted(),
-        }
-    }
-
-    /// Predicts all targets for `x` (zero-clamped).
-    pub fn predict(&self, x: &[f64; FEATURE_DIM]) -> [f64; TARGETS] {
-        match self {
-            Model::Ridge(m) => m.predict(x),
-            Model::Gbm(m) => m.predict(x),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,7 +215,7 @@ mod tests {
 
     #[test]
     fn ridge_recovers_linear_targets() {
-        let mut m = RidgeModel::default();
+        let mut m = Model::new(ModelKind::Ridge);
         // Enough samples for the 2/n small-sample shrinkage to decay:
         // the test is about asymptotic recovery of the linear structure.
         for i in 0..400 {
@@ -463,48 +238,25 @@ mod tests {
     }
 
     #[test]
-    fn gbm_reduces_error_over_mean_baseline() {
-        let mut m = GbmModel::default();
-        for i in 0..60 {
-            let (x, y) = synth(i);
-            m.observe(&x, &y);
-        }
-        assert!(m.fitted());
-        // Against the training-mean baseline, the boosted model must cut
-        // the holdout error substantially.
-        let mean_y0: f64 = (0..60).map(|i| synth(i).1[0]).sum::<f64>() / 60.0;
-        let mut gbm_err = 0.0;
-        let mut mean_err = 0.0;
-        for i in 60..80 {
-            let (x, y) = synth(i);
-            gbm_err += (m.predict(&x)[0] - y[0]).abs();
-            mean_err += (mean_y0 - y[0]).abs();
-        }
-        assert!(gbm_err < 0.6 * mean_err, "gbm {gbm_err:.4} vs mean {mean_err:.4}");
-    }
-
-    #[test]
     fn models_are_bitwise_deterministic() {
-        for kind in [ModelKind::Ridge, ModelKind::Gbm] {
-            let mut a = Model::new(kind);
-            let mut b = Model::new(kind);
-            for i in 0..30 {
-                let (x, y) = synth(i);
-                a.observe(&x, &y);
-                b.observe(&x, &y);
-            }
-            let (probe, _) = synth(99);
-            let pa = a.predict(&probe);
-            let pb = b.predict(&probe);
-            for t in 0..TARGETS {
-                assert_eq!(pa[t].to_bits(), pb[t].to_bits(), "{kind:?} target {t}");
-            }
+        let mut a = Model::new(ModelKind::Ridge);
+        let mut b = Model::new(ModelKind::Ridge);
+        for i in 0..30 {
+            let (x, y) = synth(i);
+            a.observe(&x, &y);
+            b.observe(&x, &y);
+        }
+        let (probe, _) = synth(99);
+        let pa = a.predict(&probe);
+        let pb = b.predict(&probe);
+        for t in 0..TARGETS {
+            assert_eq!(pa[t].to_bits(), pb[t].to_bits(), "target {t}");
         }
     }
 
     #[test]
     fn predictions_are_zero_clamped() {
-        let mut m = RidgeModel::default();
+        let mut m = Model::new(ModelKind::Ridge);
         let mut x = [0.0; FEATURE_DIM];
         x[0] = 1.0;
         x[1] = 1.0;
@@ -516,13 +268,5 @@ mod tests {
         for t in 0..TARGETS {
             assert!(p[t] >= 0.0);
         }
-    }
-
-    #[test]
-    fn model_kind_round_trips_through_parse() {
-        for kind in [ModelKind::Ridge, ModelKind::Gbm] {
-            assert_eq!(ModelKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(ModelKind::parse("forest"), None);
     }
 }

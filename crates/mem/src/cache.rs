@@ -342,9 +342,9 @@ impl SetAssocCache {
         self.install(base, key, stamp, now, false);
     }
 
-    /// Behavioural equality at a chunk boundary: whether `self` and
-    /// `other` respond identically to every possible access sequence
-    /// issued at or after `ref_now`.
+    /// Behavioural equality: whether `self` and `other` respond
+    /// identically to every possible access sequence issued at or after
+    /// `ref_now`.
     ///
     /// Raw LRU stamps are *not* comparable across a functionally-warmed
     /// cache and a detailed one (a detailed demand miss burns a stamp on
@@ -357,9 +357,8 @@ impl SetAssocCache {
     /// earlier). So two caches are behaviourally equal iff each set
     /// holds the same valid lines, in the same recency order, with the
     /// same prefetched bits, and agrees on which fills are still in
-    /// flight (and when those complete). Statistics are excluded — the
-    /// merge accounts for them as deltas.
-    pub fn boundary_eq(&self, other: &Self, ref_now: Cycle) -> bool {
+    /// flight (and when those complete). Statistics are excluded.
+    pub fn same_state(&self, other: &Self, ref_now: Cycle) -> bool {
         if self.set_mask != other.set_mask || self.ways != other.ways {
             return false;
         }
@@ -403,26 +402,6 @@ impl SetAssocCache {
             }
         }
         true
-    }
-
-    /// Shifts every still-in-flight fill (`ready > ref_now`) `delta`
-    /// cycles later. The intra-run merge's accept step moves a whole
-    /// chunk-exit state forward in time as one rigid unit; in-flight
-    /// completion times are its only absolute-time component (settled
-    /// `ready` values are behaviourally dead — see
-    /// [`SetAssocCache::boundary_eq`]).
-    pub fn shift_in_flight(&mut self, ref_now: Cycle, delta: u64) {
-        if delta == 0 {
-            return;
-        }
-        for idx in 0..self.tags.len() {
-            if self.tags[idx] != 0 {
-                let ready = &mut self.meta[idx * META + M_READY];
-                if *ready > ref_now.as_u64() {
-                    *ready += delta;
-                }
-            }
-        }
     }
 
     /// Drops `line` if resident. Returns whether it was present.

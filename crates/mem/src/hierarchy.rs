@@ -203,23 +203,14 @@ impl MemoryHierarchy {
         self.mem_latency
     }
 
-    /// Behavioural equality of every level at a chunk boundary — see
-    /// [`SetAssocCache::boundary_eq`]. Statistics and the op log are
-    /// excluded: the intra-run merge accounts for both separately.
-    pub fn boundary_eq(&self, other: &Self, ref_now: Cycle) -> bool {
+    /// Behavioural equality of every level at `ref_now` — see
+    /// [`SetAssocCache::same_state`]. Statistics and the op log are
+    /// excluded.
+    pub fn same_state(&self, other: &Self, ref_now: Cycle) -> bool {
         self.mem_latency == other.mem_latency
-            && self.l1i.boundary_eq(&other.l1i, ref_now)
-            && self.l1d.boundary_eq(&other.l1d, ref_now)
-            && self.l2.boundary_eq(&other.l2, ref_now)
-    }
-
-    /// Shifts every level's still-in-flight fills `delta` cycles later —
-    /// see [`SetAssocCache::shift_in_flight`]. Part of the intra-run
-    /// merge's accept step.
-    pub fn shift_in_flight(&mut self, ref_now: Cycle, delta: u64) {
-        self.l1i.shift_in_flight(ref_now, delta);
-        self.l1d.shift_in_flight(ref_now, delta);
-        self.l2.shift_in_flight(ref_now, delta);
+            && self.l1i.same_state(&other.l1i, ref_now)
+            && self.l1d.same_state(&other.l1d, ref_now)
+            && self.l2.same_state(&other.l2, ref_now)
     }
 
     /// One immutable sample of every level's demand/prefetch counters

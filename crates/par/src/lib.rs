@@ -1,21 +1,12 @@
-//! Std-only scoped parallelism: the matrix fan-out and the intra-run
-//! chunk planner.
+//! Std-only scoped parallelism: the matrix fan-out.
 //!
-//! The repository exploits two orthogonal axes of parallelism (see
-//! `docs/PARALLELISM.md` for the full concurrency model):
-//!
-//! 1. **Across runs** — the paper's evaluation is an embarrassingly
-//!    parallel grid, benchmark profiles × machine configurations, and
-//!    every simulation is deterministic and independent, so runs fan out
-//!    across threads with no fidelity loss (the same argument
-//!    "Parallelizing a modern GPU simulator" makes for trace-driven
-//!    simulators). [`parallel_map`] / [`parallel_gen`] provide that
-//!    fan-out.
-//! 2. **Within one run** — a single run's event sequence is partitioned
-//!    into contiguous, weight-balanced chunks by [`partition_weighted`];
-//!    `esp-core`'s intra-run mode simulates the chunks optimistically in
-//!    parallel and merges them deterministically, repairing chunks whose
-//!    predicted entry state turns out wrong.
+//! The paper's evaluation is an embarrassingly parallel grid, benchmark
+//! profiles × machine configurations, and every simulation is
+//! deterministic and independent, so runs fan out across threads with no
+//! fidelity loss (the same argument "Parallelizing a modern GPU
+//! simulator" makes for trace-driven simulators). [`parallel_map`] /
+//! [`parallel_gen`] provide that fan-out; `docs/PARALLELISM.md` has the
+//! full concurrency model.
 //!
 //! Everything is built purely on [`std::thread::scope`]: no external
 //! dependencies, because the build environment has no network access to a
@@ -30,9 +21,6 @@
 //! ```
 //! let squares = esp_par::parallel_map(4, &[1u64, 2, 3, 4], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//!
-//! let parts = esp_par::partition_weighted(&[3, 1, 1, 1, 3], 2);
-//! assert_eq!(parts, vec![0..2, 2..5]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -116,58 +104,6 @@ where
     out.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Splits `weights` into at most `parts` contiguous, non-empty ranges of
-/// roughly equal total weight, covering `0..weights.len()` in order.
-///
-/// This is the chunk planner of the intra-run parallel mode: item `i` is
-/// event `i`'s approximate instruction count, and each returned range
-/// becomes one optimistically simulated chunk. Cuts are placed where the
-/// cumulative weight first reaches `total * k / parts`, so the plan is a
-/// pure function of the weights — independent of thread scheduling, and
-/// therefore safe to recompute on any thread.
-///
-/// Returns fewer than `parts` ranges only when there are fewer items than
-/// parts; returns an empty vector for an empty slice.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(esp_par::partition_weighted(&[1, 1, 1, 1], 2), vec![0..2, 2..4]);
-/// assert_eq!(esp_par::partition_weighted(&[10, 1, 1], 3), vec![0..1, 1..2, 2..3]);
-/// ```
-pub fn partition_weighted(weights: &[u64], parts: usize) -> Vec<std::ops::Range<usize>> {
-    let n = weights.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, n);
-    let total: u128 = weights.iter().map(|&w| w as u128).sum();
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    let mut cum: u128 = 0;
-    for p in 1..=parts {
-        let end = if p == parts {
-            // The final part always runs to the end (zero-weight tails
-            // included).
-            n
-        } else {
-            let target = total * p as u128 / parts as u128;
-            // Leave at least one item for each of the remaining parts.
-            let max_end = n - (parts - p);
-            let mut end = start;
-            while end < max_end && (end == start || cum < target) {
-                cum += weights[end] as u128;
-                end += 1;
-            }
-            end
-        };
-        out.push(start..end);
-        start = end;
-    }
-    debug_assert_eq!(start, n);
-    out
-}
-
 /// Runs `n` independent jobs — `f(0) .. f(n-1)` — on up to `threads`
 /// worker threads, returning results in index order.
 ///
@@ -237,38 +173,5 @@ mod tests {
     #[test]
     fn threads_is_positive() {
         assert!(threads() >= 1);
-    }
-
-    #[test]
-    fn partition_covers_in_order() {
-        let weights: Vec<u64> = (0..37).map(|i| (i % 7) + 1).collect();
-        for parts in [1, 2, 3, 5, 8, 37, 100] {
-            let plan = partition_weighted(&weights, parts);
-            assert_eq!(plan.len(), parts.min(weights.len()), "parts={parts}");
-            assert_eq!(plan[0].start, 0);
-            assert_eq!(plan.last().unwrap().end, weights.len());
-            for w in plan.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-                assert!(!w[0].is_empty() && !w[1].is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn partition_balances_weight() {
-        // 64 equal-weight items over 4 parts: a perfect split.
-        let weights = vec![5u64; 64];
-        let plan = partition_weighted(&weights, 4);
-        assert_eq!(plan, vec![0..16, 16..32, 32..48, 48..64]);
-    }
-
-    #[test]
-    fn partition_edge_cases() {
-        assert!(partition_weighted(&[], 4).is_empty());
-        assert_eq!(partition_weighted(&[9], 4), vec![0..1]);
-        // Zero-weight tail still lands in the final part.
-        assert_eq!(partition_weighted(&[1, 1, 0, 0], 2), vec![0..1, 1..4]);
-        // Zero parts is treated as one.
-        assert_eq!(partition_weighted(&[1, 2], 0), vec![0..2]);
     }
 }

@@ -12,9 +12,9 @@ use esp_types::EventId;
 /// "Persisting Event Execution Contexts"). Implementations therefore carry
 /// all generator state internally.
 ///
-/// Streams are `Send`: the intra-run parallel mode moves live cursors
-/// between the worker that simulated a chunk and the merging thread.
-/// Every implementation is plain owned data, so this costs nothing.
+/// Streams are `Send`, so a cursor can be built on one thread and used
+/// on another. Every implementation is plain owned data, so this costs
+/// nothing.
 pub trait EventStream: Send {
     /// Produces the next instruction, or `None` when the event's handler
     /// returns to the looper.
@@ -46,8 +46,8 @@ pub trait EventStream: Send {
 /// builds from any workload by draining each stream once.
 ///
 /// Workloads are `Sync`: one workload is shared by reference across the
-/// matrix workers and, within a single run, across the intra-run chunk
-/// workers. Implementations are immutable once built, so this is free.
+/// matrix workers. Implementations are immutable once built, so this is
+/// free.
 pub trait Workload: Sync {
     /// The events of the program in execution order.
     fn events(&self) -> &[EventRecord];

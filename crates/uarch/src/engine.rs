@@ -272,8 +272,8 @@ impl Engine {
     /// Byte-identical only when the engine then feeds the DCU exactly the
     /// data line stream the bits were built from, from its first access
     /// on: every load and store it steps or warms, in order, and nothing
-    /// else. Runs that skip accesses (learned fast-forwarding) or start
-    /// mid-stream (intra-run chunks) must keep the live tracker.
+    /// else. Runs that skip accesses (learned fast-forwarding) must keep
+    /// the live tracker.
     ///
     /// # Panics
     ///
@@ -614,146 +614,55 @@ impl Engine {
     }
 }
 
-/// A captured behavioural snapshot of an [`Engine`] at a chunk
-/// boundary, used by the intra-run parallel mode's deterministic merge.
-///
-/// The view holds clones of every structure whose *future behaviour*
-/// depends on its present contents — memory hierarchy, branch
-/// predictor, prefetchers — plus the scalar pipeline state, all in the
-/// canonical form compared by [`Engine::boundary_matches`]. Statistics
-/// and the CPI stack are deliberately absent: the merge accounts for
-/// those as per-chunk deltas, so they never participate in conflict
-/// detection.
-#[derive(Clone, Debug)]
-pub struct BoundaryView {
-    retired: u64,
-    millis: u64,
-    last_fetch_line: Option<LineAddr>,
-    /// Retired-instruction distance to the last data LLC miss, already
-    /// canonicalised: `Some` only when still within the ROB window (the
-    /// only case where the overlap rule can consult it again).
-    llc_miss_dist: Option<u64>,
-    mem: MemoryHierarchy,
-    bp: BranchPredictor,
-    nl_i: NextLineInstr,
-    dcu: DcuNextLine,
-    stride: StridePrefetcher,
-}
-
 impl Engine {
     /// Retired-distance to the last data LLC miss in canonical form:
     /// `Some(d)` only while `d` is inside the ROB window. Beyond that
     /// the overlap rule can never fire again, so the raw value is
-    /// behaviourally dead and must not cause spurious conflicts.
+    /// behaviourally dead.
     fn canonical_llc_miss_dist(&self) -> Option<u64> {
         self.last_data_llc_miss_at
             .map(|at| self.stats.retired - at)
             .filter(|&d| d < u64::from(self.cfg.machine.rob_entries))
     }
 
-    /// Captures the engine's behavioural state for a later
-    /// [`Engine::boundary_matches`] comparison. Called by an intra-run
-    /// chunk worker right after [`Engine::resync_chunk_entry`], so the
-    /// view records what the worker *assumed* the authoritative state
-    /// would be at its chunk's first event.
-    pub fn boundary_view(&self) -> BoundaryView {
-        BoundaryView {
-            retired: self.stats.retired,
-            millis: self.millis,
-            last_fetch_line: self.last_fetch_line,
-            llc_miss_dist: self.canonical_llc_miss_dist(),
-            mem: self.mem.clone(),
-            bp: self.bp.clone(),
-            nl_i: self.nl_i.clone(),
-            dcu: self.dcu.clone(),
-            stride: self.stride.clone(),
+    /// The first component in which `self` and `other` hold different
+    /// behavioural state at cycle `at`, or `None` when they would
+    /// respond identically to any future input: the retired count, the
+    /// sub-cycle residue, the fetch line, the LLC-miss overlap window,
+    /// the three prefetchers, the branch predictor, and every cache
+    /// level. Statistics and charged cycles are not compared; caches
+    /// compare by behavioural equivalence at `at` (recency rank order,
+    /// in-flight fills — see [`esp_mem::SetAssocCache::same_state`]),
+    /// the predictor by [`esp_branch::BranchPredictor::same_state`].
+    pub fn state_difference(&self, other: &Engine, at: Cycle) -> Option<&'static str> {
+        if self.stats.retired != other.stats.retired {
+            return Some("retired-instruction count");
         }
-    }
-
-    /// Whether this (authoritative) engine's behavioural state at cycle
-    /// `at` matches a worker's recorded entry `view` — i.e. whether the
-    /// worker's optimistic chunk simulation started from a state that
-    /// produces bit-identical results to continuing serially. Returns
-    /// the first mismatching component's name as the conflict reason.
-    ///
-    /// Statistics and charged cycles are not compared (the merge
-    /// handles them as deltas); caches compare by behavioural
-    /// equivalence at `at` (recency rank order, in-flight fills — see
-    /// [`esp_mem::SetAssocCache::boundary_eq`]), the predictor by
-    /// [`esp_branch::BranchPredictor::same_state`].
-    pub fn boundary_matches(&self, view: &BoundaryView, at: Cycle) -> Result<(), &'static str> {
-        if self.stats.retired != view.retired {
-            return Err("retired-instruction count");
+        if self.millis != other.millis {
+            return Some("sub-cycle residue");
         }
-        if self.millis != view.millis {
-            return Err("sub-cycle residue");
+        if self.last_fetch_line != other.last_fetch_line {
+            return Some("fetch-line dedup state");
         }
-        if self.last_fetch_line != view.last_fetch_line {
-            return Err("fetch-line dedup state");
+        if self.canonical_llc_miss_dist() != other.canonical_llc_miss_dist() {
+            return Some("LLC-miss overlap window");
         }
-        if self.canonical_llc_miss_dist() != view.llc_miss_dist {
-            return Err("LLC-miss overlap window");
+        if !self.nl_i.same_state(&other.nl_i) {
+            return Some("next-line instruction prefetcher");
         }
-        if !self.nl_i.same_state(&view.nl_i) {
-            return Err("next-line instruction prefetcher");
+        if !self.dcu.same_state(&other.dcu) {
+            return Some("DCU data prefetcher");
         }
-        if !self.dcu.same_state(&view.dcu) {
-            return Err("DCU data prefetcher");
+        if !self.stride.same_state(&other.stride) {
+            return Some("stride prefetcher");
         }
-        if !self.stride.same_state(&view.stride) {
-            return Err("stride prefetcher");
+        if !self.bp.same_state(&other.bp) {
+            return Some("branch predictor");
         }
-        if !self.bp.same_state(&view.bp) {
-            return Err("branch predictor");
+        if !self.mem.same_state(&other.mem, at) {
+            return Some("cache hierarchy");
         }
-        if !self.mem.boundary_eq(&view.mem, at) {
-            return Err("cache hierarchy");
-        }
-        Ok(())
-    }
-
-    /// Re-synchronises a functionally-warmed engine to the serial
-    /// timeline at a chunk's first event: idles the clock up to `at`,
-    /// synthesises the sub-cycle residue the serial path would carry
-    /// (warming never charges base cycles, but every retired
-    /// instruction adds exactly `base_millis_per_instr` to the residue
-    /// modulo 1000), and clears the LLC-miss overlap window (warming
-    /// cannot have observed a timed miss; a live one at the boundary is
-    /// caught as a conflict by [`Engine::boundary_matches`]). Returns
-    /// `false` — the chunk must be repaired serially — when the warm
-    /// clock has already overshot `at`.
-    pub fn resync_chunk_entry(&mut self, at: Cycle) -> bool {
-        if self.now.is_after(at) {
-            return false;
-        }
-        self.idle_until(at);
-        self.millis = (self.stats.retired * self.base_millis_per_instr) % 1000;
-        self.last_data_llc_miss_at = None;
-        true
-    }
-
-    /// Shifts a chunk-exit engine `delta` cycles into the future — the
-    /// intra-run merge's accept step when the authoritative predecessor
-    /// finished `delta` cycles *after* the worker's assumed entry clock.
-    ///
-    /// Sound because every timing rule the engine applies is
-    /// shift-invariant as long as the clock never waits on an absolute
-    /// post time (the merge rejects chunks that idled mid-chunk before
-    /// shifting): fill and stall latencies are relative to `now`, the
-    /// LLC-overlap window counts retired instructions, and the sub-cycle
-    /// residue advances in whole cycles. The only absolute-time state —
-    /// in-flight fill completion times — is shifted along with the clock.
-    /// The shift is charged to the idle class purely to preserve the
-    /// `cpi_stack().total() == now()` invariant; the merge reports time
-    /// from per-chunk stack *deltas*, so the charge never reaches a
-    /// report.
-    pub fn shift_chunk_exit(&mut self, delta: u64) {
-        if delta == 0 {
-            return;
-        }
-        self.mem.shift_in_flight(self.now, delta);
-        self.now += delta;
-        self.stack.idle += delta;
+        None
     }
 }
 

@@ -55,7 +55,7 @@ mod runahead;
 
 pub use config::{EngineConfig, MachineConfig, TimingParams};
 pub use engine::{
-    BoundaryView, CycleBreakdown, Engine, EngineStats, Stall, StallKind, StepOutcome, WarmStats,
+    CycleBreakdown, Engine, EngineStats, Stall, StallKind, StepOutcome, WarmStats,
     WarmTee,
 };
 pub use kernel::{KernelParams, KindTable};

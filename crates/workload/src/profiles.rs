@@ -212,7 +212,7 @@ impl BenchmarkProfile {
 
     /// Every built-in profile: the paper's seven web profiles followed
     /// by the extra families. Name lookups, `repro dump`, `repro
-    /// check`, and the intra-run matrix iterate this list; the
+    /// check`, and the benchmark matrix iterate this list; the
     /// paper-replication figures keep using [`BenchmarkProfile::all`].
     pub fn all_families() -> Vec<BenchmarkProfile> {
         let mut v = Self::all();

@@ -12,17 +12,13 @@
 # in statistical-sampling mode with a sampled-vs-exact CPI error
 # cross-check (per-profile table under "sampled".per_profile), pass 3b
 # warm with learned fast-forwarding on top of sampling (--learn-* to
-# override the model; throughput, speedups vs exact and vs plain
-# sampling, error envelope, skip fraction, and fallback counters land
-# under "learned"). Pass 4 measures the second parallelism axis: each
-# profile's single baseline run chunked over --intra-threads workers
-# with deterministic merge (docs/PARALLELISM.md); its chunk/conflict
-# accounting and serial-vs-chunked single-run throughput land under
-# "intra" (with a per-family conflict table under "intra".per_profile).
-# A final trace-I/O pass exports every family to .espt files, clears
-# the arena memo, re-imports them, and records the wall times under
-# "trace_io" next to the generate/materialise phase seconds the import
-# path replaces (docs/TRACE_FORMAT.md). Exact and sampled throughput both land in
+# override the learned parameters; throughput, speedups vs exact and
+# vs plain sampling, error envelope, skip fraction, and fallback
+# counters land under "learned"). A final trace-I/O pass exports every
+# family to .espt files, clears the arena memo, re-imports them, and
+# records the wall times under "trace_io" next to the
+# generate/materialise phase seconds the import path replaces
+# (docs/TRACE_FORMAT.md). Exact and sampled throughput both land in
 # BENCH_repro.json, as sims/s and as MIPS (instructions simulated —
 # retired plus speculative — per wall-second; the sampled block reports
 # *effective* MIPS and is tagged with the scale its error was measured

@@ -35,9 +35,6 @@ cargo test -q --release -p esp-bench --test trace_import_equivalence
 echo "== determinism: parallel runner == sequential simulation =="
 cargo test -q --release -p esp-bench --test determinism
 
-echo "== intra-run: chunk-parallel merge == serial bytes (reports + traces) =="
-cargo test -q --release -p esp-bench --test intra_determinism
-
 echo "== packed arena: PackedWorkload::pack == materialise, bit for bit =="
 cargo test -q --release -p esp-bench --test packed_equivalence
 
@@ -98,16 +95,6 @@ if l:
           f"{l.get('ci95_coverage', float('nan')):.2f}, skip fraction {l['skip_fraction']:.2f}, "
           f"fallback rate {l['fallback_rate']:.3f} (small scale -- few stretches "
           f"to skip; the gated accuracy test runs at 2.4M)")
-# Intra-run (single-run) scaling pass: informational. Conflict
-# accounting is deterministic; the wall-time ratio is only a scaling
-# number on a multi-core host (docs/PARALLELISM.md).
-i = d.get("intra")
-if i:
-    print(f"  intra: {i['chunks']} chunks over {i['runs']} runs "
-          f"({i['accepted']} accepted, {i['repaired']} repaired, "
-          f"conflict rate {i['conflict_rate']:.2f}), "
-          f"serial {i['seconds_1t']:.2f}s vs {i['threads']}-worker "
-          f"{i['seconds_nt']:.2f}s")
 try:
     rec = json.load(open(sys.argv[1]))
 except (OSError, ValueError):

@@ -93,7 +93,7 @@ fn bulk_warm_walk_matches_per_instruction_warm_step() {
             let bulk = walked(&cfg, &w);
             let step = stepped(&cfg, &w);
             let at = bulk.now();
-            if let Err(what) = bulk.boundary_matches(&step.boundary_view(), at) {
+            if let Some(what) = bulk.state_difference(&step, at) {
                 panic!(
                     "{} / {axis}: bulk walk and warm_step disagree on the {what}",
                     profile.name()
