@@ -4,7 +4,7 @@
 //! repro [--scale N] [--seed S] [--threads T] all
 //! repro [--scale N] [--seed S] fig9 fig11a ...
 //! repro [--scale N] [--seed S] [--threads T] ablate
-//! repro [--trace out.jsonl] [--cpi-stack] fig9
+//! repro [--trace out.jsonl] fig9
 //! repro [--trace-in FILE.espt ...] fig9
 //! repro explain <benchmark-or-trace ...>
 //! repro [--scale N] [--seed S] [--threads T] [--fuzz N] [--fuzz-espt N] check
@@ -18,20 +18,16 @@
 //! fan out across worker threads (`--threads`, or the `ESP_THREADS`
 //! environment variable, defaulting to the machine's parallelism); every
 //! run is deterministic, so the reports are identical for any thread
-//! count. Each phase prints its wall-clock time, and a `BENCH_repro.json`
-//! with the run's throughput is written next to the output so the perf
-//! trajectory can be tracked across revisions.
+//! count. Each phase prints its wall-clock time to stderr. Only `bench`
+//! writes `BENCH_repro.json`; figure, `explain`, `ablate` and `dump` runs
+//! write no file unless pointed at one (`--trace`, `dump --trace-out`).
 //!
 //! Observability (see `docs/OBSERVABILITY.md`): `--trace <path>` writes
 //! a JSONL span trace of every simulation (per-worker buffers merged in
-//! input order — byte-identical for any thread count); `--cpi-stack`
-//! adds a per-benchmark baseline/ESP CPI-stack section to
-//! `BENCH_repro.json`; `explain <benchmark>` prints the baseline-vs-ESP
-//! CPI-stack delta table in the shape of the paper's Figs. 4/5.
-//!
-//! An existing `BENCH_repro.json` produced at a *different* scale is
-//! never overwritten (its throughput numbers would silently stop being
-//! comparable); pass `--force` to replace it anyway.
+//! input order — byte-identical for any thread count), whose `run` lines
+//! carry each run's CPI stack; `explain <benchmark>` prints the
+//! baseline-vs-ESP CPI-stack delta table in the shape of the paper's
+//! Figs. 4/5.
 //!
 //! Correctness (see `docs/TESTING.md`): `check` runs the `esp-check`
 //! differential oracle over every benchmark family (the paper's seven
@@ -61,8 +57,11 @@
 //! mode — and writes a `BENCH_repro.json` with per-phase wall times
 //! (generate/materialise/simulate), arena resident bytes, exact,
 //! sampled and learned throughput, and the estimated modes' measured
-//! CPI error against exact ground truth. `scripts/bench.sh` wraps the
-//! documented scale-600000 invocation.
+//! CPI error against exact ground truth. An existing `BENCH_repro.json`
+//! recorded at a *different* scale is never overwritten (its throughput
+//! numbers would silently stop being comparable); `--force` replaces it
+//! anyway. `scripts/bench.sh` wraps the documented scale-600000
+//! invocation.
 //!
 //! Every command reads a fixed set of flags (`flags_read`); any other
 //! flag on its command line is a usage error, raised before any
@@ -71,8 +70,8 @@
 //! Sampling (the `esp-sample` engine, `--sample-period` /
 //! `--sample-grain`): any figure run can trade exactness for speed by
 //! measuring one grain in every P; results are estimates with a
-//! reported confidence interval and `BENCH_repro.json` is marked
-//! `"mode": "sampled"`. The default exact path is byte-identical to a
+//! reported confidence interval, and `--trace` lines are tagged
+//! `"mode":"sampled"`. The default exact path is byte-identical to a
 //! build without the sampling engine.
 
 use esp_bench::{explain, figures, ConfigKey, Runner, WorkloadSpec};
@@ -90,7 +89,6 @@ fn main() -> ExitCode {
     let mut trace: Option<PathBuf> = None;
     let mut trace_ins: Vec<PathBuf> = Vec::new();
     let mut trace_out: Option<PathBuf> = None;
-    let mut cpi_stack = false;
     let mut force = false;
     let mut repeat: usize = 3;
     let mut fuzz_cases: usize = 10;
@@ -133,7 +131,6 @@ fn main() -> ExitCode {
                 Some(p) => trace_out = Some(p.into()),
                 None => return usage("--trace-out needs a directory path"),
             },
-            "--cpi-stack" => cpi_stack = true,
             "--force" => force = true,
             "--repeat" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) if v > 0 => repeat = v,
@@ -245,8 +242,8 @@ fn main() -> ExitCode {
         Vec::new()
     };
     // `check` and `dump` drive the simulator directly at the requested
-    // scale — no Runner (and no BENCH_repro.json) involved. `bench`
-    // runs the timing protocol and owns its BENCH_repro.json write.
+    // scale, with no Runner involved. `bench` runs the timing protocol
+    // and is the one writer of BENCH_repro.json.
     let threads_or_default = threads.unwrap_or_else(esp_par::threads);
     match command.as_str() {
         "dump" => return dump(scale, seed, threads_or_default, &wanted[1..], trace_out.as_deref()),
@@ -356,7 +353,6 @@ fn main() -> ExitCode {
                 Err(e) => return usage(&e.to_string()),
             }
         }
-        write_bench_json(&mut runner, t_start.elapsed().as_secs_f64(), cpi_stack, force);
         return ExitCode::SUCCESS;
     }
 
@@ -390,20 +386,17 @@ fn main() -> ExitCode {
             Err(e) => return usage(&e.to_string()),
         }
     }
-    write_bench_json(&mut runner, t_start.elapsed().as_secs_f64(), cpi_stack, force);
     ExitCode::SUCCESS
 }
 
 /// Flags every figure run reads: the runner's workload, thread count,
-/// trace sink, sampling mode, and `BENCH_repro.json` record. `--trace-in`
-/// comes last because `explain` reads all the others.
-const FIGURE_FLAGS: [&str; 13] = [
+/// trace sink and sampling mode. `--trace-in` comes last because
+/// `explain` reads all the others.
+const FIGURE_FLAGS: [&str; 11] = [
     "--scale",
     "--seed",
     "--threads",
     "--trace",
-    "--cpi-stack",
-    "--force",
     "--sample-period",
     "--sample-grain",
     "--learn",
@@ -416,14 +409,14 @@ const FIGURE_FLAGS: [&str; 13] = [
 /// The flags `command` reads: the first positional argument (a figure
 /// name, `all`, `explain`, `dump`, `check` or `bench`), `ablate` when a
 /// figure run includes it, or `--bless`. `ablate` reads the sweeps'
-/// workload and thread count and the `BENCH_repro.json` record; `explain`
-/// names its traces as arguments instead of taking `--trace-in`; `bench`
-/// always runs its learned pass, so it reads the learned parameters but
-/// not the bare `--learn`.
+/// workload and thread count; `explain` names its traces as arguments
+/// instead of taking `--trace-in`; `bench` always runs its learned pass,
+/// so it reads the learned parameters but not the bare `--learn`; only
+/// `bench` writes a file that `--force` guards.
 fn flags_read(command: &str) -> &'static [&'static str] {
     match command {
         "--bless" => &["--threads"],
-        "ablate" => &["--scale", "--seed", "--threads", "--cpi-stack", "--force"],
+        "ablate" => &["--scale", "--seed", "--threads"],
         "dump" => &["--scale", "--seed", "--threads", "--trace-out"],
         "check" => &["--scale", "--seed", "--threads", "--fuzz", "--fuzz-espt"],
         "bench" => &[
@@ -665,7 +658,7 @@ fn check(
 /// least disturbed by background load (every repetition simulates the
 /// exact same deterministic work, so they are directly comparable). All
 /// passes and the per-phase wall times land in `BENCH_repro.json`
-/// (guarded against cross-scale overwrite, as for figure runs). A final
+/// (guarded against cross-scale overwrite). A final
 /// trace-I/O measurement exports every family's arena to `.espt`, drops
 /// the memo, re-imports from the files, and records both wall times next
 /// to the generate/materialise cost they substitute for
@@ -1047,81 +1040,24 @@ fn bench_json_writable(scale: u64, force: bool) -> bool {
     true
 }
 
-/// Writes `BENCH_repro.json` so future revisions can track the perf
-/// trajectory of a full regeneration at fixed scale/seed. With
-/// `cpi_stack` requested, the baseline and ESP+NL runs are ensured and
-/// their per-benchmark CPI stacks embedded (identical for any
-/// `--threads` value; the determinism test asserts this). An existing
-/// file recorded at a different scale is preserved unless `force` —
-/// mixed-scale throughput numbers are not comparable.
-fn write_bench_json(runner: &mut Runner, total_seconds: f64, cpi_stack: bool, force: bool) {
-    if !bench_json_writable(runner.scale(), force) {
-        return;
-    }
-    let stack_section = if cpi_stack {
-        // Runs the baseline/ESP pair if the requested figures did not
-        // already (a cache hit otherwise).
-        runner.ensure(&[ConfigKey::Base, ConfigKey::EspNl]);
-        match runner.cpi_stack_json("  ") {
-            Some(json) => format!(",\n  \"cpi_stack\": {json}"),
-            None => String::new(),
-        }
-    } else {
-        String::new()
-    };
-    let sims = runner.sims_run();
-    let phases = runner.phase_seconds();
-    // A sampled figure run produces estimated numbers; mark the record
-    // so its throughput is never confused with the exact trajectory.
-    let mode_section = match runner.sampling() {
-        Some(p) => format!(
-            ",\n  \"mode\": \"{}\", \"sample_grain\": {}, \"sample_period\": {}",
-            if runner.learned().is_some() { "learned" } else { "sampled" },
-            p.grain_instrs,
-            p.period
-        ),
-        None => String::new(),
-    };
-    let json = format!(
-        "{{\n  \"scale\": {},\n  \"seed\": {},\n  \"threads\": {},\n  \"sims_run\": {},\n  \"total_seconds\": {:.3},\n  \"sims_per_sec\": {:.3},\n  \"arena_bytes\": {},\n  \"phase_seconds\": {{\"generate\": {:.3}, \"materialise\": {:.3}, \"simulate\": {:.3}}}{}{}\n}}\n",
-        runner.scale(),
-        runner.seed(),
-        runner.threads(),
-        sims,
-        total_seconds,
-        if total_seconds > 0.0 { sims as f64 / total_seconds } else { 0.0 },
-        runner.arena_resident_bytes(),
-        phases.generate,
-        phases.materialise,
-        phases.simulate,
-        stack_section,
-        mode_section,
-    );
-    match std::fs::write("BENCH_repro.json", &json) {
-        Ok(()) => eprintln!("# wrote BENCH_repro.json ({sims} sims in {total_seconds:.2}s)"),
-        Err(e) => eprintln!("# warning: could not write BENCH_repro.json: {e}"),
-    }
-}
-
 fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
     eprintln!(
         "usage: repro [--scale N] [--seed S] [--threads T] \
-         [--trace FILE.jsonl] [--trace-in FILE.espt ...] [--trace-out DIR] [--cpi-stack] \
+         [--trace FILE.jsonl] [--trace-in FILE.espt ...] [--trace-out DIR] \
          [--force] [--fuzz N] [--fuzz-espt N] [--repeat N] [--sample-period P] [--sample-grain G] \
          [--learn] [--learn-train N] [--learn-suffix N] [--learn-bound F] \
          <all | fig3 fig6 fig7 fig8 fig9 fig10 fig11a fig11b fig12 fig13 fig14 | ablate \
          | explain BENCHMARK-OR-TRACE... | check | dump [NAMES-OR-TRACES...] | bench> | --bless\n\
          --bless regenerates the golden digests in tests/golden_digests.txt;\n\
          threads default to ESP_THREADS or the machine's parallelism;\n\
-         --trace writes a JSONL span trace, --cpi-stack embeds per-benchmark CPI stacks\n\
-         in BENCH_repro.json (schema: docs/OBSERVABILITY.md);\n\
+         --trace writes a JSONL span trace whose run lines carry each run's CPI stack\n\
+         (schema: docs/OBSERVABILITY.md);\n\
          --trace-in FILE.espt (repeatable) simulates imported traces instead of\n\
          generating workloads; dump --trace-out DIR exports .espt trace files\n\
          (format: docs/TRACE_FORMAT.md);\n\
-         --force overwrites a BENCH_repro.json recorded at a different scale;\n\
          --sample-period P runs figures in statistical-sampling mode (1 of every P\n\
          grains of --sample-grain instructions is measured; see docs/PERFORMANCE.md);\n\
          --learn adds learned fast-forwarding on top of sampling (skips most of the\n\
@@ -1135,8 +1071,9 @@ fn usage(err: &str) -> ExitCode {
          bench runs the full matrix cold at 1 thread, warm at --threads (skipped on a\n\
          1-core machine), warm in sampled then learned mode with error cross-checks\n\
          (each pass best of --repeat, default 3), measures .espt export/import against\n\
-         generate+materialise, and records all passes in BENCH_repro.json\n\
-         (docs/PERFORMANCE.md, docs/TRACE_FORMAT.md);\n\
+         generate+materialise, and records all passes in BENCH_repro.json (the only\n\
+         command that writes it; --force overwrites one recorded at a different scale;\n\
+         docs/PERFORMANCE.md, docs/TRACE_FORMAT.md);\n\
          a flag the selected command does not read is a usage error"
     );
     if err.is_empty() {

@@ -3,11 +3,11 @@
 //!
 //! The `repro` binary (`cargo run --release -p esp-bench --bin repro --
 //! all`) prints each figure in the same rows/series layout the paper
-//! uses; the plain-`std` timing benches in `benches/` time the simulator
-//! itself. `repro explain <benchmark>` prints the baseline-vs-ESP
-//! CPI-stack delta (see [`explain`]), and `--trace <path>` /
-//! `--cpi-stack` expose the `esp-obs` observability layer (glossary and
-//! trace schema in `docs/OBSERVABILITY.md`).
+//! uses; `repro bench` times the simulator itself and is the one writer
+//! of `BENCH_repro.json`. `repro explain <benchmark>` prints the
+//! baseline-vs-ESP CPI-stack delta (see [`explain`]), and `--trace
+//! <path>` exposes the `esp-obs` observability layer, one CPI stack per
+//! run line (glossary and trace schema in `docs/OBSERVABILITY.md`).
 //!
 //! Figures are regenerated at a configurable instruction scale (default
 //! 400 000 per benchmark; see `DESIGN.md` on scaling) with per-(profile,

@@ -233,7 +233,6 @@ pub struct PhaseSeconds {
 /// its streams — see `docs/PERFORMANCE.md`.
 pub struct Runner {
     scale: u64,
-    seed: u64,
     threads: usize,
     slots: Vec<Slot>,
     phases: PhaseSeconds,
@@ -372,7 +371,6 @@ impl Runner {
         let materialise = t.elapsed().as_secs_f64();
         Ok(Runner {
             scale,
-            seed,
             threads,
             slots,
             phases: PhaseSeconds { generate, materialise, simulate: 0.0 },
@@ -397,11 +395,6 @@ impl Runner {
         self.sampling = params;
     }
 
-    /// The active sampling parameters, if sampling mode is on.
-    pub fn sampling(&self) -> Option<SampleParams> {
-        self.sampling
-    }
-
     /// Switches every subsequent *sampled* simulation to learned
     /// fast-forwarding (or back to plain functional warming with
     /// `None`). Has no effect until sampling mode is on. Cached reports
@@ -414,11 +407,6 @@ impl Runner {
             self.learned_stats.clear();
         }
         self.learned = params;
-    }
-
-    /// The active learned fast-forward parameters, if any.
-    pub fn learned(&self) -> Option<LearnParams> {
-        self.learned
     }
 
     /// The learned-mode statistics for `(i, key)`, if that cell was
@@ -466,16 +454,6 @@ impl Runner {
     /// The instruction scale per benchmark.
     pub fn scale(&self) -> u64 {
         self.scale
-    }
-
-    /// The workload seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The worker-thread count used for simulation fan-out.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Simulations executed so far (cache misses only).
@@ -578,7 +556,9 @@ impl Runner {
                 SimMode::Runahead { .. } => 3,
                 SimMode::Baseline => 2,
             };
-            slots[i].packed.approx_total_instructions() * weight
+            // Saturating: an imported trace's length hint may be as
+            // large as `u64::MAX`.
+            slots[i].packed.approx_total_instructions().saturating_mul(weight)
         };
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         order.sort_by(|&a, &b| cost(&pairs[b]).cmp(&cost(&pairs[a])).then(a.cmp(&b)));
@@ -650,34 +630,9 @@ impl Runner {
     }
 
     /// The cached report for `(i, key)`, if one exists (no simulation is
-    /// triggered — used to build the `cpi_stack` section from whatever a
-    /// figure run already produced).
+    /// triggered).
     pub fn cached(&self, i: usize, key: ConfigKey) -> Option<&RunReport> {
         self.cache.get(&(i, key))
-    }
-
-    /// The `cpi_stack` section of `BENCH_repro.json`: per benchmark, the
-    /// baseline and ESP+NL CPI stacks (the Fig. 4/5 pair), rendered as a
-    /// JSON object. Requires both configurations to be cached for every
-    /// profile — call `ensure(&[ConfigKey::Base, ConfigKey::EspNl])`
-    /// first. Deterministic: identical text for any thread count.
-    pub fn cpi_stack_json(&self, indent: &str) -> Option<String> {
-        let inner = format!("{indent}  ");
-        let mut out = String::from("{\n");
-        for (i, slot) in self.slots.iter().enumerate() {
-            let base = self.cached(i, ConfigKey::Base)?;
-            let esp = self.cached(i, ConfigKey::EspNl)?;
-            out.push_str(&format!(
-                "{inner}\"{}\": {{\"base\": {}, \"esp_nl\": {}}}{}\n",
-                slot.name,
-                base.cpi_stack.to_json(),
-                esp.cpi_stack.to_json(),
-                if i + 1 < self.slots.len() { "," } else { "" },
-            ));
-        }
-        out.push_str(indent);
-        out.push('}');
-        Some(out)
     }
 
     /// Recalls configuration `key` on profile index `i`, executing the
@@ -819,6 +774,34 @@ mod tests {
         );
         let got = imported.run(0, ConfigKey::EspNl).clone();
         assert_eq!(format!("{want:#?}"), format!("{got:#?}"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_maximal_length_hint_neither_overflows_dispatch_nor_sampling() {
+        // One event hints `u64::MAX` instructions and the rest hint 0, so
+        // the file is valid; dispatch cost and the sampled fallback test
+        // scale that hint and must saturate rather than overflow.
+        let dir = std::env::temp_dir().join(format!("esp-runner-hint-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hintmax.espt");
+        let amazon = BenchmarkProfile::by_name("amazon").unwrap().scaled(20_000);
+        let packed = arena::packed_for(&amazon, 1, 1);
+        let mut records = packed.events().to_vec();
+        for (i, r) in records.iter_mut().enumerate() {
+            r.approx_len = if i == 0 { u64::MAX } else { 0 };
+        }
+        let forged = PackedWorkload::new(records, packed.arena().clone(), u64::MAX);
+        let meta =
+            esp_trace::espt::TraceMeta { profile: "hintmax".into(), scale: 20_000, seed: 1 };
+        esp_trace::espt::write_path(&path, &meta, &forged).unwrap();
+
+        let specs = [WorkloadSpec::Import(path)];
+        let mut r = Runner::from_specs(&specs, 20_000, 1, 1).unwrap();
+        r.ensure(&[ConfigKey::Base, ConfigKey::Runahead, ConfigKey::EspNl]);
+        r.set_sampling(Some(SampleParams::new(2_000, 20)));
+        r.ensure(&[ConfigKey::Base, ConfigKey::Runahead, ConfigKey::EspNl]);
+        assert!(r.estimate(0, ConfigKey::EspNl).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,7 +7,7 @@ use std::process::Command;
 
 #[test]
 fn bad_argument_vectors_exit_2_without_panicking() {
-    let cases: [&[&str]; 16] = [
+    let cases: [&[&str]; 20] = [
         &["--scale", "0", "dump", "amazon"],
         &["--scale", "0", "check"],
         &["--trace-in", "x.espt", "dump"],
@@ -23,9 +23,13 @@ fn bad_argument_vectors_exit_2_without_panicking() {
         &["--sample-period", "20", "ablate"],
         &["--trace-in", "x.espt", "ablate"],
         &["--trace", "t.jsonl", "fig9", "ablate"],
+        &["--force", "fig9"],
+        &["--force", "explain", "amazon"],
+        &["--force", "ablate"],
         // Options that no longer exist.
         &["--intra-threads", "2", "bench"],
         &["--learn-model", "gbm", "--sample-period", "20", "fig9"],
+        &["--cpi-stack", "fig9"],
     ];
     let dir = std::env::temp_dir().join(format!("esp-cli-errors-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -7,8 +7,8 @@
 //!    tile the run with no gap or overlap, and the coarse
 //!    `CycleBreakdown` is exactly the folded stack.
 //! 2. **Determinism** — CPI stacks are identical for any worker-thread
-//!    count (the `--cpi-stack` section of `BENCH_repro.json` must not
-//!    depend on `--threads`).
+//!    count (the `cpi` of every `--trace` `run` line must not depend on
+//!    `--threads`).
 //! 3. **Trace stability** — the JSONL trace is byte-identical across
 //!    thread counts, because per-worker buffers are merged in input
 //!    order.
@@ -75,20 +75,16 @@ fn cpi_stack_conserves_cycles_everywhere() {
 #[test]
 fn cpi_stacks_are_thread_count_invariant() {
     let max_threads = esp_par::threads();
-    let mut reference: Option<(String, Vec<Vec<esp_obs::CpiStack>>)> = None;
+    let mut reference: Option<Vec<Vec<esp_obs::CpiStack>>> = None;
     for threads in [1, 2, max_threads] {
         let mut runner = Runner::with_threads(SCALE, SEED, threads);
         runner.ensure(&KEYS);
         let stacks: Vec<Vec<esp_obs::CpiStack>> = (0..runner.names().len())
             .map(|i| KEYS.iter().map(|&k| runner.run(i, k).cpi_stack).collect())
             .collect();
-        let json = runner.cpi_stack_json("  ").expect("base + ESP cached");
         match &reference {
-            None => reference = Some((json, stacks)),
-            Some((want_json, want_stacks)) => {
-                assert_eq!(&stacks, want_stacks, "threads={threads}: stacks differ");
-                assert_eq!(&json, want_json, "threads={threads}: cpi_stack JSON differs");
-            }
+            None => reference = Some(stacks),
+            Some(want) => assert_eq!(&stacks, want, "threads={threads}: stacks differ"),
         }
     }
 }

@@ -4,7 +4,7 @@
 //! is cleared so nothing generated survives, and the files are imported
 //! back. From then on the imported runner must be byte-identical to the
 //! generated one through every execution mode: exact simulation at any
-//! thread count, statistical sampling, the CPI-stack JSON, and the JSONL
+//! thread count, statistical sampling, the CPI stacks, and the JSONL
 //! observability trace. A single diverging byte means the container
 //! dropped information.
 //!
@@ -14,6 +14,7 @@
 
 use esp_bench::{ConfigKey, Runner, WorkloadSpec};
 use esp_core::SampleParams;
+use esp_obs::CpiStack;
 use esp_trace::espt::{self, TraceMeta};
 use esp_workload::{arena, BenchmarkProfile};
 use std::path::PathBuf;
@@ -40,6 +41,17 @@ fn matrix_reports(runner: &mut Runner) -> Vec<String> {
     out
 }
 
+/// Every (slot, key) CPI stack, in matrix order.
+fn matrix_stacks(runner: &mut Runner) -> Vec<CpiStack> {
+    let mut out = Vec::new();
+    for i in 0..runner.names().len() {
+        for key in KEYS {
+            out.push(runner.run(i, key).cpi_stack);
+        }
+    }
+    out
+}
+
 #[test]
 fn imported_traces_are_byte_identical_to_generated() {
     let dir = scratch_dir();
@@ -53,7 +65,7 @@ fn imported_traces_are_byte_identical_to_generated() {
     generated.ensure(&KEYS);
     let want_names = generated.names();
     let want_reports = matrix_reports(&mut generated);
-    let want_cpi = generated.cpi_stack_json("  ").expect("cpi stacks cached");
+    let want_cpi = matrix_stacks(&mut generated);
 
     // Export every slot while the generated packed forms are still
     // seated, then drop the runner and clear the memo: past this point
@@ -91,11 +103,7 @@ fn imported_traces_are_byte_identical_to_generated() {
             want_names[slot], key
         );
     }
-    assert_eq!(
-        imported.cpi_stack_json("  ").expect("cpi stacks cached"),
-        want_cpi,
-        "CPI-stack JSON diverged"
-    );
+    assert_eq!(matrix_stacks(&mut imported), want_cpi, "CPI stacks diverged");
 
     // JSONL traces: flush both sinks by dropping the runners' writers
     // via a no-op set, then byte-compare. Both runners ran the same

@@ -7,8 +7,6 @@
 //! with Fibonacci-hashed linear probing and O(1) epoch-based clearing, so
 //! one allocation is reused across all events of a run.
 
-use esp_types::LineAddr;
-
 /// Initial slot count (power of two).
 const INITIAL_CAPACITY: usize = 64;
 /// Grow when `len * 8 >= capacity * 7` would be exceeded — i.e. keep the
@@ -97,12 +95,6 @@ impl LineSet {
             }
             i = (i + 1) & mask;
         }
-    }
-
-    /// Inserts a line address (convenience over [`LineSet::insert`]).
-    #[inline]
-    pub fn insert_line(&mut self, line: LineAddr) -> bool {
-        self.insert(line.as_u64())
     }
 
     /// Whether `key` is present.

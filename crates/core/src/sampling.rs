@@ -718,8 +718,11 @@ impl Simulator {
     ) -> Option<SampledRun> {
         let events = workload.events();
         let n_looper = self.config().looper_instrs as u64;
-        let approx_total =
-            workload.approx_total_instructions() + n_looper * events.len() as u64;
+        // Saturating: an imported trace's length hint may be as large as
+        // `u64::MAX`.
+        let approx_total = workload
+            .approx_total_instructions()
+            .saturating_add(n_looper.saturating_mul(events.len() as u64));
         let grains_total = approx_total.div_ceil(params.grain_instrs.max(1));
         if grains_total >= params.period * 2 {
             return None;

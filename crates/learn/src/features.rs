@@ -219,20 +219,6 @@ impl FeatureExtractor {
         self.instrs
     }
 
-    /// Distinct instruction lines captured by the stretch's signature
-    /// table, in deterministic slot order — the observed region's
-    /// approximate i-footprint, exposed for introspection and reuse
-    /// (e.g. warm-state seeding).
-    pub fn i_footprint(&self) -> impl Iterator<Item = u64> + '_ {
-        self.isig.iter().copied().filter(|&l| l != EMPTY)
-    }
-
-    /// Distinct data lines captured by the stretch's signature table
-    /// (see [`FeatureExtractor::i_footprint`]).
-    pub fn d_footprint(&self) -> impl Iterator<Item = u64> + '_ {
-        self.dsig.iter().copied().filter(|&l| l != EMPTY)
-    }
-
     /// Per-instruction side entrance for streams the bulk walk cannot
     /// cover (the looper prologue): one call performs every update the
     /// walk's callbacks would, plus the instruction credit.

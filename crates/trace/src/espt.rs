@@ -723,7 +723,9 @@ pub fn read<R: Read>(r: R) -> Result<(TraceMeta, PackedWorkload), EsptError> {
             .checked_add(actual.2)
             .and_then(|s| s.checked_add(tail.2))
             .ok_or(EsptError::Oversized { what: "total operand words", limit: u64::MAX, found: u64::MAX })?;
-        sum_approx = sum_approx.wrapping_add(approx_len);
+        sum_approx = sum_approx
+            .checked_add(approx_len)
+            .ok_or(EsptError::Oversized { what: "total instructions", limit: u64::MAX, found: u64::MAX })?;
         records.push(EventRecord {
             id: EventId::new(i as u64),
             kind: EventKindId::new(kind),
@@ -974,6 +976,21 @@ mod tests {
         b[kinds_len_off..kinds_len_off + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let err = read(&b[..]).unwrap_err();
         assert!(matches!(err, EsptError::Truncated { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn rejects_length_hints_whose_sum_overflows() {
+        // Hints of `u64::MAX` and 4 wrap to a total of 3, which the
+        // header declares: only the checked sum notices.
+        let w = sample();
+        let mut records = w.events().to_vec();
+        records[0].approx_len = u64::MAX;
+        let forged = PackedWorkload::new(records, w.arena().clone(), 3);
+        let err = read(&encode(&forged)[..]).unwrap_err();
+        assert!(
+            matches!(err, EsptError::Oversized { what: "total instructions", .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

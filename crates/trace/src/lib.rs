@@ -29,9 +29,9 @@
 //!   simulator suspends and resumes these cursors as the processor
 //!   bounces between normal and ESP modes.
 //! * [`espt`] — the versioned on-disk interchange form of a packed
-//!   workload (`.espt` files): export a materialised trace once, import
-//!   and replay it byte-identically without the generator (see
-//!   `docs/TRACE_FORMAT.md`).
+//!   workload (`.espt` files) and the only trace file format: export a
+//!   materialised trace once, import and replay it byte-identically
+//!   without the generator (see `docs/TRACE_FORMAT.md`).
 //!
 //! # Examples
 //!
@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 pub mod espt;
 mod instr;
 mod packed;

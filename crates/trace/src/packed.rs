@@ -17,7 +17,7 @@
 //!   discontinuity is flagged and spills an explicit pc operand.
 //! * [`PackedCursor`] — an allocation-free [`EventStream`] over a
 //!   packed trace: three integers of state, no heap, `Clone` for cheap
-//!   forking.
+//!   checkpoints (runahead copies its cursor at the blocking load).
 //! * [`PackedEvent`] — one event's *actual* stream plus, when the event
 //!   diverges, the speculative tail from the divergence point onward.
 //!   A speculative cursor reads the shared actual arrays up to the
@@ -447,9 +447,9 @@ fn plain_run_end(kinds: &[u8], from: usize, end: usize) -> usize {
 /// An allocation-free [`EventStream`] cursor over a [`PackedTrace`].
 ///
 /// Three words of state: position, operand index, and the re-derived
-/// program counter. [`EventStream::fork`] boxes a plain copy, so forking
-/// a pre-execution or runahead cursor costs a small fixed allocation
-/// instead of cloning a generator (frames, pools, RNG).
+/// program counter. `clone()` is a plain copy, so checkpointing a
+/// runahead cursor allocates nothing and clones no generator (frames,
+/// pools, RNG).
 #[derive(Clone, Debug)]
 pub struct PackedCursor<'a> {
     trace: &'a PackedTrace,
@@ -723,10 +723,6 @@ impl EventStream for PackedCursor<'_> {
     fn executed(&self) -> u64 {
         self.pos as u64
     }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        Box::new(self.clone())
-    }
 }
 
 /// One event's packed streams: the actual trace, and — when the event's
@@ -912,10 +908,6 @@ impl EventStream for EventCursor<'_> {
     #[inline]
     fn executed(&self) -> u64 {
         self.base + self.seg.position()
-    }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        Box::new(self.clone())
     }
 }
 
@@ -1237,19 +1229,19 @@ mod tests {
         }
     }
 
+    /// Runahead copies the current cursor with `clone()` at the blocking
+    /// load; the copy must continue exactly where the original stands.
     #[test]
-    fn fork_resumes_identically() {
+    fn clone_resumes_identically() {
         let p = PackedTrace::from_instrs(&consistent());
         let mut cur = p.cursor();
         cur.next_instr();
         cur.next_instr();
-        let rest_forked = {
-            let mut forked = cur.fork();
-            assert_eq!(forked.executed(), cur.executed());
-            record_stream(&mut *forked, usize::MAX)
-        };
+        let mut copy = cur.clone();
+        assert_eq!(copy.executed(), cur.executed());
+        let rest_copy = record_stream(&mut copy, usize::MAX);
         let rest_original = record_stream(&mut cur, usize::MAX);
-        assert_eq!(rest_forked, rest_original);
+        assert_eq!(rest_copy, rest_original);
     }
 
     #[test]
@@ -1297,15 +1289,16 @@ mod tests {
     }
 
     #[test]
-    fn event_cursor_fork_across_divergence() {
+    fn event_cursor_clone_across_divergence() {
         let (ev, _, spec) = diverging_event();
         let mut cur = ev.speculative_cursor();
         for _ in 0..3 {
             cur.next_instr();
         }
-        let mut forked = cur.fork();
-        let rest = record_stream(&mut *forked, usize::MAX);
+        let mut copy = cur.clone();
+        let rest = record_stream(&mut copy, usize::MAX);
         assert_eq!(rest, spec[3..]);
+        assert_eq!(record_stream(&mut cur, usize::MAX), spec[3..], "the original is untouched");
     }
 
     #[test]

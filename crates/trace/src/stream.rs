@@ -23,12 +23,6 @@ pub trait EventStream: Send {
     /// The number of instructions produced so far (the "instruction count
     /// from the beginning of the event" that list entries timestamp).
     fn executed(&self) -> u64;
-
-    /// Checkpoints the cursor: returns an independent stream that
-    /// continues from the current position. Runahead execution forks the
-    /// current event's stream at the blocking load; the original cursor
-    /// resumes normal execution untouched.
-    fn fork(&self) -> Box<dyn EventStream + '_>;
 }
 
 /// A complete asynchronous program: an ordered schedule of events, each of
@@ -113,10 +107,6 @@ impl EventStream for VecEventStream {
 
     fn executed(&self) -> u64 {
         self.pos as u64
-    }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        Box::new(self.clone())
     }
 }
 

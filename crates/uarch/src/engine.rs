@@ -246,17 +246,6 @@ impl Engine {
         &mut self.bp
     }
 
-    /// Charges the pipeline-restart penalty paid when leaving a
-    /// speculative pre-execution mode (runahead exit, or ESP-mode exit on
-    /// miss return): "all instructions in the pipeline are flushed at
-    /// this point" (§4.1), so the front end refills like after a branch
-    /// misprediction.
-    pub fn charge_pipeline_restart(&mut self) {
-        let p = self.bp.mispredict_penalty();
-        self.now += p;
-        self.stack.charge(CycleClass::BranchMispredict, p);
-    }
-
     /// Idles the core until `t` (empty event queue).
     pub fn idle_until(&mut self, t: Cycle) {
         if t.is_after(self.now) {

@@ -290,28 +290,11 @@ impl BenchmarkProfile {
     pub fn build(&self, seed: u64) -> GeneratedWorkload {
         GeneratedWorkload::generate(self.params.clone(), seed)
     }
-
-    /// Builds every profile at `target_instructions` each, fanning the
-    /// generation out over up to `threads` worker threads (one job per
-    /// profile). Generation is seed-deterministic, so the result is
-    /// identical to a sequential `scaled(..).build(..)` loop.
-    pub fn build_all_scaled(
-        target_instructions: u64,
-        seed: u64,
-        threads: usize,
-    ) -> Vec<(BenchmarkProfile, GeneratedWorkload)> {
-        let profiles = Self::all();
-        let workloads = esp_par::parallel_map(threads, &profiles, |_, p| {
-            p.scaled(target_instructions).build(seed)
-        });
-        profiles.into_iter().zip(workloads).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_trace::Workload;
 
     #[test]
     fn all_profiles_are_valid() {
@@ -378,22 +361,6 @@ mod tests {
                 ("pixlr", 465, 26),
             ]
         );
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let par = BenchmarkProfile::build_all_scaled(30_000, 11, 4);
-        assert_eq!(par.len(), 7);
-        for (p, w) in &par {
-            let seq = p.scaled(30_000).build(11);
-            assert_eq!(w.events(), seq.events(), "{}", p.name());
-            assert_eq!(
-                w.schedule().total_instructions(),
-                seq.schedule().total_instructions(),
-                "{}",
-                p.name()
-            );
-        }
     }
 
     #[test]

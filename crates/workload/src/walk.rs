@@ -425,10 +425,6 @@ impl EventStream for EventWalk<'_> {
     fn executed(&self) -> u64 {
         self.emitted
     }
-
-    fn fork(&self) -> Box<dyn EventStream + '_> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

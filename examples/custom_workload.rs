@@ -5,14 +5,15 @@
 //!    public (here: an IoT-style sensor hub with tiny, bursty events).
 //! 2. Implement the [`Workload`] trait directly over hand-built traces,
 //!    pack it once with [`PackedWorkload::pack`] (the form the simulator
-//!    runs), and use the trace codec to dump what runs.
+//!    runs), and round-trip it through the `.espt` trace file format.
 //!
 //! ```text
 //! cargo run --release --example custom_workload
 //! ```
 
 use event_sneak_peek::prelude::*;
-use event_sneak_peek::trace::{codec, EventRecord, EventStream, VecEventStream};
+use event_sneak_peek::trace::espt::{self, TraceMeta};
+use event_sneak_peek::trace::{EventRecord, EventStream, VecEventStream};
 use event_sneak_peek::types::EventKindId;
 use event_sneak_peek::workload::WorkloadParams;
 
@@ -48,7 +49,7 @@ fn tuned_generator() {
 }
 
 /// Part 2: a hand-built two-event workload over explicit traces, packed
-/// for the simulator, plus a codec dump of the first event.
+/// for the simulator and round-tripped through an in-memory `.espt` image.
 fn hand_built_workload() {
     struct TinyWorkload {
         records: Vec<EventRecord>,
@@ -114,11 +115,14 @@ fn hand_built_workload() {
         report.events_run, report.total_cycles, report.esp.windows
     );
 
-    // Dump the first event's trace through the codec and read it back.
-    let mut buf = Vec::new();
-    let mut s = w.actual_stream(EventId::new(0));
-    codec::write_stream(&mut *s, 5, &mut buf).expect("in-memory write cannot fail");
-    println!("first five trace lines:\n{}", String::from_utf8_lossy(&buf));
-    let replay = codec::read_stream(buf.as_slice()).expect("roundtrip");
-    assert_eq!(replay.remaining().len(), 5);
+    // Export the packed workload as `.espt` bytes, import them back and
+    // rerun: the re-imported workload must simulate identically.
+    let meta = TraceMeta { profile: "tiny".into(), scale: 800, seed: 0 };
+    let mut bytes = Vec::new();
+    espt::write(&mut bytes, &meta, &packed).expect("in-memory write cannot fail");
+    let (meta_back, imported) = espt::read(bytes.as_slice()).expect("roundtrip");
+    assert_eq!(meta_back, meta);
+    let again = Simulator::new(SimConfig::esp_nl()).run(&imported);
+    assert_eq!(format!("{again:?}"), format!("{report:?}"));
+    println!("round-tripped through {} bytes of .espt: identical report", bytes.len());
 }

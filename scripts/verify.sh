@@ -38,7 +38,7 @@ cargo test -q --release -p esp-bench --test determinism
 echo "== packed arena: PackedWorkload::pack == materialise, bit for bit =="
 cargo test -q --release -p esp-bench --test packed_equivalence
 
-echo "== hand-built workload: the custom_workload example packs and runs one =="
+echo "== hand-built workload: custom_workload packs, runs and round-trips through .espt =="
 cargo run --release -q --example custom_workload
 
 echo "== sampling: accuracy + thread-count determinism (esp-sample) =="
