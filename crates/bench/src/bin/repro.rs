@@ -153,26 +153,27 @@ fn main() -> ExitCode {
                 _ => return usage("--sample-grain needs a positive integer"),
             },
             "--learn" => learn = true,
+            // Ranges are `LearnParams::validate`'s business (below).
             "--learn-train" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => {
+                Some(v) => {
                     learn = true;
                     learn_params.train_stretches = v;
                 }
-                _ => return usage("--learn-train needs an integer >= 1"),
+                None => return usage("--learn-train needs an integer"),
             },
             "--learn-suffix" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => {
+                Some(v) => {
                     learn = true;
                     learn_params.warm_suffix_grains = v;
                 }
-                _ => return usage("--learn-suffix needs an integer >= 1"),
+                None => return usage("--learn-suffix needs an integer"),
             },
-            "--learn-bound" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) if v > 0.0 && v.is_finite() => {
+            "--learn-bound" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(v) => {
                     learn = true;
                     learn_params.residual_bound_pct = v;
                 }
-                _ => return usage("--learn-bound needs a positive number of percent"),
+                None => return usage("--learn-bound needs a number of percent"),
             },
             "--bless" => bless = true,
             "--help" | "-h" => return usage(""),
@@ -785,37 +786,15 @@ fn bench(
     // accuracy target is stated over).
     let mut exact = Runner::with_profiles(&families, scale, seed, 1);
     exact.ensure(&MATRIX);
-    let mut errs: Vec<f64> = Vec::new();
-    let mut covered = 0usize;
-    let mut per_profile_rows: Vec<String> = Vec::new();
-    eprintln!("# sampled CPI error vs exact (per profile; base / runahead / esp_nl):");
-    for (i, name) in exact.names().iter().enumerate() {
-        let mut row = format!("#   {name:<11}");
-        let mut cells: Vec<String> = Vec::new();
-        for (key, jkey) in MATRIX.into_iter().zip(["base", "runahead", "esp_nl"]) {
-            let e = exact.cached(i, key).expect("ensured");
-            let s = sampled.cached(i, key).expect("ensured");
-            let e_cpi = e.busy_cycles() as f64 / e.engine.retired as f64;
-            let s_cpi = s.busy_cycles() as f64 / s.engine.retired as f64;
-            let err = 100.0 * (s_cpi - e_cpi) / e_cpi;
-            errs.push(err);
-            covered += usize::from(ci95_covers(sampled.estimate(i, key), e_cpi));
-            row.push_str(&format!(" {err:+6.2}%"));
-            cells.push(format!("\"{jkey}\": {err:.3}"));
-        }
-        eprintln!("{row}");
-        per_profile_rows.push(format!("\"{name}\": {{{}}}", cells.join(", ")));
-    }
-    let max_err = errs.iter().fold(0f64, |m, e| m.max(e.abs()));
-    let mean_err = errs.iter().map(|e| e.abs()).sum::<f64>() / errs.len() as f64;
-    let coverage = covered as f64 / errs.len() as f64;
+    let table_s = ErrorTable::new("sampled", &exact, &sampled);
+    let (max_err, mean_err, coverage) = (table_s.max(), table_s.mean(), table_s.coverage());
+    let cells = table_s.errs.len();
     eprintln!(
-        "# sampled error: max |{max_err:.2}|%, mean |{mean_err:.2}|% over {} cells; \
-         ci95 coverage {covered}/{}",
-        errs.len(),
-        errs.len()
+        "# sampled error: max |{max_err:.2}|%, mean |{mean_err:.2}|% over {cells} cells; \
+         ci95 coverage {}/{cells}",
+        table_s.covered
     );
-    let per_profile_json = per_profile_rows.join(",\n      ");
+    let per_profile_json = table_s.per_profile_json;
 
     // Pass 3b: the same sampled matrix with learned fast-forwarding on
     // top — skipped stretches replace most of the functional-warming
@@ -854,34 +833,15 @@ fn bench(
          {speedup_l_vs_s:.2}x vs sampled)",
         phases_l.simulate
     );
-    let mut errs_l: Vec<f64> = Vec::new();
-    let mut covered_l = 0usize;
-    eprintln!("# learned CPI error vs exact (per profile; base / runahead / esp_nl):");
-    for (i, name) in exact.names().iter().enumerate() {
-        let mut row = format!("#   {name:<11}");
-        for key in MATRIX {
-            let e = exact.cached(i, key).expect("ensured");
-            let l = learned.cached(i, key).expect("ensured");
-            let e_cpi = e.busy_cycles() as f64 / e.engine.retired as f64;
-            let l_cpi = l.busy_cycles() as f64 / l.engine.retired as f64;
-            let err = 100.0 * (l_cpi - e_cpi) / e_cpi;
-            errs_l.push(err);
-            covered_l += usize::from(ci95_covers(learned.estimate(i, key), e_cpi));
-            row.push_str(&format!(" {err:+6.2}%"));
-        }
-        eprintln!("{row}");
-    }
-    let max_err_l = errs_l.iter().fold(0f64, |m, e| m.max(e.abs()));
-    let mean_err_l = errs_l.iter().map(|e| e.abs()).sum::<f64>() / errs_l.len() as f64;
-    let coverage_l = covered_l as f64 / errs_l.len() as f64;
+    let table_l = ErrorTable::new("learned", &exact, &learned);
+    let (max_err_l, mean_err_l, coverage_l) = (table_l.max(), table_l.mean(), table_l.coverage());
     let (skip_frac, fb_rate, n_disabled, n_rerun) =
         learned.learned_summary().unwrap_or((0.0, 0.0, 0, 0));
     eprintln!(
-        "# learned error: max |{max_err_l:.2}|%, mean |{mean_err_l:.2}|% over {} cells; \
+        "# learned error: max |{max_err_l:.2}|%, mean |{mean_err_l:.2}|% over {cells} cells; \
          skip fraction {skip_frac:.3}, fallback rate {fb_rate:.4}, \
-         {n_disabled} disabled, {n_rerun} rerun; ci95 coverage {covered_l}/{}",
-        errs_l.len(),
-        errs_l.len()
+         {n_disabled} disabled, {n_rerun} rerun; ci95 coverage {}/{cells}",
+        table_l.covered
     );
 
     // Trace I/O: what a consumer of exported `.espt` files pays
@@ -971,11 +931,59 @@ fn bench(
     }
 }
 
-/// Whether a sampled cell's 95% CPI interval holds the exact CPI (the
-/// `interval_coverage` test's rule); a cell without an estimate is not
-/// covered.
-fn ci95_covers(estimate: Option<&esp_core::SamplingEstimate>, exact_cpi: f64) -> bool {
-    estimate.is_some_and(|e| (e.cpi.ratio - exact_cpi).abs() <= e.cpi.ci95)
+/// One estimating pass's CPI error against exact over the differential
+/// matrix (base / runahead / esp_nl per profile), as `repro bench`
+/// reports it for sampled and learned mode alike.
+struct ErrorTable {
+    /// Signed CPI errors in percent, profile-major.
+    errs: Vec<f64>,
+    /// Cells whose 95% CPI interval holds the exact CPI; a cell without
+    /// an estimate is not covered.
+    covered: usize,
+    /// One `"profile": {"base": .., "runahead": .., "esp_nl": ..}` entry
+    /// per profile, joined for the JSON record.
+    per_profile_json: String,
+}
+
+impl ErrorTable {
+    /// Compares every cell of `estimated` with `exact`, printing one
+    /// stderr row per profile under a `mode` heading.
+    fn new(mode: &str, exact: &Runner, estimated: &Runner) -> Self {
+        let cpi = |r: &esp_core::RunReport| r.busy_cycles() as f64 / r.engine.retired as f64;
+        let (mut errs, mut covered, mut rows) = (Vec::new(), 0usize, Vec::new());
+        eprintln!("# {mode} CPI error vs exact (per profile; base / runahead / esp_nl):");
+        for (i, name) in exact.names().iter().enumerate() {
+            let mut row = format!("#   {name:<11}");
+            let mut cells: Vec<String> = Vec::new();
+            for (key, jkey) in MATRIX.into_iter().zip(["base", "runahead", "esp_nl"]) {
+                let e_cpi = cpi(exact.cached(i, key).expect("ensured"));
+                let got = cpi(estimated.cached(i, key).expect("ensured"));
+                let err = 100.0 * (got - e_cpi) / e_cpi;
+                errs.push(err);
+                covered += usize::from(estimated.estimate(i, key).is_some_and(|e| e.cpi.covers(e_cpi)));
+                row.push_str(&format!(" {err:+6.2}%"));
+                cells.push(format!("\"{jkey}\": {err:.3}"));
+            }
+            eprintln!("{row}");
+            rows.push(format!("\"{name}\": {{{}}}", cells.join(", ")));
+        }
+        ErrorTable { errs, covered, per_profile_json: rows.join(",\n      ") }
+    }
+
+    /// The largest |error| in percent.
+    fn max(&self) -> f64 {
+        self.errs.iter().fold(0f64, |m, e| m.max(e.abs()))
+    }
+
+    /// The mean |error| in percent.
+    fn mean(&self) -> f64 {
+        self.errs.iter().map(|e| e.abs()).sum::<f64>() / self.errs.len() as f64
+    }
+
+    /// The share of cells whose interval holds the exact CPI.
+    fn coverage(&self) -> f64 {
+        self.covered as f64 / self.errs.len() as f64
+    }
 }
 
 /// The trace-I/O measurement behind the `trace_io` block: exports every

@@ -7,7 +7,7 @@ use std::process::Command;
 
 #[test]
 fn bad_argument_vectors_exit_2_without_panicking() {
-    let cases: [&[&str]; 20] = [
+    let cases: [&[&str]; 29] = [
         &["--scale", "0", "dump", "amazon"],
         &["--scale", "0", "check"],
         &["--trace-in", "x.espt", "dump"],
@@ -30,6 +30,16 @@ fn bad_argument_vectors_exit_2_without_panicking() {
         &["--intra-threads", "2", "bench"],
         &["--learn-model", "gbm", "--sample-period", "20", "fig9"],
         &["--cpi-stack", "fig9"],
+        // One value at or just past each range bound.
+        &["--sample-period", "2", "fig9"],
+        &["--sample-grain", "0", "--sample-period", "20", "fig9"],
+        &["--learn-train", "0", "--sample-period", "20", "fig9"],
+        &["--learn-suffix", "0", "--sample-period", "20", "fig9"],
+        &["--learn-bound", "0", "--sample-period", "20", "fig9"],
+        &["--learn-bound", "nan", "--sample-period", "20", "fig9"],
+        &["--learn-bound", "inf", "--sample-period", "20", "fig9"],
+        &["--learn", "fig9"],
+        &["--learn-train", "0", "bench"],
     ];
     let dir = std::env::temp_dir().join(format!("esp-cli-errors-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

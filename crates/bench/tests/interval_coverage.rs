@@ -5,17 +5,17 @@
 //! {Base, Runahead, EspNl} × the 9 families × workload seeds 42–44, at
 //! 600k instructions per family (family `i` of seed `s` generated from
 //! seed `16·s + i`), sampled at grain 2000, period 20. A cell is covered
-//! when its exact CPI lies inside `estimate.cpi ± ci95`. Sampled and
-//! learned mode must each cover at least [`FLOOR`] of the 81 cells
-//! (measured: sampled 76/81, learned 81/81; EXPERIMENTS.md records
-//! both).
+//! when its exact CPI lies inside `estimate.cpi ± ci95`
+//! (`esp_stats::RatioEstimate::covers`). Sampled and learned mode must
+//! each cover at least [`FLOOR`] of the 81 cells (measured: sampled
+//! 76/81, learned 81/81; EXPERIMENTS.md records both).
 //!
 //! Release-only: 243 simulations at 600k instructions take seconds in
 //! release and minutes unoptimised. `scripts/verify.sh` runs it with
 //! `--release`.
 
 use esp_bench::ConfigKey;
-use esp_core::{LearnParams, SampleParams, SampledRun, Simulator};
+use esp_core::{LearnParams, SampleParams, Simulator};
 use esp_workload::{arena, BenchmarkProfile};
 
 const SCALE: u64 = 600_000;
@@ -28,12 +28,6 @@ const PARAMS: SampleParams = SampleParams {
 
 /// The share of cells whose 95% interval must hold the exact CPI.
 const FLOOR: f64 = 0.90;
-
-/// Whether `run`'s CPI interval contains `exact_cpi`.
-fn covers(run: &SampledRun, exact_cpi: f64) -> bool {
-    let ci = &run.estimate.cpi;
-    (ci.ratio - exact_cpi).abs() <= ci.ci95
-}
 
 #[test]
 #[cfg_attr(
@@ -52,13 +46,13 @@ fn interval_coverage_meets_floor() {
                 let exact = sim.run(&*w);
                 let exact_cpi = exact.busy_cycles() as f64 / exact.engine.retired as f64;
                 cells += 1;
-                if covers(&sim.run_sampled(&*w, PARAMS), exact_cpi) {
+                if sim.run_sampled(&*w, PARAMS).estimate.cpi.covers(exact_cpi) {
                     sampled += 1;
                 } else {
                     misses.push(format!("{} {key:?} seed {seed}", profile.name()));
                 }
                 let run = sim.run_sampled_learned(&*w, PARAMS, LearnParams::default());
-                if covers(&run, exact_cpi) {
+                if run.estimate.cpi.covers(exact_cpi) {
                     learned += 1;
                 } else {
                     learned_misses.push(format!("{} {key:?} seed {seed}", profile.name()));

@@ -3,7 +3,7 @@
 //! The paper's claims rest entirely on relative timing numbers, and the
 //! CPI-stack conservation checks of `esp-obs` only prove that cycles are
 //! *attributed* consistently — not that they are *right*. This crate is
-//! the missing backstop, in three layers:
+//! the missing backstop, in four layers:
 //!
 //! * [`oracle`] — a deliberately simple **in-order reference oracle**. It
 //!   shadows a real run through a [`esp_obs::Probe`], summing the *full*
@@ -22,11 +22,6 @@
 //!   byte-for-byte like the baseline, runahead never changes
 //!   architectural event counts, and doubling the workload scale keeps
 //!   per-instruction rates stable.
-//! * [`sampled`] — the **sampled-vs-exact cross-validation oracle**: a
-//!   simulation point is run exactly and under statistical sampling
-//!   (`esp_core::Simulator::run_sampled`), and the sampled CPI estimate
-//!   must land within a measured tolerance of ground truth while the
-//!   exactly-tracked quantities (retired, events) match bit-for-bit.
 //! * [`fuzz`] — a **seeded configuration/workload fuzzer** (std-only,
 //!   built on `esp_types::rng`) that samples random simulation points,
 //!   runs the oracle and invariants over them, and greedily shrinks any
@@ -49,10 +44,8 @@ pub mod fuzz;
 pub mod json;
 pub mod metamorphic;
 pub mod oracle;
-pub mod sampled;
 
 pub use espt_fuzz::{espt_fuzz_with, render_espt_reproducer, EsptFuzzFailure};
 pub use fuzz::{fuzz_with, render_reproducer, shrink, FuzzCase, FuzzFailure, FuzzMode};
 pub use json::Json;
 pub use oracle::{check_run, OracleProbe, OracleReport};
-pub use sampled::{check_learned, check_sampled, check_sampled_matrix, LearnedCheck, SampledCheck};

@@ -17,7 +17,7 @@ use esp_branch::{PredictorContext, SpeculativeCheckpoint};
 use esp_lists::{AddrList, BList, ListCapacities};
 use esp_mem::{AccessResult, CacheConfig, Cachelet, CacheletSlot, SetAssocCache};
 use esp_obs::{CycleClass, NullProbe, Probe, WindowRecord, WindowSpender};
-use esp_trace::{EventCursor, EventRecord, EventStream, PackedWorkload, Workload};
+use esp_trace::{EventCursor, EventRecord, PackedWorkload, Workload};
 use esp_types::{Cycle, LineAddr};
 use esp_uarch::{Engine, Stall, StallKind};
 
@@ -621,7 +621,7 @@ impl<'w> EspState<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_trace::{EventRecord, Instr, VecEventStream};
+    use esp_trace::{EventRecord, Instr};
     use esp_types::{Addr, EventId, EventKindId};
     use esp_uarch::{EngineConfig, StallKind};
 
@@ -636,11 +636,11 @@ mod tests {
             &self.records
         }
 
-        fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-            Box::new(VecEventStream::new(self.streams[id.index() as usize].clone()))
+        fn actual_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
+            Box::new(self.streams[id.index() as usize].iter().copied())
         }
 
-        fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
+        fn speculative_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
             self.actual_stream(id)
         }
     }

@@ -12,9 +12,7 @@ use esp_mem::{HierarchySnapshot, MemOp};
 use esp_obs::{CycleClass, EventSpan, NullProbe, Probe, RunSummary, WindowRecord, WindowSpender};
 use esp_stats::BranchStats;
 use esp_trace::kindbits::{TAG_ALU, TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
-use esp_trace::{
-    EventCursor, EventStream, Instr, PackedWorkload, TriggerKey, WarmSink, Workload, INSTR_BYTES,
-};
+use esp_trace::{EventCursor, Instr, PackedWorkload, TriggerKey, WarmSink, Workload, INSTR_BYTES};
 use esp_types::{Addr, LineAddr};
 use esp_uarch::{Engine, KernelParams, KindTable, StallKind};
 

@@ -312,7 +312,7 @@ impl WarmSink for FeatureExtractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_trace::{EventStream, PackedTrace};
+    use esp_trace::PackedTrace;
     use esp_types::Addr;
 
     fn hand_trace() -> Vec<Instr> {
@@ -378,8 +378,8 @@ mod tests {
         let mut via_step = FeatureExtractor::new(64);
         via_step.begin_stretch(0, 0.0);
         let mut cursor = packed.cursor();
-        while let Some(i) = cursor.next_instr() {
-            via_step.note_step(&i);
+        while let Some(step) = cursor.next_raw() {
+            via_step.note_step(&step.to_instr());
         }
 
         assert_eq!(via_walk.features(), via_step.features());

@@ -34,6 +34,22 @@ impl RatioEstimate {
             100.0 * self.ci95 / self.ratio
         }
     }
+
+    /// Whether the 95% confidence interval `ratio ± ci95` holds `value`
+    /// (the rule interval-coverage checks score estimates by).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use esp_stats::RatioEstimate;
+    ///
+    /// let est = RatioEstimate { ratio: 1.5, se: 0.05, ci95: 0.1, n: 16 };
+    /// assert!(est.covers(1.55));
+    /// assert!(!est.covers(1.35));
+    /// ```
+    pub fn covers(&self, value: f64) -> bool {
+        (self.ratio - value).abs() <= self.ci95
+    }
 }
 
 /// Compute the combined ratio estimate over `(x, y)` grain samples,

@@ -11,20 +11,18 @@
 //! * [`EventRecord`] — static metadata for one dynamic event: handler entry
 //!   point, argument-object address, posting time, and the
 //!   order-misprediction flag of §4.5 of the paper.
-//! * [`EventStream`] — a resumable cursor over one event's instruction
-//!   stream, the form a workload produces its instructions in.
 //! * [`Workload`] — a full program: an ordered schedule of events, each of
 //!   which can be opened as an *actual* stream (normal execution) or a
 //!   *speculative* stream (what a pre-execution would observe, which may
-//!   diverge).
-//! * [`VecEventStream`] / [`record_stream`] — in-memory trace replay and
-//!   capture, used heavily by tests.
+//!   diverge). A stream is any iterator of [`Instr`]s.
 //! * [`PackedTrace`] / [`TraceArena`] / [`PackedWorkload`] — the
 //!   decode-once, replay-many form and the only one the simulator runs:
 //!   instruction streams materialised once into compact struct-of-arrays
 //!   storage ([`PackedWorkload::pack`] for any [`Workload`]) and replayed
-//!   by allocation-free, resumable cursors, shared across simulator
-//!   configurations (see `docs/PERFORMANCE.md`). Resumability is
+//!   by allocation-free, resumable cursors that decode raw steps
+//!   ([`RawStep`]; [`RawStep::to_instr`] is the one way back to an
+//!   [`Instr`]), shared across simulator configurations (see
+//!   `docs/PERFORMANCE.md`). Resumability is
 //!   load-bearing: ESP pre-execution is re-entrant (§3.4), so the
 //!   simulator suspends and resumes these cursors as the processor
 //!   bounces between normal and ESP modes.
@@ -36,7 +34,7 @@
 //! # Examples
 //!
 //! ```
-//! use esp_trace::{Instr, EventStream, VecEventStream};
+//! use esp_trace::{Instr, PackedTrace};
 //! use esp_types::Addr;
 //!
 //! let trace = vec![
@@ -44,9 +42,10 @@
 //!     Instr::load(Addr::new(0x104), Addr::new(0x8000), false),
 //!     Instr::cond_branch(Addr::new(0x108), true, Addr::new(0x100)),
 //! ];
-//! let mut s = VecEventStream::new(trace);
-//! assert!(s.next_instr().is_some());
-//! assert_eq!(s.executed(), 1);
+//! let packed: PackedTrace = trace.iter().copied().collect();
+//! let mut cursor = packed.cursor();
+//! assert_eq!(cursor.next_raw().map(|step| step.to_instr()), Some(trace[0]));
+//! assert_eq!(cursor.position(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,7 +55,7 @@ pub mod espt;
 mod instr;
 mod packed;
 mod record;
-mod stream;
+mod workload;
 
 pub use instr::{Instr, InstrKind, INSTR_BYTES};
 pub use packed::{
@@ -64,4 +63,4 @@ pub use packed::{
     RawTraceError, TraceArena, TriggerKey, WarmSink,
 };
 pub use record::EventRecord;
-pub use stream::{record_stream, EventStream, VecEventStream, Workload};
+pub use workload::Workload;

@@ -15,9 +15,12 @@
 //!   control-flow consistent (each instruction's `next_pc` is the next
 //!   instruction's `pc`), so the cursor re-derives them; the rare
 //!   discontinuity is flagged and spills an explicit pc operand.
-//! * [`PackedCursor`] — an allocation-free [`EventStream`] over a
+//! * [`PackedCursor`] — an allocation-free, resumable cursor over a
 //!   packed trace: three integers of state, no heap, `Clone` for cheap
-//!   checkpoints (runahead copies its cursor at the blocking load).
+//!   checkpoints (runahead copies its cursor at the blocking load). It
+//!   decodes one [`RawStep`] at a time ([`PackedCursor::next_raw`]) or
+//!   walks whole regions in bulk; [`RawStep::to_instr`] is the one way
+//!   back to an [`Instr`].
 //! * [`PackedEvent`] — one event's *actual* stream plus, when the event
 //!   diverges, the speculative tail from the divergence point onward.
 //!   A speculative cursor reads the shared actual arrays up to the
@@ -36,7 +39,7 @@
 //! # Examples
 //!
 //! ```
-//! use esp_trace::{EventStream, Instr, PackedTrace};
+//! use esp_trace::{Instr, PackedTrace};
 //! use esp_types::Addr;
 //!
 //! let instrs = vec![
@@ -47,13 +50,13 @@
 //! let packed = PackedTrace::from_instrs(&instrs);
 //! let mut cursor = packed.cursor();
 //! for want in &instrs {
-//!     assert_eq!(cursor.next_instr().as_ref(), Some(want));
+//!     assert_eq!(cursor.next_raw().map(|step| step.to_instr()).as_ref(), Some(want));
 //! }
-//! assert_eq!(cursor.next_instr(), None);
+//! assert_eq!(cursor.next_raw(), None);
 //! ```
 
 use crate::instr::INSTR_BYTES;
-use crate::{EventRecord, EventStream, Instr, InstrKind, Workload};
+use crate::{EventRecord, Instr, InstrKind, Workload};
 use esp_types::{Addr, EventId};
 use std::sync::{Arc, Mutex};
 
@@ -118,8 +121,8 @@ use kindbits::{
 /// the re-derived pc, and the single operand word (data address for
 /// loads/stores, branch target for control flow, 0 for ALUs). The
 /// specialised kernels consume this instead of a 32-byte [`Instr`]; the
-/// mapping back to an `Instr` is total and lossless (see
-/// [`PackedCursor::next`]).
+/// mapping back to an `Instr` is total and lossless
+/// ([`RawStep::to_instr`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RawStep {
     /// The kind byte ([`kindbits`] tag + flags as stored).
@@ -131,10 +134,10 @@ pub struct RawStep {
 }
 
 impl RawStep {
-    /// The total mapping back to a decoded [`Instr`] — exactly what
-    /// [`PackedCursor::next`] would have produced for this step. The
-    /// specialised kernels use it to materialise instructions only where
-    /// a consumer needs the full form (the branch predictor).
+    /// The total mapping back to the recorded [`Instr`] — the one place
+    /// packed bytes become an `Instr`. The specialised kernels use it to
+    /// materialise instructions only where a consumer needs the full form
+    /// (the branch predictor).
     #[inline(always)]
     pub fn to_instr(&self) -> Instr {
         let pc = Addr::new(self.pc);
@@ -266,15 +269,6 @@ impl PackedTrace {
         }
         self.kinds.push(kind);
         self.expect_pc = i.next_pc().as_u64();
-    }
-
-    /// Drains `stream` to completion into a packed trace.
-    pub fn from_stream(stream: &mut dyn EventStream) -> Self {
-        let mut t = PackedTrace::new();
-        while let Some(i) = stream.next_instr() {
-            t.push(&i);
-        }
-        t
     }
 
     /// Packs a recorded instruction slice.
@@ -444,7 +438,7 @@ fn plain_run_end(kinds: &[u8], from: usize, end: usize) -> usize {
     n.min(end)
 }
 
-/// An allocation-free [`EventStream`] cursor over a [`PackedTrace`].
+/// An allocation-free, resumable cursor over a [`PackedTrace`].
 ///
 /// Three words of state: position, operand index, and the re-derived
 /// program counter. `clone()` is a plain copy, so checkpointing a
@@ -459,62 +453,21 @@ pub struct PackedCursor<'a> {
 }
 
 impl PackedCursor<'_> {
-    /// Decodes the next instruction, advancing the cursor.
-    ///
-    /// `inline(always)`: this is the grain of every simulation loop; when
-    /// it stays a call, the `Option<Instr>` return travels through memory
-    /// on every one of the run's hundreds of millions of instructions.
-    // Deliberately named like `Iterator::next` but not an `Iterator` impl:
-    // the simulator drives cursors through `EventStream`, and a borrowing
-    // iterator adapter would add nothing but an extra vtable surface.
-    #[allow(clippy::should_implement_trait)]
-    #[inline(always)]
-    pub fn next(&mut self) -> Option<Instr> {
-        let kind = *self.trace.kinds.get(self.pos)?;
-        let mut pc = self.pc;
-        if kind & EXPLICIT_PC != 0 {
-            pc = self.trace.ops[self.op_idx];
-            self.op_idx += 1;
-        }
-        let pc = Addr::new(pc);
-        let flag = kind & FLAG_BIT != 0;
-        let mut operand = || {
-            let v = Addr::new(self.trace.ops[self.op_idx]);
-            self.op_idx += 1;
-            v
-        };
-        let instr = match kind & TAG_MASK {
-            TAG_ALU => Instr::alu(pc),
-            TAG_LOAD => {
-                let addr = operand();
-                Instr::load(pc, addr, flag)
-            }
-            TAG_STORE => Instr::store(pc, operand()),
-            TAG_COND => {
-                let target = operand();
-                Instr::cond_branch(pc, flag, target)
-            }
-            TAG_IND_BRANCH => Instr::indirect(pc, operand()),
-            TAG_IND_CALL => Instr::indirect_call(pc, operand()),
-            TAG_CALL => Instr::call(pc, operand()),
-            _ => Instr::ret(pc, operand()),
-        };
-        self.pos += 1;
-        self.pc = instr.next_pc().as_u64();
-        Some(instr)
-    }
-
     /// Instructions decoded so far.
     pub fn position(&self) -> u64 {
         self.pos as u64
     }
 
     /// Decodes the next instruction into its packed essentials without
-    /// materialising an [`Instr`], advancing the cursor exactly as
-    /// [`PackedCursor::next`] would. The kernel-specialised simulation
-    /// loops consume this form; `RawStep` and `Instr` are related by a
-    /// total, lossless mapping, so a raw walk and a decoded walk observe
-    /// the same stream.
+    /// materialising an [`Instr`], advancing the cursor — the one
+    /// per-instruction decoder of the packed format. Every simulation
+    /// loop consumes this form; [`RawStep::to_instr`] recovers the
+    /// recorded instruction where a consumer needs it.
+    ///
+    /// `inline(always)`: this is the grain of every simulation loop; when
+    /// it stays a call, the `Option<RawStep>` return travels through
+    /// memory on every one of the run's hundreds of millions of
+    /// instructions.
     #[inline(always)]
     pub fn next_raw(&mut self) -> Option<RawStep> {
         let kind = *self.trace.kinds.get(self.pos)?;
@@ -566,7 +519,7 @@ impl PackedCursor<'_> {
     /// Skips `n` instructions previously sized with
     /// [`PackedCursor::plain_alu_run`]: plain ALUs consume no operand
     /// slot and advance the pc sequentially, so the cursor state after
-    /// the skip equals `n` calls of [`PackedCursor::next`].
+    /// the skip equals `n` calls of [`PackedCursor::next_raw`].
     #[inline(always)]
     pub fn skip_plain(&mut self, n: usize) {
         debug_assert!(self.trace.kinds[self.pos..self.pos + n].iter().all(|&k| k == TAG_ALU));
@@ -578,7 +531,7 @@ impl PackedCursor<'_> {
     /// `max_instrs` instructions into `sink` straight off the packed
     /// arrays — no [`Instr`] is materialised except for branches — and
     /// advances the cursor exactly as decoding them with
-    /// [`PackedCursor::next`] would. Returns the number of instructions
+    /// [`PackedCursor::next_raw`] would. Returns the number of instructions
     /// walked, which falls short of `max_instrs` only at end of trace.
     ///
     /// Fetch lines are reported on line *transitions within this call*;
@@ -690,7 +643,7 @@ impl PackedCursor<'_> {
 
     /// Fast-forward with a memory-touch observer — the learned sampling
     /// mode's skipped-grain walk: advances the cursor past up to
-    /// `max_instrs` instructions exactly as [`PackedCursor::next`] would
+    /// `max_instrs` instructions exactly as [`PackedCursor::next_raw`] would
     /// (so retirement and the grain clock stay exact), reporting fetch
     /// lines (on transitions, as in [`PackedCursor::warm_walk_bounded`])
     /// and load/store addresses to `sink`, but **`warm_branch` is never
@@ -710,18 +663,6 @@ impl PackedCursor<'_> {
         sink: &mut S,
     ) -> u64 {
         self.walk::<S, false>(max_instrs, line_bytes, sink)
-    }
-}
-
-impl EventStream for PackedCursor<'_> {
-    #[inline]
-    fn next_instr(&mut self) -> Option<Instr> {
-        self.next()
-    }
-
-    #[inline]
-    fn executed(&self) -> u64 {
-        self.pos as u64
     }
 }
 
@@ -796,17 +737,27 @@ pub struct EventCursor<'a> {
 }
 
 impl EventCursor<'_> {
-    /// Raw twin of [`EventStream::next_instr`] for the specialised
-    /// kernels: same divergence handling, no [`Instr`] materialised.
+    /// Decodes the next instruction of the event's view (see
+    /// [`PackedCursor::next_raw`]). A speculative cursor switches to the
+    /// recorded tail at the divergence point.
     #[inline(always)]
     pub fn next_raw(&mut self) -> Option<RawStep> {
         if self.speculative && !self.in_tail && Some(self.seg.position()) == self.event.diverge_at
         {
+            // The pre-execution veers off the actual path here; continue
+            // in the recorded speculative tail.
             self.base = self.seg.position();
             self.seg = self.event.spec_tail.cursor();
             self.in_tail = true;
         }
         self.seg.next_raw()
+    }
+
+    /// Instructions decoded so far (the "instruction count from the
+    /// beginning of the event" that list entries timestamp).
+    #[inline]
+    pub fn executed(&self) -> u64 {
+        self.base + self.seg.position()
     }
 
     /// See [`PackedCursor::raw_pc`].
@@ -818,7 +769,7 @@ impl EventCursor<'_> {
     /// Bounded, resumable functional-warming walk over the event: see
     /// [`PackedCursor::warm_walk_bounded`]. A speculative cursor switches
     /// to its tail at the divergence point exactly as
-    /// [`EventStream::next_instr`] would. Fetch lines are reported on
+    /// [`EventCursor::next_raw`] would. Fetch lines are reported on
     /// transitions within one call, first instruction included.
     pub fn warm_region<S: WarmSink>(&mut self, max_instrs: u64, line_bytes: u64, sink: &mut S) -> u64 {
         self.walk_segments(max_instrs, |seg, budget| seg.warm_walk_bounded(budget, line_bytes, sink))
@@ -838,7 +789,7 @@ impl EventCursor<'_> {
     /// Drives a bulk segment walk `walk(segment, budget)` for up to
     /// `max_instrs` instructions, splitting the budget at the divergence
     /// point so a speculative cursor switches to its tail exactly where
-    /// [`EventStream::next_instr`] would. `walk` returns the number of
+    /// [`EventCursor::next_raw`] would. `walk` returns the number of
     /// instructions it consumed, short of `budget` only at segment end.
     #[inline(always)]
     fn walk_segments(
@@ -888,26 +839,6 @@ impl EventCursor<'_> {
     #[inline(always)]
     pub fn skip_plain(&mut self, n: usize) {
         self.seg.skip_plain(n);
-    }
-}
-
-impl EventStream for EventCursor<'_> {
-    #[inline(always)]
-    fn next_instr(&mut self) -> Option<Instr> {
-        if self.speculative && !self.in_tail && Some(self.seg.position()) == self.event.diverge_at
-        {
-            // The pre-execution veers off the actual path here; continue
-            // in the recorded speculative tail.
-            self.base = self.seg.position();
-            self.seg = self.event.spec_tail.cursor();
-            self.in_tail = true;
-        }
-        self.seg.next()
-    }
-
-    #[inline]
-    fn executed(&self) -> u64 {
-        self.base + self.seg.position()
     }
 }
 
@@ -1031,25 +962,21 @@ impl PackedWorkload {
             .enumerate()
             .map(|(i, r)| {
                 assert_eq!(r.id.index(), i as u64, "event ids must index the event list");
-                let mut actual = PackedTrace::from_stream(&mut *workload.actual_stream(r.id));
+                let mut actual: PackedTrace = workload.actual_stream(r.id).collect();
                 actual.shrink_to_fit();
-                let mut spec = workload.speculative_stream(r.id);
+                let mut spec = workload.speculative_stream(r.id).peekable();
                 let mut replay = actual.cursor();
                 let mut at = 0u64;
-                loop {
-                    match (replay.next(), spec.next_instr()) {
-                        (Some(a), Some(s)) if a == s => at += 1,
-                        (None, None) => return PackedEvent::new(actual, None, PackedTrace::new()),
-                        (_, first) => {
-                            let mut tail: PackedTrace = first.into_iter().collect();
-                            while let Some(s) = spec.next_instr() {
-                                tail.push(&s);
-                            }
-                            tail.shrink_to_fit();
-                            return PackedEvent::new(actual, Some(at), tail);
-                        }
+                while let Some(step) = replay.next_raw() {
+                    if spec.next_if_eq(&step.to_instr()).is_none() {
+                        break;
                     }
+                    at += 1;
                 }
+                let mut tail: PackedTrace = spec.collect();
+                tail.shrink_to_fit();
+                let diverge_at = (at < actual.len() as u64 || !tail.is_empty()).then_some(at);
+                PackedEvent::new(actual, diverge_at, tail)
             })
             .collect();
         PackedWorkload::new(
@@ -1106,12 +1033,12 @@ impl Workload for PackedWorkload {
         &self.records
     }
 
-    fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-        Box::new(self.arena.event(id.index() as usize).actual_cursor())
+    fn actual_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
+        Box::new(instrs(self.arena.event(id.index() as usize).actual_cursor()))
     }
 
-    fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-        Box::new(self.arena.event(id.index() as usize).speculative_cursor())
+    fn speculative_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
+        Box::new(instrs(self.arena.event(id.index() as usize).speculative_cursor()))
     }
 
     fn approx_total_instructions(&self) -> u64 {
@@ -1119,10 +1046,19 @@ impl Workload for PackedWorkload {
     }
 }
 
+/// The recorded instructions a cursor replays, as a plain iterator.
+fn instrs(mut cursor: EventCursor<'_>) -> impl Iterator<Item = Instr> + '_ {
+    std::iter::from_fn(move || cursor.next_raw().map(|step| step.to_instr()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{record_stream, VecEventStream};
+
+    /// Decodes every step `next` yields back into instructions.
+    fn drain(mut next: impl FnMut() -> Option<RawStep>) -> Vec<Instr> {
+        std::iter::from_fn(|| next().map(|step| step.to_instr())).collect()
+    }
 
     fn a(v: u64) -> Addr {
         Addr::new(v)
@@ -1181,8 +1117,8 @@ mod tests {
         let v = consistent();
         let p = PackedTrace::from_instrs(&v);
         assert_eq!(p.len(), v.len());
-        let got = record_stream(&mut p.cursor(), usize::MAX);
-        assert_eq!(got, v);
+        let mut cur = p.cursor();
+        assert_eq!(drain(|| cur.next_raw()), v);
         // No discontinuities: every operand slot is a real operand (9
         // non-ALU instructions), no explicit pcs.
         assert_eq!(p.ops.len(), 9);
@@ -1192,8 +1128,8 @@ mod tests {
     fn roundtrip_discontinuous_stream() {
         let v = discontinuous();
         let p = PackedTrace::from_instrs(&v);
-        let got = record_stream(&mut p.cursor(), usize::MAX);
-        assert_eq!(got, v);
+        let mut cur = p.cursor();
+        assert_eq!(drain(|| cur.next_raw()), v);
         // 2 real operands + 4 explicit pcs (0x9000, 0x40, and 0x100
         // after the return... count via flags instead).
         let explicit = p.kinds.iter().filter(|&&k| k & EXPLICIT_PC != 0).count();
@@ -1214,19 +1150,16 @@ mod tests {
     }
 
     #[test]
-    fn cursor_matches_vec_stream_incrementally() {
+    fn cursor_decodes_incrementally() {
         let v = consistent();
         let p = PackedTrace::from_instrs(&v);
         let mut cursor = p.cursor();
-        let mut reference = VecEventStream::new(v);
-        loop {
-            assert_eq!(cursor.executed(), reference.executed());
-            let (got, want) = (cursor.next_instr(), reference.next_instr());
-            assert_eq!(got, want);
-            if got.is_none() {
-                break;
-            }
+        for (k, want) in v.iter().enumerate() {
+            assert_eq!(cursor.position(), k as u64);
+            assert_eq!(cursor.next_raw().map(|step| step.to_instr()).as_ref(), Some(want));
         }
+        assert_eq!(cursor.next_raw(), None);
+        assert_eq!(cursor.position(), v.len() as u64);
     }
 
     /// Runahead copies the current cursor with `clone()` at the blocking
@@ -1235,29 +1168,27 @@ mod tests {
     fn clone_resumes_identically() {
         let p = PackedTrace::from_instrs(&consistent());
         let mut cur = p.cursor();
-        cur.next_instr();
-        cur.next_instr();
+        cur.next_raw();
+        cur.next_raw();
         let mut copy = cur.clone();
-        assert_eq!(copy.executed(), cur.executed());
-        let rest_copy = record_stream(&mut copy, usize::MAX);
-        let rest_original = record_stream(&mut cur, usize::MAX);
+        assert_eq!(copy.position(), cur.position());
+        let rest_copy = drain(|| copy.next_raw());
+        let rest_original = drain(|| cur.next_raw());
         assert_eq!(rest_copy, rest_original);
     }
 
     #[test]
-    fn from_stream_drains_everything() {
+    fn from_iterator_packs_everything() {
         let v = consistent();
-        let mut s = VecEventStream::new(v.clone());
-        let p = PackedTrace::from_stream(&mut s);
-        assert_eq!(p.len(), v.len());
-        assert_eq!(record_stream(&mut p.cursor(), usize::MAX), v);
+        let p: PackedTrace = v.iter().copied().collect();
+        assert_eq!(p, PackedTrace::from_instrs(&v));
     }
 
     #[test]
     fn empty_trace_yields_nothing() {
         let p = PackedTrace::new();
         assert!(p.is_empty());
-        assert_eq!(p.cursor().next(), None);
+        assert_eq!(p.cursor().next_raw(), None);
     }
 
     fn diverging_event() -> (PackedEvent, Vec<Instr>, Vec<Instr>) {
@@ -1274,15 +1205,15 @@ mod tests {
     #[test]
     fn event_cursor_actual_ignores_divergence() {
         let (ev, actual, _) = diverging_event();
-        let got = record_stream(&mut ev.actual_cursor(), usize::MAX);
-        assert_eq!(got, actual);
+        let mut cur = ev.actual_cursor();
+        assert_eq!(drain(|| cur.next_raw()), actual);
     }
 
     #[test]
     fn event_cursor_speculative_switches_at_divergence() {
         let (ev, actual, spec) = diverging_event();
         let mut cur = ev.speculative_cursor();
-        let got = record_stream(&mut cur, usize::MAX);
+        let got = drain(|| cur.next_raw());
         assert_eq!(got, spec);
         assert_eq!(got[..4], actual[..4], "shared prefix reads the actual arrays");
         assert_eq!(cur.executed(), spec.len() as u64);
@@ -1293,20 +1224,21 @@ mod tests {
         let (ev, _, spec) = diverging_event();
         let mut cur = ev.speculative_cursor();
         for _ in 0..3 {
-            cur.next_instr();
+            cur.next_raw();
         }
         let mut copy = cur.clone();
-        let rest = record_stream(&mut copy, usize::MAX);
+        let rest = drain(|| copy.next_raw());
         assert_eq!(rest, spec[3..]);
-        assert_eq!(record_stream(&mut cur, usize::MAX), spec[3..], "the original is untouched");
+        assert_eq!(drain(|| cur.next_raw()), spec[3..], "the original is untouched");
     }
 
     #[test]
     fn no_divergence_event_replays_actual_in_both_views() {
         let actual = consistent();
         let ev = PackedEvent::new(PackedTrace::from_instrs(&actual), None, PackedTrace::new());
-        assert_eq!(record_stream(&mut ev.actual_cursor(), usize::MAX), actual);
-        assert_eq!(record_stream(&mut ev.speculative_cursor(), usize::MAX), actual);
+        let (mut a, mut s) = (ev.actual_cursor(), ev.speculative_cursor());
+        assert_eq!(drain(|| a.next_raw()), actual);
+        assert_eq!(drain(|| s.next_raw()), actual);
     }
 
     #[test]
@@ -1314,7 +1246,8 @@ mod tests {
         let actual = consistent();
         let ev =
             PackedEvent::new(PackedTrace::from_instrs(&actual), Some(10_000), PackedTrace::new());
-        assert_eq!(record_stream(&mut ev.speculative_cursor(), usize::MAX), actual);
+        let mut cur = ev.speculative_cursor();
+        assert_eq!(drain(|| cur.next_raw()), actual);
     }
 
     #[derive(Default)]
@@ -1402,7 +1335,7 @@ mod tests {
                 let mut sink = RecordingSink::default();
                 let mut cur = p.cursor();
                 assert_eq!(cur.skip_walk_observed(k as u64, 64, &mut sink), k as u64);
-                assert_eq!(record_stream(&mut cur, usize::MAX), v[k..]);
+                assert_eq!(drain(|| cur.next_raw()), v[k..]);
                 assert!(sink.branches.is_empty(), "observed walk must not decode branches");
                 assert_eq!(sink.loads, warm.loads[..sink.loads.len()]);
                 assert_eq!(sink.stores, warm.stores[..sink.stores.len()]);
@@ -1430,7 +1363,8 @@ mod tests {
             // Derived PartialEq covers expect_pc: the validation walk
             // must land on the same final pc the builder recorded.
             assert_eq!(p, q);
-            assert_eq!(record_stream(&mut q.cursor(), usize::MAX), v);
+            let mut cur = q.cursor();
+            assert_eq!(drain(|| cur.next_raw()), v);
         }
     }
 
@@ -1488,10 +1422,8 @@ mod tests {
         assert_eq!(w.events().len(), 1);
         assert_eq!(w.approx_total_instructions(), actual.len() as u64);
         assert!(w.resident_bytes() > 0);
-        let got = record_stream(&mut *w.actual_stream(EventId::new(0)), usize::MAX);
-        assert_eq!(got, actual);
-        let spec = record_stream(&mut *w.speculative_stream(EventId::new(0)), usize::MAX);
-        assert_eq!(spec.len(), 4 + 2, "divergence prefix plus recorded tail");
+        assert_eq!(w.actual_stream(EventId::new(0)).collect::<Vec<_>>(), actual);
+        assert_eq!(w.speculative_stream(EventId::new(0)).count(), 4 + 2, "divergence prefix plus recorded tail");
     }
 
     /// A hand-built workload: one `(actual, speculative)` stream pair per
@@ -1502,11 +1434,11 @@ mod tests {
         fn events(&self) -> &[EventRecord] {
             &self.0
         }
-        fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-            Box::new(VecEventStream::new(self.1[id.index() as usize].0.clone()))
+        fn actual_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
+            Box::new(self.1[id.index() as usize].0.iter().copied())
         }
-        fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-            Box::new(VecEventStream::new(self.1[id.index() as usize].1.clone()))
+        fn speculative_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
+            Box::new(self.1[id.index() as usize].1.iter().copied())
         }
     }
 
@@ -1549,9 +1481,10 @@ mod tests {
         for (i, (want_actual, want_spec, diverge_at)) in cases.iter().enumerate() {
             let ev = packed.arena().event(i);
             assert_eq!(ev.diverge_at(), *diverge_at, "event {i}");
-            assert_eq!(&record_stream(&mut ev.actual_cursor(), usize::MAX), want_actual, "event {i}");
+            let mut actual = ev.actual_cursor();
+            assert_eq!(&drain(|| actual.next_raw()), want_actual, "event {i}");
             let mut spec = ev.speculative_cursor();
-            assert_eq!(&record_stream(&mut spec, usize::MAX), want_spec, "event {i}");
+            assert_eq!(&drain(|| spec.next_raw()), want_spec, "event {i}");
             assert_eq!(spec.executed(), want_spec.len() as u64, "event {i}");
             if diverge_at.is_none() {
                 assert!(ev.spec_tail().is_empty(), "event {i}: no tail without divergence");

@@ -34,9 +34,10 @@
 //! accumulation instead of one division per instruction (callers size
 //! the run with `PackedCursor::plain_alu_run`).
 //!
-//! The branch handlers build their `Instr` from the known kind and call
-//! the force-inlined `BranchPredictor::predict_and_update`, so the
-//! predictor's match on the kind folds away; the memory handlers reach
+//! The branch handlers build their `Instr` with `RawStep::to_instr` from
+//! the kind the table dispatched on, a constant in each handler, and call
+//! the force-inlined `BranchPredictor::predict_and_update`, so both
+//! matches on the kind fold away; the memory handlers reach
 //! the hierarchy's inlined L1 lookup through one call.
 
 // Every kind handler shares one flat fn-pointer signature (the table's
@@ -48,8 +49,8 @@ use crate::engine::{Stall, StallKind, StepOutcome};
 use crate::Engine;
 use esp_branch::{Prediction, PredictorContext};
 use esp_obs::{CycleClass, Probe, StepRecord};
-use esp_trace::kindbits::{FLAG_BIT, TAG_COND, TAG_MASK};
-use esp_trace::Instr;
+use esp_trace::kindbits::{TAG_CALL, TAG_COND, TAG_IND_BRANCH, TAG_IND_CALL, TAG_MASK, TAG_RET};
+use esp_trace::{Instr, RawStep};
 use esp_types::{Addr, LineAddr};
 
 /// Config-dependent constants of the fused hot loop, resolved once at
@@ -128,7 +129,13 @@ impl<P: Probe> KindTable<P> {
         let branches: [KindFn<P>; 5] = if kp.perfect_branch {
             [k_branch_perfect; 5]
         } else {
-            [k_cond, k_ind_branch, k_ind_call, k_call, k_ret]
+            [
+                k_branch::<P, TAG_COND>,
+                k_branch::<P, TAG_IND_BRANCH>,
+                k_branch::<P, TAG_IND_CALL>,
+                k_branch::<P, TAG_CALL>,
+                k_branch::<P, TAG_RET>,
+            ]
         };
         KindTable {
             table: [
@@ -289,7 +296,11 @@ fn k_branch_perfect<P: Probe>(
     e.stats.branches += 1;
 }
 
-fn k_cond<P: Probe>(
+/// A branch of tag `TAG`: the predictor trains on the full instruction,
+/// built by [`RawStep::to_instr`]. Restating the tag the table
+/// dispatched on makes it a constant, so both the decode's and the
+/// predictor's match on the kind fold away.
+fn k_branch<P: Probe, const TAG: u8>(
     e: &mut Engine,
     _kp: &KernelParams,
     kind: u8,
@@ -299,64 +310,8 @@ fn k_cond<P: Probe>(
     out: &mut StepOutcome,
     probe: &mut P,
 ) {
-    let i = Instr::cond_branch(Addr::new(pc), kind & FLAG_BIT != 0, Addr::new(op));
-    branch_body(e, &i, rec, out, probe);
-}
-
-fn k_ind_branch<P: Probe>(
-    e: &mut Engine,
-    _kp: &KernelParams,
-    _kind: u8,
-    pc: u64,
-    op: u64,
-    rec: &mut StepRecord,
-    out: &mut StepOutcome,
-    probe: &mut P,
-) {
-    let i = Instr::indirect(Addr::new(pc), Addr::new(op));
-    branch_body(e, &i, rec, out, probe);
-}
-
-fn k_ind_call<P: Probe>(
-    e: &mut Engine,
-    _kp: &KernelParams,
-    _kind: u8,
-    pc: u64,
-    op: u64,
-    rec: &mut StepRecord,
-    out: &mut StepOutcome,
-    probe: &mut P,
-) {
-    let i = Instr::indirect_call(Addr::new(pc), Addr::new(op));
-    branch_body(e, &i, rec, out, probe);
-}
-
-fn k_call<P: Probe>(
-    e: &mut Engine,
-    _kp: &KernelParams,
-    _kind: u8,
-    pc: u64,
-    op: u64,
-    rec: &mut StepRecord,
-    out: &mut StepOutcome,
-    probe: &mut P,
-) {
-    let i = Instr::call(Addr::new(pc), Addr::new(op));
-    branch_body(e, &i, rec, out, probe);
-}
-
-fn k_ret<P: Probe>(
-    e: &mut Engine,
-    _kp: &KernelParams,
-    _kind: u8,
-    pc: u64,
-    op: u64,
-    rec: &mut StepRecord,
-    out: &mut StepOutcome,
-    probe: &mut P,
-) {
-    let i = Instr::ret(Addr::new(pc), Addr::new(op));
-    branch_body(e, &i, rec, out, probe);
+    let kind = (kind & !TAG_MASK) | TAG;
+    branch_body(e, &RawStep { kind, pc, op }.to_instr(), rec, out, probe);
 }
 
 impl Engine {

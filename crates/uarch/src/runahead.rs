@@ -17,8 +17,9 @@
 
 use crate::Engine;
 use esp_branch::PredictorContext;
-use esp_trace::{EventStream, InstrKind};
-use esp_types::Cycle;
+use esp_trace::kindbits::{FLAG_BIT, TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
+use esp_trace::EventCursor;
+use esp_types::{Addr, Cycle};
 
 /// Outstanding-miss budget of one runahead episode. Runahead's parallel
 /// miss discovery is bounded by the machine's MSHRs and LSQ (16 entries
@@ -62,9 +63,12 @@ impl Engine {
     /// only the data cache is warmed — the branch predictor is untouched
     /// and instruction fetches neither fill nor train anything (their
     /// latency is still paid out of the window via non-updating probes).
-    pub fn run_runahead_cursor<C: EventStream>(
+    ///
+    /// The cursor is decoded raw; only branches are materialised as an
+    /// [`esp_trace::Instr`], for the predictor.
+    pub fn run_runahead_cursor(
         &mut self,
-        mut cursor: C,
+        mut cursor: EventCursor<'_>,
         start: Cycle,
         window: u64,
         data_only: bool,
@@ -84,7 +88,7 @@ impl Engine {
         let consumed = |budget_millis: u64| start + (window * 1000 - budget_millis) / 1000;
 
         while budget_millis > base {
-            let Some(instr) = cursor.next_instr() else {
+            let Some(rs) = cursor.next_raw() else {
                 out.stream_ended = true;
                 break;
             };
@@ -95,7 +99,8 @@ impl Engine {
             // Fetch: runahead still goes through the L1-I and stalls (in
             // the window) on misses — fills are real, so it warms lines
             // it reaches, but cannot reach far past a miss.
-            let line = instr.pc.line(line_bytes);
+            let tag = rs.kind & TAG_MASK;
+            let line = Addr::new(rs.pc).line(line_bytes);
             if last_line != Some(line) {
                 last_line = Some(line);
                 let hit = self.config().machine.hierarchy.l1i.hit_latency;
@@ -129,13 +134,14 @@ impl Engine {
             // runahead cannot run far in branchy code (§1). Without
             // register dependence tracking, a deterministic hash decides
             // which mispredicted branches were unresolvable.
-            if instr.is_branch() && !data_only {
+            if tag >= TAG_COND && !data_only {
+                let instr = rs.to_instr();
                 let outcome = self.bp_mut().predict_and_update(PredictorContext::Normal, &instr);
                 let penalty = self.bp().penalty_of(outcome) * 1000;
                 budget_millis = budget_millis.saturating_sub(penalty);
                 if outcome == esp_branch::Prediction::Mispredict {
                     let unresolvable =
-                        esp_types::SplitMix64::derive(instr.pc.as_u64(), out.instrs)
+                        esp_types::SplitMix64::derive(rs.pc, out.instrs)
                             .is_multiple_of(2);
                     if unresolvable {
                         out.wrong_path = true;
@@ -144,38 +150,34 @@ impl Engine {
                 }
             }
 
-            match instr.kind {
-                InstrKind::Load { addr, chained } => {
-                    if chained {
-                        // Address depends on in-flight data: invalid in
-                        // runahead, nothing to prefetch.
-                        out.skipped_chained_loads += 1;
-                    } else if mshrs_used < RUNAHEAD_MSHRS {
-                        // Parallel miss discovery is runahead's whole
-                        // point — up to the MSHR budget.
-                        let line = addr.line(line_bytes);
-                        if !self.mem().l1d().probe(line) {
-                            mshrs_used += 1;
-                        }
-                        self.mem_mut().access_data(line, t, false);
-                    } else {
-                        out.mshr_drops += 1;
+            if tag == TAG_LOAD {
+                if rs.kind & FLAG_BIT != 0 {
+                    // Address depends on in-flight data (`chained`):
+                    // invalid in runahead, nothing to prefetch.
+                    out.skipped_chained_loads += 1;
+                } else if mshrs_used < RUNAHEAD_MSHRS {
+                    // Parallel miss discovery is runahead's whole
+                    // point — up to the MSHR budget.
+                    let line = Addr::new(rs.op).line(line_bytes);
+                    if !self.mem().l1d().probe(line) {
+                        mshrs_used += 1;
                     }
+                    self.mem_mut().access_data(line, t, false);
+                } else {
+                    out.mshr_drops += 1;
                 }
-                InstrKind::Store { addr } => {
-                    // Runahead stores do not update memory, but they do
-                    // prefetch their lines (write-allocate warming).
-                    let line = addr.line(line_bytes);
-                    if mshrs_used < RUNAHEAD_MSHRS {
-                        if !self.mem().l1d().probe(line) {
-                            mshrs_used += 1;
-                        }
-                        self.mem_mut().access_data(line, t, true);
-                    } else {
-                        out.mshr_drops += 1;
+            } else if tag == TAG_STORE {
+                // Runahead stores do not update memory, but they do
+                // prefetch their lines (write-allocate warming).
+                let line = Addr::new(rs.op).line(line_bytes);
+                if mshrs_used < RUNAHEAD_MSHRS {
+                    if !self.mem().l1d().probe(line) {
+                        mshrs_used += 1;
                     }
+                    self.mem_mut().access_data(line, t, true);
+                } else {
+                    out.mshr_drops += 1;
                 }
-                _ => {}
             }
         }
         self.bp_mut().restore_speculative(checkpoint);
@@ -197,18 +199,22 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::EngineConfig;
-    use esp_trace::{Instr, VecEventStream};
-    use esp_types::Addr;
+    use esp_trace::{Instr, PackedEvent, PackedTrace};
+
+    /// Packs `instrs` as the actual stream of a one-event trace.
+    fn event(instrs: &[Instr]) -> PackedEvent {
+        PackedEvent::new(PackedTrace::from_instrs(instrs), None, PackedTrace::new())
+    }
 
     /// A stream of loads touching distinct lines with ALU padding.
-    fn load_stream(n: usize, base: u64, chained: bool) -> VecEventStream {
+    fn load_stream(n: usize, base: u64, chained: bool) -> PackedEvent {
         let mut v = Vec::new();
         for i in 0..n as u64 {
             v.push(Instr::load(Addr::new(0x1000 + i * 16), Addr::new(base + i * 64), chained));
             v.push(Instr::alu(Addr::new(0x1004 + i * 16)));
             v.push(Instr::alu(Addr::new(0x1008 + i * 16)));
         }
-        VecEventStream::new(v)
+        event(&v)
     }
 
     /// Pre-warm the code lines the synthetic streams fetch from, so the
@@ -224,7 +230,7 @@ mod tests {
         let mut e = Engine::new(EngineConfig::baseline());
         warm_code(&mut e);
         let stream = load_stream(30, 0x50_0000, false);
-        let out = e.run_runahead_cursor(stream.clone(), Cycle::new(10_000), 101, false);
+        let out = e.run_runahead_cursor(stream.actual_cursor(), Cycle::new(10_000), 101, false);
         assert!(out.instrs > 20, "instrs={}", out.instrs);
         // The first future lines are now resident (in flight or filled).
         assert!(e.mem().l1d().probe(Addr::new(0x50_0000).line(64)));
@@ -235,7 +241,7 @@ mod tests {
         let mut e = Engine::new(EngineConfig::baseline());
         warm_code(&mut e);
         let stream = load_stream(30, 0x60_0000, true);
-        let out = e.run_runahead_cursor(stream.clone(), Cycle::new(10_000), 101, false);
+        let out = e.run_runahead_cursor(stream.actual_cursor(), Cycle::new(10_000), 101, false);
         assert!(out.skipped_chained_loads > 0);
         assert!(!e.mem().l1d().probe(Addr::new(0x60_0000).line(64)));
     }
@@ -246,8 +252,8 @@ mod tests {
         // Code marching through cold lines: every 16th instruction is a
         // new line, each a 99-cycle window stall.
         let v: Vec<Instr> = (0..2000u64).map(|i| Instr::alu(Addr::new(0x40_0000 + i * 4))).collect();
-        let stream = VecEventStream::new(v);
-        let out = e.run_runahead_cursor(stream.clone(), Cycle::ZERO, 101, false);
+        let stream = event(&v);
+        let out = e.run_runahead_cursor(stream.actual_cursor(), Cycle::ZERO, 101, false);
         assert!(out.instrs < 40, "cold code should throttle runahead: {}", out.instrs);
         assert!(out.ifetch_stall_cycles > 50);
     }
@@ -258,8 +264,8 @@ mod tests {
         // Warm the code line first so fetch is free.
         e.mem_mut().prefetch_instr(Addr::new(0x1000).line(64), Cycle::ZERO, true);
         let v: Vec<Instr> = (0..10_000).map(|i| Instr::alu(Addr::new(0x1000 + (i % 8) * 4))).collect();
-        let stream = VecEventStream::new(v);
-        let out = e.run_runahead_cursor(stream.clone(), Cycle::new(1000), 101, false);
+        let stream = event(&v);
+        let out = e.run_runahead_cursor(stream.actual_cursor(), Cycle::new(1000), 101, false);
         // 101 cycles at 0.75 CPI ≈ 134 instructions.
         assert!((100..160).contains(&(out.instrs as i64)), "instrs={}", out.instrs);
         assert!(!out.stream_ended);
@@ -268,8 +274,8 @@ mod tests {
     #[test]
     fn short_stream_ends_cleanly() {
         let mut e = Engine::new(EngineConfig::baseline());
-        let stream = VecEventStream::new(vec![Instr::alu(Addr::new(0x1000)); 5]);
-        let out = e.run_runahead_cursor(stream.clone(), Cycle::ZERO, 500, false);
+        let stream = event(&[Instr::alu(Addr::new(0x1000)); 5]);
+        let out = e.run_runahead_cursor(stream.actual_cursor(), Cycle::ZERO, 500, false);
         assert!(out.stream_ended);
         assert_eq!(out.instrs, 5);
     }
@@ -278,7 +284,7 @@ mod tests {
     fn runahead_counts_into_stats() {
         let mut e = Engine::new(EngineConfig::baseline());
         let stream = load_stream(10, 0x80_0000, false);
-        let out = e.run_runahead_cursor(stream.clone(), Cycle::ZERO, 101, false);
+        let out = e.run_runahead_cursor(stream.actual_cursor(), Cycle::ZERO, 101, false);
         assert_eq!(e.stats().runahead_instrs, out.instrs);
     }
 }

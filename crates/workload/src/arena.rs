@@ -27,7 +27,7 @@
 //! ```
 
 use crate::{BenchmarkProfile, GeneratedWorkload};
-use esp_trace::{EventStream, PackedEvent, PackedTrace, PackedWorkload, TraceArena, Workload};
+use esp_trace::{PackedEvent, PackedTrace, PackedWorkload, TraceArena, Workload};
 use esp_types::EventId;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -46,17 +46,13 @@ impl GeneratedWorkload {
         let details = self.schedule().details();
         let events = esp_par::parallel_map(threads, details, |_, d| {
             let id = EventId::new(d.index);
-            let mut actual = PackedTrace::from_stream(&mut self.walk_actual(id));
+            let mut actual: PackedTrace = self.walk_actual(id).collect();
             actual.shrink_to_fit();
             let (diverge_at, tail) = match d.diverge_at {
                 // A divergence point past the event's budget never
                 // triggers; store the event as non-diverging.
                 Some(at) if at < d.len => {
-                    let mut spec = self.walk_speculative(id);
-                    for _ in 0..at {
-                        spec.next_instr();
-                    }
-                    let mut tail = PackedTrace::from_stream(&mut spec);
+                    let mut tail: PackedTrace = self.walk_speculative(id).skip(at as usize).collect();
                     tail.shrink_to_fit();
                     (Some(at), tail)
                 }
@@ -212,7 +208,7 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_trace::{record_stream, Workload};
+    use esp_trace::Workload;
 
     /// The memo is process-wide and the test harness runs tests in
     /// parallel: the tests that reset it or assert on what it holds take
@@ -237,11 +233,11 @@ mod tests {
         assert_eq!(p.events(), w.events());
         assert_eq!(p.approx_total_instructions(), w.approx_total_instructions());
         for r in w.events() {
-            let a = record_stream(&mut *w.actual_stream(r.id), usize::MAX);
-            let pa = record_stream(&mut *p.actual_stream(r.id), usize::MAX);
+            let a = w.actual_stream(r.id).collect::<Vec<_>>();
+            let pa = p.actual_stream(r.id).collect::<Vec<_>>();
             assert_eq!(a, pa, "actual stream of {} differs", r.id);
-            let s = record_stream(&mut *w.speculative_stream(r.id), usize::MAX);
-            let ps = record_stream(&mut *p.speculative_stream(r.id), usize::MAX);
+            let s = w.speculative_stream(r.id).collect::<Vec<_>>();
+            let ps = p.speculative_stream(r.id).collect::<Vec<_>>();
             assert_eq!(s, ps, "speculative stream of {} differs", r.id);
         }
     }
@@ -265,10 +261,10 @@ mod tests {
             let p = w.materialise();
             for idx in diverging {
                 let id = EventId::new(idx);
-                let s = record_stream(&mut *w.speculative_stream(id), usize::MAX);
-                let ps = record_stream(&mut *p.speculative_stream(id), usize::MAX);
+                let s = w.speculative_stream(id).collect::<Vec<_>>();
+                let ps = p.speculative_stream(id).collect::<Vec<_>>();
                 assert_eq!(s, ps, "diverging event {id} differs");
-                let a = record_stream(&mut *w.actual_stream(id), usize::MAX);
+                let a = w.actual_stream(id).collect::<Vec<_>>();
                 assert_ne!(a, s, "event {id} was supposed to diverge");
             }
             return;

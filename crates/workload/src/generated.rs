@@ -4,7 +4,7 @@ use crate::code::CodeImage;
 use crate::schedule::Schedule;
 use crate::walk::EventWalk;
 use crate::WorkloadParams;
-use esp_trace::{EventRecord, EventStream, Workload};
+use esp_trace::{EventRecord, Instr, Workload};
 use esp_types::{Addr, EventId};
 
 /// A fully generated asynchronous program, ready to simulate.
@@ -26,7 +26,7 @@ use esp_types::{Addr, EventId};
 /// let w = GeneratedWorkload::generate(p, 9);
 /// let first = w.events()[0];
 /// let mut s = w.actual_stream(first.id);
-/// assert!(s.next_instr().is_some());
+/// assert!(s.next().is_some());
 /// ```
 #[derive(Clone, Debug)]
 pub struct GeneratedWorkload {
@@ -100,11 +100,11 @@ impl Workload for GeneratedWorkload {
         &self.records
     }
 
-    fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
+    fn actual_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
         Box::new(self.open(id, false))
     }
 
-    fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
+    fn speculative_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
         Box::new(self.open(id, true))
     }
 
@@ -116,7 +116,6 @@ impl Workload for GeneratedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esp_trace::record_stream;
 
     fn small() -> GeneratedWorkload {
         let mut p = WorkloadParams::web_default();
@@ -142,9 +141,7 @@ mod tests {
     fn streams_regenerate_identically() {
         let w = small();
         let id = w.events()[1].id;
-        let a = record_stream(&mut *w.actual_stream(id), 3000);
-        let b = record_stream(&mut *w.actual_stream(id), 3000);
-        assert_eq!(a, b);
+        assert!(w.actual_stream(id).take(3000).eq(w.actual_stream(id).take(3000)));
     }
 
     #[test]
@@ -161,8 +158,8 @@ mod tests {
         let w = small();
         for r in w.events().iter().take(6) {
             let d = &w.schedule().details()[r.id.index() as usize];
-            let a = record_stream(&mut *w.actual_stream(r.id), 2000);
-            let s = record_stream(&mut *w.speculative_stream(r.id), 2000);
+            let a: Vec<_> = w.actual_stream(r.id).take(2000).collect();
+            let s: Vec<_> = w.speculative_stream(r.id).take(2000).collect();
             match d.diverge_at {
                 None => assert_eq!(a, s),
                 Some(at) => {

@@ -40,7 +40,7 @@
 //! let w = BenchmarkProfile::amazon().scaled(100_000).build(7);
 //! assert!(!w.events().is_empty());
 //! let mut stream = w.actual_stream(w.events()[0].id);
-//! assert!(stream.next_instr().is_some());
+//! assert!(stream.next().is_some());
 //! ```
 
 #![forbid(unsafe_code)]

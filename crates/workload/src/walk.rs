@@ -3,7 +3,7 @@
 use crate::code::{CodeImage, Terminator, INSTR_BYTES};
 use crate::schedule::EventDetail;
 use crate::WorkloadParams;
-use esp_trace::{EventStream, Instr};
+use esp_trace::Instr;
 use esp_types::{Addr, EventKindId, Rng, SplitMix64, Xoshiro256pp};
 
 /// Base of the (hot, small) stack region.
@@ -52,15 +52,13 @@ struct Frame {
 ///
 /// ```
 /// use esp_workload::{BenchmarkProfile, EventWalk};
-/// use esp_trace::{EventStream, Workload};
+/// use esp_trace::Workload;
 ///
 /// let w = BenchmarkProfile::pixlr().scaled(50_000).build(3);
 /// let id = w.events()[0].id;
-/// let mut a = w.actual_stream(id);
-/// let mut b = w.actual_stream(id);
-/// for _ in 0..1000 {
-///     assert_eq!(a.next_instr(), b.next_instr());
-/// }
+/// let a = w.actual_stream(id);
+/// let b = w.actual_stream(id);
+/// assert!(a.take(1000).eq(b.take(1000)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct EventWalk<'a> {
@@ -365,8 +363,10 @@ impl<'a> EventWalk<'a> {
     }
 }
 
-impl EventStream for EventWalk<'_> {
-    fn next_instr(&mut self) -> Option<Instr> {
+impl Iterator for EventWalk<'_> {
+    type Item = Instr;
+
+    fn next(&mut self) -> Option<Instr> {
         if self.emitted >= self.budget {
             return None;
         }
@@ -421,10 +421,6 @@ impl EventStream for EventWalk<'_> {
         self.emitted += 1;
         Some(instr)
     }
-
-    fn executed(&self) -> u64 {
-        self.emitted
-    }
 }
 
 #[cfg(test)]
@@ -451,7 +447,7 @@ mod tests {
     }
 
     fn collect(walk: &mut EventWalk<'_>, n: usize) -> Vec<Instr> {
-        (0..n).map_while(|_| walk.next_instr()).collect()
+        walk.take(n).collect()
     }
 
     #[test]
@@ -470,8 +466,7 @@ mod tests {
         let mut w = EventWalk::new(&image, &params, &d, false);
         let got = collect(&mut w, 10_000);
         assert_eq!(got.len(), 1234);
-        assert_eq!(w.executed(), 1234);
-        assert!(w.next_instr().is_none());
+        assert!(w.next().is_none());
     }
 
     #[test]

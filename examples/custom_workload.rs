@@ -13,7 +13,7 @@
 
 use event_sneak_peek::prelude::*;
 use event_sneak_peek::trace::espt::{self, TraceMeta};
-use event_sneak_peek::trace::{EventRecord, EventStream, VecEventStream};
+use event_sneak_peek::trace::{EventRecord, Instr};
 use event_sneak_peek::types::EventKindId;
 use event_sneak_peek::workload::WorkloadParams;
 
@@ -53,24 +53,23 @@ fn tuned_generator() {
 fn hand_built_workload() {
     struct TinyWorkload {
         records: Vec<EventRecord>,
-        traces: Vec<Vec<event_sneak_peek::trace::Instr>>,
+        traces: Vec<Vec<Instr>>,
         /// What a pre-execution of each event observes.
-        speculative: Vec<Vec<event_sneak_peek::trace::Instr>>,
+        speculative: Vec<Vec<Instr>>,
     }
 
     impl Workload for TinyWorkload {
         fn events(&self) -> &[EventRecord] {
             &self.records
         }
-        fn actual_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-            Box::new(VecEventStream::new(self.traces[id.index() as usize].clone()))
+        fn actual_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
+            Box::new(self.traces[id.index() as usize].clone().into_iter())
         }
-        fn speculative_stream(&self, id: EventId) -> Box<dyn EventStream + '_> {
-            Box::new(VecEventStream::new(self.speculative[id.index() as usize].clone()))
+        fn speculative_stream(&self, id: EventId) -> Box<dyn Iterator<Item = Instr> + '_> {
+            Box::new(self.speculative[id.index() as usize].clone().into_iter())
         }
     }
 
-    use event_sneak_peek::trace::Instr;
     let make_trace = |base: u64| -> Vec<Instr> {
         let mut v = Vec::new();
         for i in 0..400u64 {

@@ -62,10 +62,13 @@ echo "== timing smoke (informational, non-gating) =="
 # the committed BENCH_repro.json record. Small scale and a shared host
 # make this noisy, hence non-gating; the committed record comes from
 # ./scripts/bench.sh (see docs/PERFORMANCE.md). Runs in a scratch
-# directory so the committed BENCH_repro.json is untouched.
+# directory so the committed BENCH_repro.json is untouched. The scale
+# gives every family at least two sampling periods (40 grains of 2000
+# instructions); below that, sampled and learned runs fall back to exact
+# and their lines would describe exact runs.
 smoke_dir="$(mktemp -d)"
 ( cd "$smoke_dir" &&
-  "$OLDPWD/target/release/repro" --scale 60000 --seed 42 --repeat 1 bench &&
+  "$OLDPWD/target/release/repro" --scale 120000 --seed 42 --repeat 1 bench &&
   if command -v python3 >/dev/null; then
     python3 - "$OLDPWD/BENCH_repro.json" <<'PY'
 import json, sys

@@ -58,7 +58,7 @@ pub use esp_workload as workload;
 pub mod prelude {
     pub use esp_core::{EspFeatures, RunReport, SimConfig, SimMode, Simulator};
     pub use esp_obs::{CpiObserver, CpiStack};
-    pub use esp_trace::{EventStream, PackedWorkload, Workload};
+    pub use esp_trace::{PackedWorkload, Workload};
     pub use esp_types::{Addr, Cycle, EventId, EventKindId, LineAddr};
     pub use esp_uarch::MachineConfig;
     pub use esp_workload::{BenchmarkProfile, GeneratedWorkload};

@@ -5,7 +5,7 @@
 //! failures exactly reproducible.
 
 use event_sneak_peek::branch::{BranchConfig, BranchPredictor, ContextPolicy, PredictorContext};
-use event_sneak_peek::trace::{record_stream, Instr, Workload};
+use event_sneak_peek::trace::{Instr, Workload};
 use event_sneak_peek::types::{Addr, Rng as _, Xoshiro256pp};
 use event_sneak_peek::workload::{GeneratedWorkload, WorkloadParams};
 
@@ -30,8 +30,8 @@ fn walks_are_deterministic_and_consistent() {
     for seed in workload_seeds(1) {
         let w = small_workload(seed);
         let id = w.events()[0].id;
-        let a = record_stream(&mut *w.actual_stream(id), 2_000);
-        let b = record_stream(&mut *w.actual_stream(id), 2_000);
+        let a = w.actual_stream(id).take(2_000).collect::<Vec<_>>();
+        let b = w.actual_stream(id).take(2_000).collect::<Vec<_>>();
         assert_eq!(&a, &b, "seed {seed}");
         // Control-flow consistency.
         for pair in a.windows(2) {
@@ -39,9 +39,9 @@ fn walks_are_deterministic_and_consistent() {
         }
         // Clone mid-stream and compare continuations.
         let mut s = w.walk_actual(id);
-        record_stream(&mut s, 500);
-        let rest_clone = record_stream(&mut s.clone(), 500);
-        let rest_orig = record_stream(&mut s, 500);
+        s.by_ref().take(500).for_each(drop);
+        let rest_clone = s.clone().take(500).collect::<Vec<_>>();
+        let rest_orig = s.take(500).collect::<Vec<_>>();
         assert_eq!(rest_orig, rest_clone, "seed {seed}");
     }
 }
@@ -54,8 +54,8 @@ fn speculative_views_match_prefix() {
         let w = small_workload(seed);
         for ev in w.events().iter().take(4) {
             let detail = &w.schedule().details()[ev.id.index() as usize];
-            let a = record_stream(&mut *w.actual_stream(ev.id), 1_500);
-            let s = record_stream(&mut *w.speculative_stream(ev.id), 1_500);
+            let a = w.actual_stream(ev.id).take(1_500).collect::<Vec<_>>();
+            let s = w.speculative_stream(ev.id).take(1_500).collect::<Vec<_>>();
             let check = match detail.diverge_at {
                 None => a.len(),
                 Some(at) => (at as usize).min(a.len()),
@@ -72,8 +72,8 @@ fn event_lengths_are_exact() {
     for seed in workload_seeds(3) {
         let w = small_workload(seed);
         for ev in w.events().iter().take(3) {
-            let got = record_stream(&mut *w.actual_stream(ev.id), usize::MAX);
-            assert_eq!(got.len() as u64, ev.approx_len, "seed {seed}");
+            let got = w.actual_stream(ev.id).count();
+            assert_eq!(got as u64, ev.approx_len, "seed {seed}");
         }
     }
 }

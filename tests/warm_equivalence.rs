@@ -78,8 +78,8 @@ fn stepped(cfg: &EngineConfig, w: &PackedWorkload) -> Engine {
     let arena = w.arena();
     for i in 0..arena.len() {
         let mut cursor = arena.event(i).actual().cursor();
-        while let Some(instr) = cursor.next() {
-            engine.warm_step(&instr);
+        while let Some(step) = cursor.next_raw() {
+            engine.warm_step(&step.to_instr());
         }
     }
     engine
