@@ -76,7 +76,7 @@
 
 use esp_bench::{explain, figures, ConfigKey, Runner, WorkloadSpec};
 use esp_core::{LearnParams, SampleParams};
-use esp_trace::Workload;
+use esp_trace::{SidecarKey, Workload};
 use esp_workload::BenchmarkProfile;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -144,13 +144,14 @@ fn main() -> ExitCode {
                 Some(v) => espt_fuzz_cases = v,
                 None => return usage("--fuzz-espt needs an integer"),
             },
+            // Ranges are `SampleParams::try_new`'s business (below).
             "--sample-period" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 3 => sample_period = Some(v),
-                _ => return usage("--sample-period needs an integer >= 3"),
+                Some(v) => sample_period = Some(v),
+                None => return usage("--sample-period needs an integer"),
             },
             "--sample-grain" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => sample_grain = v,
-                _ => return usage("--sample-grain needs a positive integer"),
+                Some(v) => sample_grain = v,
+                None => return usage("--sample-grain needs an integer"),
             },
             "--learn" => learn = true,
             // Ranges are `LearnParams::validate`'s business (below).
@@ -223,6 +224,17 @@ fn main() -> ExitCode {
             return usage(&e);
         }
     }
+    // The grain is checked against the default period first, so the
+    // error names the flag at fault.
+    let default_period = SampleParams::default().period;
+    if let Err(e) = SampleParams::try_new(sample_grain, default_period) {
+        return usage(&format!("--sample-grain {sample_grain}: {e}"));
+    }
+    let period = sample_period.unwrap_or(default_period);
+    let sample_params = match SampleParams::try_new(sample_grain, period) {
+        Ok(p) => p,
+        Err(e) => return usage(&format!("--sample-period {period}: {e}")),
+    };
     // `explain` consumes the rest of the positional arguments as
     // benchmark names or `.espt` trace paths, resolved (like figure
     // names) before any workload generation happens.
@@ -256,8 +268,7 @@ fn main() -> ExitCode {
                 threads,
                 force,
                 repeat,
-                sample_grain,
-                sample_period,
+                sample_params,
                 learn_params,
             )
         }
@@ -306,12 +317,11 @@ fn main() -> ExitCode {
     // stack from periodic detailed grains instead of running exactly.
     // Sampled figures are approximations — see docs/PERFORMANCE.md for
     // the error envelope and the quoting policy.
-    if let Some(period) = sample_period {
-        let params = SampleParams::new(sample_grain, period);
-        runner.set_sampling(Some(params));
+    if sample_period.is_some() {
+        runner.set_sampling(Some(sample_params));
         eprintln!(
             "# sampling mode: grain {} instrs, period {} (measuring 1/{} of each run)",
-            params.grain_instrs, params.period, params.period
+            sample_params.grain_instrs, sample_params.period, sample_params.period
         );
         if learn {
             runner.set_learned(Some(learn_params));
@@ -652,8 +662,10 @@ fn check(
 /// model's operating point) and records its throughput, speedups
 /// over exact and plain sampling, error envelope, interval coverage,
 /// mean skip fraction, and the fallback-ladder counters. Pass 1 also
-/// records the bytes and build time of the DCU trigger-bit sidecars its
-/// next-line runs built (`dcu_triggers`). Each pass is repeated `--repeat`
+/// records the bytes and build time of the sidecars its runs built: the
+/// DCU trigger bits of the next-line runs (`dcu_triggers`) and the branch
+/// outcomes of the runs whose predictor sees only retired branches
+/// (`branch_outcomes`). Each pass is repeated `--repeat`
 /// times (default 3) and the fastest repetition is recorded — the
 /// standard protocol for shared machines, where the minimum is the run
 /// least disturbed by background load (every repetition simulates the
@@ -671,8 +683,7 @@ fn bench(
     threads: Option<usize>,
     force: bool,
     repeat: usize,
-    sample_grain: u64,
-    sample_period: Option<u64>,
+    sp: SampleParams,
     learn_params: LearnParams,
 ) -> ExitCode {
     let cores = esp_par::threads();
@@ -686,7 +697,8 @@ fn bench(
         "# bench pass 1: cold, 1 thread (scale {scale}, seed {seed}, {} families), best of {repeat}...",
         families.len()
     );
-    let mut best: Option<(f64, esp_bench::PhaseSeconds, u64, (u64, f64), u64, u64)> = None;
+    let dcu = |k: &SidecarKey| matches!(k, SidecarKey::DcuTriggers { .. });
+    let mut best: Option<(f64, esp_bench::PhaseSeconds, u64, [(u64, f64); 2], u64, u64)> = None;
     for rep in 1..=repeat {
         // A cold repetition regenerates and re-materialises everything:
         // drop the process-wide arena cache left by the previous one.
@@ -701,14 +713,14 @@ fn bench(
                 total,
                 cold.phase_seconds(),
                 cold.arena_resident_bytes(),
-                cold.trigger_footprint(),
+                [cold.sidecar_footprint(dcu), cold.sidecar_footprint(|k| !dcu(k))],
                 cold.sims_run(),
                 cold.instructions_simulated(),
             ));
         }
     }
-    let (total_1t, phases, arena_bytes, (trigger_bytes, trigger_s), sims, instrs) =
-        best.expect("repeat >= 1");
+    let (total_1t, phases, arena_bytes, footprints, sims, instrs) = best.expect("repeat >= 1");
+    let [(trigger_bytes, trigger_s), (outcome_bytes, outcome_s)] = footprints;
     // Instructions per wall-second across the whole matrix — retired plus
     // speculative (ESP pre-execution, runahead re-execution), which is
     // real simulation work; the per-sim count is deterministic, so MIPS
@@ -717,7 +729,8 @@ fn bench(
     eprintln!(
         "# pass 1: {sims} sims in {total_1t:.2}s ({:.3} sims/s, {mips_1t:.2} MIPS; \
          generate {:.2}s, materialise {:.2}s, simulate {:.2}s, arena {:.1} MiB; \
-         DCU trigger sidecars {:.1} KiB built in {:.1} ms)",
+         DCU trigger sidecars {:.1} KiB built in {:.1} ms; \
+         branch outcome sidecars {:.1} KiB built in {:.1} ms)",
         sims as f64 / total_1t.max(1e-9),
         phases.generate,
         phases.materialise,
@@ -725,6 +738,8 @@ fn bench(
         arena_bytes as f64 / (1024.0 * 1024.0),
         trigger_bytes as f64 / 1024.0,
         trigger_s * 1e3,
+        outcome_bytes as f64 / 1024.0,
+        outcome_s * 1e3,
     );
 
     // Pass 2 measures multi-thread scaling, so it is only honest when
@@ -754,7 +769,6 @@ fn bench(
     // thread — directly comparable to pass 1's simulate phase. The last
     // repetition's reports feed the error cross-check below (sampling is
     // deterministic, so every repetition produces identical reports).
-    let sp = SampleParams::new(sample_grain, sample_period.unwrap_or(SampleParams::default().period));
     eprintln!(
         "# bench pass 3: sampled (grain {}, period {}), warm, 1 thread, best of {repeat}...",
         sp.grain_instrs, sp.period
@@ -882,6 +896,7 @@ fn bench(
          \"mips\": {mips_1t:.3},\n  \"mips_1t\": {mips_1t:.3},\n  \
          \"arena_bytes\": {arena_bytes},\n  \
          \"dcu_triggers\": {{\"bytes\": {trigger_bytes}, \"build_seconds\": {trigger_s:.4}}},\n  \
+         \"branch_outcomes\": {{\"bytes\": {outcome_bytes}, \"build_seconds\": {outcome_s:.4}}},\n  \
          \"phase_seconds\": {{\"generate\": {:.3}, \"materialise\": {:.3}, \
          \"simulate\": {:.3}}},\n  \
          \"sampled\": {{\"scale\": {scale}, \"grain_instrs\": {}, \"period\": {}, \

@@ -13,7 +13,7 @@ use esp_core::{
 };
 use esp_obs::TraceProbe;
 use esp_stats::Table;
-use esp_trace::{PackedWorkload, Workload};
+use esp_trace::{PackedWorkload, SidecarKey, Workload};
 use esp_uarch::PerfectFlags;
 use esp_workload::{arena, BenchmarkProfile, GeneratedWorkload};
 use std::collections::HashMap;
@@ -507,13 +507,14 @@ impl Runner {
         self.slots.iter().map(|s| s.packed.resident_bytes()).sum()
     }
 
-    /// `(bytes, build seconds)` of the DCU trigger-bit sidecars built so
-    /// far on all profiles' packed workloads
-    /// (`PackedWorkload::trigger_footprint`).
-    pub fn trigger_footprint(&self) -> (u64, f64) {
-        self.slots.iter().map(|s| s.packed.trigger_footprint()).fold((0, 0.0), |(b, t), (sb, st)| {
-            (b + sb, t + st)
-        })
+    /// `(bytes, build seconds)` of the sidecars built so far on all
+    /// profiles' packed workloads whose key `select` accepts
+    /// (`PackedWorkload::sidecar_footprint`).
+    pub fn sidecar_footprint(&self, select: impl Fn(&SidecarKey) -> bool + Copy) -> (u64, f64) {
+        self.slots.iter().map(|s| s.packed.sidecar_footprint(select)).fold(
+            (0, 0.0),
+            |(b, t), (sb, st)| (b + sb, t + st),
+        )
     }
 
     /// Executes every not-yet-cached `(profile, key)` pair of the plan

@@ -7,7 +7,7 @@ use std::process::Command;
 
 #[test]
 fn bad_argument_vectors_exit_2_without_panicking() {
-    let cases: [&[&str]; 29] = [
+    let cases: [&[&str]; 39] = [
         &["--scale", "0", "dump", "amazon"],
         &["--scale", "0", "check"],
         &["--trace-in", "x.espt", "dump"],
@@ -40,6 +40,17 @@ fn bad_argument_vectors_exit_2_without_panicking() {
         &["--learn-bound", "inf", "--sample-period", "20", "fig9"],
         &["--learn", "fig9"],
         &["--learn-train", "0", "bench"],
+        &["--sample-grain", "0", "bench"],
+        &["--sample-period", "18446744073709551616", "fig9"],
+        &["--threads", "0", "fig9"],
+        &["--repeat", "0", "bench"],
+        &["--seed", "x", "fig9"],
+        &["--scale", "-1", "fig9"],
+        &["--fuzz", "x", "check"],
+        &["--fuzz-espt", "x", "check"],
+        // A value-taking flag at the end of argv.
+        &["fig9", "--trace"],
+        &["dump", "amazon", "--trace-out"],
     ];
     let dir = std::env::temp_dir().join(format!("esp-cli-errors-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

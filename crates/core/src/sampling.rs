@@ -69,6 +69,7 @@ use esp_learn::{FastForward, LearnParams, LearnedStats};
 use esp_obs::{CpiStack, NullProbe, Probe, RunSummary};
 use esp_stats::{ratio_estimate, RatioEstimate};
 use esp_trace::{EventCursor, Instr, PackedWorkload, Workload};
+use esp_types::{Error, Result};
 use esp_uarch::{Engine, WarmTee};
 
 /// Sampling-mode parameters: grain size and sampling period.
@@ -89,16 +90,44 @@ impl Default for SampleParams {
 }
 
 impl SampleParams {
-    /// Builds parameters, validating them.
+    /// Builds parameters, validating them — the one owner of their
+    /// ranges, which front ends report as errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] if `grain_instrs` is 0 or
+    /// `period < 3` (a period below 3 has no warming grains — use exact
+    /// mode instead).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use esp_core::SampleParams;
+    ///
+    /// assert_eq!(SampleParams::try_new(2_000, 20), Ok(SampleParams::default()));
+    /// assert!(SampleParams::try_new(0, 20).is_err());
+    /// assert!(SampleParams::try_new(2_000, 2).is_err());
+    /// ```
+    pub fn try_new(grain_instrs: u64, period: u64) -> Result<Self> {
+        if grain_instrs == 0 {
+            return Err(Error::invalid_config("grain_instrs must be positive"));
+        }
+        if period < 3 {
+            return Err(Error::invalid_config(
+                "period must be >= 3 (warmup + measured + warming)",
+            ));
+        }
+        Ok(SampleParams { grain_instrs, period })
+    }
+
+    /// [`SampleParams::try_new`] for parameters known to be valid.
     ///
     /// # Panics
     ///
-    /// Panics if `grain_instrs` is 0 or `period < 3` (a period below 3
-    /// has no warming grains — use exact mode instead).
+    /// Panics with `try_new`'s message if the parameters are invalid: a
+    /// programmer error, since front ends validate with `try_new`.
     pub fn new(grain_instrs: u64, period: u64) -> Self {
-        assert!(grain_instrs > 0, "grain_instrs must be positive");
-        assert!(period >= 3, "period must be >= 3 (warmup + measured + warming)");
-        SampleParams { grain_instrs, period }
+        Self::try_new(grain_instrs, period).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -249,7 +278,7 @@ fn scaled(x: u64, total: u64, measured: u64) -> u64 {
 
 /// The grain clock: tracks where the run is in the sampling schedule,
 /// collects measured-grain samples, and drives the coarse warm clock.
-struct SampleCtl {
+pub(crate) struct SampleCtl {
     grain_instrs: u64,
     period: u64,
     grain_idx: u64,
@@ -273,7 +302,7 @@ struct SampleCtl {
 }
 
 impl SampleCtl {
-    fn new(params: SampleParams, learn: Option<Box<FastForward>>) -> Self {
+    pub(crate) fn new(params: SampleParams, learn: Option<Box<FastForward>>) -> Self {
         SampleCtl {
             grain_instrs: params.grain_instrs,
             period: params.period,
@@ -645,8 +674,8 @@ impl Simulator {
         params: SampleParams,
         probe: &mut P,
     ) -> SampledRun {
-        assert!(params.grain_instrs > 0, "grain_instrs must be positive");
-        assert!(params.period >= 3, "period must be >= 3");
+        // The fields are public: hold them to `new`'s ranges.
+        let params = SampleParams::new(params.grain_instrs, params.period);
         if let Some(run) = self.sampled_exact_fallback(workload, params, probe) {
             return run;
         }
@@ -686,8 +715,8 @@ impl Simulator {
         learn: LearnParams,
         probe: &mut P,
     ) -> SampledRun {
-        assert!(params.grain_instrs > 0, "grain_instrs must be positive");
-        assert!(params.period >= 3, "period must be >= 3");
+        // The fields are public: hold them to `new`'s ranges.
+        let params = SampleParams::new(params.grain_instrs, params.period);
         if let Err(e) = learn.validate() {
             panic!("invalid learned-mode parameters: {e}");
         }
@@ -758,11 +787,25 @@ impl Simulator {
         let ff = learn
             .map(|lp| Box::new(FastForward::new(lp, line_bytes).expect("params pre-validated")));
         let mut live = self.new_live(workload, SampleCtl::new(params, ff));
-        // Skipped stretches feed the DCU nothing, so only plain sampling
-        // retires the stream its trigger bits were built from.
+        // Skipped stretches feed the DCU and the predictor nothing, so
+        // only plain sampling retires the streams the sidecars were built
+        // from.
         if learn.is_none() {
             self.attach_dcu_triggers(workload, &mut live.engine);
+            self.attach_branch_outcomes(workload, &mut live.engine);
         }
+        self.run_sampled_live(workload, live, probe)
+    }
+
+    /// Runs a sampled run's prepared `live` state (fresh, on its grain
+    /// clock, sidecars attached as the run allows) over `workload` and
+    /// extrapolates the report and estimate.
+    pub(crate) fn run_sampled_live<'w, P: Probe>(
+        &self,
+        workload: &'w PackedWorkload,
+        mut live: LiveState<'w, SampleCtl>,
+        probe: &mut P,
+    ) -> SampledRun {
         let measure_ws = self
             .config()
             .esp_features()
@@ -774,6 +817,11 @@ impl Simulator {
         let LiveState { mut engine, esp, replay, grains: mut ctl, .. } = live;
         ctl.finish(&mut engine, &replay, &esp);
         assert_ne!(engine.dcu_replay_finished(), Some(false), "DCU replay out of step with the run");
+        assert_ne!(
+            engine.branch_replay_finished(),
+            Some(false),
+            "branch outcome replay out of step with the run"
+        );
 
         let total_instrs = engine.stats().retired;
         let measured_instrs = ctl.measured_instrs;

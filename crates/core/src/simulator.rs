@@ -5,16 +5,16 @@ use crate::esp_state::EspState;
 use crate::lineset::LineSet;
 use crate::replay::{ReplayLists, ReplayState};
 use crate::report::RunReport;
-use esp_branch::{BpOp, PredictorContext};
+use esp_branch::{BpOp, BranchConfig, BranchPredictor, ContextPolicy, OutcomeBuilder, PredictorContext};
 use esp_energy::{ActivityCounts, EnergyModel};
 use esp_mem::prefetch::DcuTriggerBuilder;
 use esp_mem::{HierarchySnapshot, MemOp};
 use esp_obs::{CycleClass, EventSpan, NullProbe, Probe, RunSummary, WindowRecord, WindowSpender};
 use esp_stats::BranchStats;
 use esp_trace::kindbits::{TAG_ALU, TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
-use esp_trace::{EventCursor, Instr, PackedWorkload, TriggerKey, WarmSink, Workload, INSTR_BYTES};
+use esp_trace::{EventCursor, Instr, PackedWorkload, SidecarKey, WarmSink, Workload, INSTR_BYTES};
 use esp_types::{Addr, LineAddr};
-use esp_uarch::{Engine, KernelParams, KindTable, StallKind};
+use esp_uarch::{Engine, KernelParams, StallKind};
 
 /// Code region of the synthetic looper (event-queue management): a small
 /// hot loop executed between events.
@@ -143,9 +143,8 @@ enum Stepped {
 
 /// The per-event state of a detailed kernel loop, carried from one
 /// [`Simulator::detailed_step`] to the next.
-struct DetailedLoop<'k, P: Probe> {
+struct DetailedLoop<'k> {
     kp: &'k KernelParams,
-    tbl: &'k KindTable<P>,
     /// Whether working sets are measured.
     measure: bool,
     /// Branches retired so far in the event (the B-list replay clock).
@@ -156,9 +155,9 @@ struct DetailedLoop<'k, P: Probe> {
     windows: u64,
 }
 
-impl<'k, P: Probe> DetailedLoop<'k, P> {
-    fn new(kp: &'k KernelParams, tbl: &'k KindTable<P>, measure: bool) -> Self {
-        DetailedLoop { kp, tbl, measure, branches: 0, iws_line: u64::MAX, windows: 0 }
+impl<'k> DetailedLoop<'k> {
+    fn new(kp: &'k KernelParams, measure: bool) -> Self {
+        DetailedLoop { kp, measure, branches: 0, iws_line: u64::MAX, windows: 0 }
     }
 }
 
@@ -226,11 +225,51 @@ impl Simulator {
         if !e.nl_data || e.perfect.l1d {
             return;
         }
-        let key = TriggerKey {
-            line_bytes: e.machine.hierarchy.l1i.line_bytes,
-            looper_instrs: self.config.looper_instrs,
-        };
-        engine.replay_dcu(workload.trigger_bits(key, |p| dcu_trigger_words(p, key)));
+        let line_bytes = e.machine.hierarchy.l1i.line_bytes;
+        let looper_instrs = self.config.looper_instrs;
+        let key = SidecarKey::DcuTriggers { line_bytes, looper_instrs };
+        engine.replay_dcu(
+            workload.sidecar(key, |p| dcu_trigger_words(p, line_bytes, looper_instrs)),
+        );
+    }
+
+    /// Makes `engine` replay the branch outcomes of `workload` instead of
+    /// running the predictor, when that is possible: the mode is the
+    /// baseline or data-only runahead and prediction is not perfect. The
+    /// outcomes are built on first use per workload, predictor table
+    /// sizes and looper length, then shared by every configuration that
+    /// asks (see [`branch_outcome_words`]).
+    ///
+    /// Only in those modes do the retired normal-context branches alone
+    /// reach the predictor: ESP pre-execution trains it (naive ESP even
+    /// in the normal context), full runahead's episodes train its tables,
+    /// and a data-only runahead episode predicts nothing, so its
+    /// checkpoint and restore change nothing. Called only for runs that
+    /// retire or warm every branch in order, from the first, and that
+    /// record no op log for the `esp-check` oracle: exact and plain
+    /// sampled runs, not learned or logged ones.
+    pub(crate) fn attach_branch_outcomes(&self, workload: &PackedWorkload, engine: &mut Engine) {
+        let e = &self.config.engine;
+        let normal_only =
+            matches!(self.config.mode, SimMode::Baseline | SimMode::Runahead { data_only: true });
+        if !normal_only || e.perfect.branch {
+            return;
+        }
+        let b = &e.machine.branch;
+        let looper_instrs = self.config.looper_instrs;
+        let tables = [
+            b.global_entries,
+            b.local_entries,
+            b.loop_entries,
+            b.btb_entries,
+            b.ibtb_entries,
+            b.ras_entries,
+        ]
+        .map(|n| n as u64);
+        let key = SidecarKey::BranchOutcomes { tables, looper_instrs };
+        engine.replay_branches(
+            workload.sidecar(key, |p| branch_outcome_words(p, b, looper_instrs)),
+        );
     }
 
     /// Runs the workload to completion and reports.
@@ -289,6 +328,10 @@ impl Simulator {
         if record {
             live.engine.mem_mut().set_recording(true);
             live.engine.bp_mut().set_recording(true);
+        } else {
+            // The oracle replays a logged run's predictor ops, so only an
+            // unlogged run may replay outcomes instead.
+            self.attach_branch_outcomes(workload, &mut live.engine);
         }
         let events = workload.events();
         // Reused across events: cleared in O(1), allocation kept.
@@ -297,6 +340,11 @@ impl Simulator {
         self.run_events_range(workload, &mut live, 0..events.len(), probe, &mut iws, &mut dws);
         let LiveState { mut engine, esp, replay, .. } = live;
         assert_ne!(engine.dcu_replay_finished(), Some(false), "DCU replay out of step with the run");
+        assert_ne!(
+            engine.branch_replay_finished(),
+            Some(false),
+            "branch outcome replay out of step with the run"
+        );
 
         let mem_snap = engine.mem().snapshot();
         let (esp_branches, esp_mispredicts) = {
@@ -358,9 +406,8 @@ impl Simulator {
         let ideal = self.config.esp_features().is_some_and(|f| f.ideal);
         let events = workload.events();
         // Lower the configuration once: the event loop runs the fused
-        // kernel through this flat parameter block + kind table.
+        // kernel over this flat parameter block.
         let kernel_params = live.engine.lower_kernel();
-        let kind_table = KindTable::<P>::new(&kernel_params);
         let n_looper = self.config.looper_instrs as u64;
         let LiveState { engine, esp, replay, pending_lists, grains } = live;
 
@@ -409,7 +456,6 @@ impl Simulator {
                 probe,
                 measure,
                 &kernel_params,
-                &kind_table,
                 iws,
                 dws,
             );
@@ -455,13 +501,12 @@ impl Simulator {
         probe: &mut P,
         measure: bool,
         kp: &KernelParams,
-        tbl: &KindTable<P>,
         iws: &mut LineSet,
         dws: &mut LineSet,
     ) -> u64 {
         iws.clear();
         dws.clear();
-        let mut lp = DetailedLoop::new(kp, tbl, measure);
+        let mut lp = DetailedLoop::new(kp, measure);
         loop {
             if grains.warming() {
                 if grains.warm_grain(&mut stream, kp.line_bytes, engine, replay, esp) {
@@ -502,7 +547,7 @@ impl Simulator {
         &self,
         stream: &mut EventCursor<'_>,
         batch_cap: u64,
-        lp: &mut DetailedLoop<'_, P>,
+        lp: &mut DetailedLoop<'_>,
         idx: usize,
         engine: &mut Engine,
         esp: &mut Option<EspState<'_>>,
@@ -536,7 +581,7 @@ impl Simulator {
         if lp.measure && (tag == TAG_LOAD || tag == TAG_STORE) {
             dws.insert(rs.op >> kp.line_shift);
         }
-        let out = engine.step_raw(kp, lp.tbl, rs.kind, rs.pc, rs.op, probe);
+        let out = engine.step_raw(kp, rs.kind, rs.pc, rs.op, probe);
         lp.branches += u64::from(tag >= TAG_COND);
         if let Some(stall) = out.stall {
             // Runahead forks a copy; the loop's own cursor never escapes.
@@ -628,14 +673,19 @@ impl Simulator {
     }
 }
 
-/// Builds the DCU trigger words of `packed` for `key` (the
-/// `esp_mem::prefetch::DcuTriggerBuilder` format): the tracker run once
+/// Builds the DCU trigger words of `packed` for `line_bytes` and
+/// `looper_instrs` (the `esp_mem::prefetch::DcuTriggerBuilder` format):
+/// the tracker run once
 /// over the data line stream every exact or plain sampled run retires,
 /// which does not depend on the machine configuration. Per event, in
 /// order: the looper prologue's loads, then the event's loads and
 /// stores. Runahead episodes and ESP pre-execution access the hierarchy
 /// directly and never reach the DCU, so they are not in the stream.
-pub(crate) fn dcu_trigger_words(packed: &PackedWorkload, key: TriggerKey) -> Vec<u64> {
+pub(crate) fn dcu_trigger_words(
+    packed: &PackedWorkload,
+    line_bytes: u64,
+    looper_instrs: u32,
+) -> Vec<u64> {
     /// Forwards the walk's data lines to the builder.
     struct DataLines {
         shift: u32,
@@ -661,24 +711,56 @@ pub(crate) fn dcu_trigger_words(packed: &PackedWorkload, key: TriggerKey) -> Vec
         #[inline(always)]
         fn warm_branch(&mut self, _instr: &Instr) {}
     }
-    let mut lines =
-        DataLines { shift: key.line_bytes.trailing_zeros(), dcu: DcuTriggerBuilder::new() };
+    let mut lines = DataLines { shift: line_bytes.trailing_zeros(), dcu: DcuTriggerBuilder::new() };
     for (idx, record) in packed.events().iter().enumerate() {
-        for i in 0..u64::from(key.looper_instrs) {
+        for i in 0..u64::from(looper_instrs) {
             if let Some(addr) = Simulator::looper_instr(idx, i).mem_addr() {
                 lines.push(addr.as_u64());
             }
         }
         let mut cursor = packed.arena().event(record.id.index() as usize).actual_cursor();
-        cursor.skip_region_observed(u64::MAX, key.line_bytes, &mut lines);
+        cursor.skip_region_observed(u64::MAX, line_bytes, &mut lines);
     }
     lines.dcu.finish()
+}
+
+/// Builds the branch outcome words of `packed` for a predictor sized by
+/// `config` (the `esp_branch::OutcomeBuilder` format): the predictor run
+/// once over the branch stream every exact or plain sampled run retires,
+/// which does not depend on the rest of the machine configuration. Per
+/// event, in order: the looper prologue's branches (it has none today),
+/// then the event's branches. The normal context uses the same tables
+/// and path register under every context policy, so one policy serves
+/// all.
+pub(crate) fn branch_outcome_words(
+    packed: &PackedWorkload,
+    config: &BranchConfig,
+    looper_instrs: u32,
+) -> Vec<u64> {
+    let mut bp = BranchPredictor::new(config.clone(), ContextPolicy::SeparatePir);
+    let mut outcomes = OutcomeBuilder::new();
+    for (idx, record) in packed.events().iter().enumerate() {
+        for i in 0..u64::from(looper_instrs) {
+            let instr = Simulator::looper_instr(idx, i);
+            if instr.is_branch() {
+                outcomes.push(bp.warm_update(&instr));
+            }
+        }
+        let mut cursor = packed.arena().event(record.id.index() as usize).actual_cursor();
+        while let Some(step) = cursor.next_raw() {
+            if step.kind & TAG_MASK >= TAG_COND {
+                outcomes.push(bp.warm_update(&step.to_instr()));
+            }
+        }
+    }
+    outcomes.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::sampling::{SampleCtl, SampleParams};
     use esp_uarch::PerfectFlags;
     use esp_workload::BenchmarkProfile;
 
@@ -801,6 +883,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Whole runs with the branch outcomes replayed from the sidecar
+    /// (what [`Simulator::run`] and [`Simulator::run_sampled`] do for the
+    /// nine configurations whose predictor sees only retired
+    /// normal-context branches) report exactly what a live predictor
+    /// reports, exact and plain sampled, on every family. Every other
+    /// mode keeps the live predictor.
+    #[test]
+    fn outcome_replay_matches_the_live_predictor() {
+        let params = SampleParams::new(250, 6);
+        let configs = [
+            ("Base", SimConfig::base()),
+            ("NL", SimConfig::next_line()),
+            ("NL + S", SimConfig::next_line_stride()),
+            ("NL-I", SimConfig::nl_i_only()),
+            ("NL-D", SimConfig::nl_d_only()),
+            ("Runahead-D", SimConfig::runahead_d()),
+            ("Runahead-D + NL-D", SimConfig::runahead_d_nl_d()),
+            ("Perfect L1-I", SimConfig::perfect(PerfectFlags::perfect_l1i())),
+            ("Perfect L1-D", SimConfig::perfect(PerfectFlags::perfect_l1d())),
+        ];
+        let outcomes = |k: &SidecarKey| matches!(k, SidecarKey::BranchOutcomes { .. });
+        for profile in BenchmarkProfile::all_families() {
+            let w = profile.scaled(20_000).build(5).materialise();
+            let events = w.events().len();
+            for (name, cfg) in &configs {
+                let sim = Simulator::new(cfg.clone());
+                let replayed = sim.run(&w);
+                let mut live = sim.new_live(&w, Exact);
+                sim.attach_dcu_triggers(&w, &mut live.engine);
+                let (mut iws, mut dws) = (LineSet::new(), LineSet::new());
+                sim.run_events_range(&w, &mut live, 0..events, &mut NullProbe, &mut iws, &mut dws);
+                assert_eq!(live.engine.branch_replay_finished(), None, "the predictor must run");
+                let LiveState { engine, esp, replay, .. } = live;
+                let tracked = sim.assemble_report(engine, esp, replay, events as u64);
+                assert_eq!(
+                    format!("{replayed:?}"),
+                    format!("{tracked:?}"),
+                    "{} / {name}: exact outcome replay and live predictor disagree",
+                    profile.name()
+                );
+
+                let replayed = sim.run_sampled(&w, params);
+                assert!(!replayed.estimate.exact_fallback, "{name}: the run must sample");
+                let mut live = sim.new_live(&w, SampleCtl::new(params, None));
+                sim.attach_dcu_triggers(&w, &mut live.engine);
+                let tracked = sim.run_sampled_live(&w, live, &mut NullProbe);
+                assert_eq!(
+                    format!("{:?} {:?}", replayed.report, replayed.estimate),
+                    format!("{:?} {:?}", tracked.report, tracked.estimate),
+                    "{} / {name}: sampled outcome replay and live predictor disagree",
+                    profile.name()
+                );
+            }
+            // The nine share one sidecar: 2 bits per branch, plus the
+            // count word.
+            let built = w.sidecar_footprint(outcomes).0;
+            assert!(built > 8 && built < 8 + w.approx_total_instructions() / 4, "{built} bytes");
+        }
+        let w = BenchmarkProfile::amazon().scaled(20_000).build(5).materialise();
+        for cfg in [
+            SimConfig::runahead(),
+            SimConfig::esp_nl(),
+            SimConfig::naive_esp(),
+            SimConfig::perfect(PerfectFlags::perfect_branch()),
+        ] {
+            let sim = Simulator::new(cfg);
+            let mut live = sim.new_live(&w, Exact);
+            sim.attach_branch_outcomes(&w, &mut live.engine);
+            assert_eq!(live.engine.branch_replay_finished(), None, "{:?}", sim.config().mode);
+        }
+        assert_eq!(w.sidecar_footprint(outcomes).0, 0, "no sidecar for the other modes");
     }
 
     #[test]

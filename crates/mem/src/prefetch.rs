@@ -637,7 +637,7 @@ mod tests {
     }
 
     #[test]
-    fn trigger_bits_match_live_decisions() {
+    fn dcu_triggers_match_live_decisions() {
         for seed in 1..40 {
             assert_replay_matches_live(&line_stream(seed, 3 + seed % 9, 400), &format!("seed {seed}"));
         }

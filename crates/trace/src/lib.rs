@@ -60,7 +60,7 @@ mod workload;
 pub use instr::{Instr, InstrKind, INSTR_BYTES};
 pub use packed::{
     kindbits, EventCursor, PackedCursor, PackedEvent, PackedTrace, PackedWorkload, RawStep,
-    RawTraceError, TraceArena, TriggerKey, WarmSink,
+    RawTraceError, SidecarKey, TraceArena, WarmSink,
 };
 pub use record::EventRecord;
 pub use workload::Workload;

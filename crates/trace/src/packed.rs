@@ -897,33 +897,45 @@ pub struct PackedWorkload {
     records: Vec<EventRecord>,
     arena: Arc<TraceArena>,
     total_instructions: u64,
-    /// Trigger-bit sidecars built so far (see
-    /// [`PackedWorkload::trigger_bits`]), shared by clones.
-    triggers: Arc<Mutex<Vec<TriggerSidecar>>>,
+    /// Sidecars built so far (see [`PackedWorkload::sidecar`]), shared
+    /// by clones.
+    sidecars: Arc<Mutex<Vec<Sidecar>>>,
 }
 
-/// What a trigger-bit sidecar of a [`PackedWorkload`] is keyed by: the
-/// two settings that decide which data lines a run retires, in which
-/// order.
+/// What a sidecar of a [`PackedWorkload`] is keyed by: its kind, and the
+/// settings that decide the stream it was built from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TriggerKey {
-    /// Cache line size in bytes: data addresses map to lines by it.
-    pub line_bytes: u64,
-    /// Instructions of the looper prologue a run retires before each
-    /// event (its loads come first in the event's data stream).
-    pub looper_instrs: u32,
+pub enum SidecarKey {
+    /// The DCU prefetcher's trigger bits: one decision bit per retired
+    /// data access.
+    DcuTriggers {
+        /// Cache line size in bytes: data addresses map to lines by it.
+        line_bytes: u64,
+        /// Instructions of the looper prologue a run retires before each
+        /// event (its loads come first in the event's data stream).
+        looper_instrs: u32,
+    },
+    /// The branch predictor's outcomes: two bits per retired branch.
+    BranchOutcomes {
+        /// Entries of the predictor's global, local, loop, BTB, indirect
+        /// BTB and return-stack structures, in that order.
+        tables: [u64; 6],
+        /// Instructions of the looper prologue a run retires before each
+        /// event.
+        looper_instrs: u32,
+    },
 }
 
 /// One memoised sidecar and what it cost to build.
-struct TriggerSidecar {
-    key: TriggerKey,
+struct Sidecar {
+    key: SidecarKey,
     words: Arc<[u64]>,
     build_seconds: f64,
 }
 
-impl std::fmt::Debug for TriggerSidecar {
+impl std::fmt::Debug for Sidecar {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TriggerSidecar")
+        f.debug_struct("Sidecar")
             .field("key", &self.key)
             .field("words", &self.words.len())
             .finish_non_exhaustive()
@@ -938,7 +950,7 @@ impl PackedWorkload {
     /// Panics if `records` and `arena` disagree on the event count.
     pub fn new(records: Vec<EventRecord>, arena: Arc<TraceArena>, total_instructions: u64) -> Self {
         assert_eq!(records.len(), arena.len(), "one packed event per record");
-        PackedWorkload { records, arena, total_instructions, triggers: Arc::default() }
+        PackedWorkload { records, arena, total_instructions, sidecars: Arc::default() }
     }
 
     /// Packs any [`Workload`] — the boundary every hand-built workload
@@ -986,33 +998,35 @@ impl PackedWorkload {
         )
     }
 
-    /// The trigger-bit sidecar for `key`: words holding one decision bit
-    /// per retired data access of a run over this workload, in run order.
-    /// Built by `build` on first use for `key` (lazily, never when the
-    /// workload is set up) and memoised next to the arena, shared by
+    /// The sidecar for `key`: words of facts about a run over this
+    /// workload that no machine setting outside the key changes, in run
+    /// order. Built by `build` on first use for `key` (lazily, never when
+    /// the workload is set up) and memoised next to the arena, shared by
     /// every thread and every clone; it is dropped with the workload.
     ///
-    /// What the bits mean is the builder's business: `esp-core` builds the
-    /// DCU prefetcher's decisions here (`esp_mem::prefetch::DcuTriggerBuilder`
-    /// owns the format), so all next-line configurations of a matrix
-    /// replay one tracker run. Concurrent first callers of one key wait
-    /// for a single build.
-    pub fn trigger_bits(&self, key: TriggerKey, build: impl FnOnce(&Self) -> Vec<u64>) -> Arc<[u64]> {
-        let mut built = self.triggers.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    /// What the words mean is the builder's business: `esp-core` builds
+    /// the DCU prefetcher's decisions (`esp_mem::prefetch::DcuTriggerBuilder`
+    /// owns that format) and the branch predictor's outcomes
+    /// (`esp_branch::OutcomeBuilder`), so the configurations of a matrix
+    /// that would compute them alike replay one build. Concurrent first
+    /// callers wait for a single build.
+    pub fn sidecar(&self, key: SidecarKey, build: impl FnOnce(&Self) -> Vec<u64>) -> Arc<[u64]> {
+        let mut built = self.sidecars.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         if let Some(s) = built.iter().find(|s| s.key == key) {
             return s.words.clone();
         }
         let t = std::time::Instant::now();
         let words: Arc<[u64]> = build(self).into();
         let build_seconds = t.elapsed().as_secs_f64();
-        built.push(TriggerSidecar { key, words: words.clone(), build_seconds });
+        built.push(Sidecar { key, words: words.clone(), build_seconds });
         words
     }
 
-    /// `(bytes, build seconds)` of every trigger-bit sidecar built so far.
-    pub fn trigger_footprint(&self) -> (u64, f64) {
-        let built = self.triggers.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        built.iter().fold((0, 0.0), |(bytes, secs), s| {
+    /// `(bytes, build seconds)` of every sidecar built so far whose key
+    /// `select` accepts.
+    pub fn sidecar_footprint(&self, select: impl Fn(&SidecarKey) -> bool) -> (u64, f64) {
+        let built = self.sidecars.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        built.iter().filter(|s| select(&s.key)).fold((0, 0.0), |(bytes, secs), s| {
             (bytes + 8 * s.words.len() as u64, secs + s.build_seconds)
         })
     }
@@ -1081,21 +1095,26 @@ mod tests {
     }
 
     #[test]
-    fn trigger_bits_are_built_once_per_key_and_shared_by_clones() {
+    fn sidecars_are_built_once_per_key_and_shared_by_clones() {
         let packed = PackedWorkload::new(Vec::new(), Arc::new(TraceArena::new(Vec::new())), 0);
-        let key = TriggerKey { line_bytes: 64, looper_instrs: 70 };
+        let key = SidecarKey::DcuTriggers { line_bytes: 64, looper_instrs: 70 };
         let mut builds = 0;
-        let a = packed.trigger_bits(key, |_| {
+        let a = packed.sidecar(key, |_| {
             builds += 1;
             vec![3, 0b101]
         });
-        let b = packed.clone().trigger_bits(key, |_| unreachable!("memoised"));
+        let b = packed.clone().sidecar(key, |_| unreachable!("memoised"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(builds, 1);
-        let other = TriggerKey { line_bytes: 32, ..key };
-        let c = packed.trigger_bits(other, |_| vec![0]);
+        let other = SidecarKey::DcuTriggers { line_bytes: 32, looper_instrs: 70 };
+        let c = packed.sidecar(other, |_| vec![0]);
         assert_eq!(&*c, &[0]);
-        assert_eq!(packed.trigger_footprint().0, 24);
+        let outcomes = SidecarKey::BranchOutcomes { tables: [1; 6], looper_instrs: 70 };
+        let d = packed.sidecar(outcomes, |_| vec![1, 2, 3, 4]);
+        assert_eq!(&*d, &[1, 2, 3, 4]);
+        let dcu = |k: &SidecarKey| matches!(k, SidecarKey::DcuTriggers { .. });
+        assert_eq!(packed.sidecar_footprint(dcu).0, 24);
+        assert_eq!(packed.sidecar_footprint(|k| !dcu(k)).0, 32);
         assert!(format!("{packed:?}").contains("words: 2"), "Debug shows sizes, not bits");
     }
 

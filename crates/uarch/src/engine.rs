@@ -1,7 +1,7 @@
 //! The interval-model execution engine.
 
 use crate::EngineConfig;
-use esp_branch::{BranchPredictor, Prediction, PredictorContext};
+use esp_branch::{BranchPredictor, OutcomeReplay, Prediction, PredictorContext};
 use esp_mem::prefetch::{DcuNextLine, DcuReplay, NextLineInstr, StridePrefetcher};
 use esp_mem::MemoryHierarchy;
 use esp_obs::{CpiStack, CycleClass, NullProbe, Probe, StepRecord};
@@ -127,6 +127,9 @@ pub struct Engine {
     /// Precomputed DCU decisions played back in place of `dcu` (see
     /// [`Engine::replay_dcu`]).
     dcu_replay: Option<DcuReplay>,
+    /// Precomputed branch outcomes played back in place of `bp` (see
+    /// [`Engine::replay_branches`]).
+    branch_replay: Option<OutcomeReplay>,
     pub(crate) stride: StridePrefetcher,
     pub(crate) now: Cycle,
     pub(crate) millis: u64,
@@ -141,9 +144,12 @@ pub struct Engine {
 /// Auxiliary event counts accumulated by the functional-warming paths,
 /// mirroring [`EngineStats`]'s counting rules (fetch-line dedup,
 /// perfect-flag gating) but kept separate so detailed-grain measurements
-/// stay unpolluted. The sampling extrapolator uses these as per-class
-/// denominators and adds them to the detailed counters when reporting
-/// whole-run miss totals.
+/// stay unpolluted. No report reads them: they exist so a test can hold
+/// two warming paths to the same work, access for access and outcome for
+/// outcome (`tests/warm_equivalence.rs` compares the bulk warm walk with
+/// per-instruction [`Engine::warm_step`]). Under branch outcome replay
+/// ([`Engine::replay_branches`]) the warm outcome counts come from the
+/// replayed outcomes, which equal the predictor's.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmStats {
     /// L1-I lookups (one per fetched line transition).
@@ -179,6 +185,7 @@ impl Engine {
             nl_i: NextLineInstr::new(),
             dcu: DcuNextLine::new(),
             dcu_replay: None,
+            branch_replay: None,
             stride: StridePrefetcher::new(256),
             now: Cycle::ZERO,
             millis: 0,
@@ -289,6 +296,71 @@ impl Engine {
         }
     }
 
+    /// Makes the engine play back the branch outcomes `outcomes` (built by
+    /// `esp_branch::OutcomeBuilder`) instead of running the predictor for
+    /// retired normal-context branches: one shift and mask per branch
+    /// instead of a table walk, and the predictor's tables stay untouched.
+    ///
+    /// Byte-identical only when the outcomes were built by a predictor of
+    /// this engine's table sizes over exactly the branch stream the engine
+    /// then retires or warms, from its first branch on, and when nothing
+    /// else trains or reads the predictor: no runahead episode that
+    /// predicts, no ESP pre-execution, no skipped stretch, no op-log
+    /// replay.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outcomes` is malformed, or if the engine has already
+    /// retired an instruction.
+    pub fn replay_branches(&mut self, outcomes: std::sync::Arc<[u64]>) {
+        assert_eq!(self.stats.retired, 0, "branch outcome replay must start with the stream");
+        self.branch_replay = Some(OutcomeReplay::new(outcomes));
+    }
+
+    /// Whether a branch outcome replay is attached and has consumed
+    /// exactly its whole stream; `None` when the predictor runs.
+    pub fn branch_replay_finished(&self) -> Option<bool> {
+        self.branch_replay.as_ref().map(OutcomeReplay::is_finished)
+    }
+
+    /// The replayed outcome of the next retired normal-context branch
+    /// when outcomes are attached; `None` when the predictor runs.
+    #[inline(always)]
+    pub(crate) fn replayed_outcome(&mut self) -> Option<Prediction> {
+        self.branch_replay.as_mut().map(OutcomeReplay::next_outcome)
+    }
+
+    /// Charges a retired branch's `outcome`: its penalty cycles, CPI
+    /// class and counters.
+    #[inline(always)]
+    pub(crate) fn charge_branch<P: Probe>(
+        &mut self,
+        outcome: Prediction,
+        rec: &mut StepRecord,
+        out: &mut StepOutcome,
+        probe: &mut P,
+    ) {
+        let penalty = self.bp.penalty_of(outcome);
+        self.now += penalty;
+        rec.branch_penalty = penalty;
+        match outcome {
+            Prediction::Mispredict => {
+                self.stack.charge(CycleClass::BranchMispredict, penalty);
+                probe.on_stall(CycleClass::BranchMispredict, penalty, self.now);
+                self.stats.mispredicts += 1;
+                out.mispredict = true;
+                rec.mispredict = true;
+            }
+            Prediction::Misfetch => {
+                self.stack.charge(CycleClass::BranchMisfetch, penalty);
+                probe.on_stall(CycleClass::BranchMisfetch, penalty, self.now);
+                self.stats.misfetches += 1;
+                rec.misfetch = true;
+            }
+            Prediction::Correct => {}
+        }
+    }
+
     /// Records `instrs` runahead pre-executed instructions (called by the
     /// runahead driver; exposed for the energy model).
     pub(crate) fn note_runahead_instrs(&mut self, instrs: u64) {
@@ -371,27 +443,11 @@ impl Engine {
             let outcome = if self.cfg.perfect.branch {
                 Prediction::Correct
             } else {
-                self.bp.predict_and_update(PredictorContext::Normal, instr)
+                self.replayed_outcome().unwrap_or_else(|| {
+                    self.bp.predict_and_update(PredictorContext::Normal, instr)
+                })
             };
-            let penalty = self.bp.penalty_of(outcome);
-            self.now += penalty;
-            rec.branch_penalty = penalty;
-            match outcome {
-                Prediction::Mispredict => {
-                    self.stack.charge(CycleClass::BranchMispredict, penalty);
-                    probe.on_stall(CycleClass::BranchMispredict, penalty, self.now);
-                    self.stats.mispredicts += 1;
-                    out.mispredict = true;
-                    rec.mispredict = true;
-                }
-                Prediction::Misfetch => {
-                    self.stack.charge(CycleClass::BranchMisfetch, penalty);
-                    probe.on_stall(CycleClass::BranchMisfetch, penalty, self.now);
-                    self.stats.misfetches += 1;
-                    rec.misfetch = true;
-                }
-                Prediction::Correct => {}
-            }
+            self.charge_branch(outcome, &mut rec, &mut out, probe);
         }
 
         // ---- data --------------------------------------------------------
@@ -566,14 +622,16 @@ impl Engine {
         self.stats.retired += 1;
     }
 
-    /// Warms the branch predictor for one branch, counting the outcome.
+    /// Warms the branch predictor for one branch, counting the outcome
+    /// (under outcome replay: consumes and counts the replayed outcome).
     #[inline(always)]
     fn warm_branch_instr(&mut self, instr: &Instr) {
         self.warm.branches += 1;
         if self.cfg.perfect.branch {
             return;
         }
-        match self.bp.warm_update(instr) {
+        let outcome = self.replayed_outcome().unwrap_or_else(|| self.bp.warm_update(instr));
+        match outcome {
             Prediction::Mispredict => self.warm.mispredicts += 1,
             Prediction::Misfetch => self.warm.misfetches += 1,
             Prediction::Correct => {}

@@ -1,56 +1,52 @@
-//! Per-configuration specialised simulation kernels.
+//! The fused per-instruction kernel.
 //!
 //! The generic [`Engine::step_probed`] path decodes a 32-byte
-//! [`Instr`], matches on its kind enum, and re-reads configuration
-//! fields (line size, hit latencies, perfect/prefetcher flags) on every
-//! retired instruction. For a matrix run that is pure overhead: the
-//! configuration is fixed for the whole simulation, and packed workloads
-//! already hold the stream as raw kind bytes and operand words.
+//! [`esp_trace::Instr`], matches on its kind enum, and re-reads
+//! configuration fields (line size, hit latencies, perfect/prefetcher
+//! flags) on every retired instruction. For a matrix run that is pure
+//! overhead: the configuration is fixed for the whole simulation, and
+//! packed workloads already hold the stream as raw kind bytes and operand
+//! words.
 //!
 //! This module *lowers* the active configuration once per run into
-//!
-//! * [`KernelParams`] — the config-dependent constants of the hot loop,
-//!   flattened (line shift instead of line bytes, hit latencies, ROB
-//!   size, exposure percentage, perfect/NL flags), and
-//! * [`KindTable`] — a flat 8-entry function table indexed by the packed
-//!   kind tag. Each entry is the kind-specific half of a step
-//!   (branch-predict or data-access), monomorphised over the
-//!   configuration axes that matter for it (perfect-L1D, DCU next-line,
-//!   stride), so e.g. a Base-config load never tests the stride flag and
-//!   a perfect-branch config never touches the predictor.
+//! [`KernelParams`]: the config-dependent constants of the hot loop,
+//! flattened (line shift instead of line bytes, hit latencies, ROB size,
+//! exposure percentage, perfect/prefetcher flags).
 //!
 //! [`Engine::step_raw`] then fuses decode → fetch → predict → access →
 //! charge into one pass over the raw step: the shared prefix (base
-//! charge + fetch-line dedup + L1-I access) runs inline, the kind
-//! dispatch is one indexed call through the table, and no `Instr` is
-//! materialised except for branches (the predictor trains on full
-//! instructions). The call sequence into the memory hierarchy, branch
-//! predictor, CPI stack, and probe is *identical* to `step_probed` —
-//! byte-identical reports are asserted by the `packed_equivalence` suite
-//! in `esp-bench` and the exhaustive dispatch test in this crate.
+//! charge + fetch-line dedup + L1-I access) runs inline, and a `match` on
+//! the packed kind tag picks the kind-specific half (data access or
+//! branch), each a force-inlined handler that tests the run-constant
+//! flags it needs. There is no indirect call: every flag test is a
+//! branch the host predicts perfectly for the whole run. No `Instr` is
+//! materialised except for branches the live predictor trains on. The
+//! call sequence into the memory hierarchy, branch predictor, CPI stack,
+//! and probe is *identical* to `step_probed`: byte-identical reports are
+//! asserted by the `packed_equivalence` suite in `esp-bench` and the
+//! exhaustive dispatch test in this crate (`kernel_table_equivalence`).
 //!
 //! [`Engine::charge_plain_alus`] is the grain-batch half: runs of plain
 //! ALU instructions on an already-fetched line charge base cycles in one
 //! accumulation instead of one division per instruction (callers size
 //! the run with `PackedCursor::plain_alu_run`).
 //!
-//! The branch handlers build their `Instr` with `RawStep::to_instr` from
-//! the kind the table dispatched on, a constant in each handler, and call
-//! the force-inlined `BranchPredictor::predict_and_update`, so both
-//! matches on the kind fold away; the memory handlers reach
-//! the hierarchy's inlined L1 lookup through one call.
-
-// Every kind handler shares one flat fn-pointer signature (the table's
-// whole point); the raw step's fields arrive unpacked, so the arity is
-// fixed by the dispatch ABI, not by any one handler's needs.
-#![allow(clippy::too_many_arguments)]
+//! Each branch tag has its own match arm. Under branch outcome replay
+//! ([`Engine::replay_branches`]) the arm reads the next outcome and
+//! builds no `Instr`; otherwise it calls the live predictor through one
+//! out-of-line function per tag, which builds its `Instr` with
+//! `RawStep::to_instr` from the constant tag, so both that decode's and
+//! the predictor's match on the kind fold away.
 
 use crate::engine::{Stall, StallKind, StepOutcome};
 use crate::Engine;
 use esp_branch::{Prediction, PredictorContext};
 use esp_obs::{CycleClass, Probe, StepRecord};
-use esp_trace::kindbits::{TAG_CALL, TAG_COND, TAG_IND_BRANCH, TAG_IND_CALL, TAG_MASK, TAG_RET};
-use esp_trace::{Instr, RawStep};
+use esp_trace::kindbits::{
+    TAG_ALU, TAG_CALL, TAG_COND, TAG_IND_BRANCH, TAG_IND_CALL, TAG_LOAD, TAG_MASK, TAG_RET,
+    TAG_STORE,
+};
+use esp_trace::RawStep;
 use esp_types::{Addr, LineAddr};
 
 /// Config-dependent constants of the fused hot loop, resolved once at
@@ -84,234 +80,116 @@ pub struct KernelParams {
     pub stride: bool,
 }
 
-/// The kind-specific half of one fused step. Receives the raw kind
-/// byte, pc, and operand word plus the shared per-step record/outcome
-/// accumulators.
-pub type KindFn<P> = fn(
-    &mut Engine,
-    &KernelParams,
-    u8,  // kind byte (tag + flags)
-    u64, // pc
-    u64, // operand
-    &mut StepRecord,
-    &mut StepOutcome,
-    &mut P,
-);
-
-/// The flat per-kind dispatch table of one lowered configuration,
-/// indexed by the packed tag bits (`kind & TAG_MASK`). Entries are
-/// selected at lowering time from monomorphised handler variants, so
-/// disabled features cost no per-instruction test.
-pub struct KindTable<P: Probe> {
-    table: [KindFn<P>; 8],
-}
-
-impl<P: Probe> KindTable<P> {
-    /// Builds the dispatch table for `kp`.
-    pub fn new(kp: &KernelParams) -> Self {
-        let load: KindFn<P> = if kp.perfect_l1d {
-            k_nop
-        } else {
-            match (kp.nl_data, kp.stride) {
-                (false, false) => k_load::<P, false, false>,
-                (true, false) => k_load::<P, true, false>,
-                (false, true) => k_load::<P, false, true>,
-                (true, true) => k_load::<P, true, true>,
-            }
-        };
-        let store: KindFn<P> = if kp.perfect_l1d {
-            k_nop
-        } else if kp.nl_data {
-            k_store::<P, true>
-        } else {
-            k_store::<P, false>
-        };
-        let branches: [KindFn<P>; 5] = if kp.perfect_branch {
-            [k_branch_perfect; 5]
-        } else {
-            [
-                k_branch::<P, TAG_COND>,
-                k_branch::<P, TAG_IND_BRANCH>,
-                k_branch::<P, TAG_IND_CALL>,
-                k_branch::<P, TAG_CALL>,
-                k_branch::<P, TAG_RET>,
-            ]
-        };
-        KindTable {
-            table: [
-                k_nop, load, store, branches[0], branches[1], branches[2], branches[3],
-                branches[4],
-            ],
-        }
-    }
-
-    /// The handler for `tag` (masked, so the lookup is bounds-check
-    /// free).
+impl Engine {
+    /// A load's data access: L1-D lookup, the enabled data prefetchers,
+    /// and the exposed latency under the MLP overlap rule.
     #[inline(always)]
-    pub fn get(&self, tag: u8) -> KindFn<P> {
-        self.table[(tag & TAG_MASK) as usize]
-    }
-}
-
-/// ALU instructions (and perfect-L1D memory instructions) have no
-/// kind-specific work.
-fn k_nop<P: Probe>(
-    _e: &mut Engine,
-    _kp: &KernelParams,
-    _kind: u8,
-    _pc: u64,
-    _op: u64,
-    _rec: &mut StepRecord,
-    _out: &mut StepOutcome,
-    _probe: &mut P,
-) {
-}
-
-fn k_load<P: Probe, const NL: bool, const STRIDE: bool>(
-    e: &mut Engine,
-    kp: &KernelParams,
-    _kind: u8,
-    pc: u64,
-    op: u64,
-    rec: &mut StepRecord,
-    out: &mut StepOutcome,
-    probe: &mut P,
-) {
-    e.stats.l1d_accesses += 1;
-    let line = LineAddr::new(op >> kp.line_shift);
-    let t_access = e.now;
-    let r = e.mem.access_data(line, t_access, false);
-    if NL {
-        if let Some(p) = e.dcu_access(line) {
-            e.mem.prefetch_data(p, t_access, true);
+    fn k_load<P: Probe>(
+        &mut self,
+        kp: &KernelParams,
+        pc: u64,
+        op: u64,
+        rec: &mut StepRecord,
+        out: &mut StepOutcome,
+        probe: &mut P,
+    ) {
+        self.stats.l1d_accesses += 1;
+        let line = LineAddr::new(op >> kp.line_shift);
+        let t_access = self.now;
+        let r = self.mem.access_data(line, t_access, false);
+        if kp.nl_data {
+            if let Some(p) = self.dcu_access(line) {
+                self.mem.prefetch_data(p, t_access, true);
+            }
         }
-    }
-    if STRIDE {
-        if let Some(p) = e.stride.on_load(Addr::new(pc), Addr::new(op), kp.line_bytes) {
-            e.mem.prefetch_data(p, t_access, true);
+        if kp.stride {
+            if let Some(p) = self.stride.on_load(Addr::new(pc), Addr::new(op), kp.line_bytes) {
+                self.mem.prefetch_data(p, t_access, true);
+            }
         }
-    }
-    rec.data_access = true;
-    rec.data_latency = r.latency;
-    rec.l1d_miss = r.l1_miss;
-    if r.l1_miss {
-        e.stats.l1d_misses += 1;
-        out.l1d_miss = true;
-    }
-    let exposed = if r.llc_miss {
-        let overlapped =
-            e.last_data_llc_miss_at.is_some_and(|at| e.stats.retired - at < kp.rob_entries);
-        e.last_data_llc_miss_at = Some(e.stats.retired);
-        if overlapped {
-            0
+        rec.data_access = true;
+        rec.data_latency = r.latency;
+        rec.l1d_miss = r.l1_miss;
+        if r.l1_miss {
+            self.stats.l1d_misses += 1;
+            out.l1d_miss = true;
+        }
+        let exposed = if r.llc_miss {
+            let overlapped = self
+                .last_data_llc_miss_at
+                .is_some_and(|at| self.stats.retired - at < kp.rob_entries);
+            self.last_data_llc_miss_at = Some(self.stats.retired);
+            if overlapped {
+                0
+            } else {
+                r.latency
+            }
         } else {
-            r.latency
+            r.latency.saturating_sub(kp.l1d_hit) * kp.data_exposed_pct / 100
+        };
+        self.now += exposed;
+        if exposed > 0 {
+            let class = if r.llc_miss { CycleClass::DcacheLlc } else { CycleClass::DcacheL2 };
+            self.stack.charge(class, exposed);
+            probe.on_stall(class, exposed, self.now);
         }
-    } else {
-        r.latency.saturating_sub(kp.l1d_hit) * kp.data_exposed_pct / 100
-    };
-    e.now += exposed;
-    if exposed > 0 {
-        let class = if r.llc_miss { CycleClass::DcacheLlc } else { CycleClass::DcacheL2 };
-        e.stack.charge(class, exposed);
-        probe.on_stall(class, exposed, e.now);
-    }
-    if r.llc_miss && exposed > 0 {
-        out.stall = Some(Stall { kind: StallKind::DataLlcMiss, start: t_access, cycles: exposed });
-    }
-}
-
-fn k_store<P: Probe, const NL: bool>(
-    e: &mut Engine,
-    kp: &KernelParams,
-    _kind: u8,
-    _pc: u64,
-    op: u64,
-    rec: &mut StepRecord,
-    out: &mut StepOutcome,
-    _probe: &mut P,
-) {
-    // Stores retire through the store buffer: they update cache state
-    // (write-allocate) but expose no latency.
-    e.stats.l1d_accesses += 1;
-    let line = LineAddr::new(op >> kp.line_shift);
-    let r = e.mem.access_data(line, e.now, true);
-    rec.data_access = true;
-    rec.l1d_miss = r.l1_miss;
-    if r.l1_miss {
-        e.stats.l1d_misses += 1;
-        out.l1d_miss = true;
-    }
-    if NL {
-        if let Some(p) = e.dcu_access(line) {
-            e.mem.prefetch_data(p, e.now, true);
+        if r.llc_miss && exposed > 0 {
+            out.stall =
+                Some(Stall { kind: StallKind::DataLlcMiss, start: t_access, cycles: exposed });
         }
     }
-}
 
-/// Shared branch half: predict, charge the penalty, classify.
-#[inline(always)]
-fn branch_body<P: Probe>(
-    e: &mut Engine,
-    instr: &Instr,
-    rec: &mut StepRecord,
-    out: &mut StepOutcome,
-    probe: &mut P,
-) {
-    e.stats.branches += 1;
-    let outcome = e.bp.predict_and_update(PredictorContext::Normal, instr);
-    let penalty = e.bp.penalty_of(outcome);
-    e.now += penalty;
-    rec.branch_penalty = penalty;
-    match outcome {
-        Prediction::Mispredict => {
-            e.stack.charge(CycleClass::BranchMispredict, penalty);
-            probe.on_stall(CycleClass::BranchMispredict, penalty, e.now);
-            e.stats.mispredicts += 1;
-            out.mispredict = true;
-            rec.mispredict = true;
+    /// A store's data access. Stores retire through the store buffer:
+    /// they update cache state (write-allocate) but expose no latency.
+    #[inline(always)]
+    fn k_store(&mut self, kp: &KernelParams, op: u64, rec: &mut StepRecord, out: &mut StepOutcome) {
+        self.stats.l1d_accesses += 1;
+        let line = LineAddr::new(op >> kp.line_shift);
+        let r = self.mem.access_data(line, self.now, true);
+        rec.data_access = true;
+        rec.l1d_miss = r.l1_miss;
+        if r.l1_miss {
+            self.stats.l1d_misses += 1;
+            out.l1d_miss = true;
         }
-        Prediction::Misfetch => {
-            e.stack.charge(CycleClass::BranchMisfetch, penalty);
-            probe.on_stall(CycleClass::BranchMisfetch, penalty, e.now);
-            e.stats.misfetches += 1;
-            rec.misfetch = true;
+        if kp.nl_data {
+            if let Some(p) = self.dcu_access(line) {
+                self.mem.prefetch_data(p, self.now, true);
+            }
         }
-        Prediction::Correct => {}
     }
-}
 
-/// Perfect branch prediction: the outcome is `Correct` with zero
-/// penalty, so only the branch count advances.
-fn k_branch_perfect<P: Probe>(
-    e: &mut Engine,
-    _kp: &KernelParams,
-    _kind: u8,
-    _pc: u64,
-    _op: u64,
-    _rec: &mut StepRecord,
-    _out: &mut StepOutcome,
-    _probe: &mut P,
-) {
-    e.stats.branches += 1;
-}
+    /// A branch of tag `TAG`: its outcome (replayed, or from the live
+    /// predictor), then the penalty.
+    #[inline(always)]
+    fn k_branch<P: Probe, const TAG: u8>(
+        &mut self,
+        kind: u8,
+        pc: u64,
+        op: u64,
+        rec: &mut StepRecord,
+        out: &mut StepOutcome,
+        probe: &mut P,
+    ) {
+        self.stats.branches += 1;
+        let outcome = match self.replayed_outcome() {
+            Some(p) => p,
+            None => self.predict_live::<TAG>(kind, pc, op),
+        };
+        self.charge_branch(outcome, rec, out, probe);
+    }
 
-/// A branch of tag `TAG`: the predictor trains on the full instruction,
-/// built by [`RawStep::to_instr`]. Restating the tag the table
-/// dispatched on makes it a constant, so both the decode's and the
-/// predictor's match on the kind fold away.
-fn k_branch<P: Probe, const TAG: u8>(
-    e: &mut Engine,
-    _kp: &KernelParams,
-    kind: u8,
-    pc: u64,
-    op: u64,
-    rec: &mut StepRecord,
-    out: &mut StepOutcome,
-    probe: &mut P,
-) {
-    let kind = (kind & !TAG_MASK) | TAG;
-    branch_body(e, &RawStep { kind, pc, op }.to_instr(), rec, out, probe);
+    /// The live predictor's outcome for a branch of tag `TAG`, trained on
+    /// the full instruction [`RawStep::to_instr`] builds. The tag is a
+    /// constant, so both the decode's and the predictor's match on the
+    /// kind fold away. Kept out of line: inlined into every branch arm,
+    /// the predictor's five copies crowded the event loop, and LLVM then
+    /// outlined parts of the warm walk's predictor instead.
+    #[inline(never)]
+    fn predict_live<const TAG: u8>(&mut self, kind: u8, pc: u64, op: u64) -> Prediction {
+        let kind = (kind & !TAG_MASK) | TAG;
+        self.bp.predict_and_update(PredictorContext::Normal, &RawStep { kind, pc, op }.to_instr())
+    }
 }
 
 impl Engine {
@@ -335,15 +213,14 @@ impl Engine {
     }
 
     /// The fused raw-step kernel: [`Engine::step_probed`] over a packed
-    /// `(kind, pc, op)` triple, with the kind-specific half dispatched
-    /// through `tbl`. Performs the exact same sequence of memory,
-    /// predictor, stack, and probe calls as the generic path, so runs
-    /// through either produce byte-identical reports.
+    /// `(kind, pc, op)` triple, with the kind-specific half picked by a
+    /// `match` on the kind tag. Performs the exact same sequence of
+    /// memory, predictor, stack, and probe calls as the generic path, so
+    /// runs through either produce byte-identical reports.
     #[inline(always)]
     pub fn step_raw<P: Probe>(
         &mut self,
         kp: &KernelParams,
-        tbl: &KindTable<P>,
         kind: u8,
         pc: u64,
         op: u64,
@@ -393,7 +270,32 @@ impl Engine {
         }
 
         // ---- kind-specific half (branch / data) -------------------------
-        tbl.get(tag)(self, kp, kind, pc, op, &mut rec, &mut out, probe);
+        match tag {
+            TAG_ALU => {}
+            TAG_LOAD => {
+                if !kp.perfect_l1d {
+                    self.k_load(kp, pc, op, &mut rec, &mut out, probe);
+                }
+            }
+            TAG_STORE => {
+                if !kp.perfect_l1d {
+                    self.k_store(kp, op, &mut rec, &mut out);
+                }
+            }
+            // Perfect prediction: the outcome is `Correct` with zero
+            // penalty, so only the branch count advances.
+            _ if kp.perfect_branch => self.stats.branches += 1,
+            TAG_COND => self.k_branch::<P, TAG_COND>(kind, pc, op, &mut rec, &mut out, probe),
+            TAG_IND_BRANCH => {
+                self.k_branch::<P, TAG_IND_BRANCH>(kind, pc, op, &mut rec, &mut out, probe)
+            }
+            TAG_IND_CALL => {
+                self.k_branch::<P, TAG_IND_CALL>(kind, pc, op, &mut rec, &mut out, probe)
+            }
+            TAG_CALL => self.k_branch::<P, TAG_CALL>(kind, pc, op, &mut rec, &mut out, probe),
+            // The tag is masked to 3 bits: this is `TAG_RET`.
+            _ => self.k_branch::<P, TAG_RET>(kind, pc, op, &mut rec, &mut out, probe),
+        }
 
         probe.on_step(&rec);
         self.stats.retired += 1;

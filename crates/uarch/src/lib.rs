@@ -58,6 +58,6 @@ pub use engine::{
     CycleBreakdown, Engine, EngineStats, Stall, StallKind, StepOutcome, WarmStats,
     WarmTee,
 };
-pub use kernel::{KernelParams, KindTable};
+pub use kernel::KernelParams;
 pub use perfect::PerfectFlags;
 pub use runahead::RunaheadOutcome;

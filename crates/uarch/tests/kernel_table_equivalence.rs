@@ -1,12 +1,13 @@
-//! The flat kind-table kernel is outcome-equivalent to the decoded path.
+//! The fused kernel's kind dispatch is outcome-equivalent to the decoded
+//! path.
 //!
-//! For every machine configuration the kernel specialises over
-//! (prefetcher and perfect-component combinations) and every
-//! `InstrKind` × flag-bit combination — covered exhaustively by a fixed
-//! prefix and then exercised over long randomized streams —
-//! `Engine::step_raw` through the lowered `KindTable` must return the
-//! same `StepOutcome` per instruction and leave the engine in the same
-//! state as `Engine::step_probed` over the decoded `Instr`.
+//! For every machine configuration whose flags steer the kernel's match
+//! arms differently (prefetcher and perfect-component combinations) and
+//! every `InstrKind` × flag-bit combination — covered exhaustively by a
+//! fixed prefix and then exercised over long randomized streams —
+//! `Engine::step_raw` must return the same `StepOutcome` per instruction
+//! and leave the engine in the same state as `Engine::step_probed` over
+//! the decoded `Instr`.
 
 use esp_obs::NullProbe;
 use esp_trace::kindbits::{
@@ -15,13 +16,13 @@ use esp_trace::kindbits::{
 };
 use esp_trace::RawStep;
 use esp_types::{Rng, SplitMix64};
-use esp_uarch::{Engine, EngineConfig, KindTable};
+use esp_uarch::{Engine, EngineConfig};
 
 const CODE_BASE: u64 = 0x40_0000;
 const HEAP_BASE: u64 = 0x80_0000;
 
-/// Every (prefetcher, perfect-flag) combination that selects a distinct
-/// set of monomorphised kind handlers during lowering.
+/// Every (prefetcher, perfect-flag) combination that sends some kind
+/// through a different path of the kernel's kind handlers.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let base = EngineConfig::baseline;
     let mut v = vec![("baseline", base())];
@@ -63,7 +64,7 @@ fn is_branch_tag(tag: u8) -> bool {
 /// A plausible instruction stream as raw steps: sequential pc runs
 /// broken by taken branches, loads/stores mixing a strided walk with
 /// random heap lines. Starts with an exhaustive prefix of all 8 tags ×
-/// both flag values so every table entry fires under every config even
+/// both flag values so every match arm fires under every config even
 /// if the random tail were unlucky.
 fn stream(seed: u64, len: usize) -> Vec<RawStep> {
     let mut rng = SplitMix64::new(seed);
@@ -127,9 +128,8 @@ fn kind_table_matches_decoded_path_for_every_kind() {
         let mut raw = Engine::new(cfg.clone());
         let mut dec = Engine::new(cfg);
         let kp = raw.lower_kernel();
-        let tbl = KindTable::<NullProbe>::new(&kp);
         for (i, rs) in steps.iter().enumerate() {
-            let a = raw.step_raw(&kp, &tbl, rs.kind, rs.pc, rs.op, &mut NullProbe);
+            let a = raw.step_raw(&kp, rs.kind, rs.pc, rs.op, &mut NullProbe);
             let b = dec.step_probed(&rs.to_instr(), &mut NullProbe);
             assert_eq!(
                 a,

@@ -84,6 +84,11 @@ if t:
     print(f"  DCU trigger sidecars: {t['bytes'] / 1024:.1f} KiB, built in "
           f"{t['build_seconds'] * 1e3:.1f} ms (once per family, shared by every "
           f"next-line configuration)")
+b = d.get("branch_outcomes")
+if b:
+    print(f"  branch outcome sidecars: {b['bytes'] / 1024:.1f} KiB, built in "
+          f"{b['build_seconds'] * 1e3:.1f} ms (once per family, shared by the nine "
+          f"configurations whose predictor sees only retired branches)")
 print(f"  sampled: {s['sims_per_sec']:.1f} sims/sec, simulate speedup "
       f"{s['simulate_speedup_vs_exact']:.2f}x, max CPI error "
       f"{s['max_cpi_error_pct']:.1f}%, ci95 coverage {s.get('ci95_coverage', float('nan')):.2f} "
