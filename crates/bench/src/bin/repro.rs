@@ -544,7 +544,7 @@ fn dump(
             }
             None => {
                 for key in MATRIX {
-                    let report = esp_core::Simulator::new(key.config()).run(&*w);
+                    let report = esp_core::Simulator::new(key.config()).run(&w);
                     println!("=== {} / {key:?} ===", meta.profile);
                     println!("{report:#?}");
                 }
@@ -573,7 +573,7 @@ fn check(
     for profile in BenchmarkProfile::all_families() {
         let w = esp_workload::arena::packed_for(&profile.scaled(scale), seed, threads);
         for key in MATRIX {
-            match esp_check::check_run(&key.config(), &*w) {
+            match esp_check::check_run(&key.config(), &w) {
                 Ok(r) => eprintln!(
                     "# ok {:>11} {key:?}: serial {} >= busy {} ({} mem ops, {} bp ops)",
                     profile.name(),
@@ -698,7 +698,18 @@ fn bench(
         families.len()
     );
     let dcu = |k: &SidecarKey| matches!(k, SidecarKey::DcuTriggers { .. });
-    let mut best: Option<(f64, esp_bench::PhaseSeconds, u64, [(u64, f64); 2], u64, u64)> = None;
+    /// What one cold repetition measured.
+    struct ColdPass {
+        total: f64,
+        phases: esp_bench::PhaseSeconds,
+        arena_bytes: u64,
+        /// `(bytes, build seconds)` of the DCU trigger and branch outcome
+        /// sidecars.
+        footprints: [(u64, f64); 2],
+        sims: u64,
+        instrs: u64,
+    }
+    let mut best: Option<ColdPass> = None;
     for rep in 1..=repeat {
         // A cold repetition regenerates and re-materialises everything:
         // drop the process-wide arena cache left by the previous one.
@@ -708,18 +719,19 @@ fn bench(
         cold.ensure(ConfigKey::all());
         let total = t.elapsed().as_secs_f64();
         eprintln!("#   rep {rep}: {total:.2}s ({:.3} sims/s)", cold.sims_run() as f64 / total.max(1e-9));
-        if best.as_ref().is_none_or(|(b, ..)| total < *b) {
-            best = Some((
+        if best.as_ref().is_none_or(|b| total < b.total) {
+            best = Some(ColdPass {
                 total,
-                cold.phase_seconds(),
-                cold.arena_resident_bytes(),
-                [cold.sidecar_footprint(dcu), cold.sidecar_footprint(|k| !dcu(k))],
-                cold.sims_run(),
-                cold.instructions_simulated(),
-            ));
+                phases: cold.phase_seconds(),
+                arena_bytes: cold.arena_resident_bytes(),
+                footprints: [cold.sidecar_footprint(dcu), cold.sidecar_footprint(|k| !dcu(k))],
+                sims: cold.sims_run(),
+                instrs: cold.instructions_simulated(),
+            });
         }
     }
-    let (total_1t, phases, arena_bytes, footprints, sims, instrs) = best.expect("repeat >= 1");
+    let ColdPass { total: total_1t, phases, arena_bytes, footprints, sims, instrs } =
+        best.expect("repeat >= 1");
     let [(trigger_bytes, trigger_s), (outcome_bytes, outcome_s)] = footprints;
     // Instructions per wall-second across the whole matrix — retired plus
     // speculative (ESP pre-execution, runahead re-execution), which is
@@ -887,6 +899,9 @@ fn bench(
     // error is scale-dependent (fewer sampling periods fit in a smaller
     // workload), so its numbers are only meaningful next to their scale.
     let effective_mips = sampled.instructions_simulated() as f64 / total_s.max(1e-9) / 1e6;
+    // The whole bench's high-water mark, every pass included.
+    let peak_rss_json =
+        peak_rss_mib().map_or(String::new(), |mib| format!("\"peak_rss_mib\": {mib:.1},\n  "));
     let json = format!(
         "{{\n  \"scale\": {scale},\n  \"seed\": {seed},\n  \"threads\": 1,{nt_json}{trace_io_json}\n  \
          \"repeat\": {repeat},\n  \"sims_run\": {sims},\n  \
@@ -894,7 +909,7 @@ fn bench(
          \"total_seconds\": {total_1t:.3},\n  \
          \"sims_per_sec\": {:.3},\n  \"sims_per_sec_1t\": {:.3},\n  \
          \"mips\": {mips_1t:.3},\n  \"mips_1t\": {mips_1t:.3},\n  \
-         \"arena_bytes\": {arena_bytes},\n  \
+         \"arena_bytes\": {arena_bytes},\n  {peak_rss_json}\
          \"dcu_triggers\": {{\"bytes\": {trigger_bytes}, \"build_seconds\": {trigger_s:.4}}},\n  \
          \"branch_outcomes\": {{\"bytes\": {outcome_bytes}, \"build_seconds\": {outcome_s:.4}}},\n  \
          \"phase_seconds\": {{\"generate\": {:.3}, \"materialise\": {:.3}, \
@@ -1037,6 +1052,15 @@ fn trace_io(runner: &Runner, scale: u64, seed: u64) -> Option<(usize, u64, f64, 
     })();
     std::fs::remove_dir_all(&dir).ok();
     result
+}
+
+/// The process's peak resident set (`VmHWM` in `/proc/self/status`), in
+/// MiB; `None` where that cannot be read.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 /// Whether `BENCH_repro.json` may be (over)written by a run at `scale`:

@@ -60,8 +60,8 @@ pub fn fig6(runner: &mut Runner) -> FigureReport {
             p.paper_events().to_string(),
             p.paper_minstr().to_string(),
             w.events().len().to_string(),
-            w.schedule().total_instructions().to_string(),
-            (w.schedule().total_instructions() / w.events().len() as u64).to_string(),
+            w.approx_total_instructions().to_string(),
+            (w.approx_total_instructions() / w.events().len() as u64).to_string(),
         ]);
     }
     FigureReport {

@@ -15,7 +15,7 @@ use esp_obs::TraceProbe;
 use esp_stats::Table;
 use esp_trace::{PackedWorkload, SidecarKey, Workload};
 use esp_uarch::PerfectFlags;
-use esp_workload::{arena, BenchmarkProfile, GeneratedWorkload};
+use esp_workload::{arena, BenchmarkProfile};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::Path;
@@ -212,7 +212,7 @@ impl FigureReport {
 /// time actually spent, not the cost of the original cold build.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseSeconds {
-    /// Seed → [`GeneratedWorkload`] generation.
+    /// Seed → [`esp_workload::GeneratedWorkload`] generation.
     pub generate: f64,
     /// Walk → packed arena materialisation (decode-once).
     pub materialise: f64,
@@ -259,22 +259,21 @@ pub struct Runner {
 }
 
 /// One benchmark seat in the runner: the display name, the built-in
-/// profile and generated walk behind it (both `None` for a workload
-/// imported from an `.espt` trace, which has no regenerative form), and
-/// the packed arena every simulation replays.
+/// profile behind it (`None` for a workload imported from an `.espt`
+/// trace, which has no generative parameters), and the packed arena
+/// every simulation replays. No generator is kept: once packed, nothing
+/// reads it.
 struct Slot {
     name: String,
     profile: Option<BenchmarkProfile>,
-    generated: Option<Arc<GeneratedWorkload>>,
     packed: Arc<PackedWorkload>,
 }
 
 impl Runner {
     /// Builds workloads for the paper's seven profiles at `scale`
-    /// instructions each (in parallel, one generation job per profile),
-    /// using [`esp_par::threads`] worker threads — the machine's
-    /// parallelism, overridable through the `ESP_THREADS` environment
-    /// variable.
+    /// instructions each, using [`esp_par::threads`] worker threads —
+    /// the machine's parallelism, overridable through the `ESP_THREADS`
+    /// environment variable.
     pub fn new(scale: u64, seed: u64) -> Self {
         Self::with_threads(scale, seed, esp_par::threads())
     }
@@ -286,8 +285,8 @@ impl Runner {
 
     /// Builds a runner over an explicit profile list (e.g.
     /// [`BenchmarkProfile::all_families`] for the extended matrix). Each
-    /// profile is scaled to `scale` instructions and generated in
-    /// parallel, then materialised through the process-wide arena memo.
+    /// profile is scaled to `scale` instructions, generated, and
+    /// materialised through the process-wide arena memo.
     pub fn with_profiles(
         profiles: &[BenchmarkProfile],
         scale: u64,
@@ -320,37 +319,29 @@ impl Runner {
         threads: usize,
     ) -> esp_types::Result<Self> {
         let threads = threads.max(1);
-        let scaled: Vec<Option<BenchmarkProfile>> = specs
-            .iter()
-            .map(|s| match s {
-                WorkloadSpec::Builtin(p) => Some(p.scaled(scale)),
-                WorkloadSpec::Import(_) => None,
-            })
-            .collect();
-        let t = Instant::now();
-        let generated: Vec<Option<Arc<GeneratedWorkload>>> =
-            esp_par::parallel_map(threads, &scaled, |_, p| {
-                p.as_ref().map(|p| arena::generated(p, seed))
-            });
-        let generate = t.elapsed().as_secs_f64();
-        // Materialise profiles one after another, fanning the per-event
-        // decode of each over the pool: events outnumber profiles, so
-        // this balances better than one thread per profile. Imports are
-        // read here too — their decode cost is this phase's analogue.
-        let t = Instant::now();
+        // Profiles are generated and materialised one after another, so
+        // at most one generator is alive at a time (packing releases it).
+        // The per-event decode of each is fanned over the pool: events
+        // outnumber profiles, so this balances better than one thread per
+        // profile. A profile whose arena is already in the memo (a warm
+        // runner) is not generated again. Imports are read in the
+        // materialise phase, their decode being its analogue.
+        let (mut generate, mut materialise) = (0.0, 0.0);
         let mut slots = Vec::with_capacity(specs.len());
-        for (spec, (p, g)) in specs.iter().zip(scaled.into_iter().zip(generated)) {
+        for spec in specs {
+            let t = Instant::now();
             match spec {
-                WorkloadSpec::Builtin(_) => {
-                    let p = p.expect("builtin spec was scaled");
-                    let g = g.expect("builtin spec was generated");
-                    let packed = arena::packed(&p, &g, seed, threads);
-                    slots.push(Slot {
-                        name: p.name().to_string(),
-                        profile: Some(p),
-                        generated: Some(g),
-                        packed,
-                    });
+                WorkloadSpec::Builtin(p) => {
+                    let p = p.scaled(scale);
+                    let g = arena::resident(&p, seed).is_none().then(|| arena::generated(&p, seed));
+                    generate += t.elapsed().as_secs_f64();
+                    let t = Instant::now();
+                    let packed = match g {
+                        Some(g) => arena::packed(&p, &g, seed, threads),
+                        None => arena::packed_for(&p, seed, threads),
+                    };
+                    materialise += t.elapsed().as_secs_f64();
+                    slots.push(Slot { name: p.name().to_string(), profile: Some(p), packed });
                 }
                 WorkloadSpec::Import(path) => {
                     let (meta, packed) = arena::import(path).map_err(|e| {
@@ -359,16 +350,11 @@ impl Runner {
                             path.display()
                         ))
                     })?;
-                    slots.push(Slot {
-                        name: meta.profile,
-                        profile: None,
-                        generated: None,
-                        packed,
-                    });
+                    materialise += t.elapsed().as_secs_f64();
+                    slots.push(Slot { name: meta.profile, profile: None, packed });
                 }
             }
         }
-        let materialise = t.elapsed().as_secs_f64();
         Ok(Runner {
             scale,
             threads,
@@ -480,15 +466,12 @@ impl Runner {
         self.slots.iter().map(|s| s.name.clone()).collect()
     }
 
-    /// The built-in profiles and their generated workloads. Imported
-    /// slots have no generator behind them and are skipped — consumers
-    /// of this view (the Fig. 6 characteristics table) describe the
-    /// generative parameters, which a raw trace does not carry.
-    pub fn workloads(&self) -> impl Iterator<Item = (&BenchmarkProfile, &GeneratedWorkload)> {
-        self.slots.iter().filter_map(|s| match (&s.profile, &s.generated) {
-            (Some(p), Some(g)) => Some((p, g.as_ref())),
-            _ => None,
-        })
+    /// The built-in profiles and their packed workloads. Imported slots
+    /// have no profile behind them and are skipped — consumers of this
+    /// view (the Fig. 6 characteristics table) describe the generative
+    /// parameters, which a raw trace does not carry.
+    pub fn workloads(&self) -> impl Iterator<Item = (&BenchmarkProfile, &PackedWorkload)> {
+        self.slots.iter().filter_map(|s| Some((s.profile.as_ref()?, s.packed.as_ref())))
     }
 
     /// The packed workload simulated in slot `i` (what every

@@ -43,15 +43,15 @@ fn interval_coverage_meets_floor() {
             let w = arena::packed_for(&profile.scaled(SCALE), seed * 16 + i as u64, 1);
             for key in KEYS {
                 let sim = Simulator::new(key.config());
-                let exact = sim.run(&*w);
+                let exact = sim.run(&w);
                 let exact_cpi = exact.busy_cycles() as f64 / exact.engine.retired as f64;
                 cells += 1;
-                if sim.run_sampled(&*w, PARAMS).estimate.cpi.covers(exact_cpi) {
+                if sim.run_sampled(&w, PARAMS).estimate.cpi.covers(exact_cpi) {
                     sampled += 1;
                 } else {
                     misses.push(format!("{} {key:?} seed {seed}", profile.name()));
                 }
-                let run = sim.run_sampled_learned(&*w, PARAMS, LearnParams::default());
+                let run = sim.run_sampled_learned(&w, PARAMS, LearnParams::default());
                 if run.estimate.cpi.covers(exact_cpi) {
                     learned += 1;
                 } else {

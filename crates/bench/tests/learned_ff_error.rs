@@ -60,8 +60,8 @@ fn learned_ff_error() {
         let w = esp_workload::arena::packed_for(&profile.scaled(SCALE), SEED, 1);
         for (name, key) in configs {
             let sim = Simulator::new(key.config());
-            let exact = sim.run(&*w);
-            let learned = sim.run_sampled_learned(&*w, PARAMS, LearnParams::default());
+            let exact = sim.run(&w);
+            let learned = sim.run_sampled_learned(&w, PARAMS, LearnParams::default());
             assert!(
                 !learned.estimate.exact_fallback,
                 "{}/{name}: fell back to exact — scale too small for the operating point",

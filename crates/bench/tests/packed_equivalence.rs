@@ -101,7 +101,7 @@ fn differential_oracle_accepts_packed_replay() {
     for profile in [BenchmarkProfile::amazon(), BenchmarkProfile::pixlr()] {
         let packed = esp_workload::arena::packed_for(&profile.scaled(SCALE), SEED, 2);
         for key in KEYS {
-            esp_check::check_run(&key.config(), &*packed)
+            esp_check::check_run(&key.config(), &packed)
                 .unwrap_or_else(|e| panic!("{} {key:?}: {e}", profile.name()));
         }
     }

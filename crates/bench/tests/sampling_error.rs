@@ -64,8 +64,8 @@ fn sampling_error() {
         let mut sampled_base_cycles = 0u64;
         for (name, key) in configs {
             let sim = Simulator::new(key.config());
-            let exact = sim.run(&*w);
-            let sampled = sim.run_sampled(&*w, PARAMS);
+            let exact = sim.run(&w);
+            let sampled = sim.run_sampled(&w, PARAMS);
             assert!(
                 !sampled.estimate.exact_fallback,
                 "{}/{name}: fell back to exact — scale too small for the operating point",

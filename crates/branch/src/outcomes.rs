@@ -161,7 +161,7 @@ mod tests {
                 let pc = Addr::new(0x40_0000 + (r % 512) * 4);
                 let target = Addr::new(0x40_0000 + ((r >> 16) % 512) * 4);
                 match (r >> 32) % 5 {
-                    0 | 1 => Instr::cond_branch(pc, (r >> 40) % 3 != 0, target),
+                    0 | 1 => Instr::cond_branch(pc, !(r >> 40).is_multiple_of(3), target),
                     2 => Instr::call(pc, target),
                     3 => Instr::ret(pc, target),
                     _ => Instr::indirect(pc, target),

@@ -26,8 +26,8 @@ fn main() {
             [("base", SimConfig::base()), ("ra", SimConfig::runahead()), ("espnl", SimConfig::esp_nl())];
         for (name, cfg) in configs {
             let sim = Simulator::new(cfg);
-            let exact = sim.run(&*w);
-            let s = sim.run_sampled(&*w, SampleParams::new(grain, period));
+            let exact = sim.run(&w);
+            let s = sim.run_sampled(&w, SampleParams::new(grain, period));
             let ec = exact.busy_cycles() as f64 / exact.engine.retired as f64;
             let sc = s.report.busy_cycles() as f64 / s.report.engine.retired as f64;
             let err = 100.0 * (sc - ec) / ec;

@@ -12,10 +12,11 @@
 use crate::config::EspFeatures;
 use crate::lineset::LineSet;
 use crate::replay::ReplayLists;
+use crate::side_cache::SideCache;
 use crate::working_set::WorkingSetReport;
 use esp_branch::{PredictorContext, SpeculativeCheckpoint};
 use esp_lists::{AddrList, BList, ListCapacities};
-use esp_mem::{AccessResult, CacheConfig, Cachelet, CacheletSlot, SetAssocCache};
+use esp_mem::{AccessResult, CacheConfig, Cachelet, CacheletSlot};
 use esp_obs::{CycleClass, NullProbe, Probe, WindowRecord, WindowSpender};
 use esp_trace::{EventCursor, EventRecord, PackedWorkload, Workload};
 use esp_types::{Cycle, LineAddr};
@@ -112,62 +113,6 @@ fn caps_for(depth_idx: usize, ideal: bool) -> ListCapacities {
         ListCapacities::esp1()
     } else {
         ListCapacities::esp2()
-    }
-}
-
-/// One slot's side cache plus the lines filled into it since it was
-/// last empty, so emptying it for reuse clears only the sets those fills
-/// touched ([`SetAssocCache::reset_filled`]): an ideal slot's 4 MiB cache
-/// sees a few hundred fills per event, against 65,536 tag slots. Past one
-/// fill per set, a whole-array clear is no dearer, so the list stops
-/// growing and emptying falls back to it.
-struct SideCache {
-    cache: SetAssocCache,
-    /// Lines filled since the cache was last empty; `None` once there
-    /// were more fills than sets.
-    filled: Option<Vec<LineAddr>>,
-    sets: usize,
-}
-
-impl SideCache {
-    fn new(config: CacheConfig) -> Self {
-        let sets = config.sets() as usize;
-        SideCache { cache: SetAssocCache::new(config), filled: Some(Vec::new()), sets }
-    }
-
-    #[inline]
-    fn access(&mut self, line: LineAddr, t: Cycle) -> AccessResult {
-        self.cache.access(line, t)
-    }
-
-    /// Fills `line`, which the caller has just seen miss.
-    #[inline]
-    fn fill_absent(&mut self, line: LineAddr, ready: Cycle) {
-        self.cache.fill_absent(line, ready, false);
-        if let Some(filled) = &mut self.filled {
-            if filled.len() == self.sets {
-                self.filled = None;
-            } else {
-                filled.push(line);
-            }
-        }
-    }
-
-    /// Empties the cache, keeping its stamp counter and statistics.
-    fn flush(&mut self) {
-        self.cache.flush();
-        self.filled.get_or_insert_with(Vec::new).clear();
-    }
-
-    /// Returns the cache to its just-constructed state.
-    fn reset(&mut self) {
-        match &mut self.filled {
-            Some(filled) => self.cache.reset_filled(filled.drain(..)),
-            None => {
-                self.cache.reset();
-                self.filled = Some(Vec::new());
-            }
-        }
     }
 }
 
@@ -587,8 +532,7 @@ impl<'w> EspState<'w> {
         if !self.side_i.is_empty() {
             if self.features.ideal {
                 // The retired slot's 4 MiB caches come back empty, their
-                // filled sets cleared: no fresh allocation, no sweep of
-                // the whole tag array.
+                // blocks returned to the pool.
                 for side in [&mut self.side_i, &mut self.side_d] {
                     side.rotate_left(1);
                     if let Some(freed) = side.last_mut() {
@@ -610,10 +554,12 @@ impl<'w> EspState<'w> {
             self.stats.lists_discarded += 1;
             return None;
         }
+        // The retired slot's lists move to replay: an ideal slot's
+        // unbounded D-list reaches tens of thousands of records.
         Some(ReplayLists {
-            ilist: promoted.ilist.records().to_vec(),
-            dlist: promoted.dlist.records().to_vec(),
-            blist: promoted.blist.records().to_vec(),
+            ilist: promoted.ilist.into_records(),
+            dlist: promoted.dlist.into_records(),
+            blist: promoted.blist.into_records(),
         })
     }
 }

@@ -46,6 +46,7 @@ mod lineset;
 mod replay;
 mod report;
 mod sampling;
+mod side_cache;
 mod simulator;
 mod working_set;
 

@@ -139,6 +139,11 @@ impl AddrList {
         &self.records
     }
 
+    /// The decoded records, oldest first, handed over without a copy.
+    pub fn into_records(self) -> Vec<AddrRecord> {
+        self.records
+    }
+
     /// Whether recording has stopped.
     pub fn is_full(&self) -> bool {
         self.full

@@ -204,6 +204,11 @@ impl BList {
         &self.records
     }
 
+    /// The decoded records, oldest first, handed over without a copy.
+    pub fn into_records(self) -> Vec<BranchRecord> {
+        self.records
+    }
+
     /// Whether direction recording has stopped.
     pub fn is_full(&self) -> bool {
         self.full

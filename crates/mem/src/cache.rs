@@ -431,20 +431,6 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    /// [`SetAssocCache::reset`] for a cache whose every valid line was
-    /// installed by a fill of one of `filled` since it was last empty:
-    /// clears only those lines' sets, so the cost follows the fills, not
-    /// the capacity (a 4 MiB cache that saw a few hundred fills clears a
-    /// few hundred sets instead of its whole tag array).
-    pub fn reset_filled(&mut self, filled: impl IntoIterator<Item = LineAddr>) {
-        for line in filled {
-            let base = self.set_base(line);
-            self.tags[base..base + self.ways].fill(0);
-        }
-        self.next_stamp = 1;
-        self.stats = CacheStats::default();
-    }
-
     /// The number of currently valid lines.
     pub fn occupancy(&self) -> usize {
         self.tags.iter().filter(|&&t| t != 0).count()
@@ -623,48 +609,5 @@ mod tests {
         c.fill(d, Cycle::ZERO, Cycle::ZERO, false);
         assert!(c.probe(a), "valid line survived an invalid-way fill");
         assert!(c.probe(d));
-    }
-
-    #[test]
-    fn reset_filled_matches_a_full_reset() {
-        let cfg = CacheConfig {
-            name: "mid".into(),
-            size_bytes: 64 * 1024,
-            ways: 4,
-            line_bytes: 64,
-            hit_latency: 2,
-        };
-        let (mut full, mut partial) = (SetAssocCache::new(cfg.clone()), SetAssocCache::new(cfg));
-        let mut filled = Vec::new();
-        let mut x = 0x9e37_79b9_7f4a_7c15u64;
-        for round in 0..3 {
-            // Conflict-heavy fills (some sets overflow and evict), with a
-            // few demand accesses in between.
-            for k in 0..400u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let line = LineAddr::new(x % 3000);
-                for c in [&mut full, &mut partial] {
-                    if !c.access(line, Cycle::new(k)).is_hit() {
-                        c.fill_absent(line, Cycle::new(k + 5), false);
-                    }
-                }
-                filled.push(line);
-            }
-            assert!(partial.occupancy() > 0);
-            full.reset();
-            partial.reset_filled(filled.drain(..));
-            assert_eq!(partial.occupancy(), 0, "round {round}");
-            assert_eq!(partial.stats(), full.stats());
-            assert_eq!(partial.next_stamp, full.next_stamp);
-        }
-        // Both behave alike afterwards too.
-        for k in 0..50u64 {
-            let line = LineAddr::new(k * 7);
-            assert_eq!(full.access(line, Cycle::new(k)), partial.access(line, Cycle::new(k)));
-            full.fill_absent(line, Cycle::new(k), false);
-            partial.fill_absent(line, Cycle::new(k), false);
-        }
     }
 }

@@ -515,7 +515,7 @@ mod tests {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                if x % 3 != 0 {
+                if !x.is_multiple_of(3) {
                     last = x % span;
                 }
                 LineAddr::new(last)

@@ -322,7 +322,7 @@ fn run_hierarchy(cfg: HierarchyConfig, seed: u64, ops: usize) {
         let line = pool[(rng.next_u64() % pool.len() as u64) as usize];
         let l = LineAddr::new(line);
         let instr = rng.next_u64() & 1 != 0;
-        let into_l1 = rng.next_u64() % 4 != 0;
+        let into_l1 = !rng.next_u64().is_multiple_of(4);
         let what = format!("seed {seed:#x} op {op}");
         match rng.next_u64() % 16 {
             0..=7 => {

@@ -363,7 +363,7 @@ pub fn write<W: Write>(w: W, meta: &TraceMeta, workload: &PackedWorkload) -> Res
     for i in 0..arena.len() {
         let ev = arena.event(i);
         kinds_len += (ev.actual().kind_bytes().len() + ev.spec_tail().kind_bytes().len()) as u64;
-        ops_words += (ev.actual().op_words().len() + ev.spec_tail().op_words().len()) as u64;
+        ops_words += (ev.actual().op_words().count() + ev.spec_tail().op_words().count()) as u64;
     }
 
     let mut hw = HashWriter::new(w);
@@ -409,7 +409,7 @@ pub fn write<W: Write>(w: W, meta: &TraceMeta, workload: &PackedWorkload) -> Res
         for t in [ev.actual(), ev.spec_tail()] {
             hw.put_u64(t.start_pc())?;
             hw.put_u64(t.kind_bytes().len() as u64)?;
-            hw.put_u64(t.op_words().len() as u64)?;
+            hw.put_u64(t.op_words().count() as u64)?;
         }
     }
 
@@ -425,7 +425,7 @@ pub fn write<W: Write>(w: W, meta: &TraceMeta, workload: &PackedWorkload) -> Res
     for i in 0..arena.len() {
         let ev = arena.event(i);
         for t in [ev.actual(), ev.spec_tail()] {
-            for &op in t.op_words() {
+            for op in t.op_words() {
                 buf.extend_from_slice(&op.to_le_bytes());
                 if buf.len() >= 64 * 1024 {
                     hw.put(&buf)?;

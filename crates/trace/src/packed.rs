@@ -10,8 +10,9 @@
 //!
 //! * [`PackedTrace`] — one instruction stream, packed into parallel
 //!   arrays: one *kind byte* per instruction (discriminant + flags) and
-//!   one `u64` operand slot per instruction that needs one. Program
-//!   counters are not stored at all: within an event a trace is
+//!   one 32-bit operand word per instruction that needs one (a wider
+//!   operand is escaped into three words). Program counters are not
+//!   stored at all: within an event a trace is
 //!   control-flow consistent (each instruction's `next_pc` is the next
 //!   instruction's `pc`), so the cursor re-derives them; the rare
 //!   discontinuity is flagged and spills an explicit pc operand.
@@ -213,19 +214,53 @@ impl std::fmt::Display for RawTraceError {
 
 impl std::error::Error for RawTraceError {}
 
+/// The operand word that escapes a wide operand: the 64-bit value follows
+/// as two words, low half then high half. Every operand below `OP_ESCAPE`
+/// is stored as one word; `OP_ESCAPE` itself is stored escaped.
+const OP_ESCAPE: u32 = u32::MAX;
+
+/// Reads the logical operand at `ops[*idx]` (see [`OP_ESCAPE`]) and
+/// advances `idx` past its words — the one operand decoder of every
+/// cursor and of [`PackedTrace::op_words`]. The escape test is a branch
+/// no generated trace takes, marked cold and kept free of calls: a call
+/// on the escape path would make every cursor loop reload the trace's
+/// array pointers after each operand (20% on a bare decode loop).
+#[inline(always)]
+fn read_op(ops: &[u32], idx: &mut usize) -> u64 {
+    let at = *idx;
+    let w = ops[at];
+    if w != OP_ESCAPE {
+        *idx = at + 1;
+        return u64::from(w);
+    }
+    std::hint::cold_path();
+    *idx = at + 3;
+    u64::from(ops[at + 1]) | u64::from(ops[at + 2]) << 32
+}
+
+/// Appends the logical operand `v` to `ops` (see [`OP_ESCAPE`]).
+fn push_op(ops: &mut Vec<u32>, v: u64) {
+    match u32::try_from(v) {
+        Ok(w) if w != OP_ESCAPE => ops.push(w),
+        _ => ops.extend([OP_ESCAPE, v as u32, (v >> 32) as u32]),
+    }
+}
+
 /// One instruction stream in struct-of-arrays form.
 ///
-/// Layout: `kinds` holds one byte per instruction; `ops` holds one `u64`
-/// per operand in stream order — an explicit pc first when the
+/// Layout: `kinds` holds one byte per instruction; `ops` holds the
+/// operands in stream order — an explicit pc first when the
 /// `EXPLICIT_PC` kind bit is set, then the data address (loads/stores) or
-/// branch target (control flow). ALU instructions consume no operand
-/// slot, so a typical generated stream packs to ~5 bytes per
-/// instruction versus the 32-byte in-memory [`Instr`].
+/// branch target (control flow). Each operand is one `u32` word; one of
+/// `u32::MAX` or more is the escape word `u32::MAX` followed by its low
+/// and high halves. ALU instructions consume no operand, so a generated
+/// stream packs to ~3 bytes per instruction versus the 32-byte in-memory
+/// [`Instr`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PackedTrace {
     start_pc: u64,
     kinds: Vec<u8>,
-    ops: Vec<u64>,
+    ops: Vec<u32>,
     /// The pc the next pushed instruction is predicted to have
     /// (build-time state only; replay re-derives it).
     expect_pc: u64,
@@ -262,10 +297,10 @@ impl PackedTrace {
         }
         if explicit {
             kind |= EXPLICIT_PC;
-            self.ops.push(pc);
+            push_op(&mut self.ops, pc);
         }
         if let Some(op) = op {
-            self.ops.push(op);
+            push_op(&mut self.ops, op);
         }
         self.kinds.push(kind);
         self.expect_pc = i.next_pc().as_u64();
@@ -294,10 +329,12 @@ impl PackedTrace {
         &self.kinds
     }
 
-    /// The raw operand words in stream order (explicit pcs interleaved
-    /// where the [`kindbits::EXPLICIT_PC`] flag is set).
-    pub fn op_words(&self) -> &[u64] {
-        &self.ops
+    /// The operand words in stream order (explicit pcs interleaved where
+    /// the [`kindbits::EXPLICIT_PC`] flag is set), one logical `u64` per
+    /// operand whatever its stored width.
+    pub fn op_words(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut idx = 0;
+        std::iter::from_fn(move || (idx < self.ops.len()).then(|| read_op(&self.ops, &mut idx)))
     }
 
     /// Reassembles a trace from its raw serialised arrays, validating
@@ -357,7 +394,11 @@ impl PackedTrace {
                 op
             };
         }
-        Ok(PackedTrace { start_pc, kinds, ops, expect_pc: pc })
+        let mut words = Vec::with_capacity(ops.len());
+        for op in ops {
+            push_op(&mut words, op);
+        }
+        Ok(PackedTrace { start_pc, kinds, ops: words, expect_pc: pc })
     }
 
     /// The number of instructions stored.
@@ -373,7 +414,7 @@ impl PackedTrace {
     /// Bytes of heap the packed arrays occupy (capacity, not length —
     /// what the process actually holds resident).
     pub fn resident_bytes(&self) -> u64 {
-        (self.kinds.capacity() + self.ops.capacity() * std::mem::size_of::<u64>()) as u64
+        (self.kinds.capacity() + self.ops.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Trims excess capacity left over from growth during recording.
@@ -440,7 +481,7 @@ fn plain_run_end(kinds: &[u8], from: usize, end: usize) -> usize {
 
 /// An allocation-free, resumable cursor over a [`PackedTrace`].
 ///
-/// Three words of state: position, operand index, and the re-derived
+/// Three words of state: position, operand word index, and the re-derived
 /// program counter. `clone()` is a plain copy, so checkpointing a
 /// runahead cursor allocates nothing and clones no generator (frames,
 /// pools, RNG).
@@ -471,19 +512,13 @@ impl PackedCursor<'_> {
     #[inline(always)]
     pub fn next_raw(&mut self) -> Option<RawStep> {
         let kind = *self.trace.kinds.get(self.pos)?;
+        let ops = self.trace.ops.as_slice();
         if kind & EXPLICIT_PC != 0 {
-            self.pc = self.trace.ops[self.op_idx];
-            self.op_idx += 1;
+            self.pc = read_op(ops, &mut self.op_idx);
         }
         let pc = self.pc;
         let tag = kind & TAG_MASK;
-        let op = if tag == TAG_ALU {
-            0
-        } else {
-            let v = self.trace.ops[self.op_idx];
-            self.op_idx += 1;
-            v
-        };
+        let op = if tag == TAG_ALU { 0 } else { read_op(ops, &mut self.op_idx) };
         self.pos += 1;
         // Mirror `Instr::next_pc`: sequential for ALU/load/store and
         // not-taken conditionals, the target otherwise.
@@ -600,8 +635,7 @@ impl PackedCursor<'_> {
                 continue;
             }
             if kind & EXPLICIT_PC != 0 {
-                pc = ops[op_idx];
-                op_idx += 1;
+                pc = read_op(ops, &mut op_idx);
             }
             let line = pc >> shift;
             if line != last_line {
@@ -612,8 +646,7 @@ impl PackedCursor<'_> {
             if tag == TAG_ALU {
                 pc += INSTR_BYTES;
             } else {
-                let op = ops[op_idx];
-                op_idx += 1;
+                let op = read_op(ops, &mut op_idx);
                 if tag == TAG_LOAD {
                     sink.warm_load(pc, op);
                     pc += INSTR_BYTES;
@@ -1161,9 +1194,9 @@ mod tests {
         let p = PackedTrace::from_instrs(&v);
         let fat = std::mem::size_of::<Instr>() * v.len();
         assert!(
-            (p.kinds.len() + p.ops.len() * 8) < fat,
+            (p.kinds.len() + p.ops.len() * 4) < fat,
             "packed {} !< fat {fat}",
-            p.kinds.len() + p.ops.len() * 8
+            p.kinds.len() + p.ops.len() * 4
         );
         assert!(p.resident_bytes() > 0);
     }
@@ -1294,7 +1327,7 @@ mod tests {
 
     #[test]
     fn warm_walk_matches_cursor_replay() {
-        for v in [consistent(), discontinuous()] {
+        for v in [consistent(), discontinuous(), wide_operands()] {
             let p = PackedTrace::from_instrs(&v);
             let mut sink = RecordingSink::default();
             assert_eq!(p.warm_walk(64, &mut sink), v.len() as u64);
@@ -1346,7 +1379,7 @@ mod tests {
         // The observed fast-forward must report the same fetch lines,
         // loads, and stores as the full warming walk — branches are the
         // one documented omission — and land the cursor identically.
-        for v in [consistent(), discontinuous()] {
+        for v in [consistent(), discontinuous(), wide_operands()] {
             let p = PackedTrace::from_instrs(&v);
             let mut warm = RecordingSink::default();
             p.warm_walk(64, &mut warm);
@@ -1369,14 +1402,134 @@ mod tests {
         }
     }
 
+    /// Operand values around the 32-bit word boundary: the escape word
+    /// itself, its neighbours, and values that need the high half.
+    const WIDE: [u64; 6] = [0, 1 << 31, u32::MAX as u64 - 1, u32::MAX as u64, 1 << 32, u64::MAX - 8];
+
+    /// A stream using every [`WIDE`] value as a load and store address, a
+    /// taken-branch target (followed by a plain ALU run at that pc), and
+    /// an explicit pc.
+    fn wide_operands() -> Vec<Instr> {
+        let mut v = Vec::new();
+        for (k, &w) in WIDE.iter().enumerate() {
+            let base = 0x1000 + 0x100 * k as u64;
+            v.extend([
+                Instr::alu(a(base)),
+                Instr::load(a(base + 4), a(w), false),
+                Instr::store(a(base + 8), a(w)),
+                Instr::cond_branch(a(base + 12), true, a(w)),
+                Instr::alu(a(w)),
+                Instr::alu(a(w + 4)),
+                Instr::ret(a(w + 8), a(base + 0x80)),
+                // Not `base + 0x80`: an explicit pc operand.
+                Instr::alu(a(w)),
+                Instr::indirect_call(a(w + 4), a(base + 0x40)),
+            ]);
+        }
+        v
+    }
+
+    /// The logical operand words of `v` in stream order: an explicit pc
+    /// wherever control flow does not lead to the instruction, then its
+    /// operand.
+    fn logical_ops(v: &[Instr]) -> Vec<u64> {
+        let mut want = Vec::new();
+        for (k, i) in v.iter().enumerate() {
+            if k > 0 && v[k - 1].next_pc() != i.pc {
+                want.push(i.pc.as_u64());
+            }
+            match i.kind {
+                InstrKind::Alu => {}
+                InstrKind::Load { addr, .. } | InstrKind::Store { addr } => want.push(addr.as_u64()),
+                InstrKind::CondBranch { target, .. }
+                | InstrKind::IndirectBranch { target }
+                | InstrKind::IndirectCall { target }
+                | InstrKind::Call { target }
+                | InstrKind::Return { target } => want.push(target.as_u64()),
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn wide_operands_replay_through_every_decoder() {
+        let v = wide_operands();
+        let p = PackedTrace::from_instrs(&v);
+        let want = logical_ops(&v);
+        assert!(WIDE.iter().all(|w| want.contains(w)));
+        assert_eq!(p.op_words().collect::<Vec<_>>(), want);
+        // Operands of `u32::MAX` and above take three words, all others one.
+        let wide = want.iter().filter(|&&w| w >= u64::from(u32::MAX)).count();
+        assert!(wide > 0);
+        assert_eq!(p.ops.len(), want.len() + 2 * wide);
+
+        let mut cur = p.cursor();
+        assert_eq!(drain(|| cur.next_raw()), v);
+
+        // Plain ALU runs sized and skipped at every pc, wide ones included.
+        let mut cur = p.cursor();
+        let (mut i, mut skipped_wide) = (0, false);
+        while i < v.len() {
+            let n = cur.plain_alu_run(usize::MAX);
+            if n > 0 {
+                assert!(v[i..i + n].iter().all(|x| x.kind == InstrKind::Alu), "run at {i}");
+                assert_eq!(cur.raw_pc(), v[i].pc.as_u64(), "run at {i}");
+                skipped_wide |= v[i].pc.as_u64() >= 1 << 32;
+                cur.skip_plain(n);
+                i += n;
+            } else {
+                assert_eq!(cur.next_raw().map(|step| step.to_instr()), Some(v[i]), "instr {i}");
+                i += 1;
+            }
+        }
+        assert!(skipped_wide, "a plain run at a pc above 32 bits");
+        assert_eq!(cur.next_raw(), None);
+
+        let q = PackedTrace::from_raw_parts(p.start_pc(), p.kind_bytes().to_vec(), want)
+            .expect("logical words of a built trace validate");
+        assert_eq!(p, q);
+    }
+
+    #[test]
+    fn wide_operands_roundtrip_through_espt_byte_for_byte() {
+        use crate::espt::{read, write, TraceMeta};
+        let v = wide_operands();
+        // The speculative view leaves the actual path at the first
+        // wide branch target.
+        let tail = PackedTrace::from_instrs(&v[4..]);
+        let event = PackedEvent::new(PackedTrace::from_instrs(&v), Some(4), tail);
+        let record = EventRecord {
+            id: EventId::new(0),
+            kind: esp_types::EventKindId::new(0),
+            handler_pc: a(0x1000),
+            arg_addr: a(u64::MAX - 8),
+            approx_len: v.len() as u64,
+            post_time: esp_types::Cycle::ZERO,
+            order_mispredicted: false,
+        };
+        let w = PackedWorkload::new(vec![record], Arc::new(TraceArena::new(vec![event])), v.len() as u64);
+        let meta = TraceMeta { profile: "wide".into(), scale: 1, seed: 2 };
+        let mut bytes = Vec::new();
+        write(&mut bytes, &meta, &w).unwrap();
+        // The file stores logical 64-bit words, never the escape encoding.
+        let top = (u64::MAX - 8).to_le_bytes();
+        assert!(bytes.windows(8).any(|b| b == top));
+        let (m, decoded) = read(&bytes[..]).unwrap();
+        assert_eq!(decoded.arena().event(0), w.arena().event(0));
+        assert_eq!(decoded.speculative_stream(EventId::new(0)).collect::<Vec<_>>()[4..], v[4..]);
+        let mut again = Vec::new();
+        write(&mut again, &m, &decoded).unwrap();
+        assert_eq!(bytes, again);
+    }
+
     #[test]
     fn raw_parts_roundtrip_rebuilds_equal_traces() {
-        for v in [consistent(), discontinuous(), Vec::new()] {
+        for v in [consistent(), discontinuous(), wide_operands(), Vec::new()] {
             let p = PackedTrace::from_instrs(&v);
             let q = PackedTrace::from_raw_parts(
                 p.start_pc(),
                 p.kind_bytes().to_vec(),
-                p.op_words().to_vec(),
+                p.op_words().collect(),
             )
             .expect("serialised arrays of a built trace must validate");
             // Derived PartialEq covers expect_pc: the validation walk
@@ -1390,7 +1543,7 @@ mod tests {
     #[test]
     fn raw_parts_rejects_structural_defects() {
         let p = PackedTrace::from_instrs(&consistent());
-        let (pc, kinds, ops) = (p.start_pc(), p.kind_bytes().to_vec(), p.op_words().to_vec());
+        let (pc, kinds, ops) = (p.start_pc(), p.kind_bytes().to_vec(), p.op_words().collect::<Vec<_>>());
 
         let mut reserved = kinds.clone();
         reserved[0] |= 0b0010_0000;

@@ -11,7 +11,9 @@
 //! generation and the materialisation per `(profile name, scale, seed)`,
 //! so the evaluation matrix, `repro dump`, `repro explain`, and `repro
 //! check` all share one arena per workload instead of regenerating per
-//! invocation.
+//! invocation. A generator is held only until its arena is packed: no
+//! simulation reads it afterwards, and the generators of the nine
+//! benchmark families hold more memory than their packed arenas.
 //!
 //! # Examples
 //!
@@ -80,8 +82,9 @@ impl GeneratedWorkload {
 type Key = (String, u64, u64);
 
 struct Entry {
-    /// Present for workloads this process generated; `None` for arenas
-    /// seated from an imported trace file.
+    /// The generated workload, held from generation until its arena is
+    /// packed; `None` afterwards, and for arenas seated from an imported
+    /// trace file.
     generated: Option<Arc<GeneratedWorkload>>,
     packed: Option<Arc<PackedWorkload>>,
 }
@@ -99,7 +102,9 @@ fn key_of(profile: &BenchmarkProfile, seed: u64) -> Key {
 /// scaled) and `seed`, generating it on first use.
 ///
 /// Generation happens outside the cache lock; under a race both callers
-/// build the same deterministic workload and the first insert wins.
+/// build the same deterministic workload and the first insert wins. Once
+/// the key's arena is packed the memo no longer holds a generator, so a
+/// later call generates afresh and hands the result over unmemoised.
 pub fn generated(profile: &BenchmarkProfile, seed: u64) -> Arc<GeneratedWorkload> {
     let key = key_of(profile, seed);
     if let Some(g) = cache()
@@ -110,20 +115,27 @@ pub fn generated(profile: &BenchmarkProfile, seed: u64) -> Arc<GeneratedWorkload
     {
         return g;
     }
+    #[cfg(test)]
+    tests::GENERATIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let built = Arc::new(profile.build(seed));
     let mut map = cache().lock().expect("arena cache poisoned");
     let entry = map
         .entry(key)
         .or_insert(Entry { generated: None, packed: None });
+    if entry.packed.is_some() {
+        return built;
+    }
     entry.generated.get_or_insert(built).clone()
 }
 
 /// Hands an already-built workload to the cache and returns its memoised
 /// packed form, materialising on first use (fanned over `threads`).
 ///
-/// Callers that built `workload` themselves (e.g. the bench runner's
-/// parallel generation phase) use this to avoid a second generation;
-/// everyone else can call [`packed_for`].
+/// Callers that hold the generator themselves (the bench runner and
+/// perfbench, which time generation and materialisation apart) use
+/// this to avoid a second generation; everyone else can call
+/// [`packed_for`]. Seating the arena releases the memo's hold on the
+/// generator, so once the caller drops its `Arc` the generator is freed.
 pub fn packed(
     profile: &BenchmarkProfile,
     workload: &Arc<GeneratedWorkload>,
@@ -143,8 +155,20 @@ pub fn packed(
     let mut map = cache().lock().expect("arena cache poisoned");
     let entry = map
         .entry(key)
-        .or_insert(Entry { generated: Some(workload.clone()), packed: None });
+        .or_insert(Entry { generated: None, packed: None });
+    entry.generated = None;
     entry.packed.get_or_insert(built).clone()
+}
+
+/// The packed workload resident in the memo for `profile` (already
+/// scaled) and `seed`, if any — generated and packed earlier, or
+/// imported — without generating anything.
+pub fn resident(profile: &BenchmarkProfile, seed: u64) -> Option<Arc<PackedWorkload>> {
+    cache()
+        .lock()
+        .expect("arena cache poisoned")
+        .get(&key_of(profile, seed))
+        .and_then(|e| e.packed.clone())
 }
 
 /// The memoised packed workload for `profile` (already scaled) and
@@ -153,12 +177,7 @@ pub fn packed(
 /// triple, the import substitutes for generation and is returned
 /// directly.
 pub fn packed_for(profile: &BenchmarkProfile, seed: u64, threads: usize) -> Arc<PackedWorkload> {
-    if let Some(p) = cache()
-        .lock()
-        .expect("arena cache poisoned")
-        .get(&key_of(profile, seed))
-        .and_then(|e| e.packed.clone())
-    {
+    if let Some(p) = resident(profile, seed) {
         return p;
     }
     let w = generated(profile, seed);
@@ -214,6 +233,14 @@ mod tests {
     /// parallel: the tests that reset it or assert on what it holds take
     /// this lock, so one cannot clear another's entries mid-test.
     static MEMO: Mutex<()> = Mutex::new(());
+
+    /// Generations [`generated`] has run; read under the memo lock.
+    pub(super) static GENERATIONS: std::sync::atomic::AtomicUsize =
+        std::sync::atomic::AtomicUsize::new(0);
+
+    fn generations() -> usize {
+        GENERATIONS.load(std::sync::atomic::Ordering::Relaxed)
+    }
 
     fn memo_lock() -> std::sync::MutexGuard<'static, ()> {
         MEMO.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -288,18 +315,45 @@ mod tests {
         let _memo = memo_lock();
         reset();
         let pr = BenchmarkProfile::gdocs().scaled(30_000);
+        let before = generations();
         let g1 = generated(&pr, 5);
         let g2 = generated(&pr, 5);
         assert!(Arc::ptr_eq(&g1, &g2));
+        assert_eq!(generations() - before, 1, "generated memoises until packed");
         let p1 = packed(&pr, &g1, 5, 2);
         let p2 = packed_for(&pr, 5, 2);
         assert!(Arc::ptr_eq(&p1, &p2));
+        drop(g2);
+        assert_eq!(Arc::strong_count(&g1), 1, "packing releases the memo's generator");
         // Different seed or scale miss the cache.
         let g3 = generated(&pr, 6);
         assert!(!Arc::ptr_eq(&g1, &g3));
         reset();
         let g4 = generated(&pr, 5);
         assert!(!Arc::ptr_eq(&g1, &g4), "reset must drop entries");
+    }
+
+    #[test]
+    fn packed_for_generates_once_and_keeps_no_generator() {
+        let _memo = memo_lock();
+        reset();
+        let pr = BenchmarkProfile::cnn().scaled(20_000);
+        let before = generations();
+        assert!(resident(&pr, 4).is_none());
+        let p1 = packed_for(&pr, 4, 1);
+        assert!(Arc::ptr_eq(&p1, &resident(&pr, 4).expect("packed")));
+        let held = |map: &HashMap<Key, Entry>| map.values().filter(|e| e.generated.is_some()).count();
+        assert_eq!(held(&cache().lock().unwrap()), 0);
+        // Warm: the memoised arena, not a second generation.
+        assert!(Arc::ptr_eq(&p1, &packed_for(&pr, 4, 1)));
+        assert_eq!(generations() - before, 1, "packed_for generates once");
+        // A generator asked for after packing is built afresh and not
+        // memoised.
+        let g = generated(&pr, 4);
+        assert_eq!(generations() - before, 2);
+        assert_eq!(Arc::strong_count(&g), 1);
+        assert_eq!(held(&cache().lock().unwrap()), 0);
+        reset();
     }
 
     #[test]

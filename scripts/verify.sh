@@ -20,8 +20,10 @@ echo "== benchmark: perfbench unit tests (it compiles against the simulator's AP
 # workspace build above does not compile it.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 
-echo "== lint: cargo clippy --all-targets (warnings denied) =="
-cargo clippy --all-targets --quiet -- -D warnings
+echo "== lint: cargo clippy --workspace --all-targets (warnings denied) =="
+# Every workspace crate's targets (examples and tests included), not
+# only the root package's; --keep-going reports every failing target.
+cargo clippy --keep-going --workspace --all-targets --quiet -- -D warnings
 
 echo "== correctness: oracle matrix + seeded fuzz smoke (esp-check) =="
 # check also fuzzes the ESPT trace decoder (--fuzz-espt, default 500
@@ -79,6 +81,9 @@ s = d["sampled"]
 mips = f", {d['mips_1t']:.1f} MIPS" if "mips_1t" in d else ""
 print(f"  sims/sec: {d['sims_per_sec_1t']:.1f} (1 thread, cold){mips} "
       f"at scale {d['scale']}")
+peak = (f", peak resident set {d['peak_rss_mib']:.1f} MiB (every pass)"
+        if "peak_rss_mib" in d else "")
+print(f"  memory: packed arena {d['arena_bytes'] / 2**20:.1f} MiB{peak}")
 t = d.get("dcu_triggers")
 if t:
     print(f"  DCU trigger sidecars: {t['bytes'] / 1024:.1f} KiB, built in "
