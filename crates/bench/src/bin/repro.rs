@@ -821,6 +821,11 @@ fn bench(
         table_s.covered
     );
     let per_profile_json = table_s.per_profile_json;
+    // Read what the record needs from the sampled runner, then drop it:
+    // a runner alive at the trace-I/O pass below keeps its arenas
+    // resident next to the re-imported ones.
+    let effective_mips = sampled.instructions_simulated() as f64 / total_s.max(1e-9) / 1e6;
+    drop(sampled);
 
     // Pass 3b: the same sampled matrix with learned fast-forwarding on
     // top — skipped stretches replace most of the functional-warming
@@ -863,6 +868,7 @@ fn bench(
     let (max_err_l, mean_err_l, coverage_l) = (table_l.max(), table_l.mean(), table_l.coverage());
     let (skip_frac, fb_rate, n_disabled, n_rerun) =
         learned.learned_summary().unwrap_or((0.0, 0.0, 0, 0));
+    drop(learned);
     eprintln!(
         "# learned error: max |{max_err_l:.2}|%, mean |{mean_err_l:.2}|% over {cells} cells; \
          skip fraction {skip_frac:.3}, fallback rate {fb_rate:.4}, \
@@ -873,7 +879,7 @@ fn bench(
     // Trace I/O: what a consumer of exported `.espt` files pays
     // (decode-only import) versus what this process paid to build the
     // same arenas (generate + materialise, cold pass 1 numbers).
-    let trace_io_json = match trace_io(&exact, scale, seed) {
+    let trace_io_json = match trace_io(exact, scale, seed) {
         Some((files, bytes, export_s, import_s)) => format!(
             "\n  \"trace_io\": {{\"files\": {files}, \"bytes\": {bytes}, \
              \"export_seconds\": {export_s:.3}, \"import_seconds\": {import_s:.3},\n    \
@@ -898,7 +904,6 @@ fn bench(
     // The sampled block repeats the scale it was measured at: the CPI
     // error is scale-dependent (fewer sampling periods fit in a smaller
     // workload), so its numbers are only meaningful next to their scale.
-    let effective_mips = sampled.instructions_simulated() as f64 / total_s.max(1e-9) / 1e6;
     // The whole bench's high-water mark, every pass included.
     let peak_rss_json =
         peak_rss_mib().map_or(String::new(), |mib| format!("\"peak_rss_mib\": {mib:.1},\n  "));
@@ -1017,12 +1022,14 @@ impl ErrorTable {
 }
 
 /// The trace-I/O measurement behind the `trace_io` block: exports every
-/// slot of `runner` as `.espt` into a scratch directory, drops the
-/// process-wide arena memo, re-imports all files (seating fresh arenas),
-/// and reports `(files, bytes, export_seconds, import_seconds)`. Returns
-/// `None` — and records nothing — if any filesystem step fails; the
-/// scratch directory is removed either way.
-fn trace_io(runner: &Runner, scale: u64, seed: u64) -> Option<(usize, u64, f64, f64)> {
+/// slot of `runner` as `.espt` into a scratch directory, drops the runner
+/// and the process-wide arena memo, re-imports all files (seating fresh
+/// arenas), and reports `(files, bytes, export_seconds, import_seconds)`.
+/// Returns `None` — and records nothing — if any filesystem step fails;
+/// the scratch directory is removed either way. The caller must hold no
+/// other runner: one would keep the old arenas resident next to the
+/// imported ones.
+fn trace_io(runner: Runner, scale: u64, seed: u64) -> Option<(usize, u64, f64, f64)> {
     let dir = std::env::temp_dir().join(format!("esp-bench-espt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).ok()?;
     let names = runner.names();
@@ -1035,8 +1042,9 @@ fn trace_io(runner: &Runner, scale: u64, seed: u64) -> Option<(usize, u64, f64, 
             bytes += esp_trace::espt::write_path(&path, &meta, runner.packed(i).as_ref()).ok()?;
         }
         let export_s = t.elapsed().as_secs_f64();
-        // Drop the memo so the import genuinely decodes from bytes
-        // (existing runners keep their Arcs and are unaffected).
+        // Drop the runner and the memo so the import genuinely decodes
+        // from bytes into the only arenas resident.
+        drop(runner);
         esp_workload::arena::reset();
         let t = Instant::now();
         for name in &names {

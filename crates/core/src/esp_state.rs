@@ -5,7 +5,7 @@
 //! stream cursors standing in for the RRAT/PC checkpoints), the shared
 //! way-partitioned cachelets, and the per-mode prediction lists. The
 //! simulator hands every LLC-miss stall window to
-//! [`EspState::spend_window`]; on event completion,
+//! [`EspState::spend_window_probed`]; on event completion,
 //! [`EspState::on_event_complete`] performs the context shift of §4.2 and
 //! yields the promoted event's lists for normal-mode replay.
 
@@ -17,7 +17,7 @@ use crate::working_set::WorkingSetReport;
 use esp_branch::{PredictorContext, SpeculativeCheckpoint};
 use esp_lists::{AddrList, BList, ListCapacities};
 use esp_mem::{AccessResult, CacheConfig, Cachelet, CacheletSlot};
-use esp_obs::{CycleClass, NullProbe, Probe, WindowRecord, WindowSpender};
+use esp_obs::{CycleClass, Probe, WindowRecord, WindowSpender};
 use esp_trace::{EventCursor, EventRecord, PackedWorkload, Workload};
 use esp_types::{Cycle, LineAddr};
 use esp_uarch::{Engine, Stall, StallKind};
@@ -226,18 +226,9 @@ impl<'w> EspState<'w> {
         self.stats.events_started += 1;
     }
 
-    /// Spends one LLC-miss stall window pre-executing queued events
-    /// (the unprobed convenience form; the simulator drives the probed
-    /// variant directly).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn spend_window(&mut self, engine: &mut Engine, stall: Stall, current_idx: usize) {
-        self.spend_window_probed(engine, stall, current_idx, &mut NullProbe);
-    }
-
-    /// [`EspState::spend_window`] with an observability probe: emits one
-    /// [`WindowRecord`] per window and feeds the engine's
-    /// `pre_exec_overlap` memo. Statically dispatched — with
-    /// [`NullProbe`] this is the plain `spend_window` path.
+    /// Spends one LLC-miss stall window pre-executing queued events:
+    /// emits one [`WindowRecord`] per window and feeds the engine's
+    /// `pre_exec_overlap` memo. The probe is statically dispatched.
     pub fn spend_window_probed<P: Probe>(
         &mut self,
         engine: &mut Engine,
@@ -260,8 +251,7 @@ impl<'w> EspState<'w> {
                 None => self.bp_checkpoint = Some(engine.bp_mut().checkpoint_speculative()),
             }
         }
-        let base_millis = 1000 / engine.config().machine.width as u64
-            + engine.config().timing.issue_extra_millis;
+        let base_millis = engine.base_millis_per_instr();
         // Slots record and fetch lines at the configured line size, as
         // the normal-mode kernel does.
         let line_shift = engine.config().machine.hierarchy.l1i.line_bytes.trailing_zeros();
@@ -567,6 +557,7 @@ impl<'w> EspState<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use esp_obs::NullProbe;
     use esp_trace::{EventRecord, Instr};
     use esp_types::{Addr, EventId, EventKindId};
     use esp_uarch::{EngineConfig, StallKind};
@@ -630,10 +621,10 @@ mod tests {
         // The first window blocks almost immediately on the cold fetch
         // (the fill lands in the cachelet); a later window resumes past
         // it, as §3.2's re-entrant pre-execution describes.
-        esp.spend_window(&mut engine, stall(101), 0);
+        esp.spend_window_probed(&mut engine, stall(101), 0, &mut NullProbe);
         let mut st = stall(101);
         st.start = Cycle::new(5_000);
-        esp.spend_window(&mut engine, st, 0);
+        esp.spend_window_probed(&mut engine, st, 0, &mut NullProbe);
         assert_eq!(esp.stats().windows, 2);
         assert!(esp.stats().instrs_by_depth[0] > 0, "ESP-1 should have run");
         assert!(esp.stats().events_started >= 1);
@@ -650,7 +641,7 @@ mod tests {
         for k in 0..3 {
             let mut st = stall(400);
             st.start = Cycle::new(1_000 + k * 3_000);
-            esp.spend_window(&mut engine, st, 0);
+            esp.spend_window_probed(&mut engine, st, 0, &mut NullProbe);
         }
         assert!(esp.stats().blocked_switches > 0);
         assert!(esp.stats().instrs_by_depth[1] > 0, "ESP-2 should have run");
@@ -661,11 +652,11 @@ mod tests {
         let w = PackedWorkload::pack(&toy(2, 200));
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
-        esp.spend_window(&mut engine, stall(101), 0);
+        esp.spend_window_probed(&mut engine, stall(101), 0, &mut NullProbe);
         let after_first = esp.stats().instrs_by_depth[0];
         let mut st = stall(101);
         st.start = Cycle::new(5000); // later window: blocked fills resolved
-        esp.spend_window(&mut engine, st, 0);
+        esp.spend_window_probed(&mut engine, st, 0, &mut NullProbe);
         assert!(
             esp.stats().instrs_by_depth[0] > after_first,
             "second window must resume the same event"
@@ -680,7 +671,7 @@ mod tests {
         for k in 0..6 {
             let mut st = stall(101);
             st.start = Cycle::new(1000 + k * 2000);
-            esp.spend_window(&mut engine, st, 0);
+            esp.spend_window_probed(&mut engine, st, 0, &mut NullProbe);
         }
         let lists = esp.on_event_complete(1).expect("event 1 was pre-executed");
         assert!(!lists.ilist.is_empty(), "I-list should hold fetched lines");
@@ -704,7 +695,7 @@ mod tests {
         for k in 0..4 {
             let mut st = stall(101);
             st.start = Cycle::new(1000 + k * 2000);
-            esp.spend_window(&mut engine, st, 0);
+            esp.spend_window_probed(&mut engine, st, 0, &mut NullProbe);
         }
         assert!(esp.on_event_complete(1).is_none());
         assert_eq!(esp.stats().lists_discarded, 1);
@@ -717,7 +708,7 @@ mod tests {
         let w = PackedWorkload::pack(&toy);
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
-        esp.spend_window(&mut engine, stall(101), 0);
+        esp.spend_window_probed(&mut engine, stall(101), 0, &mut NullProbe);
         assert_eq!(esp.stats().spec_instrs(), 0);
         assert!(esp.stats().wasted_window_cycles > 0);
     }
@@ -732,7 +723,7 @@ mod tests {
         for k in 0..4 {
             let mut st = stall(200);
             st.start = Cycle::new(1000 + k * 3000);
-            esp.spend_window(&mut engine, st, 0);
+            esp.spend_window_probed(&mut engine, st, 0, &mut NullProbe);
         }
         assert_eq!(esp.stats().instrs_by_depth.len(), 1);
     }
@@ -742,7 +733,7 @@ mod tests {
         let w = PackedWorkload::pack(&toy(2, 300));
         let mut esp = EspState::new(EspFeatures::naive(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
-        esp.spend_window(&mut engine, stall(300), 0);
+        esp.spend_window_probed(&mut engine, stall(300), 0, &mut NullProbe);
         // Event 1's code lines were filled into the *real* L1-I.
         let line = Addr::new(0x41_0000).line(64);
         assert!(engine.mem().l1i().probe(line), "naive ESP must fill L1-I");
@@ -753,7 +744,7 @@ mod tests {
         let w = PackedWorkload::pack(&toy(2, 300));
         let mut esp = EspState::new(EspFeatures::full(), &w);
         let mut engine = Engine::new(EngineConfig::baseline());
-        esp.spend_window(&mut engine, stall(300), 0);
+        esp.spend_window_probed(&mut engine, stall(300), 0, &mut NullProbe);
         let line = Addr::new(0x41_0000).line(64);
         assert!(!engine.mem().l1i().probe(line), "cachelets must isolate fills");
     }
@@ -782,7 +773,7 @@ mod tests {
         for k in 0..6 {
             let mut st = stall(101);
             st.start = Cycle::new(1000 + k * 2000);
-            esp.spend_window(&mut engine, st, 0);
+            esp.spend_window_probed(&mut engine, st, 0, &mut NullProbe);
         }
         let lists = esp.on_event_complete(1).expect("event 1 was pre-executed");
         assert!(!lists.ilist.is_empty() && !lists.dlist.is_empty());
@@ -810,7 +801,7 @@ mod tests {
         for k in 0..4 {
             let mut st = stall(150);
             st.start = Cycle::new(1000 + k * 2500);
-            esp.spend_window(&mut engine, st, 0);
+            esp.spend_window_probed(&mut engine, st, 0, &mut NullProbe);
         }
         esp.record_normal_working_set(120, 60);
         let _ = esp.on_event_complete(1);

@@ -12,7 +12,9 @@ use esp_mem::{HierarchySnapshot, MemOp};
 use esp_obs::{CycleClass, EventSpan, NullProbe, Probe, RunSummary, WindowRecord, WindowSpender};
 use esp_stats::BranchStats;
 use esp_trace::kindbits::{TAG_ALU, TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
-use esp_trace::{EventCursor, Instr, PackedWorkload, SidecarKey, WarmSink, Workload, INSTR_BYTES};
+use esp_trace::{
+    EventCursor, Instr, PackedWorkload, RawStep, SidecarKey, WarmSink, Workload, INSTR_BYTES,
+};
 use esp_types::{Addr, LineAddr};
 use esp_uarch::{Engine, KernelParams, StallKind};
 
@@ -440,7 +442,8 @@ impl Simulator {
                     grains.note_warm_looper(&instr);
                 } else {
                     replay.tick(engine, 0, 0);
-                    engine.step_probed(&instr, probe);
+                    let rs = RawStep::from_instr(&instr);
+                    engine.step_raw(&kernel_params, rs.kind, rs.pc, rs.op, probe);
                 }
                 grains.after_instr(engine, replay, esp);
             }

@@ -155,6 +155,26 @@ impl RawStep {
             _ => Instr::ret(pc, op),
         }
     }
+
+    /// The packed form of `i` — the inverse of [`RawStep::to_instr`] and
+    /// the one place an `Instr` becomes packed bytes. The kind byte holds
+    /// the tag and the flag bit only (never [`kindbits::EXPLICIT_PC`]);
+    /// an ALU's operand is 0.
+    #[inline(always)]
+    pub fn from_instr(i: &Instr) -> RawStep {
+        let (tag, flag, op) = match i.kind {
+            InstrKind::Alu => (TAG_ALU, false, Addr::new(0)),
+            InstrKind::Load { addr, chained } => (TAG_LOAD, chained, addr),
+            InstrKind::Store { addr } => (TAG_STORE, false, addr),
+            InstrKind::CondBranch { taken, target } => (TAG_COND, taken, target),
+            InstrKind::IndirectBranch { target } => (TAG_IND_BRANCH, false, target),
+            InstrKind::IndirectCall { target } => (TAG_IND_CALL, false, target),
+            InstrKind::Call { target } => (TAG_CALL, false, target),
+            InstrKind::Return { target } => (TAG_RET, false, target),
+        };
+        let kind = if flag { tag | FLAG_BIT } else { tag };
+        RawStep { kind, pc: i.pc.as_u64(), op: op.as_u64() }
+    }
 }
 
 /// A structural defect found while validating raw packed arrays
@@ -281,25 +301,12 @@ impl PackedTrace {
         } else {
             pc != self.expect_pc
         };
-        let (tag, flag, op) = match i.kind {
-            InstrKind::Alu => (TAG_ALU, false, None),
-            InstrKind::Load { addr, chained } => (TAG_LOAD, chained, Some(addr.as_u64())),
-            InstrKind::Store { addr } => (TAG_STORE, false, Some(addr.as_u64())),
-            InstrKind::CondBranch { taken, target } => (TAG_COND, taken, Some(target.as_u64())),
-            InstrKind::IndirectBranch { target } => (TAG_IND_BRANCH, false, Some(target.as_u64())),
-            InstrKind::IndirectCall { target } => (TAG_IND_CALL, false, Some(target.as_u64())),
-            InstrKind::Call { target } => (TAG_CALL, false, Some(target.as_u64())),
-            InstrKind::Return { target } => (TAG_RET, false, Some(target.as_u64())),
-        };
-        let mut kind = tag;
-        if flag {
-            kind |= FLAG_BIT;
-        }
+        let RawStep { mut kind, op, .. } = RawStep::from_instr(i);
         if explicit {
             kind |= EXPLICIT_PC;
             push_op(&mut self.ops, pc);
         }
-        if let Some(op) = op {
+        if kind & TAG_MASK != TAG_ALU {
             push_op(&mut self.ops, op);
         }
         self.kinds.push(kind);
@@ -1186,6 +1193,71 @@ mod tests {
         // after the return... count via flags instead).
         let explicit = p.kinds.iter().filter(|&&k| k & EXPLICIT_PC != 0).count();
         assert!(explicit >= 3, "discontinuities must be flagged");
+    }
+
+    #[test]
+    fn from_instr_inverts_to_instr_for_every_tag_and_flag() {
+        for tag in 0..8u8 {
+            for flag in [false, true] {
+                for v in [0, 1 << 31, u64::from(u32::MAX), u64::MAX - 8] {
+                    // The flag bit means something only to loads
+                    // (`chained`) and conditional branches (`taken`); an
+                    // ALU has no operand.
+                    let keeps_flag = flag && (tag == TAG_LOAD || tag == TAG_COND);
+                    let kind = if keeps_flag { tag | FLAG_BIT } else { tag };
+                    let op = if tag == TAG_ALU { 0 } else { v };
+                    let rs = RawStep { kind, pc: v, op };
+                    let i = rs.to_instr();
+                    assert_eq!(RawStep::from_instr(&i), rs);
+                    assert_eq!(RawStep::from_instr(&i).to_instr(), i);
+                    // A meaningless flag bit or ALU operand is dropped.
+                    let noisy = if flag { tag | FLAG_BIT } else { tag };
+                    let noisy = RawStep { kind: noisy, pc: v, op: v };
+                    assert_eq!(RawStep::from_instr(&noisy.to_instr()), rs);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_packs_a_mixed_stream_to_pinned_bytes() {
+        let v = vec![
+            Instr::alu(a(0x1000)),
+            Instr::load(a(0x1004), a(0x8000_0000), true),
+            Instr::store(a(0x9000), a(u64::MAX - 8)),
+            Instr::cond_branch(a(0x9004), true, a(0x2000)),
+            Instr::cond_branch(a(0x2000), false, a(0x3000)),
+            Instr::indirect(a(0x2004), a(0x3000)),
+            Instr::indirect_call(a(0x40), a(0x4000)),
+            Instr::call(a(0x4000), a(0x5000)),
+            Instr::ret(a(0x5000), a(u64::from(u32::MAX))),
+            Instr::alu(a(u64::from(u32::MAX))),
+            Instr::alu(a(0x100)),
+        ];
+        let p = PackedTrace::from_instrs(&v);
+        assert_eq!(p.start_pc(), 0x1000);
+        assert_eq!(
+            p.kind_bytes(),
+            [0x00, 0x09, 0x12, 0x0b, 0x03, 0x04, 0x15, 0x06, 0x07, 0x00, 0x10]
+        );
+        assert_eq!(
+            p.op_words().collect::<Vec<_>>(),
+            [
+                0x8000_0000,
+                0x9000,
+                u64::MAX - 8,
+                0x2000,
+                0x3000,
+                0x3000,
+                0x40,
+                0x4000,
+                0x5000,
+                u64::from(u32::MAX),
+                0x100
+            ]
+        );
+        let mut cur = p.cursor();
+        assert_eq!(drain(|| cur.next_raw()), v);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The interval-model execution engine.
 
 use crate::EngineConfig;
-use esp_branch::{BranchPredictor, OutcomeReplay, Prediction, PredictorContext};
+use esp_branch::{BranchPredictor, OutcomeReplay, Prediction};
 use esp_mem::prefetch::{DcuNextLine, DcuReplay, NextLineInstr, StridePrefetcher};
 use esp_mem::MemoryHierarchy;
 use esp_obs::{CpiStack, CycleClass, NullProbe, Probe, StepRecord};
-use esp_trace::{Instr, InstrKind};
+use esp_trace::{Instr, InstrKind, RawStep};
 use esp_types::{Cycle, LineAddr};
 
 /// Which kind of last-level-cache miss opened a stall window.
@@ -113,10 +113,14 @@ pub struct EngineStats {
 /// The interval-model core: memory hierarchy, branch predictor,
 /// prefetchers, and the cycle-accounting state machine.
 ///
-/// Drive it by calling [`Engine::step`] once per retiring instruction of
-/// the normal-mode stream. The engine charges all cycles itself; the
-/// returned [`StepOutcome::stall`] tells the caller how large the
-/// just-charged idle window was, so a pre-execution scheme can spend it.
+/// Drive it by calling [`Engine::step_raw`] once per retiring
+/// instruction of the normal-mode stream, with parameters lowered once by
+/// [`Engine::lower_kernel`] ([`Engine::step`] is the one-off convenience
+/// form over an `Instr`). `step_raw` and [`Engine::charge_plain_alus`]
+/// are the only ways a normal-mode instruction retires. The engine
+/// charges all cycles itself; the returned [`StepOutcome::stall`] tells
+/// the caller how large the just-charged idle window was, so a
+/// pre-execution scheme can spend it.
 #[derive(Clone, Debug)]
 pub struct Engine {
     pub(crate) cfg: EngineConfig,
@@ -202,6 +206,13 @@ impl Engine {
     /// The configuration this engine runs.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
+    }
+
+    /// Base issue cost of one instruction in thousandths of a cycle:
+    /// `1000 / width` plus the dispatch-inefficiency adder. Normal mode,
+    /// runahead and ESP pre-execution all charge it.
+    pub fn base_millis_per_instr(&self) -> u64 {
+        self.base_millis_per_instr
     }
 
     /// Current simulated time.
@@ -375,161 +386,14 @@ impl Engine {
         self.stack.charge(CycleClass::Base, whole);
     }
 
-    /// Retires one normal-mode instruction, charging all cycles.
+    /// Retires one normal-mode instruction, charging all cycles: the
+    /// instruction's packed form ([`RawStep::from_instr`]) through
+    /// [`Engine::step_raw`] under freshly lowered parameters. Drivers
+    /// that retire many instructions lower once and call `step_raw`.
     pub fn step(&mut self, instr: &Instr) -> StepOutcome {
-        self.step_probed(instr, &mut NullProbe)
-    }
-
-    /// [`Engine::step`] with an observability probe. The probe is
-    /// statically dispatched; with [`NullProbe`] this compiles to the
-    /// exact same code as the unprobed path.
-    pub fn step_probed<P: Probe>(&mut self, instr: &Instr, probe: &mut P) -> StepOutcome {
-        let mut out = StepOutcome::default();
-        // Unoverlapped per-component costs for the reference oracle; with
-        // `NullProbe` the accumulation is dead code and compiles away.
-        let mut rec = StepRecord { is_branch: instr.is_branch(), ..StepRecord::default() };
-        self.charge_base();
-
-        // ---- instruction fetch ------------------------------------------
-        let line_bytes = self.cfg.machine.hierarchy.l1i.line_bytes;
-        let fetch_line = instr.pc.line(line_bytes);
-        if self.last_fetch_line != Some(fetch_line) {
-            self.last_fetch_line = Some(fetch_line);
-            if !self.cfg.perfect.l1i {
-                self.stats.l1i_accesses += 1;
-                let hit_lat = self.cfg.machine.hierarchy.l1i.hit_latency;
-                let t_access = self.now;
-                let r = self.mem.access_instr(fetch_line, t_access);
-                // Miss-triggered one-block-lookahead: the next-line
-                // request goes out alongside the demand fill, overlapping
-                // the stall. (Hit-triggered NL would double-count the
-                // paper's modest 13.8% NL gain.)
-                if self.cfg.nl_instr && r.l1_miss {
-                    if let Some(p) = self.nl_i.on_fetch(fetch_line) {
-                        self.mem.prefetch_instr(p, t_access, true);
-                    }
-                }
-                rec.fetched = 1;
-                rec.fetch_latency = r.latency;
-                rec.l1i_miss = r.l1_miss;
-                if r.l1_miss {
-                    self.stats.l1i_misses += 1;
-                    out.l1i_miss = true;
-                }
-                let exposed = r.latency.saturating_sub(hit_lat);
-                self.now += exposed;
-                if exposed > 0 {
-                    let class = if r.llc_miss {
-                        CycleClass::IcacheLlc
-                    } else {
-                        CycleClass::IcacheL2
-                    };
-                    self.stack.charge(class, exposed);
-                    probe.on_stall(class, exposed, self.now);
-                }
-                if r.llc_miss && exposed > 0 {
-                    out.stall = Some(Stall {
-                        kind: StallKind::InstrLlcMiss,
-                        start: t_access,
-                        cycles: exposed,
-                    });
-                }
-            }
-        }
-
-        // ---- branch ------------------------------------------------------
-        if instr.is_branch() {
-            self.stats.branches += 1;
-            let outcome = if self.cfg.perfect.branch {
-                Prediction::Correct
-            } else {
-                self.replayed_outcome().unwrap_or_else(|| {
-                    self.bp.predict_and_update(PredictorContext::Normal, instr)
-                })
-            };
-            self.charge_branch(outcome, &mut rec, &mut out, probe);
-        }
-
-        // ---- data --------------------------------------------------------
-        match instr.kind {
-            InstrKind::Load { addr, .. } if !self.cfg.perfect.l1d => {
-                self.stats.l1d_accesses += 1;
-                let line = addr.line(line_bytes);
-                let hit_lat = self.cfg.machine.hierarchy.l1d.hit_latency;
-                let t_access = self.now;
-                let r = self.mem.access_data(line, t_access, false);
-                if self.cfg.nl_data {
-                    if let Some(p) = self.dcu_access(line) {
-                        self.mem.prefetch_data(p, t_access, true);
-                    }
-                }
-                if self.cfg.stride {
-                    if let Some(p) = self.stride.on_load(instr.pc, addr, line_bytes) {
-                        self.mem.prefetch_data(p, t_access, true);
-                    }
-                }
-                rec.data_access = true;
-                rec.data_latency = r.latency;
-                rec.l1d_miss = r.l1_miss;
-                if r.l1_miss {
-                    self.stats.l1d_misses += 1;
-                    out.l1d_miss = true;
-                }
-                let exposed = if r.llc_miss {
-                    let overlapped = self
-                        .last_data_llc_miss_at
-                        .is_some_and(|at| self.stats.retired - at < self.cfg.machine.rob_entries as u64);
-                    self.last_data_llc_miss_at = Some(self.stats.retired);
-                    if overlapped {
-                        0
-                    } else {
-                        r.latency
-                    }
-                } else {
-                    r.latency.saturating_sub(hit_lat) * self.cfg.timing.data_exposed_pct / 100
-                };
-                self.now += exposed;
-                if exposed > 0 {
-                    let class = if r.llc_miss {
-                        CycleClass::DcacheLlc
-                    } else {
-                        CycleClass::DcacheL2
-                    };
-                    self.stack.charge(class, exposed);
-                    probe.on_stall(class, exposed, self.now);
-                }
-                if r.llc_miss && exposed > 0 {
-                    out.stall = Some(Stall {
-                        kind: StallKind::DataLlcMiss,
-                        start: t_access,
-                        cycles: exposed,
-                    });
-                }
-            }
-            InstrKind::Store { addr } if !self.cfg.perfect.l1d => {
-                // Stores retire through the store buffer: they update
-                // cache state (write-allocate) but expose no latency.
-                self.stats.l1d_accesses += 1;
-                let line = addr.line(line_bytes);
-                let r = self.mem.access_data(line, self.now, true);
-                rec.data_access = true;
-                rec.l1d_miss = r.l1_miss;
-                if r.l1_miss {
-                    self.stats.l1d_misses += 1;
-                    out.l1d_miss = true;
-                }
-                if self.cfg.nl_data {
-                    if let Some(p) = self.dcu_access(line) {
-                        self.mem.prefetch_data(p, self.now, true);
-                    }
-                }
-            }
-            _ => {}
-        }
-
-        probe.on_step(&rec);
-        self.stats.retired += 1;
-        out
+        let kp = self.lower_kernel();
+        let rs = RawStep::from_instr(instr);
+        self.step_raw(&kp, rs.kind, rs.pc, rs.op, &mut NullProbe)
     }
 
     // ---- functional warming ---------------------------------------------
@@ -538,7 +402,7 @@ impl Engine {
     // grains the engine keeps every architectural structure trained —
     // cache tags/LRU, prefetcher state, branch-predictor tables — while
     // charging no stall cycles and recording no statistics other than the
-    // retired-instruction count. The warm paths mirror `step_probed`'s
+    // retired-instruction count. The warm paths mirror `step_raw`'s
     // update decisions exactly (fetch-line dedup, perfect flags,
     // miss-triggered NL-I, every-access DCU, load-only stride) with
     // instant fills in place of timed ones.

@@ -1,17 +1,15 @@
-//! The fused per-instruction kernel.
+//! The fused per-instruction kernel: the engine's one normal-mode
+//! retire body.
 //!
-//! The generic [`Engine::step_probed`] path decodes a 32-byte
-//! [`esp_trace::Instr`], matches on its kind enum, and re-reads
-//! configuration fields (line size, hit latencies, perfect/prefetcher
-//! flags) on every retired instruction. For a matrix run that is pure
-//! overhead: the configuration is fixed for the whole simulation, and
-//! packed workloads already hold the stream as raw kind bytes and operand
-//! words.
-//!
-//! This module *lowers* the active configuration once per run into
-//! [`KernelParams`]: the config-dependent constants of the hot loop,
-//! flattened (line shift instead of line bytes, hit latencies, ROB size,
-//! exposure percentage, perfect/prefetcher flags).
+//! The configuration is fixed for a whole simulation, and packed
+//! workloads already hold the stream as raw kind bytes and operand words,
+//! so nothing on the per-instruction path decodes a 32-byte
+//! [`esp_trace::Instr`] or re-reads configuration fields (line size, hit
+//! latencies, perfect/prefetcher flags). This module *lowers* the active
+//! configuration once per run into [`KernelParams`]: the config-dependent
+//! constants of the hot loop, flattened (line shift instead of line
+//! bytes, hit latencies, ROB size, exposure percentage, perfect/prefetcher
+//! flags).
 //!
 //! [`Engine::step_raw`] then fuses decode → fetch → predict → access →
 //! charge into one pass over the raw step: the shared prefix (base
@@ -20,11 +18,14 @@
 //! branch), each a force-inlined handler that tests the run-constant
 //! flags it needs. There is no indirect call: every flag test is a
 //! branch the host predicts perfectly for the whole run. No `Instr` is
-//! materialised except for branches the live predictor trains on. The
-//! call sequence into the memory hierarchy, branch predictor, CPI stack,
-//! and probe is *identical* to `step_probed`: byte-identical reports are
-//! asserted by the `packed_equivalence` suite in `esp-bench` and the
-//! exhaustive dispatch test in this crate (`kernel_table_equivalence`).
+//! materialised except for branches the live predictor trains on.
+//! Every normal-mode instruction retires here: the event bodies straight
+//! off the packed cursor, the looper prologue and [`Engine::step`]
+//! through [`RawStep::from_instr`]. Its behaviour is anchored by
+//! committed digests, not by a second implementation: the exhaustive
+//! dispatch test in this crate (`kernel_table_equivalence`) pins every
+//! kind × configuration to per-step outcome and final-state digests, and
+//! the golden digests of the workspace pin whole runs.
 //!
 //! [`Engine::charge_plain_alus`] is the grain-batch half: runs of plain
 //! ALU instructions on an already-fetched line charge base cycles in one
@@ -53,8 +54,8 @@ use esp_types::{Addr, LineAddr};
 /// run start by [`Engine::lower_kernel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelParams {
-    /// Cache line size in bytes (the L1-I's; `step_probed` uses it for
-    /// both instruction and data lines).
+    /// Cache line size in bytes (the L1-I's; the kernel uses it for both
+    /// instruction and data lines).
     pub line_bytes: u64,
     /// `line_bytes.trailing_zeros()`: lines are computed by shift.
     pub line_shift: u32,
@@ -212,11 +213,11 @@ impl Engine {
         }
     }
 
-    /// The fused raw-step kernel: [`Engine::step_probed`] over a packed
-    /// `(kind, pc, op)` triple, with the kind-specific half picked by a
-    /// `match` on the kind tag. Performs the exact same sequence of
-    /// memory, predictor, stack, and probe calls as the generic path, so
-    /// runs through either produce byte-identical reports.
+    /// Retires one normal-mode instruction given as a packed
+    /// `(kind, pc, op)` triple, charging all cycles: the base issue cost,
+    /// the fetch, then the kind-specific half (data access or branch)
+    /// picked by a `match` on the kind tag. The probe is statically
+    /// dispatched; with [`esp_obs::NullProbe`] its calls compile away.
     #[inline(always)]
     pub fn step_raw<P: Probe>(
         &mut self,
@@ -239,6 +240,10 @@ impl Engine {
                 self.stats.l1i_accesses += 1;
                 let t_access = self.now;
                 let r = self.mem.access_instr(fetch_line, t_access);
+                // Miss-triggered one-block-lookahead: the next-line
+                // request goes out alongside the demand fill, overlapping
+                // the stall. (Hit-triggered NL would double-count the
+                // paper's modest 13.8% NL gain.)
                 if kp.nl_instr && r.l1_miss {
                     if let Some(p) = self.nl_i.on_fetch(fetch_line) {
                         self.mem.prefetch_instr(p, t_access, true);
@@ -310,8 +315,8 @@ impl Engine {
     }
 
     /// Retires `n` plain ALU instructions on an already-fetched line in
-    /// one accumulation. Equivalent to `n` [`Engine::step_probed`] calls
-    /// on same-line ALU instructions: the base-cycle residue arithmetic
+    /// one accumulation. Equivalent to `n` [`Engine::step_raw`] calls on
+    /// same-line plain ALU instructions: the base-cycle residue arithmetic
     /// distributes over the batch ((m + n·b) divmod 1000 equals n single
     /// carries), no fetch/branch/data work exists, and the probe still
     /// observes one (empty) step record per instruction — a loop the

@@ -80,8 +80,7 @@ impl Engine {
         // context switches.
         let initial_budget_millis = (window * 1000).saturating_sub(20 * 1000);
         let mut budget_millis = initial_budget_millis;
-        let base = 1000 / self.config().machine.width as u64
-            + self.config().timing.issue_extra_millis;
+        let base = self.base_millis_per_instr;
         let line_bytes = self.config().machine.hierarchy.l1i.line_bytes;
         let mut last_line = None;
         let mut mshrs_used = 0u32;

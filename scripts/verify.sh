@@ -133,4 +133,8 @@ PY
   fi ) || echo "  (timing smoke failed -- ignored)"
 rm -rf "$smoke_dir"
 
+echo "== size: Rust source lines in crates src tests examples =="
+# One number a change that deletes code can quote its delta against.
+find crates src tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l
+
 echo "verify: OK"
