@@ -15,9 +15,9 @@
 //!   normal execution ("the training is kept loosely coupled with the
 //!   actual branch execution, a preset number of branches ahead").
 //!
-//! [`OutcomeBuilder`] and [`OutcomeReplay`] record one run's outcome
-//! sequence and play it back, for runs whose predictor only ever sees
-//! the same retired normal-context branches.
+//! [`Prediction::code`] and [`Prediction::from_code`] carry one run's
+//! outcome sequence on a 2-bit `esp_types` tape, for runs whose predictor
+//! only ever sees the same retired normal-context branches to play back.
 //!
 //! # Examples
 //!
@@ -40,13 +40,11 @@
 
 mod components;
 mod config;
-mod outcomes;
 mod pir;
 mod predictor;
 
 pub use components::{Btb, GlobalPredictor, IndirectBtb, LocalPredictor, LoopPredictor, ReturnStack};
 pub use config::BranchConfig;
-pub use outcomes::{OutcomeBuilder, OutcomeReplay};
 pub use pir::PathInfoRegister;
 pub use predictor::{
     BpOp, BranchPredictor, ContextPolicy, Prediction, PredictorContext, SpeculativeCheckpoint,

@@ -70,21 +70,39 @@ impl Tables {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Prediction {
     /// Direction and target both predicted.
-    Correct,
+    Correct = 0,
     /// Direction was right but the BTB lacked the (statically known)
     /// direct target: a cheap decode-stage re-steer, not a full pipeline
     /// flush. Counted separately from mispredictions, as front ends
     /// resolve direct targets at decode.
-    Misfetch,
+    Misfetch = 1,
     /// Wrong direction, wrong indirect target, or RAS mismatch: the full
     /// misprediction penalty applies.
-    Mispredict,
+    Mispredict = 2,
 }
 
 impl Prediction {
     /// Whether the front end proceeded without any re-steer.
     pub fn is_correct(self) -> bool {
         self == Prediction::Correct
+    }
+
+    /// The outcome's 2-bit tape code (`esp_types::TapeWriter<2>`): its
+    /// discriminant, 0 for [`Prediction::Correct`], 1 for
+    /// [`Prediction::Misfetch`], 2 for [`Prediction::Mispredict`].
+    #[inline]
+    pub fn code(self) -> u64 {
+        self as u64
+    }
+
+    /// The outcome [`Prediction::code`] gave `code`.
+    #[inline(always)]
+    pub fn from_code(code: u64) -> Self {
+        match code {
+            0 => Prediction::Correct,
+            1 => Prediction::Misfetch,
+            _ => Prediction::Mispredict,
+        }
     }
 }
 
@@ -806,5 +824,13 @@ mod tests {
         assert_eq!(p.stats(PredictorContext::Normal).total(), 0);
         p.reset_stats();
         assert_eq!(p.stats(PredictorContext::Esp1).total(), 0);
+    }
+
+    #[test]
+    fn prediction_codes_fit_two_bits_and_round_trip() {
+        for p in [Prediction::Correct, Prediction::Misfetch, Prediction::Mispredict] {
+            assert!(p.code() < 4, "{p:?}");
+            assert_eq!(Prediction::from_code(p.code()), p);
+        }
     }
 }

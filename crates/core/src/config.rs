@@ -184,11 +184,6 @@ impl SimConfig {
         Self::with(EngineConfig::next_line(), SimMode::Esp(EspFeatures::ib()))
     }
 
-    /// ESP-I,B,D + NL (same machinery as [`SimConfig::esp_nl`]).
-    pub fn esp_ibd_nl() -> Self {
-        Self::esp_nl()
-    }
-
     // ---- Fig. 11 configurations -------------------------------------
 
     /// Instruction-side-only next-line ("NL-I").
@@ -352,7 +347,6 @@ mod tests {
             SimConfig::naive_esp_nl(),
             SimConfig::esp_i_nl(),
             SimConfig::esp_ib_nl(),
-            SimConfig::esp_ibd_nl(),
             SimConfig::nl_i_only(),
             SimConfig::nl_d_only(),
             SimConfig::esp_i(),

@@ -25,8 +25,9 @@
 //! the combined ratio estimator of `esp-stats`, with a per-metric standard
 //! error and 95% confidence half-width reported alongside the
 //! [`RunReport`]. Exact, sampled and learned runs share one per-event
-//! driver, `Simulator::run_events_range`; this module supplies its grain
-//! policy, the grain clock `SampleCtl`. Under the exact policy every
+//! driver, `Simulator::run_events`, which also checks the replayed
+//! sidecars at the end of the run; this module supplies its grain policy,
+//! the grain clock `SampleCtl`. Under the exact policy every
 //! grain is detailed and the grain hooks compile away.
 //!
 //! # Learned fast-forwarding
@@ -60,13 +61,11 @@
 //! tables.
 
 use crate::esp_state::{EspRunStats, EspState};
-use crate::lineset::LineSet;
 use crate::replay::{ReplayLists, ReplayState, ReplayStats};
 use crate::report::RunReport;
-use crate::simulator::{GrainPolicy, LiveState, Simulator};
-use esp_energy::{ActivityCounts, EnergyModel};
+use crate::simulator::{run_summary, GrainPolicy, LiveState, Simulator};
 use esp_learn::{FastForward, LearnParams, LearnedStats};
-use esp_obs::{CpiStack, NullProbe, Probe, RunSummary};
+use esp_obs::{CpiStack, NullProbe, Probe};
 use esp_stats::{ratio_estimate, RatioEstimate};
 use esp_trace::{EventCursor, Instr, PackedWorkload, Workload};
 use esp_types::{Error, Result};
@@ -667,7 +666,7 @@ impl Simulator {
     /// [`Simulator::run_sampled`] with an observability probe. The probe
     /// sees the detailed grains only — stall charges, windows, and one
     /// [`EventSpan`](esp_obs::EventSpan) per event — plus a final
-    /// [`RunSummary`] carrying the extrapolated totals.
+    /// [`RunSummary`](esp_obs::RunSummary) carrying the extrapolated totals.
     pub fn run_sampled_probed<P: Probe>(
         &self,
         workload: &PackedWorkload,
@@ -803,36 +802,18 @@ impl Simulator {
     pub(crate) fn run_sampled_live<'w, P: Probe>(
         &self,
         workload: &'w PackedWorkload,
-        mut live: LiveState<'w, SampleCtl>,
+        live: LiveState<'w, SampleCtl>,
         probe: &mut P,
     ) -> SampledRun {
-        let measure_ws = self
-            .config()
-            .esp_features()
-            .is_some_and(|f| f.measure_working_sets);
-        let events = workload.events();
-        let mut iws = LineSet::new();
-        let mut dws = LineSet::new();
-        self.run_events_range(workload, &mut live, 0..events.len(), probe, &mut iws, &mut dws);
-        let LiveState { mut engine, esp, replay, grains: mut ctl, .. } = live;
+        let LiveState { mut engine, esp, replay, grains: mut ctl, .. } =
+            self.run_events(workload, live, probe);
         ctl.finish(&mut engine, &replay, &esp);
-        assert_ne!(engine.dcu_replay_finished(), Some(false), "DCU replay out of step with the run");
-        assert_ne!(
-            engine.branch_replay_finished(),
-            Some(false),
-            "branch outcome replay out of step with the run"
-        );
 
         let total_instrs = engine.stats().retired;
         let measured_instrs = ctl.measured_instrs;
-        let report = self.extrapolate_report(
-            esp,
-            &ctl.totals,
-            total_instrs,
-            measured_instrs,
-            events.len() as u64,
-            measure_ws,
-        );
+        let events_run = workload.events().len() as u64;
+        let report =
+            self.extrapolate_report(esp, &ctl.totals, total_instrs, measured_instrs, events_run);
         let samples = &ctl.samples;
         let mut estimate = SamplingEstimate {
             grains_total: ctl.grain_idx + 1,
@@ -868,25 +849,7 @@ impl Simulator {
             estimate.branch_cpi = r[3].inflate(estimate.branch_cpi);
             l.stats()
         });
-        let mem_snap = engine.mem().snapshot();
-        let (esp_branches, esp_mispredicts) = {
-            let b1 = engine.bp().stats(esp_branch::PredictorContext::Esp1);
-            let b2 = engine.bp().stats(esp_branch::PredictorContext::Esp2);
-            (b1.total() + b2.total(), b1.mispredicted + b2.mispredicted)
-        };
-        probe.on_run(&RunSummary {
-            total_cycles: report.total_cycles,
-            events: report.events_run,
-            retired: report.engine.retired,
-            stack: report.cpi_stack,
-            l1i: mem_snap.l1i,
-            l1d: mem_snap.l1d,
-            l2: mem_snap.l2,
-            branches: report.engine.branches,
-            mispredicts: report.engine.mispredicts,
-            esp_branches,
-            esp_mispredicts,
-        });
+        probe.on_run(&run_summary(&report, &engine));
         SampledRun { report, estimate, learned }
     }
 
@@ -925,7 +888,6 @@ impl Simulator {
         total_instrs: u64,
         measured_instrs: u64,
         events_run: u64,
-        measure_ws: bool,
     ) -> RunReport {
         let s = |x: u64| scaled(x, total_instrs, measured_instrs);
         let stack = CpiStack {
@@ -965,7 +927,7 @@ impl Simulator {
             dprefetches: s(totals.replay.dprefetches),
             btrains: s(totals.replay.btrains),
         };
-        let mut report = RunReport {
+        let report = RunReport {
             total_cycles: stack.total(),
             breakdown: esp_uarch::CycleBreakdown::from_stack(&stack),
             cpi_stack: stack,
@@ -975,20 +937,7 @@ impl Simulator {
             events_run,
             ..RunReport::default()
         };
-        if measure_ws {
-            if let Some(mut esp) = esp {
-                report.working_sets = Some(esp.take_working_sets());
-            }
-        }
-        let spec = report.esp.spec_instrs() + report.engine.runahead_instrs;
-        report.activity = ActivityCounts {
-            cycles: report.busy_cycles(),
-            normal_instrs: report.engine.retired,
-            spec_instrs: spec,
-            mispredicts: report.engine.mispredicts,
-        };
-        report.energy = EnergyModel::mcpat_32nm().report(&report.activity);
-        report
+        self.finish_report(report, esp)
     }
 }
 

@@ -5,9 +5,9 @@ use crate::esp_state::EspState;
 use crate::lineset::LineSet;
 use crate::replay::{ReplayLists, ReplayState};
 use crate::report::RunReport;
-use esp_branch::{BpOp, BranchConfig, BranchPredictor, ContextPolicy, OutcomeBuilder, PredictorContext};
+use esp_branch::{BpOp, BranchConfig, BranchPredictor, ContextPolicy, PredictorContext};
 use esp_energy::{ActivityCounts, EnergyModel};
-use esp_mem::prefetch::DcuTriggerBuilder;
+use esp_mem::prefetch::DcuNextLine;
 use esp_mem::{HierarchySnapshot, MemOp};
 use esp_obs::{CycleClass, EventSpan, NullProbe, Probe, RunSummary, WindowRecord, WindowSpender};
 use esp_stats::BranchStats;
@@ -15,7 +15,7 @@ use esp_trace::kindbits::{TAG_ALU, TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
 use esp_trace::{
     EventCursor, Instr, PackedWorkload, RawStep, SidecarKey, WarmSink, Workload, INSTR_BYTES,
 };
-use esp_types::{Addr, LineAddr};
+use esp_types::{Addr, LineAddr, TapeWriter};
 use esp_uarch::{Engine, KernelParams, StallKind};
 
 /// Code region of the synthetic looper (event-queue management): a small
@@ -64,7 +64,7 @@ pub(crate) struct LiveState<'w, G = Exact> {
 
 /// How a run divides its instructions into detailed and functionally
 /// warmed grains — the one thing exact, sampled and learned runs of
-/// [`Simulator::run_events_range`] do differently. The driver is
+/// [`Simulator::run_events`] do differently. The driver is
 /// monomorphised over the policy.
 ///
 /// The defaults are exact mode's, [`Exact`]: every grain detailed, no
@@ -335,86 +335,60 @@ impl Simulator {
             // unlogged run may replay outcomes instead.
             self.attach_branch_outcomes(workload, &mut live.engine);
         }
-        let events = workload.events();
-        // Reused across events: cleared in O(1), allocation kept.
-        let mut iws = LineSet::new();
-        let mut dws = LineSet::new();
-        self.run_events_range(workload, &mut live, 0..events.len(), probe, &mut iws, &mut dws);
-        let LiveState { mut engine, esp, replay, .. } = live;
-        assert_ne!(engine.dcu_replay_finished(), Some(false), "DCU replay out of step with the run");
-        assert_ne!(
-            engine.branch_replay_finished(),
-            Some(false),
-            "branch outcome replay out of step with the run"
-        );
-
-        let mem_snap = engine.mem().snapshot();
-        let (esp_branches, esp_mispredicts) = {
-            let b1 = engine.bp().stats(PredictorContext::Esp1);
-            let b2 = engine.bp().stats(PredictorContext::Esp2);
-            (b1.total() + b2.total(), b1.mispredicted + b2.mispredicted)
-        };
+        let LiveState { mut engine, esp, replay, .. } = self.run_events(workload, live, probe);
         let log = record.then(|| SideEffectLog {
             mem_ops: engine.mem_mut().take_ops(),
-            mem_snapshot: mem_snap,
+            mem_snapshot: engine.mem().snapshot(),
             bp_ops: engine.bp_mut().take_ops(),
             bp_stats: engine.bp().stats_all(),
         });
-        let report = self.assemble_report(engine, esp, replay, events.len() as u64);
-        probe.on_run(&RunSummary {
-            total_cycles: report.total_cycles,
-            events: report.events_run,
-            retired: report.engine.retired,
-            stack: report.cpi_stack,
-            l1i: mem_snap.l1i,
-            l1d: mem_snap.l1d,
-            l2: mem_snap.l2,
-            branches: report.engine.branches,
-            mispredicts: report.engine.mispredicts,
-            esp_branches,
-            esp_mispredicts,
-        });
+        let report = self.assemble_report(&engine, esp, &replay, workload.events().len() as u64);
+        probe.on_run(&run_summary(&report, &engine));
         (report, log)
     }
 
-    /// Runs events `range` (indices into `workload.events()`) on `live` —
-    /// the one per-event loop of every run, exact, sampled or learned,
-    /// monomorphised over the run's grain policy `G`. Per event: idle
-    /// until it is posted, arm replay (or, in a warmed grain, apply the
-    /// pending lists as warm state), run the looper prologue and the
+    /// Runs every event of `workload` on `live` and returns the final
+    /// state — the one per-event loop of every run, exact, sampled or
+    /// learned, monomorphised over the run's grain policy `G`. Per event:
+    /// idle until it is posted, arm replay (or, in a warmed grain, apply
+    /// the pending lists as warm state), run the looper prologue and the
     /// event body, complete the ESP context shift, and emit the span.
     ///
     /// Emits window and event records to `probe` (no `on_run`; drivers
     /// summarise once at end of run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an attached DCU trigger or branch outcome sidecar was
+    /// not consumed exactly: the run retired a different stream from the
+    /// one the sidecar was built from.
     ///
     /// This and [`Simulator::run_event_kernel`] are always inlined, so
     /// each grain policy's whole event loop is one function. Left to its
     /// own heuristics LLVM outlines the sampled kernel, and perfbench's
     /// `sampled-matrix` then runs about 4% slower.
     #[inline(always)]
-    pub(crate) fn run_events_range<'w, P: Probe, G: GrainPolicy>(
+    pub(crate) fn run_events<'w, P: Probe, G: GrainPolicy>(
         &self,
         workload: &'w PackedWorkload,
-        live: &mut LiveState<'w, G>,
-        range: std::ops::Range<usize>,
+        mut live: LiveState<'w, G>,
         probe: &mut P,
-        iws: &mut LineSet,
-        dws: &mut LineSet,
-    ) {
+    ) -> LiveState<'w, G> {
         let measure = self
             .config
             .esp_features()
             .is_some_and(|f| f.measure_working_sets);
         let ideal = self.config.esp_features().is_some_and(|f| f.ideal);
-        let events = workload.events();
         // Lower the configuration once: the event loop runs the fused
         // kernel over this flat parameter block.
         let kernel_params = live.engine.lower_kernel();
         let n_looper = self.config.looper_instrs as u64;
-        let LiveState { engine, esp, replay, pending_lists, grains } = live;
+        // Reused across events: cleared in O(1), allocation kept.
+        let mut iws = LineSet::new();
+        let mut dws = LineSet::new();
+        let LiveState { engine, esp, replay, pending_lists, grains } = &mut live;
 
-        for idx in range {
-            let record = &events[idx];
+        for (idx, record) in workload.events().iter().enumerate() {
             grains.note_event();
             let span_start = engine.now();
             let stack_before = *engine.cpi_stack();
@@ -459,8 +433,8 @@ impl Simulator {
                 probe,
                 measure,
                 &kernel_params,
-                iws,
-                dws,
+                &mut iws,
+                &mut dws,
             );
 
             if let Some(esp) = esp.as_mut() {
@@ -481,6 +455,14 @@ impl Simulator {
                 stack: engine.cpi_stack().since(&stack_before),
             });
         }
+        let engine = &live.engine;
+        assert_ne!(engine.dcu_replay_finished(), Some(false), "DCU replay out of step with the run");
+        assert_ne!(
+            engine.branch_replay_finished(),
+            Some(false),
+            "branch outcome replay out of step with the run"
+        );
+        live
     }
 
     /// The per-instruction loop of one event: detailed grains run
@@ -640,29 +622,34 @@ impl Simulator {
 
     fn assemble_report(
         &self,
-        engine: Engine,
+        engine: &Engine,
         esp: Option<EspState<'_>>,
-        replay: ReplayState,
+        replay: &ReplayState,
         events_run: u64,
     ) -> RunReport {
-        let mut report = RunReport {
+        let report = RunReport {
             total_cycles: engine.now().as_u64(),
             breakdown: engine.breakdown(),
             cpi_stack: *engine.cpi_stack(),
             engine: *engine.stats(),
+            esp: esp.as_ref().map(|e| e.stats().clone()).unwrap_or_default(),
             events_run,
             replay: replay.stats(),
             ..RunReport::default()
         };
-        if let Some(mut esp) = esp {
-            let measure = self
-                .config
-                .esp_features()
-                .is_some_and(|f| f.measure_working_sets);
-            if measure {
-                report.working_sets = Some(esp.take_working_sets());
-            }
-            report.esp = esp.stats().clone();
+        self.finish_report(report, esp)
+    }
+
+    /// The tail of every report, exact or extrapolated: the ESP working
+    /// sets when the configuration measures them, then the activity
+    /// counts and energy that follow from the report's counters.
+    pub(crate) fn finish_report(
+        &self,
+        mut report: RunReport,
+        esp: Option<EspState<'_>>,
+    ) -> RunReport {
+        if self.config.esp_features().is_some_and(|f| f.measure_working_sets) {
+            report.working_sets = esp.map(|mut e| e.take_working_sets());
         }
         let spec = report.esp.spec_instrs() + report.engine.runahead_instrs;
         report.activity = ActivityCounts {
@@ -676,10 +663,32 @@ impl Simulator {
     }
 }
 
+/// The end-of-run summary a probe receives: `report`'s totals, plus the
+/// hierarchy's counters and the ESP contexts' branch counts from the
+/// run's final `engine`.
+pub(crate) fn run_summary(report: &RunReport, engine: &Engine) -> RunSummary {
+    let mem = engine.mem().snapshot();
+    let b1 = engine.bp().stats(PredictorContext::Esp1);
+    let b2 = engine.bp().stats(PredictorContext::Esp2);
+    RunSummary {
+        total_cycles: report.total_cycles,
+        events: report.events_run,
+        retired: report.engine.retired,
+        stack: report.cpi_stack,
+        l1i: mem.l1i,
+        l1d: mem.l1d,
+        l2: mem.l2,
+        branches: report.engine.branches,
+        mispredicts: report.engine.mispredicts,
+        esp_branches: b1.total() + b2.total(),
+        esp_mispredicts: b1.mispredicted + b2.mispredicted,
+    }
+}
+
 /// Builds the DCU trigger words of `packed` for `line_bytes` and
-/// `looper_instrs` (the `esp_mem::prefetch::DcuTriggerBuilder` format):
-/// the tracker run once
-/// over the data line stream every exact or plain sampled run retires,
+/// `looper_instrs`, a 1-bit tape set where the tracker prefetched: the
+/// tracker run once over the data line stream every exact or plain
+/// sampled run retires,
 /// which does not depend on the machine configuration. Per event, in
 /// order: the looper prologue's loads, then the event's loads and
 /// stores. Runahead episodes and ESP pre-execution access the hierarchy
@@ -689,15 +698,17 @@ pub(crate) fn dcu_trigger_words(
     line_bytes: u64,
     looper_instrs: u32,
 ) -> Vec<u64> {
-    /// Forwards the walk's data lines to the builder.
+    /// Runs the walk's data lines through the tracker onto the tape.
     struct DataLines {
         shift: u32,
-        dcu: DcuTriggerBuilder,
+        dcu: DcuNextLine,
+        triggers: TapeWriter<1>,
     }
     impl DataLines {
         #[inline(always)]
         fn push(&mut self, addr: u64) {
-            self.dcu.push(LineAddr::new(addr >> self.shift));
+            let fired = self.dcu.on_access(LineAddr::new(addr >> self.shift)).is_some();
+            self.triggers.push(u64::from(fired));
         }
     }
     impl WarmSink for DataLines {
@@ -714,7 +725,11 @@ pub(crate) fn dcu_trigger_words(
         #[inline(always)]
         fn warm_branch(&mut self, _instr: &Instr) {}
     }
-    let mut lines = DataLines { shift: line_bytes.trailing_zeros(), dcu: DcuTriggerBuilder::new() };
+    let mut lines = DataLines {
+        shift: line_bytes.trailing_zeros(),
+        dcu: DcuNextLine::new(),
+        triggers: TapeWriter::new(),
+    };
     for (idx, record) in packed.events().iter().enumerate() {
         for i in 0..u64::from(looper_instrs) {
             if let Some(addr) = Simulator::looper_instr(idx, i).mem_addr() {
@@ -724,12 +739,12 @@ pub(crate) fn dcu_trigger_words(
         let mut cursor = packed.arena().event(record.id.index() as usize).actual_cursor();
         cursor.skip_region_observed(u64::MAX, line_bytes, &mut lines);
     }
-    lines.dcu.finish()
+    lines.triggers.finish()
 }
 
 /// Builds the branch outcome words of `packed` for a predictor sized by
-/// `config` (the `esp_branch::OutcomeBuilder` format): the predictor run
-/// once over the branch stream every exact or plain sampled run retires,
+/// `config`, a 2-bit tape of `Prediction::code`s: the predictor run once
+/// over the branch stream every exact or plain sampled run retires,
 /// which does not depend on the rest of the machine configuration. Per
 /// event, in order: the looper prologue's branches (it has none today),
 /// then the event's branches. The normal context uses the same tables
@@ -741,18 +756,18 @@ pub(crate) fn branch_outcome_words(
     looper_instrs: u32,
 ) -> Vec<u64> {
     let mut bp = BranchPredictor::new(config.clone(), ContextPolicy::SeparatePir);
-    let mut outcomes = OutcomeBuilder::new();
+    let mut outcomes = TapeWriter::<2>::new();
     for (idx, record) in packed.events().iter().enumerate() {
         for i in 0..u64::from(looper_instrs) {
             let instr = Simulator::looper_instr(idx, i);
             if instr.is_branch() {
-                outcomes.push(bp.warm_update(&instr));
+                outcomes.push(bp.warm_update(&instr).code());
             }
         }
         let mut cursor = packed.arena().event(record.id.index() as usize).actual_cursor();
         while let Some(step) = cursor.next_raw() {
             if step.kind & TAG_MASK >= TAG_COND {
-                outcomes.push(bp.warm_update(&step.to_instr()));
+                outcomes.push(bp.warm_update(&step.to_instr()).code());
             }
         }
     }
@@ -871,13 +886,10 @@ mod tests {
                 assert!(cfg.engine.nl_data && !cfg.engine.perfect.l1d, "DCU off: nothing replayed");
                 let sim = Simulator::new(cfg);
                 let replayed = sim.run(&w);
-                let mut live = sim.new_live(&w, Exact);
-                let (mut iws, mut dws) = (LineSet::new(), LineSet::new());
-                let events = w.events().len();
-                sim.run_events_range(&w, &mut live, 0..events, &mut NullProbe, &mut iws, &mut dws);
+                let live = sim.run_events(&w, sim.new_live(&w, Exact), &mut NullProbe);
                 assert_eq!(live.engine.dcu_replay_finished(), None, "the live tracker must run");
                 let LiveState { engine, esp, replay, .. } = live;
-                let tracked = sim.assemble_report(engine, esp, replay, events as u64);
+                let tracked = sim.assemble_report(&engine, esp, &replay, w.events().len() as u64);
                 assert_eq!(
                     format!("{replayed:?}"),
                     format!("{tracked:?}"),
@@ -917,11 +929,10 @@ mod tests {
                 let replayed = sim.run(&w);
                 let mut live = sim.new_live(&w, Exact);
                 sim.attach_dcu_triggers(&w, &mut live.engine);
-                let (mut iws, mut dws) = (LineSet::new(), LineSet::new());
-                sim.run_events_range(&w, &mut live, 0..events, &mut NullProbe, &mut iws, &mut dws);
+                let live = sim.run_events(&w, live, &mut NullProbe);
                 assert_eq!(live.engine.branch_replay_finished(), None, "the predictor must run");
                 let LiveState { engine, esp, replay, .. } = live;
-                let tracked = sim.assemble_report(engine, esp, replay, events as u64);
+                let tracked = sim.assemble_report(&engine, esp, &replay, events as u64);
                 assert_eq!(
                     format!("{replayed:?}"),
                     format!("{tracked:?}"),

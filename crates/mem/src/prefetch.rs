@@ -14,7 +14,6 @@
 
 use esp_stats::PrefetchStats;
 use esp_types::{Addr, LineAddr};
-use std::sync::Arc;
 
 /// Next-line instruction prefetcher: whenever the fetch stream enters a
 /// new cache line, the following line is prefetched.
@@ -178,139 +177,6 @@ impl DcuNextLine {
     /// statistics are excluded.
     pub fn same_state(&self, other: &Self) -> bool {
         self.entries[..self.len] == other.entries[..other.len] && self.clock == other.clock
-    }
-}
-
-/// Builds a [`DcuNextLine`]'s decisions over one whole data-line stream
-/// once, as *trigger bits* that a [`DcuReplay`] later plays back in
-/// place of the tracker.
-///
-/// The tracker's input is the data line of every access it observes, in
-/// order; its output per access is "prefetch `line + 1`" or nothing. So
-/// when a run is known to feed the tracker a stream fixed in advance (the
-/// retired data accesses of a trace, whatever the machine), one bit per
-/// access carries every decision. The builder runs the unchanged
-/// [`DcuNextLine`] over that stream, so the bits are the policy by
-/// construction.
-///
-/// Format: `words[0]` is the access count `n`; bit `k % 64` of
-/// `words[1 + k / 64]` is set when access `k` triggered.
-///
-/// # Examples
-///
-/// ```
-/// use esp_mem::prefetch::{DcuReplay, DcuTriggerBuilder};
-/// use esp_types::LineAddr;
-///
-/// let l = LineAddr::new(5);
-/// let mut b = DcuTriggerBuilder::new();
-/// for _ in 0..5 {
-///     b.push(l);
-/// }
-/// let mut replay = DcuReplay::new(b.finish().into());
-/// let decisions: Vec<_> = (0..5).map(|_| replay.on_access(l)).collect();
-/// assert_eq!(decisions, [None, None, None, Some(LineAddr::new(6)), None]);
-/// assert!(replay.is_finished());
-/// ```
-#[derive(Clone, Debug)]
-pub struct DcuTriggerBuilder {
-    dcu: DcuNextLine,
-    /// The format's words: the count slot, then the bits so far.
-    words: Vec<u64>,
-    len: u64,
-}
-
-impl Default for DcuTriggerBuilder {
-    fn default() -> Self {
-        DcuTriggerBuilder { dcu: DcuNextLine::new(), words: vec![0], len: 0 }
-    }
-}
-
-impl DcuTriggerBuilder {
-    /// Starts an empty stream.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds the tracker the next access, to `line`, and records its
-    /// decision.
-    #[inline]
-    pub fn push(&mut self, line: LineAddr) {
-        let bit = u64::from(self.dcu.on_access(line).is_some());
-        let k = self.len % 64;
-        if k == 0 {
-            self.words.push(0);
-        }
-        *self.words.last_mut().expect("a bit word was just ensured") |= bit << k;
-        self.len += 1;
-    }
-
-    /// The finished trigger words (see the type docs for the format).
-    pub fn finish(mut self) -> Vec<u64> {
-        self.words[0] = self.len;
-        self.words
-    }
-}
-
-/// Plays back trigger bits built by [`DcuTriggerBuilder`]: the decisions
-/// a [`DcuNextLine`] fed the same stream would make, at one bit test per
-/// access instead of a tracker search, victim pick and slot shuffle.
-///
-/// The replay trusts its caller to present the built stream in order; it
-/// only counts accesses. [`DcuReplay::is_finished`] tells whether exactly
-/// the built accesses were consumed, which callers check at the end of a
-/// run.
-#[derive(Clone)]
-pub struct DcuReplay {
-    words: Arc<[u64]>,
-    next: u64,
-}
-
-impl DcuReplay {
-    /// Replays `words` (a [`DcuTriggerBuilder::finish`] result) from the
-    /// first access.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is too short for the access count it declares.
-    pub fn new(words: Arc<[u64]>) -> Self {
-        let len = words.first().copied().unwrap_or(u64::MAX);
-        assert!(
-            len.div_ceil(64) + 1 == words.len() as u64,
-            "malformed DCU trigger words: {len} accesses in {} words",
-            words.len()
-        );
-        DcuReplay { words, next: 0 }
-    }
-
-    /// The decision for the next access, to `line`: `Some(line + 1)` when
-    /// the tracker triggered there.
-    ///
-    /// # Panics
-    ///
-    /// Panics once the accesses run past the last bit word. Accesses past
-    /// the built stream but inside that word read as no trigger; only
-    /// [`DcuReplay::is_finished`] reveals them.
-    #[inline(always)]
-    pub fn on_access(&mut self, line: LineAddr) -> Option<LineAddr> {
-        let k = self.next;
-        self.next += 1;
-        let word = self.words[1 + (k / 64) as usize];
-        (word >> (k % 64) & 1 != 0).then(|| line.next())
-    }
-
-    /// Whether every built access has been consumed, and no more.
-    pub fn is_finished(&self) -> bool {
-        self.next == self.words[0]
-    }
-}
-
-impl std::fmt::Debug for DcuReplay {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DcuReplay")
-            .field("accesses", &self.words[0])
-            .field("next", &self.next)
-            .finish()
     }
 }
 
@@ -615,80 +481,6 @@ mod tests {
             }
         }
         assert!(equal_pairs > streams.len(), "some distinct streams must compare equal");
-    }
-
-    /// Replays `lines` through trigger bits and through a live tracker,
-    /// asserting the two agree access for access.
-    fn assert_replay_matches_live(lines: &[LineAddr], what: &str) {
-        let mut b = DcuTriggerBuilder::new();
-        for &l in lines {
-            b.push(l);
-        }
-        let mut replay = DcuReplay::new(b.finish().into());
-        let mut live = DcuNextLine::new();
-        let mut fired = 0;
-        for (k, &l) in lines.iter().enumerate() {
-            let want = live.on_access(l);
-            assert_eq!(replay.on_access(l), want, "{what}: access {k}");
-            fired += usize::from(want.is_some());
-        }
-        assert!(replay.is_finished(), "{what}");
-        assert!(lines.len() < 16 || fired > 0, "{what}: a stream with no trigger proves little");
-    }
-
-    #[test]
-    fn dcu_triggers_match_live_decisions() {
-        for seed in 1..40 {
-            assert_replay_matches_live(&line_stream(seed, 3 + seed % 9, 400), &format!("seed {seed}"));
-        }
-        // Eviction-heavy: more lines than the tracker holds, long enough
-        // to span many trigger words.
-        for seed in 1..20 {
-            let lines = line_stream(seed, 5 + seed % 6, 3000);
-            assert_replay_matches_live(&lines, &format!("eviction-heavy seed {seed}"));
-        }
-        // The same byte addresses keyed by 32-byte and 64-byte lines give
-        // different streams, and each replays its own decisions.
-        for seed in 1..10 {
-            let addrs: Vec<Addr> = line_stream(seed, 40, 2000)
-                .into_iter()
-                .enumerate()
-                .map(|(k, l)| Addr::new(l.as_u64() * 24 + (k as u64 % 3) * 8))
-                .collect();
-            let by = |bytes: u64| addrs.iter().map(|a| a.line(bytes)).collect::<Vec<_>>();
-            assert_ne!(by(32), by(64));
-            assert_replay_matches_live(&by(32), &format!("32-byte lines, seed {seed}"));
-            assert_replay_matches_live(&by(64), &format!("64-byte lines, seed {seed}"));
-        }
-        // Word boundaries: streams of 0, 63, 64 and 65 accesses.
-        for n in [0, 63, 64, 65] {
-            assert_replay_matches_live(&line_stream(7, 4, n), &format!("{n} accesses"));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of bounds")]
-    fn trigger_replay_past_the_built_stream_panics() {
-        let mut b = DcuTriggerBuilder::new();
-        for l in line_stream(3, 5, 64) {
-            b.push(l);
-        }
-        let mut replay = DcuReplay::new(b.finish().into());
-        for _ in 0..65 {
-            replay.on_access(LineAddr::new(1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed DCU trigger words")]
-    fn trigger_replay_rejects_truncated_words() {
-        let mut b = DcuTriggerBuilder::new();
-        for l in line_stream(3, 5, 100) {
-            b.push(l);
-        }
-        let mut words = b.finish();
-        words.pop();
-        let _ = DcuReplay::new(words.into());
     }
 
     #[test]

@@ -61,9 +61,10 @@ use crate::{EventRecord, Instr, InstrKind, Workload};
 use esp_types::{Addr, EventId};
 use std::sync::{Arc, Mutex};
 
-/// A consumer of the functional-warming walk ([`PackedTrace::warm_walk`]):
-/// the architectural-state updates a detailed engine would make — cache
-/// tags/LRU, predictor tables, prefetcher training — minus all timing.
+/// A consumer of the functional-warming walk
+/// ([`PackedCursor::warm_walk_bounded`]): the architectural-state updates
+/// a detailed engine would make — cache tags/LRU, predictor tables,
+/// prefetcher training — minus all timing.
 ///
 /// The walk is monomorphized over the sink, so a sink with `#[inline]`
 /// methods warms at decode speed; instructions that carry no warmable
@@ -433,22 +434,6 @@ impl PackedTrace {
     /// Opens an allocation-free replay cursor at the start.
     pub fn cursor(&self) -> PackedCursor<'_> {
         PackedCursor { trace: self, pos: 0, op_idx: 0, pc: self.start_pc }
-    }
-
-    /// Walks the whole trace feeding architectural state into `sink`
-    /// without materialising an [`Instr`] per instruction — the
-    /// functional-warming fast path of the sampling mode.
-    ///
-    /// Only branches are decoded into full instructions (the predictor
-    /// needs kind, outcome, and target); loads and stores hand over raw
-    /// addresses, and the fetch line is reported once per run of
-    /// same-line pcs. Returns the number of instructions walked.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if `line_bytes` is not a power of two.
-    pub fn warm_walk<S: WarmSink>(&self, line_bytes: u64, sink: &mut S) -> u64 {
-        self.cursor().warm_walk_bounded(u64::MAX, line_bytes, sink)
     }
 }
 
@@ -1044,12 +1029,11 @@ impl PackedWorkload {
     /// the workload is set up) and memoised next to the arena, shared by
     /// every thread and every clone; it is dropped with the workload.
     ///
-    /// What the words mean is the builder's business: `esp-core` builds
-    /// the DCU prefetcher's decisions (`esp_mem::prefetch::DcuTriggerBuilder`
-    /// owns that format) and the branch predictor's outcomes
-    /// (`esp_branch::OutcomeBuilder`), so the configurations of a matrix
-    /// that would compute them alike replay one build. Concurrent first
-    /// callers wait for a single build.
+    /// What the words mean is the builder's business: `esp-core` records
+    /// the DCU prefetcher's decisions and the branch predictor's outcomes
+    /// on `esp_types` decision tapes (1 and 2 bits per code), so the
+    /// configurations of a matrix that would compute them alike replay
+    /// one build. Concurrent first callers wait for a single build.
     pub fn sidecar(&self, key: SidecarKey, build: impl FnOnce(&Self) -> Vec<u64>) -> Arc<[u64]> {
         let mut built = self.sidecars.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         if let Some(s) = built.iter().find(|s| s.key == key) {
@@ -1402,7 +1386,7 @@ mod tests {
         for v in [consistent(), discontinuous(), wide_operands()] {
             let p = PackedTrace::from_instrs(&v);
             let mut sink = RecordingSink::default();
-            assert_eq!(p.warm_walk(64, &mut sink), v.len() as u64);
+            assert_eq!(p.cursor().warm_walk_bounded(u64::MAX, 64, &mut sink), v.len() as u64);
             let mut want = RecordingSink::default();
             let mut last_line = u64::MAX;
             for i in &v {
@@ -1454,7 +1438,7 @@ mod tests {
         for v in [consistent(), discontinuous(), wide_operands()] {
             let p = PackedTrace::from_instrs(&v);
             let mut warm = RecordingSink::default();
-            p.warm_walk(64, &mut warm);
+            p.cursor().warm_walk_bounded(u64::MAX, 64, &mut warm);
             for k in 0..=v.len() {
                 let mut sink = RecordingSink::default();
                 let mut cur = p.cursor();

@@ -2,8 +2,9 @@
 //!
 //! This crate holds the small vocabulary types that every other crate in the
 //! workspace speaks: byte/line addresses, cycle counts, event identities, a
-//! deterministic pseudo-random number generator, and the workspace error
-//! type.
+//! deterministic pseudo-random number generator, the workspace error
+//! type, and the decision tapes ([`TapeWriter`], [`TapeReader`]) that
+//! record a decision stream once for many runs to replay.
 //!
 //! The types here are deliberately tiny newtypes ([`Addr`], [`LineAddr`],
 //! [`Cycle`], [`EventId`]) so that, for example, a byte address can never be
@@ -32,9 +33,11 @@ mod cycle;
 mod error;
 mod ids;
 mod rng;
+mod tape;
 
 pub use addr::{Addr, LineAddr};
 pub use cycle::Cycle;
 pub use error::{Error, Result};
 pub use ids::{EventId, EventKindId};
 pub use rng::{Rng, SplitMix64, Xoshiro256pp};
+pub use tape::{TapeReader, TapeWriter};

@@ -1,12 +1,12 @@
 //! The interval-model execution engine.
 
 use crate::EngineConfig;
-use esp_branch::{BranchPredictor, OutcomeReplay, Prediction};
-use esp_mem::prefetch::{DcuNextLine, DcuReplay, NextLineInstr, StridePrefetcher};
+use esp_branch::{BranchPredictor, Prediction};
+use esp_mem::prefetch::{DcuNextLine, NextLineInstr, StridePrefetcher};
 use esp_mem::MemoryHierarchy;
 use esp_obs::{CpiStack, CycleClass, NullProbe, Probe, StepRecord};
 use esp_trace::{Instr, InstrKind, RawStep};
-use esp_types::{Cycle, LineAddr};
+use esp_types::{Cycle, LineAddr, TapeReader};
 
 /// Which kind of last-level-cache miss opened a stall window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,12 +128,12 @@ pub struct Engine {
     pub(crate) bp: BranchPredictor,
     pub(crate) nl_i: NextLineInstr,
     pub(crate) dcu: DcuNextLine,
-    /// Precomputed DCU decisions played back in place of `dcu` (see
-    /// [`Engine::replay_dcu`]).
-    dcu_replay: Option<DcuReplay>,
-    /// Precomputed branch outcomes played back in place of `bp` (see
-    /// [`Engine::replay_branches`]).
-    branch_replay: Option<OutcomeReplay>,
+    /// Precomputed DCU decisions played back in place of `dcu`, one
+    /// trigger bit per data access (see [`Engine::replay_dcu`]).
+    dcu_replay: Option<TapeReader<1>>,
+    /// Precomputed branch outcomes played back in place of `bp`, one
+    /// [`Prediction::code`] per branch (see [`Engine::replay_branches`]).
+    branch_replay: Option<TapeReader<2>>,
     pub(crate) stride: StridePrefetcher,
     pub(crate) now: Cycle,
     pub(crate) millis: u64,
@@ -272,9 +272,10 @@ impl Engine {
         }
     }
 
-    /// Makes the DCU next-line prefetcher play back `triggers` (built by
-    /// `esp_mem::prefetch::DcuTriggerBuilder`) instead of running its
-    /// tracker: one bit test per data access instead of a tracker search.
+    /// Makes the DCU next-line prefetcher play back `triggers` (a 1-bit
+    /// [`esp_types::TapeWriter`] tape, set where the tracker prefetched)
+    /// instead of running its tracker: one bit test per data access
+    /// instead of a tracker search.
     ///
     /// Byte-identical only when the engine then feeds the DCU exactly the
     /// data line stream the bits were built from, from its first access
@@ -288,13 +289,13 @@ impl Engine {
     /// retired an instruction.
     pub fn replay_dcu(&mut self, triggers: std::sync::Arc<[u64]>) {
         assert_eq!(self.stats.retired, 0, "DCU replay must start with the stream");
-        self.dcu_replay = Some(DcuReplay::new(triggers));
+        self.dcu_replay = Some(TapeReader::new(triggers));
     }
 
     /// Whether a DCU replay is attached and has consumed exactly its
     /// whole stream; `None` when the live tracker runs.
     pub fn dcu_replay_finished(&self) -> Option<bool> {
-        self.dcu_replay.as_ref().map(DcuReplay::is_finished)
+        self.dcu_replay.as_ref().map(TapeReader::is_finished)
     }
 
     /// The DCU's decision for a data access to `line`: replayed when
@@ -302,15 +303,16 @@ impl Engine {
     #[inline(always)]
     pub(crate) fn dcu_access(&mut self, line: LineAddr) -> Option<LineAddr> {
         match &mut self.dcu_replay {
-            Some(r) => r.on_access(line),
+            Some(r) => (r.next_code() != 0).then(|| line.next()),
             None => self.dcu.on_access(line),
         }
     }
 
-    /// Makes the engine play back the branch outcomes `outcomes` (built by
-    /// `esp_branch::OutcomeBuilder`) instead of running the predictor for
-    /// retired normal-context branches: one shift and mask per branch
-    /// instead of a table walk, and the predictor's tables stay untouched.
+    /// Makes the engine play back the branch outcomes `outcomes` (a 2-bit
+    /// [`esp_types::TapeWriter`] tape of [`Prediction::code`]s) instead
+    /// of running the predictor for retired normal-context branches: one
+    /// shift and mask per branch instead of a table walk, and the
+    /// predictor's tables stay untouched.
     ///
     /// Byte-identical only when the outcomes were built by a predictor of
     /// this engine's table sizes over exactly the branch stream the engine
@@ -325,20 +327,20 @@ impl Engine {
     /// retired an instruction.
     pub fn replay_branches(&mut self, outcomes: std::sync::Arc<[u64]>) {
         assert_eq!(self.stats.retired, 0, "branch outcome replay must start with the stream");
-        self.branch_replay = Some(OutcomeReplay::new(outcomes));
+        self.branch_replay = Some(TapeReader::new(outcomes));
     }
 
     /// Whether a branch outcome replay is attached and has consumed
     /// exactly its whole stream; `None` when the predictor runs.
     pub fn branch_replay_finished(&self) -> Option<bool> {
-        self.branch_replay.as_ref().map(OutcomeReplay::is_finished)
+        self.branch_replay.as_ref().map(TapeReader::is_finished)
     }
 
     /// The replayed outcome of the next retired normal-context branch
     /// when outcomes are attached; `None` when the predictor runs.
     #[inline(always)]
     pub(crate) fn replayed_outcome(&mut self) -> Option<Prediction> {
-        self.branch_replay.as_mut().map(OutcomeReplay::next_outcome)
+        self.branch_replay.as_mut().map(|r| Prediction::from_code(r.next_code()))
     }
 
     /// Charges a retired branch's `outcome`: its penalty cycles, CPI
@@ -857,7 +859,7 @@ mod tests {
         let packed = PackedTrace::from_instrs(&instrs);
         let mut walked = Engine::new(EngineConfig::next_line());
         let line_bytes = walked.config().machine.hierarchy.l1i.line_bytes;
-        let n = packed.warm_walk(line_bytes, &mut walked);
+        let n = packed.cursor().warm_walk_bounded(u64::MAX, line_bytes, &mut walked);
         walked.warm_retire(n);
         let mut stepped = Engine::new(EngineConfig::next_line());
         for i in &instrs {

@@ -114,9 +114,9 @@ impl Engine {
                 } else {
                     let r = self.mem_mut().access_instr(line, t);
                     if nl && r.l1_miss {
-                        if let Some(p) = self.nl_line_hint(line) {
-                            self.mem_mut().prefetch_instr(p, t, true);
-                        }
+                        // A stateless next-line hint: runahead leaves the
+                        // real NL prefetcher's state alone.
+                        self.mem_mut().prefetch_instr(line.next(), t, true);
                     }
                     r.latency.saturating_sub(hit)
                 };
@@ -184,13 +184,6 @@ impl Engine {
         out.utilized_cycles = (initial_budget_millis - budget_millis) / 1000;
         self.note_pre_exec_overlap(out.utilized_cycles);
         out
-    }
-
-    /// Next-line hint used inside runahead without borrowing the real
-    /// NL prefetcher state (runahead episodes are short; a stateless
-    /// next-line hint is equivalent for the line-transition stream).
-    fn nl_line_hint(&self, line: esp_types::LineAddr) -> Option<esp_types::LineAddr> {
-        Some(line.next())
     }
 }
 

@@ -17,13 +17,19 @@
 # RUN_SECONDS is BENCHMARK.json's `run_seconds`, the benchmark's own run
 # length. At the end the script prints every pair's deltas, each side's
 # median and quartiles, and, for every end-to-end metric of
-# BENCHMARK.json, how many pairs the working tree won.
+# BENCHMARK.json, how many pairs the working tree won and a
+# no-regression verdict against the metric's `bound` (a fraction):
+#   worse       the median per-pair delta is worse than the bound;
+#   unresolved  otherwise, but the parent's interquartile range, relative
+#               to its median, exceeds the bound and the working tree did
+#               not win every pair, so these pairs cannot tell;
+#   ok          neither.
 #
 # Needs two CPUs, taskset and python3.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 parent_rev=$1
@@ -106,7 +112,7 @@ for seed, p, c in pairs:
           f"{c['failed']}/{c['attempted']}")
 print()
 print(f"{'metric':<18} {'parent q1/med/q3':>28} {'change q1/med/q3':>28} "
-      f"{'median delta':>13} {'wins':>6} {'ties':>4}")
+      f"{'median delta':>13} {'verdict':>10} {'wins':>6} {'ties':>4}")
 for m in metrics:
     name, higher = m["name"], m["better"] == "higher"
     rows = [(value(p, name), value(c, name)) for _, p, c in pairs]
@@ -119,11 +125,20 @@ for m in metrics:
     wins = sum(1 for a, b in rows if (b > a if higher else b < a))
     ties = sum(1 for a, b in rows if a == b)
     pq, cq = quartiles(before), quartiles(after)
+    delta = statistics.median(deltas)
+    iqr = pq[2] - pq[0]
+    spread = iqr / abs(pq[1]) if pq[1] else (0.0 if iqr == 0 else float("inf"))
+    if (-delta if higher else delta) > 100.0 * m["bound"]:
+        verdict = "worse"
+    elif spread > m["bound"] and wins < len(rows):
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
     print(f"{name:<18} {pq[0]:>9.4g} {pq[1]:>9.4g} {pq[2]:>9.4g} "
           f"{cq[0]:>9.4g} {cq[1]:>9.4g} {cq[2]:>9.4g} "
-          f"{statistics.median(deltas):>+12.1f}% {wins:>3}/{len(rows)} {ties:>4}")
+          f"{delta:>+12.1f}% {verdict:>10} {wins:>3}/{len(rows)} {ties:>4}")
     print(f"{'':<18} per pair: " + "/".join(f"{d:+.1f}" for d in deltas) + "%")
     gain = statistics.median(after) - statistics.median(before)
     print(f"{'':<18} median change {gain:+.4g} vs parent interquartile range "
-          f"{pq[2] - pq[0]:.4g}")
+          f"{iqr:.4g} ({100.0 * spread:.1f}% of its median; bound {100.0 * m['bound']:.0f}%)")
 PY
