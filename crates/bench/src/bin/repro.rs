@@ -1,17 +1,17 @@
-//! Regenerates the paper's figures and tables.
+//! Regenerates the paper's figures and tables, and runs the simulator's
+//! correctness, trace-export and timing commands.
 //!
 //! ```text
-//! repro [--scale N] [--seed S] [--threads T] all
-//! repro [--scale N] [--seed S] fig9 fig11a ...
-//! repro [--scale N] [--seed S] [--threads T] ablate
-//! repro [--trace out.jsonl] fig9
-//! repro [--trace-in FILE.espt ...] fig9
-//! repro explain <benchmark-or-trace ...>
-//! repro [--scale N] [--seed S] [--threads T] [--fuzz N] [--fuzz-espt N] check
-//! repro [--scale N] [--seed S] [--threads T] dump [NAMES-OR-TRACES...] [--trace-out DIR]
-//! repro [--scale N] [--seed S] [--threads T] [--force] [--repeat N] bench
+//! repro [FLAGS] <all | fig3 ... fig14 | ablate>...
+//! repro [FLAGS] explain BENCHMARK-OR-TRACE...
+//! repro [FLAGS] check | dump [NAMES-OR-TRACES...] | bench
 //! repro [--threads T] --bless
 //! ```
+//!
+//! The `FLAGS` table says which flags each command reads and what value
+//! each takes; any other flag on a command line is a usage error, raised
+//! before any workload is generated, so a flag is never silently
+//! ignored. `repro --help` prints the table as a usage line.
 //!
 //! `--scale` is the per-benchmark instruction budget (default 400 000);
 //! larger scales sharpen the numbers at the cost of runtime. Simulations
@@ -22,210 +22,225 @@
 //! writes `BENCH_repro.json`; figure, `explain`, `ablate` and `dump` runs
 //! write no file unless pointed at one (`--trace`, `dump --trace-out`).
 //!
-//! Observability (see `docs/OBSERVABILITY.md`): `--trace <path>` writes
-//! a JSONL span trace of every simulation (per-worker buffers merged in
-//! input order — byte-identical for any thread count), whose `run` lines
-//! carry each run's CPI stack; `explain <benchmark>` prints the
-//! baseline-vs-ESP CPI-stack delta table in the shape of the paper's
-//! Figs. 4/5.
-//!
-//! Correctness (see `docs/TESTING.md`): `check` runs the `esp-check`
-//! differential oracle over every benchmark family (the paper's seven
-//! plus `serverasync`/`iotfsm`) under baseline, runahead and ESP+NL,
-//! then a seeded configuration fuzz sweep (`--fuzz` cases), then a
-//! structural fuzz of the ESPT trace decoder (`--fuzz-espt` mutated
-//! containers, default 500 — see `docs/TRACE_FORMAT.md`); `dump` prints
-//! the raw `RunReport` of every profile × configuration — the
-//! cross-process determinism test byte-compares two such dumps. Both
-//! replay the process-wide memoised packed arena
-//! (`esp_workload::arena`), so repeated subcommands on the same
-//! profile/scale/seed decode the workload once.
-//!
-//! Traces (see `docs/TRACE_FORMAT.md`): `dump --trace-out DIR` exports
-//! each selected workload as a versioned `.espt` file instead of
-//! printing reports; `--trace-in FILE.espt` (repeatable) makes a figure
-//! run simulate exactly the imported traces, in CLI order, with the
-//! generator never invoked; `explain` and `dump` accept trace paths
-//! anywhere a benchmark name is expected. Imported arenas replay
-//! byte-identically to generated ones (the trace-import equivalence
-//! suite pins this in exact and sampled modes).
-//!
-//! Performance (see `docs/PERFORMANCE.md`): `bench` runs the full
-//! evaluation matrix four times — cold at one thread, warm at
-//! `--threads` (skipped, with a JSON note, when only one core is
-//! visible), warm in statistical-sampling mode, and warm in learned
-//! mode — and writes a `BENCH_repro.json` with per-phase wall times
-//! (generate/materialise/simulate), arena resident bytes, exact,
-//! sampled and learned throughput, and the estimated modes' measured
-//! CPI error against exact ground truth. An existing `BENCH_repro.json`
-//! recorded at a *different* scale is never overwritten (its throughput
-//! numbers would silently stop being comparable); `--force` replaces it
-//! anyway. `scripts/bench.sh` wraps the documented scale-600000
-//! invocation.
-//!
-//! Every command reads a fixed set of flags (`flags_read`); any other
-//! flag on its command line is a usage error, raised before any
-//! workload is generated, so a flag is never silently ignored.
-//!
-//! Sampling (the `esp-sample` engine, `--sample-period` /
-//! `--sample-grain`): any figure run can trade exactness for speed by
-//! measuring one grain in every P; results are estimates with a
-//! reported confidence interval, and `--trace` lines are tagged
-//! `"mode":"sampled"`. The default exact path is byte-identical to a
-//! build without the sampling engine.
+//! - `--trace FILE` writes a JSONL span trace whose `run` lines carry
+//!   each run's CPI stack, byte-identical for any thread count;
+//!   `explain` prints the baseline-vs-ESP CPI-stack delta table of the
+//!   paper's Figs. 4/5 (`docs/OBSERVABILITY.md`).
+//! - `--sample-period P` runs figures in statistical-sampling mode: one
+//!   grain of `--sample-grain` instructions in every P is measured, the
+//!   results are estimates with a confidence interval, and trace lines
+//!   are tagged `"mode":"sampled"`; exact runs are unchanged
+//!   (`docs/PERFORMANCE.md`).
+//! - `--trace-in FILE.espt` (repeatable) simulates exactly the imported
+//!   traces, in CLI order, with the generator never invoked; `explain`
+//!   and `dump` take trace paths wherever a benchmark name goes, and
+//!   imported arenas replay byte-identically to generated ones
+//!   (`docs/TRACE_FORMAT.md`).
+//! - `check`, `dump`, `bench` and `--bless` are described at the
+//!   functions that run them.
 
 use esp_bench::{explain, figures, ConfigKey, Runner, WorkloadSpec};
-use esp_core::{LearnParams, SampleParams};
+use esp_core::SampleParams;
 use esp_trace::{SidecarKey, Workload};
 use esp_workload::BenchmarkProfile;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() -> ExitCode {
-    let mut scale: u64 = 400_000;
-    let mut seed: u64 = 42;
-    let mut threads: Option<usize> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut trace_ins: Vec<PathBuf> = Vec::new();
-    let mut trace_out: Option<PathBuf> = None;
-    let mut force = false;
-    let mut repeat: usize = 3;
-    let mut fuzz_cases: usize = 10;
-    let mut espt_fuzz_cases: usize = 500;
-    let mut sample_period: Option<u64> = None;
-    let mut sample_grain: u64 = SampleParams::default().grain_instrs;
-    let mut learn = false;
-    let mut learn_params = LearnParams::default();
-    let mut bless = false;
-    let mut wanted: Vec<String> = Vec::new();
-    let mut given: Vec<String> = Vec::new();
+/// What the first positional argument (or `--bless`) selects, as far as
+/// the flags it reads go.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cmd {
+    /// One or more figures, or `all`.
+    Figure,
+    /// A figure run that includes `ablate`: the sweeps run exact on their
+    /// own workloads, so it reads only what they read.
+    Ablate,
+    Explain,
+    Dump,
+    Check,
+    Bench,
+    Bless,
+}
 
-    let mut args = std::env::args().skip(1);
+use Cmd::{Ablate, Bench, Bless, Check, Dump, Explain, Figure};
+
+/// What a flag's value must be, with the placeholder the usage line
+/// shows for it.
+#[derive(Clone, Copy)]
+enum Value {
+    /// No value: the flag is a switch.
+    Switch,
+    /// A `u64`.
+    Int(&'static str),
+    /// A `u64` of at least 1.
+    Positive(&'static str),
+    /// A path, described as the error message names it.
+    Path(&'static str, &'static str),
+}
+
+/// One flag: its name, its value, and the commands that read it.
+struct Flag {
+    name: &'static str,
+    value: Value,
+    read_by: &'static [Cmd],
+}
+
+/// Every command.
+const EVERY: &[Cmd] = &[Figure, Ablate, Explain, Dump, Check, Bench, Bless];
+/// Every command but `--bless`, which runs at fixed golden parameters.
+const SIMULATING: &[Cmd] = &[Figure, Ablate, Explain, Dump, Check, Bench];
+/// The commands that render reports through a `Runner`.
+const REPORTING: &[Cmd] = &[Figure, Explain];
+/// The commands that take the sampling parameters.
+const SAMPLING: &[Cmd] = &[Figure, Explain, Bench];
+
+/// Every flag `repro` knows. Parsing, the check that the selected
+/// command reads each flag given, the error messages and the usage line
+/// all come from this table. `explain` names its traces as arguments
+/// instead of taking `--trace-in`; only `bench` writes a file that
+/// `--force` guards.
+const FLAGS: [Flag; 12] = [
+    Flag { name: "--scale", value: Value::Positive("N"), read_by: SIMULATING },
+    Flag { name: "--seed", value: Value::Int("S"), read_by: SIMULATING },
+    Flag { name: "--threads", value: Value::Positive("T"), read_by: EVERY },
+    Flag { name: "--trace", value: Value::Path("FILE.jsonl", "a file path"), read_by: REPORTING },
+    Flag {
+        name: "--trace-in",
+        value: Value::Path("FILE.espt ...", "a .espt file path"),
+        read_by: &[Figure],
+    },
+    Flag { name: "--trace-out", value: Value::Path("DIR", "a directory path"), read_by: &[Dump] },
+    Flag { name: "--force", value: Value::Switch, read_by: &[Bench] },
+    Flag { name: "--fuzz", value: Value::Int("N"), read_by: &[Check] },
+    Flag { name: "--fuzz-espt", value: Value::Int("N"), read_by: &[Check] },
+    Flag { name: "--repeat", value: Value::Positive("N"), read_by: &[Bench] },
+    // Ranges are `SampleParams::try_new`'s business (in `main`).
+    Flag { name: "--sample-period", value: Value::Int("P"), read_by: SAMPLING },
+    Flag { name: "--sample-grain", value: Value::Int("G"), read_by: SAMPLING },
+];
+
+/// A flag's parsed value.
+enum Arg {
+    Switch,
+    Int(u64),
+    Path(PathBuf),
+}
+
+/// A parsed command line: the command, its positional words, and every
+/// flag given, in order (a repeated flag keeps each value).
+struct Cli {
+    cmd: Cmd,
+    words: Vec<String>,
+    given: Vec<(&'static Flag, Arg)>,
+}
+
+impl Cli {
+    /// The last value given for the integer flag `name`.
+    fn int(&self, name: &str) -> Option<u64> {
+        self.given.iter().rev().find_map(|(f, a)| match a {
+            Arg::Int(v) if f.name == name => Some(*v),
+            _ => None,
+        })
+    }
+
+    /// Every value given for the path flag `name`, in order.
+    fn paths<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Path> + 'a {
+        self.given.iter().filter_map(move |(f, a)| match a {
+            Arg::Path(p) if f.name == name => Some(p.as_path()),
+            _ => None,
+        })
+    }
+
+    /// Whether the switch `name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.given.iter().any(|(f, a)| matches!(a, Arg::Switch) && f.name == name)
+    }
+}
+
+/// Parses `args` (argv without the program name) against [`FLAGS`].
+/// An error is the usage message to print; an empty one asks for the
+/// usage text alone (`--help`).
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    let (mut words, mut given, mut bless) = (Vec::new(), Vec::new(), false);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
-        if a.starts_with('-') && a != "--bless" {
-            given.push(a.clone());
-        }
         match a.as_str() {
-            "--scale" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => scale = v,
-                _ => return usage("--scale needs a positive integer"),
-            },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage("--seed needs an integer"),
-            },
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => threads = Some(v),
-                _ => return usage("--threads needs a positive integer"),
-            },
-            "--trace" => match args.next() {
-                Some(p) => trace = Some(p.into()),
-                None => return usage("--trace needs a file path"),
-            },
-            "--trace-in" => match args.next() {
-                Some(p) => trace_ins.push(p.into()),
-                None => return usage("--trace-in needs a .espt file path"),
-            },
-            "--trace-out" => match args.next() {
-                Some(p) => trace_out = Some(p.into()),
-                None => return usage("--trace-out needs a directory path"),
-            },
-            "--force" => force = true,
-            "--repeat" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0 => repeat = v,
-                _ => return usage("--repeat needs a positive integer"),
-            },
-            "--fuzz" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => fuzz_cases = v,
-                None => return usage("--fuzz needs an integer"),
-            },
-            "--fuzz-espt" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => espt_fuzz_cases = v,
-                None => return usage("--fuzz-espt needs an integer"),
-            },
-            // Ranges are `SampleParams::try_new`'s business (below).
-            "--sample-period" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => sample_period = Some(v),
-                None => return usage("--sample-period needs an integer"),
-            },
-            "--sample-grain" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => sample_grain = v,
-                None => return usage("--sample-grain needs an integer"),
-            },
-            "--learn" => learn = true,
-            // Ranges are `LearnParams::validate`'s business (below).
-            "--learn-train" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    learn = true;
-                    learn_params.train_stretches = v;
-                }
-                None => return usage("--learn-train needs an integer"),
-            },
-            "--learn-suffix" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    learn = true;
-                    learn_params.warm_suffix_grains = v;
-                }
-                None => return usage("--learn-suffix needs an integer"),
-            },
-            "--learn-bound" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    learn = true;
-                    learn_params.residual_bound_pct = v;
-                }
-                None => return usage("--learn-bound needs a number of percent"),
-            },
             "--bless" => bless = true,
-            "--help" | "-h" => return usage(""),
-            other if other.starts_with('-') => return usage(&format!("unknown flag {other}")),
-            other => wanted.push(other.to_string()),
+            "--help" | "-h" => return Err(String::new()),
+            name if name.starts_with('-') => {
+                let Some(flag) = FLAGS.iter().find(|f| f.name == name) else {
+                    return Err(format!("unknown flag {name}"));
+                };
+                let arg = match flag.value {
+                    Value::Switch => Some(Arg::Switch),
+                    Value::Int(_) => args.next().and_then(|v| v.parse().ok()).map(Arg::Int),
+                    Value::Positive(_) => {
+                        args.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0).map(Arg::Int)
+                    }
+                    Value::Path(..) => args.next().map(|p| Arg::Path(p.into())),
+                };
+                let needs = match flag.value {
+                    Value::Switch => "",
+                    Value::Int(_) => "an integer",
+                    Value::Positive(_) => "a positive integer",
+                    Value::Path(_, what) => what,
+                };
+                given.push((flag, arg.ok_or_else(|| format!("{name} needs {needs}"))?));
+            }
+            _ => words.push(a),
         }
     }
-    if bless && !wanted.is_empty() {
-        return usage("--bless takes no figure or subcommand");
-    }
-    let command = if bless {
-        "--bless".to_string()
-    } else {
-        match wanted.first() {
-            Some(c) => c.clone(),
-            None => return usage("no figure selected"),
-        }
+    let (cmd, name) = match (bless, words.first().map(String::as_str)) {
+        (true, None) => (Bless, "--bless"),
+        (true, Some(_)) => return Err("--bless takes no figure or subcommand".into()),
+        (false, None) => return Err("no figure selected".into()),
+        (false, Some(w @ "explain")) => (Explain, w),
+        (false, Some(w @ "dump")) => (Dump, w),
+        (false, Some(w @ "check")) => (Check, w),
+        (false, Some(w @ "bench")) => (Bench, w),
+        (false, Some(_)) if words.iter().any(|w| w == "ablate") => (Ablate, "ablate"),
+        (false, Some(w)) => (Figure, w),
     };
-    // A figure run that includes `ablate` reads only the flags the
-    // ablation sweeps read, since they run exact on their own workloads.
-    let is_figure_run = !matches!(command.as_str(), "--bless" | "explain" | "dump" | "check" | "bench");
-    let command = if is_figure_run && wanted.iter().any(|w| w == "ablate") {
-        "ablate".to_string()
-    } else {
-        command
-    };
-    let reads = flags_read(&command);
-    if let Some(flag) = given.iter().find(|f| !reads.contains(&f.as_str())) {
-        let hint = if flag == "--trace-in" && matches!(command.as_str(), "dump" | "explain") {
-            format!("; name the traces instead: {command} FILE.espt ...")
+    if let Some((flag, _)) = given.iter().find(|(f, _)| !f.read_by.contains(&cmd)) {
+        let hint = if flag.name == "--trace-in" && matches!(cmd, Dump | Explain) {
+            format!("; name the traces instead: {name} FILE.espt ...")
         } else {
             String::new()
         };
-        return usage(&format!("{command} does not take {flag}{hint}"));
+        return Err(format!("{name} does not take {}{hint}", flag.name));
     }
-    if bless {
-        return bless_golden(threads.unwrap_or_else(esp_par::threads));
-    }
-    // Learned fast-forwarding refines the sampled mode, so the flags are
-    // meaningless without a sampling period; catch both bad combinations
-    // and bad parameter values before any workload generation happens.
-    if learn {
-        if sample_period.is_none() && command != "bench" {
-            return usage("learned fast-forwarding requires sampling mode (--sample-period)");
+    Ok(Cli { cmd, words, given })
+}
+
+fn main() -> ExitCode {
+    let cli = match parse(std::env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err(e) => return usage(&e),
+    };
+    let threads = cli.int("--threads").map(|t| t as usize);
+    let threads_or_default = threads.unwrap_or_else(esp_par::threads);
+    let scale = cli.int("--scale").unwrap_or(400_000);
+    let seed = cli.int("--seed").unwrap_or(42);
+    // `check` and `dump` drive the simulator directly at the requested
+    // scale, with no Runner involved.
+    match cli.cmd {
+        Bless => return bless_golden(threads_or_default),
+        Dump => {
+            let trace_out = cli.paths("--trace-out").last();
+            return dump(scale, seed, threads_or_default, &cli.words[1..], trace_out);
         }
-        if let Err(e) = learn_params.validate() {
-            return usage(&e);
+        Check => {
+            let fuzz_cases = cli.int("--fuzz").unwrap_or(10) as usize;
+            let espt_fuzz_cases = cli.int("--fuzz-espt").unwrap_or(500) as usize;
+            return check(scale, seed, threads_or_default, fuzz_cases, espt_fuzz_cases);
         }
+        _ => {}
     }
     // The grain is checked against the default period first, so the
     // error names the flag at fault.
+    let sample_grain = cli.int("--sample-grain").unwrap_or(SampleParams::default().grain_instrs);
+    let sample_period = cli.int("--sample-period");
     let default_period = SampleParams::default().period;
     if let Err(e) = SampleParams::try_new(sample_grain, default_period) {
         return usage(&format!("--sample-grain {sample_grain}: {e}"));
@@ -235,66 +250,39 @@ fn main() -> ExitCode {
         Ok(p) => p,
         Err(e) => return usage(&format!("--sample-period {period}: {e}")),
     };
-    // `explain` consumes the rest of the positional arguments as
-    // benchmark names or `.espt` trace paths, resolved (like figure
-    // names) before any workload generation happens.
-    let explain_specs: Vec<WorkloadSpec> = if wanted[0] == "explain" {
-        let benches: Vec<String> = wanted.drain(..).skip(1).collect();
-        if benches.is_empty() {
+    // `bench` runs the timing protocol and is the one writer of
+    // BENCH_repro.json.
+    if cli.cmd == Bench {
+        let repeat = cli.int("--repeat").unwrap_or(3) as usize;
+        return bench(scale, seed, threads, cli.switch("--force"), repeat, sample_params);
+    }
+    // The slot list, resolved before any workload generation happens:
+    // `explain`'s arguments (benchmark names or `.espt` trace paths);
+    // else `--trace-in` (the run simulates exactly the imported traces,
+    // in CLI order, and the generator never runs); otherwise the paper's
+    // seven generated profiles. Figure names are checked up front too,
+    // so a typo fails before any simulation.
+    let specs: Vec<WorkloadSpec> = if cli.cmd == Explain {
+        if cli.words.len() < 2 {
             return usage("explain needs at least one benchmark name or trace path");
         }
-        let mut specs = Vec::with_capacity(benches.len());
-        for b in &benches {
-            match WorkloadSpec::resolve(b) {
-                Ok(s) => specs.push(s),
-                Err(e) => return usage(&e.to_string()),
-            }
+        match cli.words[1..].iter().map(|b| WorkloadSpec::resolve(b)).collect() {
+            Ok(specs) => specs,
+            Err(e) => return usage(&e.to_string()),
         }
-        specs
     } else {
-        Vec::new()
-    };
-    // `check` and `dump` drive the simulator directly at the requested
-    // scale, with no Runner involved. `bench` runs the timing protocol
-    // and is the one writer of BENCH_repro.json.
-    let threads_or_default = threads.unwrap_or_else(esp_par::threads);
-    match command.as_str() {
-        "dump" => return dump(scale, seed, threads_or_default, &wanted[1..], trace_out.as_deref()),
-        "check" => return check(scale, seed, threads_or_default, fuzz_cases, espt_fuzz_cases),
-        "bench" => {
-            return bench(
-                scale,
-                seed,
-                threads,
-                force,
-                repeat,
-                sample_params,
-                learn_params,
-            )
-        }
-        _ => {}
-    }
-    // Validate every name up front so a typo fails before any workload
-    // generation or simulation happens.
-    for name in &wanted {
-        if name != "all" && name != "ablate" {
-            if let Err(e) = figures::by_name(name) {
-                return usage(&e.to_string());
+        for name in &cli.words {
+            if name != "all" && name != "ablate" {
+                if let Err(e) = figures::by_name(name) {
+                    return usage(&e.to_string());
+                }
             }
         }
-    }
+        cli.paths("--trace-in").map(|p| WorkloadSpec::Import(p.to_path_buf())).collect()
+    };
 
     let threads = threads_or_default;
     let t_start = Instant::now();
-    // The slot list: explain's resolved arguments take precedence; then
-    // `--trace-in` (the run simulates exactly the imported traces, in
-    // CLI order, and the generator never runs); otherwise the paper's
-    // seven generated profiles.
-    let specs: Vec<WorkloadSpec> = if !explain_specs.is_empty() {
-        explain_specs.clone()
-    } else {
-        trace_ins.iter().map(|p| WorkloadSpec::Import(p.clone())).collect()
-    };
     let mut runner = if specs.is_empty() {
         eprintln!("# generating workloads (scale {scale}, seed {seed}, {threads} threads)...");
         Runner::with_threads(scale, seed, threads)
@@ -323,42 +311,26 @@ fn main() -> ExitCode {
             "# sampling mode: grain {} instrs, period {} (measuring 1/{} of each run)",
             sample_params.grain_instrs, sample_params.period, sample_params.period
         );
-        if learn {
-            runner.set_learned(Some(learn_params));
-            eprintln!(
-                "# learned fast-forwarding: {:?} model, {} training stretches, \
-                 {}-grain warm suffix, {}% residual bound",
-                learn_params.model,
-                learn_params.train_stretches,
-                learn_params.warm_suffix_grains,
-                learn_params.residual_bound_pct
-            );
-        }
     }
 
     // Attach the trace sink before any simulation runs; refuse paths we
     // cannot create instead of failing mid-run.
-    if let Some(path) = &trace {
+    if let Some(path) = cli.paths("--trace").last() {
         if let Err(e) = runner.set_trace_output(path) {
             eprintln!("error: cannot create trace file {}: {e}", path.display());
             return ExitCode::from(2);
         }
         eprintln!("# tracing to {}", path.display());
     }
-
-    if !explain_specs.is_empty() {
+    if cli.cmd == Explain {
         // One slot per explain argument, in order — look each up by its
         // resolved slot name (imports report their recorded profile).
-        let names = runner.names();
-        for (i, b) in names.iter().enumerate().take(explain_specs.len()) {
+        for (spec, b) in specs.iter().zip(runner.names()) {
             let t = Instant::now();
-            match explain::explain(&mut runner, b) {
+            match explain::explain(&mut runner, &b) {
                 Ok(rep) => {
-                    eprintln!(
-                        "# explain {} ({b}) in {:.2}s",
-                        explain_specs[i].describe(),
-                        t.elapsed().as_secs_f64()
-                    );
+                    let secs = t.elapsed().as_secs_f64();
+                    eprintln!("# explain {} ({b}) in {secs:.2}s", spec.describe());
                     println!("{}", rep.render());
                 }
                 Err(e) => return usage(&e.to_string()),
@@ -367,7 +339,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    for name in &wanted {
+    for name in &cli.words {
         let t = Instant::now();
         if name == "all" {
             let reports = figures::all(&mut runner);
@@ -398,53 +370,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Flags every figure run reads: the runner's workload, thread count,
-/// trace sink and sampling mode. `--trace-in` comes last because
-/// `explain` reads all the others.
-const FIGURE_FLAGS: [&str; 11] = [
-    "--scale",
-    "--seed",
-    "--threads",
-    "--trace",
-    "--sample-period",
-    "--sample-grain",
-    "--learn",
-    "--learn-train",
-    "--learn-suffix",
-    "--learn-bound",
-    "--trace-in",
-];
-
-/// The flags `command` reads: the first positional argument (a figure
-/// name, `all`, `explain`, `dump`, `check` or `bench`), `ablate` when a
-/// figure run includes it, or `--bless`. `ablate` reads the sweeps'
-/// workload and thread count; `explain` names its traces as arguments
-/// instead of taking `--trace-in`; `bench` always runs its learned pass,
-/// so it reads the learned parameters but not the bare `--learn`; only
-/// `bench` writes a file that `--force` guards.
-fn flags_read(command: &str) -> &'static [&'static str] {
-    match command {
-        "--bless" => &["--threads"],
-        "ablate" => &["--scale", "--seed", "--threads"],
-        "dump" => &["--scale", "--seed", "--threads", "--trace-out"],
-        "check" => &["--scale", "--seed", "--threads", "--fuzz", "--fuzz-espt"],
-        "bench" => &[
-            "--scale",
-            "--seed",
-            "--threads",
-            "--force",
-            "--repeat",
-            "--sample-period",
-            "--sample-grain",
-            "--learn-train",
-            "--learn-suffix",
-            "--learn-bound",
-        ],
-        "explain" => &FIGURE_FLAGS[..FIGURE_FLAGS.len() - 1],
-        _ => &FIGURE_FLAGS,
-    }
 }
 
 /// `repro --bless`: regenerates the committed golden digests
@@ -490,14 +415,10 @@ fn dump(
     let specs: Vec<WorkloadSpec> = if names.is_empty() {
         BenchmarkProfile::all_families().into_iter().map(WorkloadSpec::Builtin).collect()
     } else {
-        let mut specs = Vec::with_capacity(names.len());
-        for n in names {
-            match WorkloadSpec::resolve(n) {
-                Ok(s) => specs.push(s),
-                Err(e) => return usage(&e.to_string()),
-            }
+        match names.iter().map(|n| WorkloadSpec::resolve(n)).collect() {
+            Ok(specs) => specs,
+            Err(e) => return usage(&e.to_string()),
         }
-        specs
     };
     if let Some(dir) = trace_out {
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -645,11 +566,11 @@ fn check(
 ///
 /// Pass 1 runs the full 29-configuration × 9-family matrix (the paper's
 /// seven profiles plus `serverasync`/`iotfsm`) cold on a single worker
-/// thread — the comparable trajectory number. Pass 2
-/// reruns it at `--threads` (default: the machine's parallelism) with
-/// the workload and arena caches warm, isolating simulation scaling
-/// from one-time decode cost; on a machine where only one core is
-/// visible the pass is skipped and recorded as such (an "Nt" number
+/// thread — the comparable trajectory number. Pass 2 reruns it with the
+/// workload and arena caches warm at `threads` (default: `ESP_THREADS`
+/// or the machine's parallelism), isolating simulation scaling from
+/// one-time decode cost; when that count is one the pass is skipped and
+/// a note names the count and where it came from (an "Nt" number
 /// measured at one thread would just duplicate pass 1). Pass 3 reruns
 /// the matrix warm in statistical-sampling mode (`--sample-grain` /
 /// `--sample-period`, defaulting to the documented operating point) and
@@ -657,26 +578,17 @@ fn check(
 /// {base, runahead, esp_nl} — the per-profile error table goes to
 /// stderr and to the JSON (`sampled.per_profile`), the max/mean and the
 /// share of those cells whose 95% interval holds the exact CPI
-/// (`ci95_coverage`) to the JSON. Pass 3b repeats the sampled protocol
-/// with learned fast-forwarding on top (`--learn-*` to override the
-/// model's operating point) and records its throughput, speedups
-/// over exact and plain sampling, error envelope, interval coverage,
-/// mean skip fraction, and the fallback-ladder counters. Pass 1 also
-/// records the bytes and build time of the sidecars its runs built: the
-/// DCU trigger bits of the next-line runs (`dcu_triggers`) and the branch
-/// outcomes of the runs whose predictor sees only retired branches
-/// (`branch_outcomes`). Each pass is repeated `--repeat`
-/// times (default 3) and the fastest repetition is recorded — the
-/// standard protocol for shared machines, where the minimum is the run
-/// least disturbed by background load (every repetition simulates the
-/// exact same deterministic work, so they are directly comparable). All
-/// passes and the per-phase wall times land in `BENCH_repro.json`
-/// (guarded against cross-scale overwrite). A final
-/// trace-I/O measurement exports every family's arena to `.espt`, drops
-/// the memo, re-imports from the files, and records both wall times next
-/// to the generate/materialise cost they substitute for
+/// (`ci95_coverage`) to the JSON. Pass 1 also records the bytes and
+/// build time of the sidecars its runs built: the DCU trigger bits of
+/// the next-line runs (`dcu_triggers`) and the branch outcomes of the
+/// runs whose predictor sees only retired branches (`branch_outcomes`).
+/// Each pass keeps the fastest of `repeat` repetitions ([`best_of`]).
+/// All passes and the per-phase wall times land in `BENCH_repro.json`
+/// (guarded against cross-scale overwrite). A final trace-I/O
+/// measurement exports every family's arena to `.espt`, drops the memo,
+/// re-imports from the files, and records both wall times next to the
+/// generate/materialise cost they substitute for
 /// (`docs/TRACE_FORMAT.md`).
-#[allow(clippy::too_many_arguments)]
 fn bench(
     scale: u64,
     seed: u64,
@@ -684,54 +596,43 @@ fn bench(
     force: bool,
     repeat: usize,
     sp: SampleParams,
-    learn_params: LearnParams,
 ) -> ExitCode {
-    let cores = esp_par::threads();
-    let threads_nt = threads.unwrap_or(cores);
+    let (threads_nt, threads_from) = match threads {
+        Some(t) => (t, "--threads".to_string()),
+        None => (esp_par::threads(), default_thread_source()),
+    };
     if !bench_json_writable(scale, force) {
         return ExitCode::from(2);
     }
     let families = BenchmarkProfile::all_families();
+    // The full matrix on `threads` workers, exact or sampled.
+    let matrix = |threads: usize, sampling: Option<SampleParams>| {
+        let mut r = Runner::with_profiles(&families, scale, seed, threads);
+        r.set_sampling(sampling);
+        r.ensure(ConfigKey::all());
+        r
+    };
 
     eprintln!(
         "# bench pass 1: cold, 1 thread (scale {scale}, seed {seed}, {} families), best of {repeat}...",
         families.len()
     );
-    let dcu = |k: &SidecarKey| matches!(k, SidecarKey::DcuTriggers { .. });
-    /// What one cold repetition measured.
-    struct ColdPass {
-        total: f64,
-        phases: esp_bench::PhaseSeconds,
-        arena_bytes: u64,
-        /// `(bytes, build seconds)` of the DCU trigger and branch outcome
-        /// sidecars.
-        footprints: [(u64, f64); 2],
-        sims: u64,
-        instrs: u64,
-    }
-    let mut best: Option<ColdPass> = None;
-    for rep in 1..=repeat {
-        // A cold repetition regenerates and re-materialises everything:
-        // drop the process-wide arena cache left by the previous one.
+    // A cold repetition regenerates and re-materialises everything:
+    // drop the process-wide arena cache left by the previous one.
+    let cold = || {
         esp_workload::arena::reset();
-        let t = Instant::now();
-        let mut cold = Runner::with_profiles(&families, scale, seed, 1);
-        cold.ensure(ConfigKey::all());
-        let total = t.elapsed().as_secs_f64();
-        eprintln!("#   rep {rep}: {total:.2}s ({:.3} sims/s)", cold.sims_run() as f64 / total.max(1e-9));
-        if best.as_ref().is_none_or(|b| total < b.total) {
-            best = Some(ColdPass {
-                total,
-                phases: cold.phase_seconds(),
-                arena_bytes: cold.arena_resident_bytes(),
-                footprints: [cold.sidecar_footprint(dcu), cold.sidecar_footprint(|k| !dcu(k))],
-                sims: cold.sims_run(),
-                instrs: cold.instructions_simulated(),
-            });
-        }
-    }
-    let ColdPass { total: total_1t, phases, arena_bytes, footprints, sims, instrs } =
-        best.expect("repeat >= 1");
+        matrix(1, None)
+    };
+    let dcu = |k: &SidecarKey| matches!(k, SidecarKey::DcuTriggers { .. });
+    let (total_1t, (phases, arena_bytes, footprints, sims, instrs)) = best_of(repeat, cold, |r| {
+        (
+            r.phase_seconds(),
+            r.arena_resident_bytes(),
+            [r.sidecar_footprint(dcu), r.sidecar_footprint(|k| !dcu(k))],
+            r.sims_run(),
+            r.instructions_simulated(),
+        )
+    });
     let [(trigger_bytes, trigger_s), (outcome_bytes, outcome_s)] = footprints;
     // Instructions per wall-second across the whole matrix — retired plus
     // speculative (ESP pre-execution, runahead re-execution), which is
@@ -754,53 +655,36 @@ fn bench(
         outcome_s * 1e3,
     );
 
-    // Pass 2 measures multi-thread scaling, so it is only honest when
-    // more than one core is actually available: a "N-thread" number
-    // collected on one visible core is pass 1 with a misleading label.
-    let mut best_nt: Option<(f64, esp_bench::PhaseSeconds)> = None;
-    let mut nt_note = None;
-    if threads_nt > 1 {
+    // Pass 2 measures multi-thread scaling, so it only runs when more
+    // than one thread was asked for: an "N-thread" number collected on
+    // one thread is pass 1 with a misleading label.
+    let nt_json = if threads_nt > 1 {
         eprintln!("# bench pass 2: warm arenas, {threads_nt} threads, best of {repeat}...");
-        for rep in 1..=repeat {
-            let t = Instant::now();
-            let mut warm = Runner::with_profiles(&families, scale, seed, threads_nt);
-            warm.ensure(ConfigKey::all());
-            let total = t.elapsed().as_secs_f64();
-            eprintln!("#   rep {rep}: {total:.2}s ({:.3} sims/s)", sims as f64 / total.max(1e-9));
-            if best_nt.as_ref().is_none_or(|(b, _)| total < *b) {
-                best_nt = Some((total, warm.phase_seconds()));
-            }
-        }
+        let (total_nt, phases_nt) =
+            best_of(repeat, || matrix(threads_nt, None), |r| r.phase_seconds());
+        format!(
+            "\n  \"threads_nt\": {threads_nt},\n  \"total_seconds_nt\": {total_nt:.3},\n  \
+             \"sims_per_sec_nt\": {:.3},\n  \"mips_nt\": {:.3},\n  \
+             \"simulate_seconds_nt\": {:.3},",
+            sims as f64 / total_nt.max(1e-9),
+            instrs as f64 / total_nt.max(1e-9) / 1e6,
+            phases_nt.simulate,
+        )
     } else {
-        let note = format!("N-thread pass skipped: only {cores} core visible");
+        let note = format!("N-thread pass skipped: {threads_from} gives 1 thread");
         eprintln!("# bench pass 2: {note}");
-        nt_note = Some(note);
-    }
+        format!("\n  \"threads_nt\": 1,\n  \"nt_note\": \"{note}\",")
+    };
 
     // Pass 3: the same matrix in statistical-sampling mode, warm, one
-    // thread — directly comparable to pass 1's simulate phase. The last
-    // repetition's reports feed the error cross-check below (sampling is
-    // deterministic, so every repetition produces identical reports).
+    // thread — directly comparable to pass 1's simulate phase. Its
+    // reports feed the error cross-check below.
     eprintln!(
         "# bench pass 3: sampled (grain {}, period {}), warm, 1 thread, best of {repeat}...",
         sp.grain_instrs, sp.period
     );
-    let mut best_s: Option<(f64, esp_bench::PhaseSeconds)> = None;
-    let mut sampled_runner: Option<Runner> = None;
-    for rep in 1..=repeat {
-        let t = Instant::now();
-        let mut r = Runner::with_profiles(&families, scale, seed, 1);
-        r.set_sampling(Some(sp));
-        r.ensure(ConfigKey::all());
-        let total = t.elapsed().as_secs_f64();
-        eprintln!("#   rep {rep}: {total:.2}s ({:.3} sims/s)", sims as f64 / total.max(1e-9));
-        if best_s.as_ref().is_none_or(|(b, _)| total < *b) {
-            best_s = Some((total, r.phase_seconds()));
-        }
-        sampled_runner = Some(r);
-    }
-    let (total_s, phases_s) = best_s.expect("repeat >= 1");
-    let sampled = sampled_runner.expect("repeat >= 1");
+    let (total_s, sampled) = best_of(repeat, || matrix(1, Some(sp)), |r| r);
+    let phases_s = sampled.phase_seconds();
     let speedup = phases.simulate / phases_s.simulate.max(1e-9);
     eprintln!(
         "# pass 3: {sims} sims in {total_s:.2}s (simulate {:.2}s vs exact {:.2}s: {speedup:.2}x)",
@@ -812,69 +696,40 @@ fn bench(
     // accuracy target is stated over).
     let mut exact = Runner::with_profiles(&families, scale, seed, 1);
     exact.ensure(&MATRIX);
-    let table_s = ErrorTable::new("sampled", &exact, &sampled);
-    let (max_err, mean_err, coverage) = (table_s.max(), table_s.mean(), table_s.coverage());
-    let cells = table_s.errs.len();
+    let cpi = |r: &esp_core::RunReport| r.busy_cycles() as f64 / r.engine.retired as f64;
+    // Signed CPI errors in percent, profile-major; cells whose 95% CPI
+    // interval holds the exact CPI (a cell without an estimate is not
+    // covered); one JSON entry per profile.
+    let (mut errs, mut covered, mut rows) = (Vec::new(), 0usize, Vec::new());
+    eprintln!("# sampled CPI error vs exact (per profile; base / runahead / esp_nl):");
+    for (i, name) in exact.names().iter().enumerate() {
+        let mut row = format!("#   {name:<11}");
+        let mut cells: Vec<String> = Vec::new();
+        for (key, jkey) in MATRIX.into_iter().zip(["base", "runahead", "esp_nl"]) {
+            let e_cpi = cpi(exact.cached(i, key).expect("ensured"));
+            let err = 100.0 * (cpi(sampled.cached(i, key).expect("ensured")) - e_cpi) / e_cpi;
+            errs.push(err);
+            covered += usize::from(sampled.estimate(i, key).is_some_and(|e| e.cpi.covers(e_cpi)));
+            row.push_str(&format!(" {err:+6.2}%"));
+            cells.push(format!("\"{jkey}\": {err:.3}"));
+        }
+        eprintln!("{row}");
+        rows.push(format!("\"{name}\": {{{}}}", cells.join(", ")));
+    }
+    let cells = errs.len();
+    let max_err = errs.iter().fold(0f64, |m, e| m.max(e.abs()));
+    let mean_err = errs.iter().map(|e| e.abs()).sum::<f64>() / cells as f64;
+    let coverage = covered as f64 / cells as f64;
     eprintln!(
         "# sampled error: max |{max_err:.2}|%, mean |{mean_err:.2}|% over {cells} cells; \
-         ci95 coverage {}/{cells}",
-        table_s.covered
+         ci95 coverage {covered}/{cells}"
     );
-    let per_profile_json = table_s.per_profile_json;
+    let per_profile_json = rows.join(",\n      ");
     // Read what the record needs from the sampled runner, then drop it:
     // a runner alive at the trace-I/O pass below keeps its arenas
     // resident next to the re-imported ones.
     let effective_mips = sampled.instructions_simulated() as f64 / total_s.max(1e-9) / 1e6;
     drop(sampled);
-
-    // Pass 3b: the same sampled matrix with learned fast-forwarding on
-    // top — skipped stretches replace most of the functional-warming
-    // walk, which pass 3 showed is where sampled time goes. Timed under
-    // the identical warm/1-thread protocol so "learned vs sampled" is a
-    // like-for-like simulate-phase ratio.
-    eprintln!(
-        "# bench pass 3b: learned ({:?} model, train {}, suffix {}, bound {}%), \
-         warm, 1 thread, best of {repeat}...",
-        learn_params.model,
-        learn_params.train_stretches,
-        learn_params.warm_suffix_grains,
-        learn_params.residual_bound_pct
-    );
-    let mut best_l: Option<(f64, esp_bench::PhaseSeconds)> = None;
-    let mut learned_runner: Option<Runner> = None;
-    for rep in 1..=repeat {
-        let t = Instant::now();
-        let mut r = Runner::with_profiles(&families, scale, seed, 1);
-        r.set_sampling(Some(sp));
-        r.set_learned(Some(learn_params));
-        r.ensure(ConfigKey::all());
-        let total = t.elapsed().as_secs_f64();
-        eprintln!("#   rep {rep}: {total:.2}s ({:.3} sims/s)", sims as f64 / total.max(1e-9));
-        if best_l.as_ref().is_none_or(|(b, _)| total < *b) {
-            best_l = Some((total, r.phase_seconds()));
-        }
-        learned_runner = Some(r);
-    }
-    let (total_l, phases_l) = best_l.expect("repeat >= 1");
-    let learned = learned_runner.expect("repeat >= 1");
-    let speedup_l = phases.simulate / phases_l.simulate.max(1e-9);
-    let speedup_l_vs_s = phases_s.simulate / phases_l.simulate.max(1e-9);
-    eprintln!(
-        "# pass 3b: {sims} sims in {total_l:.2}s (simulate {:.2}s: {speedup_l:.2}x vs exact, \
-         {speedup_l_vs_s:.2}x vs sampled)",
-        phases_l.simulate
-    );
-    let table_l = ErrorTable::new("learned", &exact, &learned);
-    let (max_err_l, mean_err_l, coverage_l) = (table_l.max(), table_l.mean(), table_l.coverage());
-    let (skip_frac, fb_rate, n_disabled, n_rerun) =
-        learned.learned_summary().unwrap_or((0.0, 0.0, 0, 0));
-    drop(learned);
-    eprintln!(
-        "# learned error: max |{max_err_l:.2}|%, mean |{mean_err_l:.2}|% over {cells} cells; \
-         skip fraction {skip_frac:.3}, fallback rate {fb_rate:.4}, \
-         {n_disabled} disabled, {n_rerun} rerun; ci95 coverage {}/{cells}",
-        table_l.covered
-    );
 
     // Trace I/O: what a consumer of exported `.espt` files pays
     // (decode-only import) versus what this process paid to build the
@@ -889,18 +744,6 @@ fn bench(
         None => String::new(),
     };
 
-    let nt_json = match (&best_nt, &nt_note) {
-        (Some((total_nt, phases_nt)), _) => format!(
-            "\n  \"threads_nt\": {threads_nt},\n  \"total_seconds_nt\": {total_nt:.3},\n  \
-             \"sims_per_sec_nt\": {:.3},\n  \"mips_nt\": {:.3},\n  \
-             \"simulate_seconds_nt\": {:.3},",
-            sims as f64 / total_nt.max(1e-9),
-            instrs as f64 / total_nt.max(1e-9) / 1e6,
-            phases_nt.simulate,
-        ),
-        (None, Some(note)) => format!("\n  \"threads_nt\": 1,\n  \"nt_note\": \"{note}\","),
-        (None, None) => unreachable!("one branch of pass 2 always runs"),
-    };
     // The sampled block repeats the scale it was measured at: the CPI
     // error is scale-dependent (fewer sampling periods fit in a smaller
     // workload), so its numbers are only meaningful next to their scale.
@@ -926,18 +769,7 @@ fn bench(
          \"simulate_speedup_vs_exact\": {speedup:.3}, \
          \"max_cpi_error_pct\": {max_err:.3}, \"mean_cpi_error_pct\": {mean_err:.3}, \
          \"ci95_coverage\": {coverage:.4},\n    \
-         \"per_profile\": {{\n      {per_profile_json}\n    }}}},\n  \
-         \"learned\": {{\"scale\": {scale}, \"model\": \"{}\", \
-         \"train_stretches\": {}, \"warm_suffix_grains\": {}, \
-         \"residual_bound_pct\": {},\n    \
-         \"sims\": {sims}, \"total_seconds\": {total_l:.3}, \
-         \"simulate_seconds\": {:.3}, \"sims_per_sec\": {:.3},\n    \
-         \"simulate_speedup_vs_exact\": {speedup_l:.3}, \
-         \"simulate_speedup_vs_sampled\": {speedup_l_vs_s:.3},\n    \
-         \"max_cpi_error_pct\": {max_err_l:.3}, \"mean_cpi_error_pct\": {mean_err_l:.3}, \
-         \"ci95_coverage\": {coverage_l:.4},\n    \
-         \"skip_fraction\": {skip_frac:.4}, \"fallback_rate\": {fb_rate:.5}, \
-         \"disabled_runs\": {n_disabled}, \"rerun_full_runs\": {n_rerun}}}\n}}\n",
+         \"per_profile\": {{\n      {per_profile_json}\n    }}}}\n}}\n",
         sims as f64 / total_1t.max(1e-9),
         sims as f64 / total_1t.max(1e-9),
         phases.generate,
@@ -947,12 +779,6 @@ fn bench(
         sp.period,
         phases_s.simulate,
         sims as f64 / total_s.max(1e-9),
-        learn_params.model.as_str(),
-        learn_params.train_stretches,
-        learn_params.warm_suffix_grains,
-        learn_params.residual_bound_pct,
-        phases_l.simulate,
-        sims as f64 / total_l.max(1e-9),
     );
     match std::fs::write("BENCH_repro.json", &json) {
         Ok(()) => {
@@ -966,60 +792,42 @@ fn bench(
     }
 }
 
-/// One estimating pass's CPI error against exact over the differential
-/// matrix (base / runahead / esp_nl per profile), as `repro bench`
-/// reports it for sampled and learned mode alike.
-struct ErrorTable {
-    /// Signed CPI errors in percent, profile-major.
-    errs: Vec<f64>,
-    /// Cells whose 95% CPI interval holds the exact CPI; a cell without
-    /// an estimate is not covered.
-    covered: usize,
-    /// One `"profile": {"base": .., "runahead": .., "esp_nl": ..}` entry
-    /// per profile, joined for the JSON record.
-    per_profile_json: String,
-}
-
-impl ErrorTable {
-    /// Compares every cell of `estimated` with `exact`, printing one
-    /// stderr row per profile under a `mode` heading.
-    fn new(mode: &str, exact: &Runner, estimated: &Runner) -> Self {
-        let cpi = |r: &esp_core::RunReport| r.busy_cycles() as f64 / r.engine.retired as f64;
-        let (mut errs, mut covered, mut rows) = (Vec::new(), 0usize, Vec::new());
-        eprintln!("# {mode} CPI error vs exact (per profile; base / runahead / esp_nl):");
-        for (i, name) in exact.names().iter().enumerate() {
-            let mut row = format!("#   {name:<11}");
-            let mut cells: Vec<String> = Vec::new();
-            for (key, jkey) in MATRIX.into_iter().zip(["base", "runahead", "esp_nl"]) {
-                let e_cpi = cpi(exact.cached(i, key).expect("ensured"));
-                let got = cpi(estimated.cached(i, key).expect("ensured"));
-                let err = 100.0 * (got - e_cpi) / e_cpi;
-                errs.push(err);
-                covered += usize::from(estimated.estimate(i, key).is_some_and(|e| e.cpi.covers(e_cpi)));
-                row.push_str(&format!(" {err:+6.2}%"));
-                cells.push(format!("\"{jkey}\": {err:.3}"));
-            }
-            eprintln!("{row}");
-            rows.push(format!("\"{name}\": {{{}}}", cells.join(", ")));
+/// Runs `pass` `repeat` times and returns the fastest repetition's wall
+/// seconds with what `keep` takes from its runner. Every repetition
+/// simulates the same deterministic work, so the minimum is the one
+/// least disturbed by background load — the standard protocol for
+/// shared machines.
+fn best_of<T>(
+    repeat: usize,
+    mut pass: impl FnMut() -> Runner,
+    mut keep: impl FnMut(Runner) -> T,
+) -> (f64, T) {
+    let mut best: Option<(f64, T)> = None;
+    for rep in 1..=repeat {
+        let t = Instant::now();
+        let runner = pass();
+        let total = t.elapsed().as_secs_f64();
+        eprintln!(
+            "#   rep {rep}: {total:.2}s ({:.3} sims/s)",
+            runner.sims_run() as f64 / total.max(1e-9)
+        );
+        if best.as_ref().is_none_or(|(b, _)| total < *b) {
+            best = Some((total, keep(runner)));
         }
-        ErrorTable { errs, covered, per_profile_json: rows.join(",\n      ") }
     }
+    best.expect("repeat >= 1")
+}
 
-    /// The largest |error| in percent.
-    fn max(&self) -> f64 {
-        self.errs.iter().fold(0f64, |m, e| m.max(e.abs()))
-    }
-
-    /// The mean |error| in percent.
-    fn mean(&self) -> f64 {
-        self.errs.iter().map(|e| e.abs()).sum::<f64>() / self.errs.len() as f64
-    }
-
-    /// The share of cells whose interval holds the exact CPI.
-    fn coverage(&self) -> f64 {
-        self.covered as f64 / self.errs.len() as f64
+/// Where `esp_par::threads` takes its count from: the `ESP_THREADS`
+/// variable when it holds a positive integer, otherwise the machine.
+fn default_thread_source() -> String {
+    let env = esp_par::THREADS_ENV;
+    match std::env::var(env) {
+        Ok(v) if v.trim().parse::<usize>().is_ok_and(|n| n > 0) => format!("{env}={}", v.trim()),
+        _ => "the machine's parallelism".to_string(),
     }
 }
+
 
 /// The trace-I/O measurement behind the `trace_io` block: exports every
 /// slot of `runner` as `.espt` into a scratch directory, drops the runner
@@ -1095,16 +903,21 @@ fn bench_json_writable(scale: u64, force: bool) -> bool {
     true
 }
 
+
 fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
+    let flags: Vec<String> = FLAGS
+        .iter()
+        .map(|f| match f.value {
+            Value::Switch => format!("[{}]", f.name),
+            Value::Int(v) | Value::Positive(v) | Value::Path(v, _) => format!("[{} {v}]", f.name),
+        })
+        .collect();
+    let figures: Vec<&str> = figures::FIGURES.iter().map(|(id, _)| *id).collect();
     eprintln!(
-        "usage: repro [--scale N] [--seed S] [--threads T] \
-         [--trace FILE.jsonl] [--trace-in FILE.espt ...] [--trace-out DIR] \
-         [--force] [--fuzz N] [--fuzz-espt N] [--repeat N] [--sample-period P] [--sample-grain G] \
-         [--learn] [--learn-train N] [--learn-suffix N] [--learn-bound F] \
-         <all | fig3 fig6 fig7 fig8 fig9 fig10 fig11a fig11b fig12 fig13 fig14 | ablate \
+        "usage: repro {} <all | {} | ablate \
          | explain BENCHMARK-OR-TRACE... | check | dump [NAMES-OR-TRACES...] | bench> | --bless\n\
          --bless regenerates the golden digests in tests/golden_digests.txt;\n\
          threads default to ESP_THREADS or the machine's parallelism;\n\
@@ -1115,25 +928,79 @@ fn usage(err: &str) -> ExitCode {
          (format: docs/TRACE_FORMAT.md);\n\
          --sample-period P runs figures in statistical-sampling mode (1 of every P\n\
          grains of --sample-grain instructions is measured; see docs/PERFORMANCE.md);\n\
-         --learn adds learned fast-forwarding on top of sampling (skips most of the\n\
-         functional-warming walk once the per-run ridge model trains); --learn-train\n\
-         sets the training stretches, --learn-suffix the always-warmed suffix grains,\n\
-         --learn-bound the residual bound in percent;\n\
          check runs the differential oracle over all 9 families + a --fuzz N seeded\n\
          sweep + a --fuzz-espt N trace-decoder sweep (docs/TESTING.md);\n\
          dump prints every selected workload's RunReports for cross-process\n\
          determinism checks (default: all 9 families);\n\
-         bench runs the full matrix cold at 1 thread, warm at --threads (skipped on a\n\
-         1-core machine), warm in sampled then learned mode with error cross-checks\n\
-         (each pass best of --repeat, default 3), measures .espt export/import against\n\
+         bench runs the full matrix cold at 1 thread, warm at --threads (skipped at\n\
+         1 thread), warm in sampled mode with an error cross-check (each pass best\n\
+         of --repeat, default 3), measures .espt export/import against\n\
          generate+materialise, and records all passes in BENCH_repro.json (the only\n\
          command that writes it; --force overwrites one recorded at a different scale;\n\
          docs/PERFORMANCE.md, docs/TRACE_FORMAT.md);\n\
-         a flag the selected command does not read is a usage error"
+         a flag the selected command does not read is a usage error",
+        flags.join(" "),
+        figures.join(" ")
     );
     if err.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A command line selecting `cmd`.
+    fn command_words(cmd: Cmd) -> &'static [&'static str] {
+        match cmd {
+            Figure => &["fig9"],
+            Ablate => &["fig9", "ablate"],
+            Explain => &["explain", "amazon"],
+            Dump => &["dump"],
+            Check => &["check"],
+            Bench => &["bench"],
+            Bless => &["--bless"],
+        }
+    }
+
+    /// `flag` with a value it accepts, followed by `cmd`'s words.
+    fn argv(flag: &Flag, cmd: Cmd) -> Vec<String> {
+        let mut args = vec![flag.name.to_string()];
+        match flag.value {
+            Value::Switch => {}
+            Value::Int(_) | Value::Positive(_) => args.push("1".into()),
+            Value::Path(..) => args.push("x".into()),
+        }
+        args.extend(command_words(cmd).iter().map(|w| w.to_string()));
+        args
+    }
+
+    #[test]
+    fn every_command_refuses_each_flag_it_does_not_read() {
+        for flag in &FLAGS {
+            for cmd in EVERY.iter().copied() {
+                let args = argv(flag, cmd);
+                match parse(args.clone()) {
+                    Ok(cli) if flag.read_by.contains(&cmd) => assert_eq!(cli.cmd, cmd, "{args:?}"),
+                    Ok(_) => panic!("{args:?}: parsed, but {cmd:?} does not read {}", flag.name),
+                    Err(e) if flag.read_by.contains(&cmd) => panic!("{args:?}: {e}"),
+                    Err(e) => assert!(
+                        e.contains(&format!("does not take {}", flag.name)),
+                        "{args:?}: {e}"
+                    ),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_flag_keeps_every_path_and_the_last_number() {
+        let args = "--trace-in a --trace-in b --seed 1 --seed 2 fig9".split(' ');
+        let cli = parse(args.map(String::from)).expect("valid command line");
+        assert_eq!(cli.int("--seed"), Some(2));
+        assert_eq!(cli.paths("--trace-in").collect::<Vec<_>>(), [Path::new("a"), Path::new("b")]);
     }
 }

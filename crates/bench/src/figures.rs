@@ -402,41 +402,39 @@ pub fn fig14(runner: &mut Runner) -> FigureReport {
 /// figure-by-figure.
 pub fn all(runner: &mut Runner) -> Vec<FigureReport> {
     runner.ensure(ConfigKey::all());
-    vec![
-        fig3(runner),
-        fig6(runner),
-        fig7(runner),
-        fig8(runner),
-        fig9(runner),
-        fig10(runner),
-        fig11a(runner),
-        fig11b(runner),
-        fig12(runner),
-        fig13(runner),
-        fig14(runner),
-    ]
+    FIGURES.iter().map(|(_, f)| f(runner)).collect()
 }
+
+/// A figure generator.
+pub type Figure = fn(&mut Runner) -> FigureReport;
+
+/// Every figure generator with its id, in presentation order: what
+/// [`all`] renders, what [`by_name`] looks up, and the ids `repro` lists.
+pub const FIGURES: [(&str, Figure); 11] = [
+    ("fig3", fig3),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11a", fig11a),
+    ("fig11b", fig11b),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+];
 
 /// Looks up a figure generator by id ("fig3" … "fig14").
 ///
 /// # Errors
 ///
 /// Returns [`esp_types::Error::UnknownName`] for unknown ids.
-pub fn by_name(name: &str) -> esp_types::Result<fn(&mut Runner) -> FigureReport> {
-    Ok(match name {
-        "fig3" => fig3,
-        "fig6" => fig6,
-        "fig7" => fig7,
-        "fig8" => fig8,
-        "fig9" => fig9,
-        "fig10" => fig10,
-        "fig11a" => fig11a,
-        "fig11b" => fig11b,
-        "fig12" => fig12,
-        "fig13" => fig13,
-        "fig14" => fig14,
-        _ => return Err(esp_types::Error::unknown_name(name)),
-    })
+pub fn by_name(name: &str) -> esp_types::Result<Figure> {
+    FIGURES
+        .iter()
+        .find(|(id, _)| *id == name)
+        .map(|&(_, f)| f)
+        .ok_or_else(|| esp_types::Error::unknown_name(name))
 }
 
 #[cfg(test)]
@@ -456,8 +454,8 @@ mod tests {
 
     #[test]
     fn by_name_resolves_all() {
-        for n in ["fig3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11a", "fig11b", "fig12", "fig13", "fig14"] {
-            assert!(by_name(n).is_ok(), "{n}");
+        for (id, _) in FIGURES {
+            assert!(by_name(id).is_ok(), "{id}");
         }
         assert!(by_name("fig99").is_err());
     }

@@ -7,10 +7,7 @@
 //! [`Runner::improvements`] / [`Runner::metric`] become cache lookups.
 
 use crate::source::WorkloadSpec;
-use esp_core::{
-    LearnParams, LearnedStats, RunReport, SampleParams, SamplingEstimate, SimConfig, SimMode,
-    Simulator,
-};
+use esp_core::{RunReport, SampleParams, SamplingEstimate, SimConfig, SimMode, Simulator};
 use esp_obs::TraceProbe;
 use esp_stats::Table;
 use esp_trace::{PackedWorkload, SidecarKey, Workload};
@@ -23,9 +20,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One planned simulation's outputs: the report, its serialised trace
-/// bytes, the sampling estimate when the run sampled, and the
-/// learned-mode stats when learned fast-forwarding ran.
-type RunOutput = (RunReport, Vec<u8>, Option<SamplingEstimate>, Option<LearnedStats>);
+/// bytes, and the sampling estimate when the run sampled.
+type RunOutput = (RunReport, Vec<u8>, Option<SamplingEstimate>);
 
 /// Every machine configuration the evaluation compares, as a nameable
 /// key (so runs can be cached and reports labelled consistently).
@@ -63,111 +59,80 @@ pub enum ConfigKey {
     EspDepthProbe,
 }
 
+/// The simulator configuration constructor behind a [`ConfigKey`].
+type Preset = fn() -> SimConfig;
+
+/// Every configuration key with its report label and preset, in
+/// declaration order: row `i` holds the key whose discriminant is `i`,
+/// so [`ConfigKey::label`] and [`ConfigKey::config`] index it directly.
+const PRESETS: [(ConfigKey, &str, Preset); 29] = [
+    (ConfigKey::Base, "base", SimConfig::base),
+    (ConfigKey::NextLine, "NL", SimConfig::next_line),
+    (ConfigKey::NextLineStride, "NL + S", SimConfig::next_line_stride),
+    (ConfigKey::Runahead, "Runahead", SimConfig::runahead),
+    (ConfigKey::RunaheadNl, "Runahead + NL", SimConfig::runahead_nl),
+    (ConfigKey::Esp, "ESP", SimConfig::esp),
+    (ConfigKey::EspNl, "ESP + NL", SimConfig::esp_nl),
+    (ConfigKey::NaiveEsp, "Naive ESP", SimConfig::naive_esp),
+    (ConfigKey::NaiveEspNl, "Naive ESP + NL", SimConfig::naive_esp_nl),
+    (ConfigKey::EspINl, "ESP-I + NL", SimConfig::esp_i_nl),
+    (ConfigKey::EspIbNl, "ESP-I,B + NL", SimConfig::esp_ib_nl),
+    (ConfigKey::NlIOnly, "NL-I", SimConfig::nl_i_only),
+    (ConfigKey::NlDOnly, "NL-D", SimConfig::nl_d_only),
+    (ConfigKey::EspI, "ESP-I", SimConfig::esp_i),
+    (ConfigKey::EspINlI, "ESP-I + NL-I", SimConfig::esp_i_nl_i),
+    (ConfigKey::IdealEspINlI, "ideal ESP-I + NL-I", SimConfig::ideal_esp_i_nl_i),
+    (ConfigKey::RunaheadD, "Runahead-D", SimConfig::runahead_d),
+    (ConfigKey::RunaheadDNlD, "Runahead-D + NL-D", SimConfig::runahead_d_nl_d),
+    (ConfigKey::EspD, "ESP-D", SimConfig::esp_d),
+    (ConfigKey::EspDNlD, "ESP-D + NL-D", SimConfig::esp_d_nl_d),
+    (ConfigKey::IdealEspDNlD, "ideal ESP-D + NL-D", SimConfig::ideal_esp_d_nl_d),
+    (ConfigKey::EspBpShared, "no extra H/W", SimConfig::esp_bp_shared),
+    (ConfigKey::EspBpSeparateContext, "separate context", SimConfig::esp_bp_separate_context),
+    (
+        ConfigKey::EspBpSeparateTables,
+        "separate context and tables",
+        SimConfig::esp_bp_separate_tables,
+    ),
+    (ConfigKey::PerfectL1i, "perfect L1I-cache", || {
+        SimConfig::perfect(PerfectFlags::perfect_l1i())
+    }),
+    (ConfigKey::PerfectL1d, "perfect L1D-cache", || {
+        SimConfig::perfect(PerfectFlags::perfect_l1d())
+    }),
+    (ConfigKey::PerfectBranch, "perfect Branch Predictor", || {
+        SimConfig::perfect(PerfectFlags::perfect_branch())
+    }),
+    (ConfigKey::PerfectAll, "perfect All", || SimConfig::perfect(PerfectFlags::all())),
+    (ConfigKey::EspDepthProbe, "ESP depth probe", SimConfig::esp_depth_probe),
+];
+
+/// The keys of [`PRESETS`], in its order.
+const KEYS: [ConfigKey; PRESETS.len()] = {
+    let mut keys = [ConfigKey::Base; PRESETS.len()];
+    let mut i = 0;
+    while i < keys.len() {
+        keys[i] = PRESETS[i].0;
+        i += 1;
+    }
+    keys
+};
+
 impl ConfigKey {
     /// Every configuration in the evaluation matrix, in declaration
     /// order — the full plan for a figure regeneration.
     pub fn all() -> &'static [ConfigKey] {
-        &[
-            ConfigKey::Base,
-            ConfigKey::NextLine,
-            ConfigKey::NextLineStride,
-            ConfigKey::Runahead,
-            ConfigKey::RunaheadNl,
-            ConfigKey::Esp,
-            ConfigKey::EspNl,
-            ConfigKey::NaiveEsp,
-            ConfigKey::NaiveEspNl,
-            ConfigKey::EspINl,
-            ConfigKey::EspIbNl,
-            ConfigKey::NlIOnly,
-            ConfigKey::NlDOnly,
-            ConfigKey::EspI,
-            ConfigKey::EspINlI,
-            ConfigKey::IdealEspINlI,
-            ConfigKey::RunaheadD,
-            ConfigKey::RunaheadDNlD,
-            ConfigKey::EspD,
-            ConfigKey::EspDNlD,
-            ConfigKey::IdealEspDNlD,
-            ConfigKey::EspBpShared,
-            ConfigKey::EspBpSeparateContext,
-            ConfigKey::EspBpSeparateTables,
-            ConfigKey::PerfectL1i,
-            ConfigKey::PerfectL1d,
-            ConfigKey::PerfectBranch,
-            ConfigKey::PerfectAll,
-            ConfigKey::EspDepthProbe,
-        ]
+        &KEYS
     }
 
     /// The short label used in report rows.
     pub fn label(self) -> &'static str {
-        match self {
-            ConfigKey::Base => "base",
-            ConfigKey::NextLine => "NL",
-            ConfigKey::NextLineStride => "NL + S",
-            ConfigKey::Runahead => "Runahead",
-            ConfigKey::RunaheadNl => "Runahead + NL",
-            ConfigKey::Esp => "ESP",
-            ConfigKey::EspNl => "ESP + NL",
-            ConfigKey::NaiveEsp => "Naive ESP",
-            ConfigKey::NaiveEspNl => "Naive ESP + NL",
-            ConfigKey::EspINl => "ESP-I + NL",
-            ConfigKey::EspIbNl => "ESP-I,B + NL",
-            ConfigKey::NlIOnly => "NL-I",
-            ConfigKey::NlDOnly => "NL-D",
-            ConfigKey::EspI => "ESP-I",
-            ConfigKey::EspINlI => "ESP-I + NL-I",
-            ConfigKey::IdealEspINlI => "ideal ESP-I + NL-I",
-            ConfigKey::RunaheadD => "Runahead-D",
-            ConfigKey::RunaheadDNlD => "Runahead-D + NL-D",
-            ConfigKey::EspD => "ESP-D",
-            ConfigKey::EspDNlD => "ESP-D + NL-D",
-            ConfigKey::IdealEspDNlD => "ideal ESP-D + NL-D",
-            ConfigKey::EspBpShared => "no extra H/W",
-            ConfigKey::EspBpSeparateContext => "separate context",
-            ConfigKey::EspBpSeparateTables => "separate context and tables",
-            ConfigKey::PerfectL1i => "perfect L1I-cache",
-            ConfigKey::PerfectL1d => "perfect L1D-cache",
-            ConfigKey::PerfectBranch => "perfect Branch Predictor",
-            ConfigKey::PerfectAll => "perfect All",
-            ConfigKey::EspDepthProbe => "ESP depth probe",
-        }
+        PRESETS[self as usize].1
     }
 
     /// The simulator configuration this key denotes.
     pub fn config(self) -> SimConfig {
-        match self {
-            ConfigKey::Base => SimConfig::base(),
-            ConfigKey::NextLine => SimConfig::next_line(),
-            ConfigKey::NextLineStride => SimConfig::next_line_stride(),
-            ConfigKey::Runahead => SimConfig::runahead(),
-            ConfigKey::RunaheadNl => SimConfig::runahead_nl(),
-            ConfigKey::Esp => SimConfig::esp(),
-            ConfigKey::EspNl => SimConfig::esp_nl(),
-            ConfigKey::NaiveEsp => SimConfig::naive_esp(),
-            ConfigKey::NaiveEspNl => SimConfig::naive_esp_nl(),
-            ConfigKey::EspINl => SimConfig::esp_i_nl(),
-            ConfigKey::EspIbNl => SimConfig::esp_ib_nl(),
-            ConfigKey::NlIOnly => SimConfig::nl_i_only(),
-            ConfigKey::NlDOnly => SimConfig::nl_d_only(),
-            ConfigKey::EspI => SimConfig::esp_i(),
-            ConfigKey::EspINlI => SimConfig::esp_i_nl_i(),
-            ConfigKey::IdealEspINlI => SimConfig::ideal_esp_i_nl_i(),
-            ConfigKey::RunaheadD => SimConfig::runahead_d(),
-            ConfigKey::RunaheadDNlD => SimConfig::runahead_d_nl_d(),
-            ConfigKey::EspD => SimConfig::esp_d(),
-            ConfigKey::EspDNlD => SimConfig::esp_d_nl_d(),
-            ConfigKey::IdealEspDNlD => SimConfig::ideal_esp_d_nl_d(),
-            ConfigKey::EspBpShared => SimConfig::esp_bp_shared(),
-            ConfigKey::EspBpSeparateContext => SimConfig::esp_bp_separate_context(),
-            ConfigKey::EspBpSeparateTables => SimConfig::esp_bp_separate_tables(),
-            ConfigKey::PerfectL1i => SimConfig::perfect(PerfectFlags::perfect_l1i()),
-            ConfigKey::PerfectL1d => SimConfig::perfect(PerfectFlags::perfect_l1d()),
-            ConfigKey::PerfectBranch => SimConfig::perfect(PerfectFlags::perfect_branch()),
-            ConfigKey::PerfectAll => SimConfig::perfect(PerfectFlags::all()),
-            ConfigKey::EspDepthProbe => SimConfig::esp_depth_probe(),
-        }
+        (PRESETS[self as usize].2)()
     }
 }
 
@@ -242,13 +207,6 @@ pub struct Runner {
     /// (`Simulator::run_sampled`) with these parameters instead of the
     /// exact interval loop; trace lines are tagged `"mode":"sampled"`.
     sampling: Option<SampleParams>,
-    /// When set (with `sampling` also set), sampled simulations use
-    /// learned fast-forwarding (`Simulator::run_sampled_learned`); the
-    /// per-run model statistics land in `learned_stats`.
-    learned: Option<LearnParams>,
-    /// Learned-mode statistics per (slot, configuration), captured by
-    /// [`Runner::ensure`] whenever `learned` is active.
-    learned_stats: HashMap<(usize, ConfigKey), LearnedStats>,
     /// Sampling estimates per (slot, configuration), captured by
     /// [`Runner::ensure`] whenever `sampling` is active.
     estimates: HashMap<(usize, ConfigKey), SamplingEstimate>,
@@ -363,8 +321,6 @@ impl Runner {
             cache: HashMap::new(),
             sims_run: 0,
             sampling: None,
-            learned: None,
-            learned_stats: HashMap::new(),
             estimates: HashMap::new(),
             trace: None,
         })
@@ -381,46 +337,10 @@ impl Runner {
         self.sampling = params;
     }
 
-    /// Switches every subsequent *sampled* simulation to learned
-    /// fast-forwarding (or back to plain functional warming with
-    /// `None`). Has no effect until sampling mode is on. Cached reports
-    /// and learned statistics are discarded so a matrix never mixes
-    /// modes silently.
-    pub fn set_learned(&mut self, params: Option<LearnParams>) {
-        if self.learned != params {
-            self.cache.clear();
-            self.estimates.clear();
-            self.learned_stats.clear();
-        }
-        self.learned = params;
-    }
-
-    /// The learned-mode statistics for `(i, key)`, if that cell was
-    /// simulated with learned fast-forwarding.
-    pub fn learned_stats(&self, i: usize, key: ConfigKey) -> Option<&LearnedStats> {
-        self.learned_stats.get(&(i, key))
-    }
-
     /// The sampling estimate for `(i, key)`, if that cell was simulated
     /// in sampling mode.
     pub fn estimate(&self, i: usize, key: ConfigKey) -> Option<&SamplingEstimate> {
         self.estimates.get(&(i, key))
-    }
-
-    /// Aggregates learned-mode statistics over every cached cell:
-    /// `(mean skip fraction, mean fallbacks per stretch, cells where the
-    /// ladder disabled skipping, cells escalated to a full rerun)`.
-    /// `None` when no learned cell has run.
-    pub fn learned_summary(&self) -> Option<(f64, f64, usize, usize)> {
-        if self.learned_stats.is_empty() {
-            return None;
-        }
-        let n = self.learned_stats.len() as f64;
-        let skip = self.learned_stats.values().map(LearnedStats::skip_fraction).sum::<f64>() / n;
-        let fb = self.learned_stats.values().map(LearnedStats::fallback_rate).sum::<f64>() / n;
-        let disabled = self.learned_stats.values().filter(|s| s.disabled).count();
-        let rerun = self.learned_stats.values().filter(|s| s.rerun_full).count();
-        Some((skip, fb, disabled, rerun))
     }
 
     /// Routes a JSONL trace of every subsequent simulation to `path`
@@ -524,7 +444,6 @@ impl Runner {
         let slots = &self.slots;
         let tracing = self.trace.is_some();
         let sampling = self.sampling;
-        let learned = self.learned;
         // Longest-job-first dispatch: the worker pool pops jobs from a
         // shared queue, so the matrix tail is set by whichever job starts
         // last — dispatch the expensive ones first and the cheap ones
@@ -553,28 +472,21 @@ impl Runner {
             let workload: &PackedWorkload = &slots[i].packed;
             let sim = Simulator::new(key.config());
             match (sampling, tracing) {
-                (None, false) => (sim.run(workload), Vec::new(), None, None),
+                (None, false) => (sim.run(workload), Vec::new(), None),
                 (None, true) => {
                     let mut probe = TraceProbe::new(&slots[i].name, key.label());
                     let report = sim.run_probed(workload, &mut probe);
-                    (report, probe.into_bytes(), None, None)
+                    (report, probe.into_bytes(), None)
                 }
                 (Some(p), false) => {
-                    let run = match learned {
-                        Some(lp) => sim.run_sampled_learned(workload, p, lp),
-                        None => sim.run_sampled(workload, p),
-                    };
-                    (run.report, Vec::new(), Some(run.estimate), run.learned)
+                    let run = sim.run_sampled(workload, p);
+                    (run.report, Vec::new(), Some(run.estimate))
                 }
                 (Some(p), true) => {
-                    let mode = if learned.is_some() { "learned" } else { "sampled" };
                     let mut probe =
-                        TraceProbe::new(&slots[i].name, key.label()).with_mode(mode);
-                    let run = match learned {
-                        Some(lp) => sim.run_sampled_learned_probed(workload, p, lp, &mut probe),
-                        None => sim.run_sampled_probed(workload, p, &mut probe),
-                    };
-                    (run.report, probe.into_bytes(), Some(run.estimate), run.learned)
+                        TraceProbe::new(&slots[i].name, key.label()).with_mode("sampled");
+                    let run = sim.run_sampled_probed(workload, p, &mut probe);
+                    (run.report, probe.into_bytes(), Some(run.estimate))
                 }
             }
         });
@@ -602,12 +514,9 @@ impl Runner {
             eprintln!("warning: trace output failed ({e}); tracing disabled");
             self.trace = None;
         }
-        for (pair, (report, _, estimate, stats)) in pairs.into_iter().zip(results) {
+        for (pair, (report, _, estimate)) in pairs.into_iter().zip(results) {
             if let Some(estimate) = estimate {
                 self.estimates.insert(pair, estimate);
-            }
-            if let Some(stats) = stats {
-                self.learned_stats.insert(pair, stats);
             }
             self.cache.insert(pair, report);
         }
@@ -669,21 +578,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_are_unique() {
-        let keys = [
-            ConfigKey::Base,
-            ConfigKey::NextLine,
-            ConfigKey::NextLineStride,
-            ConfigKey::Runahead,
-            ConfigKey::EspNl,
-            ConfigKey::EspBpShared,
-            ConfigKey::PerfectAll,
-        ];
-        let labels: std::collections::HashSet<_> = keys.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), keys.len());
-    }
-
-    #[test]
     fn runner_caches_runs() {
         let mut r = Runner::new(20_000, 1);
         let c1 = r.run(0, ConfigKey::Base).total_cycles;
@@ -702,6 +596,13 @@ mod tests {
         assert_eq!(r.sims_run(), 14);
         r.ensure(&[ConfigKey::Base, ConfigKey::NextLine]);
         assert_eq!(r.sims_run(), 14, "already-cached pairs must not rerun");
+    }
+
+    #[test]
+    fn each_preset_row_sits_at_its_keys_discriminant() {
+        for (i, (key, ..)) in PRESETS.iter().enumerate() {
+            assert_eq!(*key as usize, i, "{key:?}");
+        }
     }
 
     #[test]

@@ -30,9 +30,6 @@ fn bad_argument_vectors_exit_2_without_panicking() {
         &["--intra-threads", "2", "bench"],
         &["--learn-model", "gbm", "--sample-period", "20", "fig9"],
         &["--cpi-stack", "fig9"],
-        // One value at or just past each range bound.
-        &["--sample-period", "2", "fig9"],
-        &["--sample-grain", "0", "--sample-period", "20", "fig9"],
         &["--learn-train", "0", "--sample-period", "20", "fig9"],
         &["--learn-suffix", "0", "--sample-period", "20", "fig9"],
         &["--learn-bound", "0", "--sample-period", "20", "fig9"],
@@ -40,6 +37,9 @@ fn bad_argument_vectors_exit_2_without_panicking() {
         &["--learn-bound", "inf", "--sample-period", "20", "fig9"],
         &["--learn", "fig9"],
         &["--learn-train", "0", "bench"],
+        // One value at or just past each range bound.
+        &["--sample-period", "2", "fig9"],
+        &["--sample-grain", "0", "--sample-period", "20", "fig9"],
         &["--sample-grain", "0", "bench"],
         &["--sample-period", "18446744073709551616", "fig9"],
         &["--threads", "0", "fig9"],

@@ -65,3 +65,19 @@ fn bench_writes_the_committed_record_schema() {
     assert_eq!(got, want);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// At one thread `bench` skips the N-thread pass, and its note names the
+/// thread count and where it came from, not the machine's core count.
+#[test]
+fn bench_at_one_thread_notes_where_the_count_came_from() {
+    let dir = empty_dir("bench-1t");
+    repro_in(&dir, &["--scale", "5000", "--threads", "1", "--repeat", "1", "bench"]);
+    let record = std::fs::read_to_string(dir.join("BENCH_repro.json")).expect("record written");
+    let json = esp_check::Json::parse(&record).expect("valid JSON");
+    assert_eq!(json.get("threads_nt").and_then(esp_check::Json::as_u64), Some(1));
+    assert_eq!(
+        json.get("nt_note").and_then(esp_check::Json::as_str),
+        Some("N-thread pass skipped: --threads gives 1 thread")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

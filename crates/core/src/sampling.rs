@@ -1104,8 +1104,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--learn-train must be at least 1")]
-    fn learned_invalid_params_panic_with_cli_message() {
+    #[should_panic(expected = "train_stretches must be at least 1")]
+    fn learned_invalid_params_panic_naming_the_field() {
         let w = BenchmarkProfile::amazon().scaled(10_000).build(42).materialise();
         let sim = Simulator::new(SimConfig::base());
         let learn = LearnParams { train_stretches: 0, ..LearnParams::default() };

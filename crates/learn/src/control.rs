@@ -81,20 +81,21 @@ impl Default for LearnParams {
 }
 
 impl LearnParams {
-    /// Validates the parameters, returning a human-readable error for
-    /// the CLI to print (no panics on user input).
+    /// Validates the parameters, returning a human-readable error that
+    /// names the field at fault.
     pub fn validate(&self) -> Result<(), String> {
         if self.train_stretches == 0 {
-            return Err("--learn-train must be at least 1".into());
+            return Err("train_stretches must be at least 1".into());
         }
         if self.warm_suffix_grains == 0 {
             return Err(
-                "--learn-suffix must be at least 1 (a measured grain needs freshly warmed state)"
+                "warm_suffix_grains must be at least 1 (a measured grain needs freshly warmed \
+                 state)"
                     .into(),
             );
         }
         if !self.residual_bound_pct.is_finite() || self.residual_bound_pct <= 0.0 {
-            return Err("--learn-bound must be a positive number of percent".into());
+            return Err("residual_bound_pct must be a positive number of percent".into());
         }
         if self.cooloff_stretches == 0 {
             return Err("cooloff_stretches must be at least 1".into());

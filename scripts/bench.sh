@@ -8,15 +8,12 @@
 # 261 simulations: the paper's 7 profiles plus serverasync and iotfsm)
 # several times: pass 1 cold on one thread (generate +
 # materialise + simulate), pass 2 warm on all cores (arena reused;
-# skipped with a JSON note when only one core is visible), pass 3 warm
+# skipped with a JSON note when the thread count is one), pass 3 warm
 # in statistical-sampling mode with a sampled-vs-exact CPI error
-# cross-check (per-profile table under "sampled".per_profile), pass 3b
-# warm with learned fast-forwarding on top of sampling (--learn-* to
-# override the learned parameters; throughput, speedups vs exact and
-# vs plain sampling, error envelope, skip fraction, and fallback
-# counters land under "learned"). A final trace-I/O pass exports every
-# family to .espt files, clears the arena memo, re-imports them, and
-# records the wall times under "trace_io" next to the
+# cross-check (per-profile table under "sampled".per_profile). A final
+# trace-I/O pass exports every family to .espt files, clears the arena
+# memo, re-imports them, and records the wall times under "trace_io"
+# next to the
 # generate/materialise phase seconds the import path replaces
 # (docs/TRACE_FORMAT.md). Exact and sampled throughput both land in
 # BENCH_repro.json, as sims/s and as MIPS (instructions simulated —

@@ -46,7 +46,7 @@ cargo run --release -q --example custom_workload
 echo "== sampling: accuracy + thread-count determinism (esp-sample) =="
 cargo test -q --release -p esp-bench --test sampling_error
 
-echo "== learned fast-forward: accuracy + non-vacuous skipping + determinism (esp-learn) =="
+echo "== learned fast-forward: accuracy + non-vacuous skipping (esp-learn) =="
 cargo test -q --release -p esp-bench --test learned_ff_error
 
 echo "== interval coverage: sampled + learned ci95 hold the exact CPI on >= 90% of the panel =="
@@ -66,8 +66,8 @@ echo "== timing smoke (informational, non-gating) =="
 # ./scripts/bench.sh (see docs/PERFORMANCE.md). Runs in a scratch
 # directory so the committed BENCH_repro.json is untouched. The scale
 # gives every family at least two sampling periods (40 grains of 2000
-# instructions); below that, sampled and learned runs fall back to exact
-# and their lines would describe exact runs.
+# instructions); below that, sampled runs fall back to exact and their
+# line would describe exact runs.
 smoke_dir="$(mktemp -d)"
 ( cd "$smoke_dir" &&
   "$OLDPWD/target/release/repro" --scale 120000 --seed 42 --repeat 1 bench &&
@@ -99,15 +99,6 @@ print(f"  sampled: {s['sims_per_sec']:.1f} sims/sec, simulate speedup "
       f"{s['max_cpi_error_pct']:.1f}%, ci95 coverage {s.get('ci95_coverage', float('nan')):.2f} "
       f"(small scale -- error shrinks with scale; "
       f"the gated accuracy test runs at 2.4M)")
-l = d.get("learned")
-if l:
-    print(f"  learned: {l['sims_per_sec']:.1f} sims/sec, simulate speedup "
-          f"{l['simulate_speedup_vs_exact']:.2f}x vs exact "
-          f"({l['simulate_speedup_vs_sampled']:.2f}x vs sampled), max CPI error "
-          f"{l['max_cpi_error_pct']:.1f}%, ci95 coverage "
-          f"{l.get('ci95_coverage', float('nan')):.2f}, skip fraction {l['skip_fraction']:.2f}, "
-          f"fallback rate {l['fallback_rate']:.3f} (small scale -- few stretches "
-          f"to skip; the gated accuracy test runs at 2.4M)")
 try:
     rec = json.load(open(sys.argv[1]))
 except (OSError, ValueError):
