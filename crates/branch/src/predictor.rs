@@ -483,17 +483,10 @@ impl BranchPredictor {
         cp.ras.copy_from(&self.ras);
     }
 
-    /// Restores a [`SpeculativeCheckpoint`].
-    pub fn restore_speculative(&mut self, cp: SpeculativeCheckpoint) {
-        self.pirs[PredictorContext::Normal.idx()] = cp.pir;
-        self.ras = cp.ras;
-        self.record(BpOp::Restore);
-    }
-
-    /// [`Self::restore_speculative`] from a borrowed checkpoint, reusing
-    /// the live RAS's storage (the allocation-free pair of
+    /// Restores a [`SpeculativeCheckpoint`], copying into the live RAS's
+    /// storage (the allocation-free pair of
     /// [`Self::checkpoint_speculative_into`]).
-    pub fn restore_speculative_from(&mut self, cp: &SpeculativeCheckpoint) {
+    pub fn restore_speculative(&mut self, cp: &SpeculativeCheckpoint) {
         self.pirs[PredictorContext::Normal.idx()] = cp.pir;
         self.ras.copy_from(&cp.ras);
         self.record(BpOp::Restore);
@@ -737,7 +730,7 @@ mod tests {
         let cp = p.checkpoint_speculative();
         p.predict_and_update(PredictorContext::Esp1, &cond);
         p.clear_ras();
-        p.restore_speculative(cp);
+        p.restore_speculative(&cp);
         p.begin_replay();
         p.train_ahead(&cond);
         p.predict_and_update(PredictorContext::Normal, &ret);
@@ -759,7 +752,7 @@ mod tests {
                 BpOp::ClearRas => shadow.clear_ras(),
                 BpOp::Checkpoint => cps.push(shadow.checkpoint_speculative()),
                 BpOp::Restore => {
-                    shadow.restore_speculative(cps.pop().expect("unbalanced restore"));
+                    shadow.restore_speculative(&cps.pop().expect("unbalanced restore"));
                 }
                 BpOp::Promote => shadow.promote_event(),
                 BpOp::ResetStats => shadow.reset_stats(),

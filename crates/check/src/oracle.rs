@@ -165,40 +165,23 @@ fn replay_mem(config: &SimConfig, log: &SideEffectLog) -> Result<(), String> {
     let mut shadow = MemoryHierarchy::new(config.engine.machine.hierarchy.clone());
     for (i, op) in log.mem_ops.iter().enumerate() {
         match *op {
-            MemOp::AccessInstr { line, now, served } => {
-                let got = shadow.access_instr(line, now);
+            MemOp::Access { port, line, now, store, served } => {
+                let got = shadow.access(port, line, now, store);
                 if got != served {
                     return Err(format!(
-                        "mem replay diverged at op {i}: access_instr({line:?}, {now:?}) returned {got:?}, run observed {served:?}"
+                        "mem replay diverged at op {i}: access({port:?}, {line:?}, {now:?}, store={store}) returned {got:?}, run observed {served:?}"
                     ));
                 }
             }
-            MemOp::AccessData { line, now, store, served } => {
-                let got = shadow.access_data(line, now, store);
-                if got != served {
-                    return Err(format!(
-                        "mem replay diverged at op {i}: access_data({line:?}, {now:?}, store={store}) returned {got:?}, run observed {served:?}"
-                    ));
-                }
-            }
-            MemOp::PrefetchInstr { line, now, into_l1, issued } => {
-                let got = shadow.prefetch_instr(line, now, into_l1);
+            MemOp::Prefetch { port, line, now, into_l1, issued } => {
+                let got = shadow.prefetch(port, line, now, into_l1);
                 if got != issued {
                     return Err(format!(
-                        "mem replay diverged at op {i}: prefetch_instr({line:?}) issued={got}, run observed {issued}"
+                        "mem replay diverged at op {i}: prefetch({port:?}, {line:?}) issued={got}, run observed {issued}"
                     ));
                 }
             }
-            MemOp::PrefetchData { line, now, into_l1, issued } => {
-                let got = shadow.prefetch_data(line, now, into_l1);
-                if got != issued {
-                    return Err(format!(
-                        "mem replay diverged at op {i}: prefetch_data({line:?}) issued={got}, run observed {issued}"
-                    ));
-                }
-            }
-            MemOp::PrefetchInstrInstant { line, now } => shadow.prefetch_instr_instant(line, now),
-            MemOp::PrefetchDataInstant { line, now } => shadow.prefetch_data_instant(line, now),
+            MemOp::PrefetchInstant { port, line, now } => shadow.prefetch_instant(port, line, now),
             MemOp::ResetStats => shadow.reset_stats(),
         }
     }
@@ -237,7 +220,7 @@ fn replay_bp(config: &SimConfig, log: &SideEffectLog) -> Result<(), String> {
             BpOp::ClearRas => shadow.clear_ras(),
             BpOp::Checkpoint => checkpoints.push(shadow.checkpoint_speculative()),
             BpOp::Restore => match checkpoints.pop() {
-                Some(cp) => shadow.restore_speculative(cp),
+                Some(cp) => shadow.restore_speculative(&cp),
                 None => return Err(format!("bp replay diverged at op {i}: restore without checkpoint")),
             },
             BpOp::Promote => shadow.promote_event(),

@@ -16,7 +16,7 @@ use crate::side_cache::SideCache;
 use crate::working_set::WorkingSetReport;
 use esp_branch::{PredictorContext, SpeculativeCheckpoint};
 use esp_lists::{AddrList, BList, ListCapacities};
-use esp_mem::{AccessResult, CacheConfig, Cachelet, CacheletSlot};
+use esp_mem::{AccessResult, CacheConfig, Cachelet, CacheletSlot, Port};
 use esp_obs::{CycleClass, Probe, WindowRecord, WindowSpender};
 use esp_trace::{EventCursor, EventRecord, PackedWorkload, Workload};
 use esp_types::{Cycle, LineAddr};
@@ -106,6 +106,14 @@ enum SlotStep {
     Finished,
 }
 
+/// What one pre-executed access through a port's L0 path costs its slot.
+struct L0Access {
+    /// Cycles exposed beyond a pipelined L1 hit.
+    exposed: u64,
+    /// The fill latency, when the access missed the LLC.
+    llc_miss: Option<u64>,
+}
+
 fn caps_for(depth_idx: usize, ideal: bool) -> ListCapacities {
     if ideal {
         ListCapacities::unbounded()
@@ -121,13 +129,13 @@ pub(crate) struct EspState<'w> {
     features: EspFeatures,
     workload: &'w PackedWorkload,
     slots: Vec<Slot<'w>>,
-    /// Shared way-partitioned cachelets for ESP-1/ESP-2 (§4.2).
-    cachelet_i: Cachelet,
-    cachelet_d: Cachelet,
-    /// Per-slot caches standing in for the cachelets beyond depth 2 (the
-    /// Fig. 13 probe) or for the unbounded ideal configuration.
-    side_i: Vec<SideCache>,
-    side_d: Vec<SideCache>,
+    /// Shared way-partitioned I- and D-cachelets for ESP-1/ESP-2 (§4.2),
+    /// indexed by [`Port::idx`].
+    cachelet: [Cachelet; 2],
+    /// Per-slot I- and D-side caches, indexed by [`Port::idx`], standing
+    /// in for the cachelets beyond depth 2 (the Fig. 13 probe) or for the
+    /// unbounded ideal configuration.
+    side: [Vec<SideCache>; 2],
     stats: EspRunStats,
     working_sets: WorkingSetReport,
     /// Scratch buffer for the per-window RAS/PIR checkpoint, reused so
@@ -151,10 +159,8 @@ impl<'w> EspState<'w> {
             features,
             workload,
             slots,
-            cachelet_i: Cachelet::new(2),
-            cachelet_d: Cachelet::new(2),
-            side_i: side(n_side),
-            side_d: side(n_side),
+            cachelet: [Cachelet::new(2), Cachelet::new(2)],
+            side: [side(n_side), side(n_side)],
             stats: EspRunStats { instrs_by_depth: vec![0; depth], ..EspRunStats::default() },
             working_sets: WorkingSetReport::new(depth),
             bp_checkpoint: None,
@@ -302,7 +308,7 @@ impl<'w> EspState<'w> {
         // the checkpoint hardware, clear) the RAS.
         if checkpointed {
             let cp = self.bp_checkpoint.as_ref().expect("checkpoint taken above");
-            engine.bp_mut().restore_speculative_from(cp);
+            engine.bp_mut().restore_speculative(cp);
         } else {
             engine.bp_mut().clear_ras();
         }
@@ -335,7 +341,6 @@ impl<'w> EspState<'w> {
         use esp_trace::kindbits::{TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
 
         let features = self.features;
-        let side = self.side_index(s);
         let measure = features.measure_working_sets;
         let record_lists = s < 2 || features.ideal;
 
@@ -358,40 +363,10 @@ impl<'w> EspState<'w> {
             if features.ilist && record_lists {
                 slot.ilist.record(fetch_line, icount);
             }
-            if features.naive {
-                // Naive ESP fetches straight into L1-I/L2, polluting them.
-                let r = engine.mem_mut().access_instr(fetch_line, t);
-                millis += r.latency.saturating_sub(2) * 1000;
-                if r.llc_miss {
-                    return SlotStep::Blocked(t + r.latency, millis);
-                }
-            } else {
-                let result = match side {
-                    Some(i) => self.side_i[i].access(fetch_line, t),
-                    None => {
-                        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                        self.cachelet_i.access(cs, fetch_line, t)
-                    }
-                };
-                match result {
-                    AccessResult::Hit(_) => {}
-                    AccessResult::PartialHit(rem) => millis += rem * 1000,
-                    AccessResult::Miss => {
-                        let (lat, llc) = engine.mem().bypass_latency(fetch_line);
-                        let ready = if features.ideal { t } else { t + lat };
-                        match side {
-                            Some(i) => self.side_i[i].fill_absent(fetch_line, ready),
-                            None => {
-                                let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                                self.cachelet_i.fill(cs, fetch_line, t, ready);
-                            }
-                        }
-                        if llc {
-                            return SlotStep::Blocked(t + lat, millis);
-                        }
-                        millis += lat * 1000;
-                    }
-                }
+            let r = self.l0_access(Port::Instr, s, fetch_line, t, false, engine);
+            millis += r.exposed * 1000;
+            if let Some(latency) = r.llc_miss {
+                return SlotStep::Blocked(t + latency, millis);
             }
         }
 
@@ -415,7 +390,6 @@ impl<'w> EspState<'w> {
         // ---- data --------------------------------------------------------
         if tag == TAG_LOAD || tag == TAG_STORE {
             let line = LineAddr::new(rs.op >> line_shift);
-            let is_store = tag == TAG_STORE;
             let slot = &mut self.slots[s];
             if measure {
                 slot.dws.insert(line.as_u64());
@@ -423,61 +397,75 @@ impl<'w> EspState<'w> {
             if features.dlist && record_lists {
                 slot.dlist.record(line, icount);
             }
-            let overlapped = |slot: &mut Slot<'_>| {
-                let within = slot
-                    .last_data_llc_at
-                    .is_some_and(|at| icount.saturating_sub(at) < 96);
-                slot.last_data_llc_at = Some(icount);
-                within
-            };
-            if features.naive {
-                let r = engine.mem_mut().access_data(line, t, is_store);
-                if r.llc_miss {
+            let r = self.l0_access(Port::Data, s, line, t, tag == TAG_STORE, engine);
+            match r.llc_miss {
+                Some(latency) => {
+                    // An LLC miss within 96 instructions of the slot's
+                    // last one overlaps it: its fill proceeds in the
+                    // background while the pre-execution keeps issuing,
+                    // like any other OoO miss cluster.
                     let slot = &mut self.slots[s];
-                    if !overlapped(slot) {
-                        return SlotStep::Blocked(t + r.latency, millis);
-                    }
-                } else {
-                    millis += r.latency.saturating_sub(2) * 1000;
-                }
-            } else {
-                let result = match side {
-                    Some(i) => self.side_d[i].access(line, t),
-                    None => {
-                        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                        self.cachelet_d.access(cs, line, t)
-                    }
-                };
-                match result {
-                    AccessResult::Hit(_) => {}
-                    AccessResult::PartialHit(rem) => millis += rem * 1000,
-                    AccessResult::Miss => {
-                        let (lat, llc) = engine.mem().bypass_latency(line);
-                        let ready = if features.ideal { t } else { t + lat };
-                        match side {
-                            Some(i) => self.side_d[i].fill_absent(line, ready),
-                            None => {
-                                let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
-                                self.cachelet_d.fill(cs, line, t, ready);
-                            }
-                        }
-                        if llc {
-                            let slot = &mut self.slots[s];
-                            if !overlapped(slot) {
-                                return SlotStep::Blocked(t + lat, millis);
-                            }
-                            // Overlapped miss: the fill proceeds in the
-                            // background while the pre-execution keeps
-                            // issuing, like any other OoO miss cluster.
-                        } else {
-                            millis += lat * 1000;
-                        }
+                    let overlapped =
+                        slot.last_data_llc_at.is_some_and(|at| icount.saturating_sub(at) < 96);
+                    slot.last_data_llc_at = Some(icount);
+                    if !overlapped {
+                        return SlotStep::Blocked(t + latency, millis);
                     }
                 }
+                None => millis += r.exposed * 1000,
             }
         }
 
         SlotStep::Ran(millis)
+    }
+
+    /// One access of `line` through `port` by slot `s` at time `t`. Naive
+    /// ESP goes straight through the real L1 and L2, polluting them.
+    /// Otherwise the slot's cachelet partition (or side cache) is looked
+    /// up, and a miss bypasses the L1s (§3.4): an L2 probe prices it and
+    /// only the L0 structure is filled.
+    #[inline(always)]
+    fn l0_access(
+        &mut self,
+        port: Port,
+        s: usize,
+        line: LineAddr,
+        t: Cycle,
+        store: bool,
+        engine: &mut Engine,
+    ) -> L0Access {
+        if self.features.naive {
+            let mem = engine.mem_mut();
+            let r = mem.access(port, line, t, store);
+            let hit = mem.l1(port).config().hit_latency;
+            return L0Access {
+                exposed: r.latency.saturating_sub(hit),
+                llc_miss: r.llc_miss.then_some(r.latency),
+            };
+        }
+        let side = self.side_index(s);
+        let cs = if s == 0 { CacheletSlot::Esp1 } else { CacheletSlot::Esp2 };
+        let result = match side {
+            Some(i) => self.side[port.idx()][i].access(line, t),
+            None => self.cachelet[port.idx()].access(cs, line, t),
+        };
+        match result {
+            AccessResult::Hit(_) => L0Access { exposed: 0, llc_miss: None },
+            AccessResult::PartialHit(rem) => L0Access { exposed: rem, llc_miss: None },
+            AccessResult::Miss => {
+                let (latency, llc) = engine.mem().bypass_latency(line);
+                let ready = if self.features.ideal { t } else { t + latency };
+                match side {
+                    Some(i) => self.side[port.idx()][i].fill_absent(line, ready),
+                    None => self.cachelet[port.idx()].fill(cs, line, ready),
+                }
+                if llc {
+                    L0Access { exposed: 0, llc_miss: Some(latency) }
+                } else {
+                    L0Access { exposed: latency, llc_miss: None }
+                }
+            }
+        }
     }
 
     /// The event-completion context shift (§4.2): the ESP-2 event becomes
@@ -515,25 +503,23 @@ impl<'w> EspState<'w> {
             slot.blist = blist;
         }
         if !self.features.naive {
-            self.cachelet_i.rotate();
-            self.cachelet_d.rotate();
+            for c in &mut self.cachelet {
+                c.rotate();
+            }
         }
         // Side caches shift with their slots; the freed one is recycled.
-        if !self.side_i.is_empty() {
+        for side in self.side.iter_mut().filter(|side| !side.is_empty()) {
             if self.features.ideal {
-                // The retired slot's 4 MiB caches come back empty, their
+                // The retired slot's 4 MiB cache comes back empty, its
                 // blocks returned to the pool.
-                for side in [&mut self.side_i, &mut self.side_d] {
-                    side.rotate_left(1);
-                    if let Some(freed) = side.last_mut() {
-                        freed.reset();
-                    }
+                side.rotate_left(1);
+                if let Some(freed) = side.last_mut() {
+                    freed.reset();
                 }
             } else {
                 // Depth-2 promotion into the shared cachelet loses the
-                // probe slots' contents (they are measurement-only).
-                self.side_i[0].flush();
-                self.side_d[0].flush();
+                // probe slot's contents (they are measurement-only).
+                side[0].flush();
             }
         }
 
@@ -736,7 +722,7 @@ mod tests {
         esp.spend_window_probed(&mut engine, stall(300), 0, &mut NullProbe);
         // Event 1's code lines were filled into the *real* L1-I.
         let line = Addr::new(0x41_0000).line(64);
-        assert!(engine.mem().l1i().probe(line), "naive ESP must fill L1-I");
+        assert!(engine.mem().l1(Port::Instr).probe(line), "naive ESP must fill L1-I");
     }
 
     #[test]
@@ -746,7 +732,36 @@ mod tests {
         let mut engine = Engine::new(EngineConfig::baseline());
         esp.spend_window_probed(&mut engine, stall(300), 0, &mut NullProbe);
         let line = Addr::new(0x41_0000).line(64);
-        assert!(!engine.mem().l1i().probe(line), "cachelets must isolate fills");
+        assert!(!engine.mem().l1(Port::Instr).probe(line), "cachelets must isolate fills");
+    }
+
+    /// Naive ESP exposes only what an access costs beyond the configured
+    /// L1 hit: over L1-resident code and data, a window pre-executes as
+    /// many instructions with 4-cycle L1s as with 2-cycle ones.
+    #[test]
+    fn naive_mode_hides_the_configured_l1_hit_latency() {
+        let toy = toy(2, 300);
+        let w = PackedWorkload::pack(&toy);
+        let spec_instrs = |hit_latency: u64| {
+            let mut cfg = EngineConfig::baseline();
+            cfg.machine.hierarchy.l1i.hit_latency = hit_latency;
+            cfg.machine.hierarchy.l1d.hit_latency = hit_latency;
+            let mut engine = Engine::new(cfg);
+            // Event 1's code and data lines, settled in the L1s long
+            // before the window opens.
+            for instr in &toy.streams[1] {
+                engine.mem_mut().access(Port::Instr, instr.pc.line(64), Cycle::ZERO, false);
+                if let Some(addr) = instr.mem_addr() {
+                    engine.mem_mut().access(Port::Data, addr.line(64), Cycle::ZERO, false);
+                }
+            }
+            let mut esp = EspState::new(EspFeatures::naive(), &w);
+            esp.spend_window_probed(&mut engine, stall(60), 0, &mut NullProbe);
+            esp.stats().spec_instrs()
+        };
+        let at_2 = spec_instrs(2);
+        assert!(at_2 > 0 && at_2 < 300, "the window must end inside the event: {at_2}");
+        assert_eq!(spec_instrs(4), at_2);
     }
 
     /// An engine whose three cache levels use `line_bytes`-byte lines.

@@ -11,6 +11,7 @@
 //!   the history "is neither too far in the future nor too short".
 
 use esp_lists::{AddrRecord, BranchRecord};
+use esp_mem::Port;
 use esp_uarch::Engine;
 
 /// Default instructions of lead time for list prefetches (§3.6: "a
@@ -133,35 +134,27 @@ impl ReplayState {
 
     fn tick_slow(&mut self, engine: &mut Engine, icount: u64, branches: u64) {
         let now = engine.now();
-        while let Some(rec) = self.lists.ilist.get(self.ipos) {
-            if rec.icount > icount + self.prefetch_lead {
-                break;
-            }
-            if self.ideal {
-                for line in rec.lines() {
-                    engine.mem_mut().prefetch_instr_instant(line, now);
+        for port in Port::BOTH {
+            let (list, pos, issued) = match port {
+                Port::Instr => (&self.lists.ilist, &mut self.ipos, &mut self.stats.iprefetches),
+                Port::Data => (&self.lists.dlist, &mut self.dpos, &mut self.stats.dprefetches),
+            };
+            while let Some(rec) = list.get(*pos) {
+                if rec.icount > icount + self.prefetch_lead {
+                    break;
                 }
-            } else {
-                // One branch-free batched probe+fill for the whole run
-                // record instead of a scalar prefetch per line.
-                engine.mem_mut().prefetch_instr_run(rec.line, rec.run_len() as u64, now, true);
-            }
-            self.stats.iprefetches += rec.run_len() as u64;
-            self.ipos += 1;
-        }
-        while let Some(rec) = self.lists.dlist.get(self.dpos) {
-            if rec.icount > icount + self.prefetch_lead {
-                break;
-            }
-            if self.ideal {
-                for line in rec.lines() {
-                    engine.mem_mut().prefetch_data_instant(line, now);
+                if self.ideal {
+                    for line in rec.lines() {
+                        engine.mem_mut().prefetch_instant(port, line, now);
+                    }
+                } else {
+                    // One branch-free batched probe+fill for the whole run
+                    // record instead of a scalar prefetch per line.
+                    engine.mem_mut().prefetch_run(port, rec.line, rec.run_len() as u64, now, true);
                 }
-            } else {
-                engine.mem_mut().prefetch_data_run(rec.line, rec.run_len() as u64, now, true);
+                *issued += rec.run_len() as u64;
+                *pos += 1;
             }
-            self.stats.dprefetches += rec.run_len() as u64;
-            self.dpos += 1;
         }
         while self.bpos < self.lists.blist.len() && (self.bpos as u64) < branches + self.bp_lead
         {
@@ -214,10 +207,10 @@ mod tests {
         );
         r.tick(&mut e, 0, 0);
         // Entry at icount 0 is within the 190-instr lead; 500 is not.
-        assert!(e.mem().l1i().probe(LineAddr::new(100)));
-        assert!(!e.mem().l1i().probe(LineAddr::new(200)));
+        assert!(e.mem().l1(Port::Instr).probe(LineAddr::new(100)));
+        assert!(!e.mem().l1(Port::Instr).probe(LineAddr::new(200)));
         r.tick(&mut e, 310, 0);
-        assert!(e.mem().l1i().probe(LineAddr::new(200)));
+        assert!(e.mem().l1(Port::Instr).probe(LineAddr::new(200)));
         assert_eq!(r.stats().iprefetches, 2);
     }
 
@@ -236,7 +229,7 @@ mod tests {
         );
         r.tick(&mut e, 0, 0);
         for l in 50..54 {
-            assert!(e.mem().l1i().probe(LineAddr::new(l)), "line {l}");
+            assert!(e.mem().l1(Port::Instr).probe(LineAddr::new(l)), "line {l}");
         }
         assert_eq!(r.stats().iprefetches, 4);
     }
@@ -253,10 +246,10 @@ mod tests {
         r.tick(&mut e, 0, 0);
         // An immediate demand access is a *full* hit, not a partial one.
         let now = e.now();
-        let r_i = e.mem_mut().access_instr(LineAddr::new(100), now);
+        let r_i = e.mem_mut().access(Port::Instr, LineAddr::new(100), now, false);
         assert!(!r_i.l1_miss);
         assert_eq!(r_i.latency, 2);
-        let r_d = e.mem_mut().access_data(LineAddr::new(300), now, false);
+        let r_d = e.mem_mut().access(Port::Data, LineAddr::new(300), now, false);
         assert!(!r_d.l1_miss);
     }
 

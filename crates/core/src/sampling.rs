@@ -219,18 +219,6 @@ struct MeasuredTotals {
     esp: EspRunStats,
 }
 
-fn add_stack(into: &mut CpiStack, d: &CpiStack) {
-    into.base += d.base;
-    into.icache_l2 += d.icache_l2;
-    into.icache_llc += d.icache_llc;
-    into.dcache_l2 += d.dcache_l2;
-    into.dcache_llc += d.dcache_llc;
-    into.branch_mispredict += d.branch_mispredict;
-    into.branch_misfetch += d.branch_misfetch;
-    into.idle += d.idle;
-    into.pre_exec_overlap += d.pre_exec_overlap;
-}
-
 fn add_engine(
     into: &mut esp_uarch::EngineStats,
     a: &esp_uarch::EngineStats,
@@ -533,7 +521,7 @@ impl SampleCtl {
                 ]);
             }
         }
-        add_stack(&mut self.totals.stack, &d_stack);
+        self.totals.stack.merge(&d_stack);
         add_engine(&mut self.totals.engine, engine.stats(), &snap.engine);
         add_replay(&mut self.totals.replay, &replay.stats(), &snap.replay);
         if let (Some(esp), Some(before)) = (esp.as_ref(), snap.esp.as_ref()) {

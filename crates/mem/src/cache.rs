@@ -67,7 +67,7 @@ const M_STAMP: usize = 1;
 /// let mut c = SetAssocCache::new(CacheConfig::l1_32k("L1-D"));
 /// let line = LineAddr::new(77);
 /// assert_eq!(c.access(line, Cycle::ZERO), AccessResult::Miss);
-/// c.fill(line, Cycle::ZERO, Cycle::new(101), false);
+/// c.fill(line, Cycle::new(101), false);
 /// // An access at cycle 10 arrives 91 cycles before the fill completes.
 /// assert_eq!(c.access(line, Cycle::new(10)), AccessResult::PartialHit(91));
 /// assert_eq!(c.access(line, Cycle::new(200)), AccessResult::Hit(2));
@@ -240,7 +240,7 @@ impl SetAssocCache {
     /// Filling an already-resident line refreshes its LRU stamp and only
     /// moves `ready` *earlier* (a demand fill can expedite a lazy prefetch,
     /// never delay an earlier fill).
-    pub fn fill(&mut self, line: LineAddr, _now: Cycle, ready: Cycle, prefetched: bool) {
+    pub fn fill(&mut self, line: LineAddr, ready: Cycle, prefetched: bool) {
         let base = self.set_base(line);
         let key = self.key(line);
         let stamp = self.bump_stamp();
@@ -469,7 +469,7 @@ mod tests {
         let mut c = tiny();
         let l = set0(1);
         assert_eq!(c.access(l, Cycle::ZERO), AccessResult::Miss);
-        c.fill(l, Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(l, Cycle::ZERO, false);
         assert_eq!(c.access(l, Cycle::new(5)), AccessResult::Hit(2));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
@@ -479,11 +479,11 @@ mod tests {
     fn lru_eviction_order() {
         let mut c = tiny();
         let (a, b, d) = (set0(1), set0(2), set0(3));
-        c.fill(a, Cycle::ZERO, Cycle::ZERO, false);
-        c.fill(b, Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(a, Cycle::ZERO, false);
+        c.fill(b, Cycle::ZERO, false);
         // Touch a so b becomes LRU.
         assert!(c.access(a, Cycle::new(1)).is_hit());
-        c.fill(d, Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(d, Cycle::ZERO, false);
         assert!(c.probe(a), "MRU line survived");
         assert!(!c.probe(b), "LRU line evicted");
         assert!(c.probe(d));
@@ -493,7 +493,7 @@ mod tests {
     fn partial_hit_charges_remaining_latency() {
         let mut c = tiny();
         let l = set0(1);
-        c.fill(l, Cycle::new(0), Cycle::new(100), false);
+        c.fill(l, Cycle::new(100), false);
         assert_eq!(c.access(l, Cycle::new(40)), AccessResult::PartialHit(60));
         assert_eq!(c.stats().partial_hits, 1);
         // After completion it is a plain hit.
@@ -504,7 +504,7 @@ mod tests {
     fn partial_hit_is_at_least_hit_latency() {
         let mut c = tiny();
         let l = set0(1);
-        c.fill(l, Cycle::new(0), Cycle::new(10), false);
+        c.fill(l, Cycle::new(10), false);
         assert_eq!(c.access(l, Cycle::new(9)), AccessResult::PartialHit(2));
     }
 
@@ -512,10 +512,10 @@ mod tests {
     fn refill_only_moves_ready_earlier() {
         let mut c = tiny();
         let l = set0(1);
-        c.fill(l, Cycle::ZERO, Cycle::new(50), false);
-        c.fill(l, Cycle::ZERO, Cycle::new(200), false);
+        c.fill(l, Cycle::new(50), false);
+        c.fill(l, Cycle::new(200), false);
         assert_eq!(c.access(l, Cycle::new(60)), AccessResult::Hit(2));
-        c.fill(l, Cycle::ZERO, Cycle::new(30), false);
+        c.fill(l, Cycle::new(30), false);
         // Demoting ready below an elapsed point changes nothing further.
         assert_eq!(c.access(l, Cycle::new(60)), AccessResult::Hit(2));
     }
@@ -524,11 +524,11 @@ mod tests {
     fn probe_does_not_disturb_lru() {
         let mut c = tiny();
         let (a, b, d) = (set0(1), set0(2), set0(3));
-        c.fill(a, Cycle::ZERO, Cycle::ZERO, false);
-        c.fill(b, Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(a, Cycle::ZERO, false);
+        c.fill(b, Cycle::ZERO, false);
         // Probing a must NOT refresh it; a is LRU and should be evicted.
         assert!(c.probe(a));
-        c.fill(d, Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(d, Cycle::ZERO, false);
         assert!(!c.probe(a));
         assert!(c.probe(b));
     }
@@ -537,7 +537,7 @@ mod tests {
     fn prefetch_accounting() {
         let mut c = tiny();
         let l = set0(1);
-        c.fill(l, Cycle::ZERO, Cycle::ZERO, true);
+        c.fill(l, Cycle::ZERO, true);
         assert_eq!(c.stats().prefetch_fills, 1);
         assert!(c.access(l, Cycle::new(1)).is_hit());
         assert_eq!(c.stats().prefetch_useful, 1);
@@ -550,12 +550,12 @@ mod tests {
     fn invalidate_and_flush() {
         let mut c = tiny();
         let l = set0(1);
-        c.fill(l, Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(l, Cycle::ZERO, false);
         assert!(c.invalidate(l));
         assert!(!c.invalidate(l));
         assert!(!c.probe(l));
-        c.fill(l, Cycle::ZERO, Cycle::ZERO, false);
-        c.fill(set0(2), Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(l, Cycle::ZERO, false);
+        c.fill(set0(2), Cycle::ZERO, false);
         assert_eq!(c.occupancy(), 2);
         c.flush();
         assert_eq!(c.occupancy(), 0);
@@ -566,7 +566,7 @@ mod tests {
         let mut c = tiny();
         // Lines 0..4 cover both sets twice; all four fit.
         for i in 0..4 {
-            c.fill(LineAddr::new(i), Cycle::ZERO, Cycle::ZERO, false);
+            c.fill(LineAddr::new(i), Cycle::ZERO, false);
         }
         assert_eq!(c.occupancy(), 4);
         for i in 0..4 {
@@ -590,7 +590,7 @@ mod tests {
         let mut c = tiny();
         let l = LineAddr::new(0);
         assert!(!c.probe(l));
-        c.fill(l, Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(l, Cycle::ZERO, false);
         assert!(c.probe(l));
         assert!(c.access(l, Cycle::new(1)).is_hit());
         assert!(c.invalidate(l));
@@ -601,12 +601,12 @@ mod tests {
     fn eviction_prefers_invalid_ways() {
         let mut c = tiny();
         let (a, b, d) = (set0(1), set0(2), set0(3));
-        c.fill(a, Cycle::ZERO, Cycle::ZERO, false);
-        c.fill(b, Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(a, Cycle::ZERO, false);
+        c.fill(b, Cycle::ZERO, false);
         // Invalidate the MRU way; the next fill must take the freed slot,
         // not evict the valid LRU line.
         assert!(c.invalidate(b));
-        c.fill(d, Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(d, Cycle::ZERO, false);
         assert!(c.probe(a), "valid line survived an invalid-way fill");
         assert!(c.probe(d));
     }

@@ -52,7 +52,7 @@ pub(crate) const CACHELET_SETS: usize = 8;
 /// let mut c = Cachelet::new(2);
 /// let l = LineAddr::new(3);
 /// assert!(!c.access(CacheletSlot::Esp1, l, Cycle::ZERO).is_hit());
-/// c.fill(CacheletSlot::Esp1, l, Cycle::ZERO, Cycle::ZERO);
+/// c.fill(CacheletSlot::Esp1, l, Cycle::ZERO);
 /// assert!(c.access(CacheletSlot::Esp1, l, Cycle::new(1)).is_hit());
 /// // The fill is invisible to ESP-2 — the slots are isolated.
 /// assert!(!c.access(CacheletSlot::Esp2, l, Cycle::new(1)).is_hit());
@@ -161,7 +161,7 @@ impl Cachelet {
     }
 
     /// Fills `line` into a slot's partition, evicting its LRU way.
-    pub fn fill(&mut self, slot: CacheletSlot, line: LineAddr, _now: Cycle, ready: Cycle) {
+    pub fn fill(&mut self, slot: CacheletSlot, line: LineAddr, ready: Cycle) {
         let si = Self::set_index(line);
         let tag = Self::tag(line);
         let stamp = self.bump_stamp();
@@ -250,11 +250,11 @@ mod tests {
     fn slots_are_isolated() {
         let mut c = Cachelet::new(2);
         let l = LineAddr::new(16);
-        c.fill(CacheletSlot::Esp1, l, Cycle::ZERO, Cycle::ZERO);
+        c.fill(CacheletSlot::Esp1, l, Cycle::ZERO);
         assert!(c.access(CacheletSlot::Esp1, l, Cycle::new(1)).is_hit());
         assert!(!c.access(CacheletSlot::Esp2, l, Cycle::new(1)).is_hit());
         let l2 = LineAddr::new(24);
-        c.fill(CacheletSlot::Esp2, l2, Cycle::ZERO, Cycle::ZERO);
+        c.fill(CacheletSlot::Esp2, l2, Cycle::ZERO);
         assert!(c.access(CacheletSlot::Esp2, l2, Cycle::new(1)).is_hit());
         assert!(!c.access(CacheletSlot::Esp1, l2, Cycle::new(1)).is_hit());
     }
@@ -266,8 +266,8 @@ mod tests {
         // in ESP-2's single way.
         let a = LineAddr::new(0);
         let b = LineAddr::new(8);
-        c.fill(CacheletSlot::Esp2, a, Cycle::ZERO, Cycle::ZERO);
-        c.fill(CacheletSlot::Esp2, b, Cycle::ZERO, Cycle::ZERO);
+        c.fill(CacheletSlot::Esp2, a, Cycle::ZERO);
+        c.fill(CacheletSlot::Esp2, b, Cycle::ZERO);
         assert!(!c.access(CacheletSlot::Esp2, a, Cycle::new(1)).is_hit());
         assert!(c.access(CacheletSlot::Esp2, b, Cycle::new(1)).is_hit());
     }
@@ -277,13 +277,13 @@ mod tests {
         let mut c = Cachelet::new(2);
         let lines: Vec<LineAddr> = (0..11).map(|i| LineAddr::new(i * 8)).collect();
         for &l in &lines {
-            c.fill(CacheletSlot::Esp1, l, Cycle::ZERO, Cycle::ZERO);
+            c.fill(CacheletSlot::Esp1, l, Cycle::ZERO);
         }
         for &l in &lines {
             assert!(c.access(CacheletSlot::Esp1, l, Cycle::new(1)).is_hit());
         }
         // A twelfth conflicting line evicts the LRU one.
-        c.fill(CacheletSlot::Esp1, LineAddr::new(11 * 8), Cycle::ZERO, Cycle::ZERO);
+        c.fill(CacheletSlot::Esp1, LineAddr::new(11 * 8), Cycle::ZERO);
         assert!(!c.access(CacheletSlot::Esp1, lines[0], Cycle::new(2)).is_hit());
     }
 
@@ -291,7 +291,7 @@ mod tests {
     fn rotation_promotes_esp2_contents() {
         let mut c = Cachelet::new(2);
         let l = LineAddr::new(16);
-        c.fill(CacheletSlot::Esp2, l, Cycle::ZERO, Cycle::ZERO);
+        c.fill(CacheletSlot::Esp2, l, Cycle::ZERO);
         c.rotate();
         // The promoted event (now ESP-1) still sees its line.
         assert!(c.access(CacheletSlot::Esp1, l, Cycle::new(1)).is_hit());
@@ -305,7 +305,7 @@ mod tests {
         // Fill ESP-1 fully in one set; after rotation exactly one way's
         // line (the newly reserved way at the opposite end) is lost.
         for i in 0..11 {
-            c.fill(CacheletSlot::Esp1, LineAddr::new(i * 8), Cycle::ZERO, Cycle::ZERO);
+            c.fill(CacheletSlot::Esp1, LineAddr::new(i * 8), Cycle::ZERO);
         }
         assert_eq!(c.occupancy(CacheletSlot::Esp1), 11);
         c.rotate();
@@ -327,7 +327,7 @@ mod tests {
     fn partial_hits_in_cachelet() {
         let mut c = Cachelet::new(2);
         let l = LineAddr::new(5);
-        c.fill(CacheletSlot::Esp1, l, Cycle::ZERO, Cycle::new(101));
+        c.fill(CacheletSlot::Esp1, l, Cycle::new(101));
         assert_eq!(
             c.access(CacheletSlot::Esp1, l, Cycle::new(1)),
             AccessResult::PartialHit(100)
@@ -338,8 +338,8 @@ mod tests {
     #[test]
     fn flush_empties_everything() {
         let mut c = Cachelet::new(2);
-        c.fill(CacheletSlot::Esp1, LineAddr::new(1), Cycle::ZERO, Cycle::ZERO);
-        c.fill(CacheletSlot::Esp2, LineAddr::new(2), Cycle::ZERO, Cycle::ZERO);
+        c.fill(CacheletSlot::Esp1, LineAddr::new(1), Cycle::ZERO);
+        c.fill(CacheletSlot::Esp2, LineAddr::new(2), Cycle::ZERO);
         c.flush();
         assert_eq!(c.occupancy(CacheletSlot::Esp1), 0);
         assert_eq!(c.occupancy(CacheletSlot::Esp2), 0);

@@ -13,6 +13,8 @@
 //!   differently.
 //! * [`MemoryHierarchy`] — the three-level demand path with prefetch entry
 //!   points at each level and non-updating probes for the ESP bypass path.
+//!   Every operation takes the [`Port`] it goes through (instruction or
+//!   data), so each is written once for both L1s.
 //! * [`prefetch`] — the baseline prefetchers: a next-line instruction
 //!   prefetcher, an Intel-DCU-style next-line data prefetcher (waits for
 //!   four consecutive accesses to a line), and a 256-entry PC-indexed
@@ -24,14 +26,14 @@
 //! # Examples
 //!
 //! ```
-//! use esp_mem::{HierarchyConfig, MemoryHierarchy};
+//! use esp_mem::{HierarchyConfig, MemoryHierarchy, Port};
 //! use esp_types::{Addr, Cycle};
 //!
 //! let mut mem = MemoryHierarchy::new(HierarchyConfig::exynos5250());
 //! let line = Addr::new(0x4_0000).line(64);
-//! let first = mem.access_data(line, Cycle::ZERO, false);
+//! let first = mem.access(Port::Data, line, Cycle::ZERO, false);
 //! assert!(first.llc_miss); // cold
-//! let again = mem.access_data(line, Cycle::new(500), false);
+//! let again = mem.access(Port::Data, line, Cycle::new(500), false);
 //! assert!(!again.llc_miss);
 //! ```
 
@@ -47,4 +49,4 @@ pub mod prefetch;
 pub use cache::{AccessResult, SetAssocCache};
 pub use cachelet::{Cachelet, CacheletSlot};
 pub use config::{CacheConfig, HierarchyConfig};
-pub use hierarchy::{HierarchySnapshot, MemLevel, MemOp, MemoryHierarchy, ServedAccess};
+pub use hierarchy::{HierarchySnapshot, MemLevel, MemOp, MemoryHierarchy, Port, ServedAccess};

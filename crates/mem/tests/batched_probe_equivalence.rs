@@ -1,7 +1,7 @@
 //! The batched tag-sweep probe and run-prefetch entries are equivalent
 //! to their scalar forms on randomized streams.
 
-use esp_mem::{CacheConfig, HierarchyConfig, MemoryHierarchy, SetAssocCache};
+use esp_mem::{CacheConfig, HierarchyConfig, MemoryHierarchy, Port, SetAssocCache};
 use esp_types::{Cycle, LineAddr, Rng, SplitMix64};
 
 /// `probe_run`'s bitmask must agree with one scalar `probe` per line,
@@ -16,7 +16,7 @@ fn probe_run_matches_scalar_probe() {
         // cold, resident, and recently-evicted lines.
         for _ in 0..16 {
             let line = LineAddr::new(rng.next_u64() % 4096);
-            c.fill(line, Cycle::ZERO, Cycle::new(rng.next_u64() % 500), rng.next_u64() & 1 != 0);
+            c.fill(line, Cycle::new(rng.next_u64() % 500), rng.next_u64() & 1 != 0);
         }
         let start = LineAddr::new(rng.next_u64() % 4096);
         let n = 1 + rng.next_u64() % 64;
@@ -36,20 +36,13 @@ fn probe_run_matches_scalar_probe() {
 
 fn scalar_prefetch_run(
     m: &mut MemoryHierarchy,
-    instr: bool,
+    port: Port,
     start: LineAddr,
     n: u64,
     now: Cycle,
 ) -> u64 {
     (0..n)
-        .map(|k| {
-            let line = LineAddr::new(start.as_u64() + k);
-            u64::from(if instr {
-                m.prefetch_instr(line, now, true)
-            } else {
-                m.prefetch_data(line, now, true)
-            })
-        })
+        .map(|k| u64::from(m.prefetch(port, LineAddr::new(start.as_u64() + k), now, true)))
         .sum()
 }
 
@@ -75,16 +68,16 @@ fn run_prefetch_matches_scalar_loop() {
                 let line = LineAddr::new(rng.next_u64() % 8192);
                 let store = rng.next_u64() & 1 != 0;
                 assert_eq!(
-                    batched.access_data(line, now, store),
-                    scalar.access_data(line, now, store),
+                    batched.access(Port::Data, line, now, store),
+                    scalar.access(Port::Data, line, now, store),
                     "round {round}: demand data access"
                 );
             }
             1 => {
                 let line = LineAddr::new(rng.next_u64() % 8192);
                 assert_eq!(
-                    batched.access_instr(line, now),
-                    scalar.access_instr(line, now),
+                    batched.access(Port::Instr, line, now, false),
+                    scalar.access(Port::Instr, line, now, false),
                     "round {round}: demand instruction fetch"
                 );
             }
@@ -93,13 +86,9 @@ fn run_prefetch_matches_scalar_loop() {
                 // I/D-list run records carry at most 8 lines (3-bit run
                 // field); probe a little beyond that anyway.
                 let n = 1 + rng.next_u64() % 12;
-                let instr = rng.next_u64() & 1 != 0;
-                let got = if instr {
-                    batched.prefetch_instr_run(start, n, now, true)
-                } else {
-                    batched.prefetch_data_run(start, n, now, true)
-                };
-                let want = scalar_prefetch_run(&mut scalar, instr, start, n, now);
+                let port = if rng.next_u64() & 1 != 0 { Port::Instr } else { Port::Data };
+                let got = batched.prefetch_run(port, start, n, now, true);
+                let want = scalar_prefetch_run(&mut scalar, port, start, n, now);
                 assert_eq!(got, want, "round {round}: issued count for run [{start:?}; {n}]");
             }
         }
@@ -110,15 +99,12 @@ fn run_prefetch_matches_scalar_loop() {
     let end = Cycle::new(t + 1_000_000);
     for line in 0..8192 {
         let l = LineAddr::new(line);
-        assert_eq!(
-            batched.access_instr(l, end),
-            scalar.access_instr(l, end),
-            "final sweep: line {line} (instr)"
-        );
-        assert_eq!(
-            batched.access_data(l, end, false),
-            scalar.access_data(l, end, false),
-            "final sweep: line {line} (data)"
-        );
+        for port in Port::BOTH {
+            assert_eq!(
+                batched.access(port, l, end, false),
+                scalar.access(port, l, end, false),
+                "final sweep: line {line} ({port:?})"
+            );
+        }
     }
 }

@@ -12,8 +12,8 @@
 //! the recorded [`MemOp`] log must equal the one the reference builds.
 
 use esp_mem::{
-    AccessResult, CacheConfig, HierarchyConfig, MemLevel, MemOp, MemoryHierarchy, ServedAccess,
-    SetAssocCache,
+    AccessResult, CacheConfig, HierarchyConfig, MemLevel, MemOp, MemoryHierarchy, Port,
+    ServedAccess, SetAssocCache,
 };
 use esp_stats::CacheStats;
 use esp_types::{Cycle, LineAddr, Rng, SplitMix64};
@@ -128,8 +128,8 @@ impl RefCache {
 
 /// The L1-I/L1-D/L2 demand path as a probe-free scan-then-fill sequence.
 struct RefHierarchy {
-    l1i: RefCache,
-    l1d: RefCache,
+    /// L1-I and L1-D, indexed by [`Port::idx`].
+    l1: [RefCache; 2],
     l2: RefCache,
     mem_latency: u64,
     ops: Vec<MemOp>,
@@ -138,23 +138,21 @@ struct RefHierarchy {
 impl RefHierarchy {
     fn new(c: &HierarchyConfig) -> Self {
         RefHierarchy {
-            l1i: RefCache::new(&c.l1i),
-            l1d: RefCache::new(&c.l1d),
+            l1: [RefCache::new(&c.l1i), RefCache::new(&c.l1d)],
             l2: RefCache::new(&c.l2),
             mem_latency: c.mem_latency,
             ops: Vec::new(),
         }
     }
 
-    fn access(&mut self, instr: bool, line: u64, now: u64) -> ServedAccess {
+    fn access(&mut self, port: Port, line: u64, now: u64) -> ServedAccess {
         let Self {
-            l1i,
-            l1d,
+            l1,
             l2,
             mem_latency,
             ..
         } = self;
-        let l1 = if instr { l1i } else { l1d };
+        let l1 = &mut l1[port.idx()];
         let served = |latency, level, l1_miss| ServedAccess {
             latency,
             level,
@@ -179,15 +177,14 @@ impl RefHierarchy {
         }
     }
 
-    fn prefetch(&mut self, instr: bool, line: u64, now: u64, into_l1: bool) -> bool {
+    fn prefetch(&mut self, port: Port, line: u64, now: u64, into_l1: bool) -> bool {
         let Self {
-            l1i,
-            l1d,
+            l1,
             l2,
             mem_latency,
             ..
         } = self;
-        let l1 = if instr { l1i } else { l1d };
+        let l1 = &mut l1[port.idx()];
         let in_l1 = l1.probe(line);
         if in_l1 && into_l1 {
             return false;
@@ -208,14 +205,13 @@ impl RefHierarchy {
         true
     }
 
-    fn instant(&mut self, instr: bool, line: u64, now: u64) {
+    fn instant(&mut self, port: Port, line: u64, now: u64) {
         self.l2.fill(line, now, true);
-        let l1 = if instr { &mut self.l1i } else { &mut self.l1d };
-        l1.fill(line, now, true);
+        self.l1[port.idx()].fill(line, now, true);
     }
 
     fn reset_stats(&mut self) {
-        for c in [&mut self.l1i, &mut self.l1d, &mut self.l2] {
+        for c in self.l1.iter_mut().chain([&mut self.l2]) {
             c.stats = CacheStats::default();
         }
     }
@@ -233,7 +229,7 @@ fn lru_rank(cache: &SetAssocCache, set: u64, resident: &[u64]) -> Vec<u64> {
     let mut order = Vec::new();
     for k in 0..u64::from(cache.config().ways) {
         let fresh = (1 << 40) * sets + set + k * sets;
-        c.fill(LineAddr::new(fresh), Cycle::ZERO, Cycle::ZERO, false);
+        c.fill(LineAddr::new(fresh), Cycle::ZERO, false);
         if let Some(i) = left.iter().position(|&l| !c.probe(LineAddr::new(l))) {
             order.push(left.remove(i));
         }
@@ -321,49 +317,40 @@ fn run_hierarchy(cfg: HierarchyConfig, seed: u64, ops: usize) {
         let now = Cycle::new(t);
         let line = pool[(rng.next_u64() % pool.len() as u64) as usize];
         let l = LineAddr::new(line);
-        let instr = rng.next_u64() & 1 != 0;
+        let port = if rng.next_u64() & 1 != 0 {
+            Port::Instr
+        } else {
+            Port::Data
+        };
         let into_l1 = !rng.next_u64().is_multiple_of(4);
         let what = format!("seed {seed:#x} op {op}");
         match rng.next_u64() % 16 {
             0..=7 => {
-                let got = if instr {
-                    real.access_instr(l, now)
-                } else {
-                    real.access_data(l, now, rng.next_u64() & 1 != 0)
-                };
-                assert_eq!(got, model.access(instr, line, t), "{what}: demand access");
+                let store = port == Port::Data && rng.next_u64() & 1 != 0;
+                assert_eq!(
+                    real.access(port, l, now, store),
+                    model.access(port, line, t),
+                    "{what}: demand access"
+                );
             }
             8..=10 => {
-                let got = if instr {
-                    real.prefetch_instr(l, now, into_l1)
-                } else {
-                    real.prefetch_data(l, now, into_l1)
-                };
                 assert_eq!(
-                    got,
-                    model.prefetch(instr, line, t, into_l1),
+                    real.prefetch(port, l, now, into_l1),
+                    model.prefetch(port, line, t, into_l1),
                     "{what}: prefetch"
                 );
             }
             11..=12 => {
                 let n = 1 + rng.next_u64() % run_bound;
-                let got = if instr {
-                    real.prefetch_instr_run(l, n, now, into_l1)
-                } else {
-                    real.prefetch_data_run(l, n, now, into_l1)
-                };
+                let got = real.prefetch_run(port, l, n, now, into_l1);
                 let want: u64 = (0..n)
-                    .map(|k| u64::from(model.prefetch(instr, line + k, t, into_l1)))
+                    .map(|k| u64::from(model.prefetch(port, line + k, t, into_l1)))
                     .sum();
                 assert_eq!(got, want, "{what}: run prefetch of {n}");
             }
             13..=14 => {
-                if instr {
-                    real.prefetch_instr_instant(l, now);
-                } else {
-                    real.prefetch_data_instant(l, now);
-                }
-                model.instant(instr, line, t);
+                real.prefetch_instant(port, l, now);
+                model.instant(port, line, t);
             }
             _ => {
                 real.reset_stats();
@@ -373,12 +360,14 @@ fn run_hierarchy(cfg: HierarchyConfig, seed: u64, ops: usize) {
         let snap = real.snapshot();
         assert_eq!(
             (snap.l1i, snap.l1d, snap.l2),
-            (model.l1i.stats, model.l1d.stats, model.l2.stats),
+            (model.l1[0].stats, model.l1[1].stats, model.l2.stats),
             "{what}: statistics"
         );
         if op % 37 == 0 || op + 1 == ops {
-            assert_same_contents(real.l1i(), &model.l1i, &pool, &format!("{what} L1-I"));
-            assert_same_contents(real.l1d(), &model.l1d, &pool, &format!("{what} L1-D"));
+            for port in Port::BOTH {
+                let l1 = &model.l1[port.idx()];
+                assert_same_contents(real.l1(port), l1, &pool, &format!("{what} L1 {port:?}"));
+            }
             assert_same_contents(real.l2(), &model.l2, &pool, &format!("{what} L2"));
         }
     }
@@ -388,49 +377,34 @@ fn run_hierarchy(cfg: HierarchyConfig, seed: u64, ops: usize) {
     let mut replay = RefHierarchy::new(&cfg);
     for op in &log {
         let expect = match *op {
-            MemOp::AccessInstr { line, now, .. } => {
-                let served = replay.access(true, line.as_u64(), now.as_u64());
-                MemOp::AccessInstr { line, now, served }
-            }
-            MemOp::AccessData {
-                line, now, store, ..
-            } => {
-                let served = replay.access(false, line.as_u64(), now.as_u64());
-                MemOp::AccessData {
-                    line,
-                    now,
-                    store,
-                    served,
-                }
-            }
-            MemOp::PrefetchInstr {
-                line, now, into_l1, ..
-            } => {
-                let issued = replay.prefetch(true, line.as_u64(), now.as_u64(), into_l1);
-                MemOp::PrefetchInstr {
-                    line,
-                    now,
-                    into_l1,
-                    issued,
-                }
-            }
-            MemOp::PrefetchData {
-                line, now, into_l1, ..
-            } => {
-                let issued = replay.prefetch(false, line.as_u64(), now.as_u64(), into_l1);
-                MemOp::PrefetchData {
-                    line,
-                    now,
-                    into_l1,
-                    issued,
-                }
-            }
-            MemOp::PrefetchInstrInstant { line, now } => {
-                replay.instant(true, line.as_u64(), now.as_u64());
-                *op
-            }
-            MemOp::PrefetchDataInstant { line, now } => {
-                replay.instant(false, line.as_u64(), now.as_u64());
+            MemOp::Access {
+                port,
+                line,
+                now,
+                store,
+                ..
+            } => MemOp::Access {
+                port,
+                line,
+                now,
+                store,
+                served: replay.access(port, line.as_u64(), now.as_u64()),
+            },
+            MemOp::Prefetch {
+                port,
+                line,
+                now,
+                into_l1,
+                ..
+            } => MemOp::Prefetch {
+                port,
+                line,
+                now,
+                into_l1,
+                issued: replay.prefetch(port, line.as_u64(), now.as_u64(), into_l1),
+            },
+            MemOp::PrefetchInstant { port, line, now } => {
+                replay.instant(port, line.as_u64(), now.as_u64());
                 *op
             }
             MemOp::ResetStats => {
@@ -514,7 +488,7 @@ fn lone_cache_matches_scan_then_fill() {
                     }
                 }
                 2 => {
-                    real.fill(l, Cycle::new(t), Cycle::new(ready), prefetched);
+                    real.fill(l, Cycle::new(ready), prefetched);
                     model.fill(line, ready, prefetched);
                 }
                 _ => {

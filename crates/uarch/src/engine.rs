@@ -3,7 +3,7 @@
 use crate::EngineConfig;
 use esp_branch::{BranchPredictor, Prediction};
 use esp_mem::prefetch::{DcuNextLine, NextLineInstr, StridePrefetcher};
-use esp_mem::MemoryHierarchy;
+use esp_mem::{MemoryHierarchy, Port};
 use esp_obs::{CpiStack, CycleClass, NullProbe, Probe, StepRecord};
 use esp_trace::{Instr, InstrKind, RawStep};
 use esp_types::{Cycle, LineAddr, TapeReader};
@@ -420,7 +420,7 @@ impl Engine {
             return;
         }
         self.warm.l1i_accesses += 1;
-        let missed = self.mem.warm_instr(line, self.now);
+        let missed = self.mem.warm(Port::Instr, line, self.now);
         if missed {
             self.warm.l1i_misses += 1;
         }
@@ -437,7 +437,7 @@ impl Engine {
         let line_bytes = self.cfg.machine.hierarchy.l1i.line_bytes;
         let line = addr.line(line_bytes);
         self.warm.l1d_accesses += 1;
-        if self.mem.warm_data(line, self.now) {
+        if self.mem.warm(Port::Data, line, self.now) {
             self.warm.l1d_misses += 1;
         }
         if self.cfg.nl_data {
@@ -458,7 +458,7 @@ impl Engine {
         let line_bytes = self.cfg.machine.hierarchy.l1i.line_bytes;
         let line = addr.line(line_bytes);
         self.warm.l1d_accesses += 1;
-        if self.mem.warm_data(line, self.now) {
+        if self.mem.warm(Port::Data, line, self.now) {
             self.warm.l1d_misses += 1;
         }
         if self.cfg.nl_data {
@@ -867,8 +867,8 @@ mod tests {
         }
         assert_eq!(walked.stats().retired, stepped.stats().retired);
         assert_eq!(walked.mem().snapshot(), stepped.mem().snapshot());
-        assert!(walked.mem().l1d().probe(Addr::new(0x9_0000).line(line_bytes)));
-        assert!(walked.mem().l1i().probe(Addr::new(0x40_0000).line(line_bytes)));
+        assert!(walked.mem().l1(Port::Data).probe(Addr::new(0x9_0000).line(line_bytes)));
+        assert!(walked.mem().l1(Port::Instr).probe(Addr::new(0x40_0000).line(line_bytes)));
     }
 
     #[test]

@@ -42,6 +42,7 @@
 use crate::engine::{Stall, StallKind, StepOutcome};
 use crate::Engine;
 use esp_branch::{Prediction, PredictorContext};
+use esp_mem::Port;
 use esp_obs::{CycleClass, Probe, StepRecord};
 use esp_trace::kindbits::{
     TAG_ALU, TAG_CALL, TAG_COND, TAG_IND_BRANCH, TAG_IND_CALL, TAG_LOAD, TAG_MASK, TAG_RET,
@@ -97,15 +98,15 @@ impl Engine {
         self.stats.l1d_accesses += 1;
         let line = LineAddr::new(op >> kp.line_shift);
         let t_access = self.now;
-        let r = self.mem.access_data(line, t_access, false);
+        let r = self.mem.access(Port::Data, line, t_access, false);
         if kp.nl_data {
             if let Some(p) = self.dcu_access(line) {
-                self.mem.prefetch_data(p, t_access, true);
+                self.mem.prefetch(Port::Data, p, t_access, true);
             }
         }
         if kp.stride {
             if let Some(p) = self.stride.on_load(Addr::new(pc), Addr::new(op), kp.line_bytes) {
-                self.mem.prefetch_data(p, t_access, true);
+                self.mem.prefetch(Port::Data, p, t_access, true);
             }
         }
         rec.data_access = true;
@@ -146,7 +147,7 @@ impl Engine {
     fn k_store(&mut self, kp: &KernelParams, op: u64, rec: &mut StepRecord, out: &mut StepOutcome) {
         self.stats.l1d_accesses += 1;
         let line = LineAddr::new(op >> kp.line_shift);
-        let r = self.mem.access_data(line, self.now, true);
+        let r = self.mem.access(Port::Data, line, self.now, true);
         rec.data_access = true;
         rec.l1d_miss = r.l1_miss;
         if r.l1_miss {
@@ -155,7 +156,7 @@ impl Engine {
         }
         if kp.nl_data {
             if let Some(p) = self.dcu_access(line) {
-                self.mem.prefetch_data(p, self.now, true);
+                self.mem.prefetch(Port::Data, p, self.now, true);
             }
         }
     }
@@ -239,14 +240,14 @@ impl Engine {
             if !kp.perfect_l1i {
                 self.stats.l1i_accesses += 1;
                 let t_access = self.now;
-                let r = self.mem.access_instr(fetch_line, t_access);
+                let r = self.mem.access(Port::Instr, fetch_line, t_access, false);
                 // Miss-triggered one-block-lookahead: the next-line
                 // request goes out alongside the demand fill, overlapping
                 // the stall. (Hit-triggered NL would double-count the
                 // paper's modest 13.8% NL gain.)
                 if kp.nl_instr && r.l1_miss {
                     if let Some(p) = self.nl_i.on_fetch(fetch_line) {
-                        self.mem.prefetch_instr(p, t_access, true);
+                        self.mem.prefetch(Port::Instr, p, t_access, true);
                     }
                 }
                 rec.fetched = 1;

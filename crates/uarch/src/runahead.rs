@@ -17,6 +17,7 @@
 
 use crate::Engine;
 use esp_branch::PredictorContext;
+use esp_mem::Port;
 use esp_trace::kindbits::{FLAG_BIT, TAG_COND, TAG_LOAD, TAG_MASK, TAG_STORE};
 use esp_trace::EventCursor;
 use esp_types::{Addr, Cycle};
@@ -106,17 +107,17 @@ impl Engine {
                 let nl = self.config().nl_instr;
                 let exposed = if data_only {
                     // Non-updating probes: pay the latency, fill nothing.
-                    if self.mem().l1i().probe(line) {
+                    if self.mem().l1(Port::Instr).probe(line) {
                         0
                     } else {
                         self.mem().bypass_latency(line).0.saturating_sub(hit)
                     }
                 } else {
-                    let r = self.mem_mut().access_instr(line, t);
+                    let r = self.mem_mut().access(Port::Instr, line, t, false);
                     if nl && r.l1_miss {
                         // A stateless next-line hint: runahead leaves the
                         // real NL prefetcher's state alone.
-                        self.mem_mut().prefetch_instr(line.next(), t, true);
+                        self.mem_mut().prefetch(Port::Instr, line.next(), t, true);
                     }
                     r.latency.saturating_sub(hit)
                 };
@@ -158,10 +159,10 @@ impl Engine {
                     // Parallel miss discovery is runahead's whole
                     // point — up to the MSHR budget.
                     let line = Addr::new(rs.op).line(line_bytes);
-                    if !self.mem().l1d().probe(line) {
+                    if !self.mem().l1(Port::Data).probe(line) {
                         mshrs_used += 1;
                     }
-                    self.mem_mut().access_data(line, t, false);
+                    self.mem_mut().access(Port::Data, line, t, false);
                 } else {
                     out.mshr_drops += 1;
                 }
@@ -170,16 +171,16 @@ impl Engine {
                 // prefetch their lines (write-allocate warming).
                 let line = Addr::new(rs.op).line(line_bytes);
                 if mshrs_used < RUNAHEAD_MSHRS {
-                    if !self.mem().l1d().probe(line) {
+                    if !self.mem().l1(Port::Data).probe(line) {
                         mshrs_used += 1;
                     }
-                    self.mem_mut().access_data(line, t, true);
+                    self.mem_mut().access(Port::Data, line, t, true);
                 } else {
                     out.mshr_drops += 1;
                 }
             }
         }
-        self.bp_mut().restore_speculative(checkpoint);
+        self.bp_mut().restore_speculative(&checkpoint);
         self.note_runahead_instrs(out.instrs);
         out.utilized_cycles = (initial_budget_millis - budget_millis) / 1000;
         self.note_pre_exec_overlap(out.utilized_cycles);
@@ -213,7 +214,7 @@ mod tests {
     /// tests isolate data-side behaviour.
     fn warm_code(e: &mut Engine) {
         for i in 0..32u64 {
-            e.mem_mut().prefetch_instr(Addr::new(0x1000 + i * 64).line(64), Cycle::ZERO, true);
+            e.mem_mut().prefetch(Port::Instr, Addr::new(0x1000 + i * 64).line(64), Cycle::ZERO, true);
         }
     }
 
@@ -225,7 +226,7 @@ mod tests {
         let out = e.run_runahead_cursor(stream.actual_cursor(), Cycle::new(10_000), 101, false);
         assert!(out.instrs > 20, "instrs={}", out.instrs);
         // The first future lines are now resident (in flight or filled).
-        assert!(e.mem().l1d().probe(Addr::new(0x50_0000).line(64)));
+        assert!(e.mem().l1(Port::Data).probe(Addr::new(0x50_0000).line(64)));
     }
 
     #[test]
@@ -235,7 +236,7 @@ mod tests {
         let stream = load_stream(30, 0x60_0000, true);
         let out = e.run_runahead_cursor(stream.actual_cursor(), Cycle::new(10_000), 101, false);
         assert!(out.skipped_chained_loads > 0);
-        assert!(!e.mem().l1d().probe(Addr::new(0x60_0000).line(64)));
+        assert!(!e.mem().l1(Port::Data).probe(Addr::new(0x60_0000).line(64)));
     }
 
     #[test]
@@ -254,7 +255,7 @@ mod tests {
     fn window_bounds_progress() {
         let mut e = Engine::new(EngineConfig::baseline());
         // Warm the code line first so fetch is free.
-        e.mem_mut().prefetch_instr(Addr::new(0x1000).line(64), Cycle::ZERO, true);
+        e.mem_mut().prefetch(Port::Instr, Addr::new(0x1000).line(64), Cycle::ZERO, true);
         let v: Vec<Instr> = (0..10_000).map(|i| Instr::alu(Addr::new(0x1000 + (i % 8) * 4))).collect();
         let stream = event(&v);
         let out = e.run_runahead_cursor(stream.actual_cursor(), Cycle::new(1000), 101, false);

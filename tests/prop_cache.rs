@@ -77,7 +77,7 @@ fn matches_reference_lru() {
             let want = reference.access(l);
             assert_eq!(got, want, "case {case} access #{i} line {l}");
             if !got {
-                cache.fill(LineAddr::new(l), now, now, false);
+                cache.fill(LineAddr::new(l), now, false);
                 reference.fill(l);
             }
         }
@@ -94,7 +94,7 @@ fn occupancy_and_probe_consistency() {
         let mut cache = small_cache();
         for (i, &l) in lines.iter().enumerate() {
             let now = Cycle::new(i as u64);
-            cache.fill(LineAddr::new(l), now, now, false);
+            cache.fill(LineAddr::new(l), now, false);
             assert!(cache.occupancy() <= 32, "case {case}");
             assert!(
                 cache.probe(LineAddr::new(l)),
@@ -114,7 +114,7 @@ fn partial_hit_latencies() {
         let probe_at = rng.below(600);
         let mut cache = small_cache();
         let l = LineAddr::new(7);
-        cache.fill(l, Cycle::ZERO, Cycle::new(delay), false);
+        cache.fill(l, Cycle::new(delay), false);
         match cache.access(l, Cycle::new(probe_at)) {
             AccessResult::Hit(lat) => {
                 assert!(probe_at >= delay, "case {case}");
@@ -139,8 +139,8 @@ fn invalidate_is_precise() {
         let b = (a + rng.range(1, 64)) % 64; // distinct from a by construction
         assert_ne!(a, b);
         let mut cache = small_cache();
-        cache.fill(LineAddr::new(a), Cycle::ZERO, Cycle::ZERO, false);
-        cache.fill(LineAddr::new(b), Cycle::ZERO, Cycle::ZERO, false);
+        cache.fill(LineAddr::new(a), Cycle::ZERO, false);
+        cache.fill(LineAddr::new(b), Cycle::ZERO, false);
         assert!(cache.invalidate(LineAddr::new(a)), "case {case}");
         assert!(!cache.probe(LineAddr::new(a)), "case {case}");
         assert!(cache.probe(LineAddr::new(b)), "case {case}");
