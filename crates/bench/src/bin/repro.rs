@@ -624,15 +624,16 @@ fn bench(
         matrix(1, None)
     };
     let dcu = |k: &SidecarKey| matches!(k, SidecarKey::DcuTriggers { .. });
-    let (total_1t, (phases, arena_bytes, footprints, sims, instrs)) = best_of(repeat, cold, |r| {
+    let (total_1t, (phases, arena, footprints, sims, instrs)) = best_of(repeat, cold, |r| {
         (
             r.phase_seconds(),
-            r.arena_resident_bytes(),
+            (r.arena_resident_bytes(), r.arena_instructions()),
             [r.sidecar_footprint(dcu), r.sidecar_footprint(|k| !dcu(k))],
             r.sims_run(),
             r.instructions_simulated(),
         )
     });
+    let (arena_bytes, arena_instrs) = arena;
     let [(trigger_bytes, trigger_s), (outcome_bytes, outcome_s)] = footprints;
     // Instructions per wall-second across the whole matrix — retired plus
     // speculative (ESP pre-execution, runahead re-execution), which is
@@ -757,7 +758,7 @@ fn bench(
          \"total_seconds\": {total_1t:.3},\n  \
          \"sims_per_sec\": {:.3},\n  \"sims_per_sec_1t\": {:.3},\n  \
          \"mips\": {mips_1t:.3},\n  \"mips_1t\": {mips_1t:.3},\n  \
-         \"arena_bytes\": {arena_bytes},\n  {peak_rss_json}\
+         \"arena_bytes\": {arena_bytes},\n  \"arena_instrs\": {arena_instrs},\n  {peak_rss_json}\
          \"dcu_triggers\": {{\"bytes\": {trigger_bytes}, \"build_seconds\": {trigger_s:.4}}},\n  \
          \"branch_outcomes\": {{\"bytes\": {outcome_bytes}, \"build_seconds\": {outcome_s:.4}}},\n  \
          \"phase_seconds\": {{\"generate\": {:.3}, \"materialise\": {:.3}, \

@@ -410,6 +410,12 @@ impl Runner {
         self.slots.iter().map(|s| s.packed.resident_bytes()).sum()
     }
 
+    /// Instructions in the actual streams of all profiles' packed
+    /// arenas: what materialisation packed, less the speculative tails.
+    pub fn arena_instructions(&self) -> u64 {
+        self.slots.iter().map(|s| s.packed.arena().total_instructions()).sum()
+    }
+
     /// `(bytes, build seconds)` of the sidecars built so far on all
     /// profiles' packed workloads whose key `select` accepts
     /// (`PackedWorkload::sidecar_footprint`).

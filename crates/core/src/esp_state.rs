@@ -400,13 +400,14 @@ impl<'w> EspState<'w> {
             let r = self.l0_access(Port::Data, s, line, t, tag == TAG_STORE, engine);
             match r.llc_miss {
                 Some(latency) => {
-                    // An LLC miss within 96 instructions of the slot's
-                    // last one overlaps it: its fill proceeds in the
-                    // background while the pre-execution keeps issuing,
-                    // like any other OoO miss cluster.
+                    // An LLC miss within a ROB's worth of instructions of
+                    // the slot's last one overlaps it: its fill proceeds
+                    // in the background while the pre-execution keeps
+                    // issuing, like any other OoO miss cluster.
+                    let rob = u64::from(engine.config().machine.rob_entries);
                     let slot = &mut self.slots[s];
                     let overlapped =
-                        slot.last_data_llc_at.is_some_and(|at| icount.saturating_sub(at) < 96);
+                        slot.last_data_llc_at.is_some_and(|at| icount.saturating_sub(at) < rob);
                     slot.last_data_llc_at = Some(icount);
                     if !overlapped {
                         return SlotStep::Blocked(t + latency, millis);
@@ -762,6 +763,46 @@ mod tests {
         let at_2 = spec_instrs(2);
         assert!(at_2 > 0 && at_2 < 300, "the window must end inside the event: {at_2}");
         assert_eq!(spec_instrs(4), at_2);
+    }
+
+    /// A slot's data LLC misses overlap only within the configured ROB:
+    /// two misses 60 instructions apart share one block under a 96-entry
+    /// ROB and each block under a 48-entry one.
+    #[test]
+    fn slot_miss_overlap_follows_the_configured_rob() {
+        // Event 1: ALUs with loads of two cold lines at instructions 0
+        // and 60.
+        let mut toy = toy(2, 100);
+        for (i, instr) in toy.streams[1].iter_mut().enumerate() {
+            *instr = match i {
+                0 | 60 => Instr::load(instr.pc, Addr::new(0x90_0000 + i as u64 * 64), false),
+                _ => Instr::alu(instr.pc),
+            };
+        }
+        let w = PackedWorkload::pack(&toy);
+        let blocks = |rob_entries: u32| {
+            let mut cfg = EngineConfig::baseline();
+            cfg.machine.rob_entries = rob_entries;
+            let mut engine = Engine::new(cfg);
+            // Event 1's code sits in the L2, so no fetch reaches memory.
+            for instr in &toy.streams[1] {
+                engine.mem_mut().access(Port::Instr, instr.pc.line(64), Cycle::ZERO, false);
+            }
+            let mut f = EspFeatures::full();
+            f.depth = 1;
+            let mut esp = EspState::new(f, &w);
+            for k in 0..8 {
+                let mut st = stall(400);
+                st.start = Cycle::new(1_000 + k * 5_000);
+                esp.spend_window_probed(&mut engine, st, 0, &mut NullProbe);
+            }
+            // Every instruction of event 1 either ran or blocked.
+            let blocked = esp.stats().blocked_switches;
+            assert_eq!(esp.stats().instrs_by_depth[0] + blocked, 100, "event 1 ran to its end");
+            blocked
+        };
+        assert_eq!(blocks(96), 1);
+        assert_eq!(blocks(48), 2);
     }
 
     /// An engine whose three cache levels use `line_bytes`-byte lines.

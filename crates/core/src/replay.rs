@@ -140,7 +140,7 @@ impl ReplayState {
                 Port::Data => (&self.lists.dlist, &mut self.dpos, &mut self.stats.dprefetches),
             };
             while let Some(rec) = list.get(*pos) {
-                if rec.icount > icount + self.prefetch_lead {
+                if u64::from(rec.icount) > icount + self.prefetch_lead {
                     break;
                 }
                 if self.ideal {
@@ -188,7 +188,7 @@ mod tests {
         Engine::new(EngineConfig::baseline())
     }
 
-    fn irec(line: u64, icount: u64) -> AddrRecord {
+    fn irec(line: u64, icount: u32) -> AddrRecord {
         AddrRecord { line: LineAddr::new(line), extra: 0, icount }
     }
 

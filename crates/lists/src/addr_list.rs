@@ -4,16 +4,24 @@ use esp_types::LineAddr;
 
 /// One decoded list record: a run of `1 + extra` contiguous cache blocks
 /// starting at `line`, first touched `icount` instructions into the event.
+///
+/// 16 bytes: an unbounded Ideal-ESP D-list holds tens of thousands of
+/// them per event, so the fields are laid out without padding between
+/// them and the instruction count is 32-bit (checked where a record is
+/// made, [`AddrList::record`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C)]
 pub struct AddrRecord {
     /// First cache block of the run.
     pub line: LineAddr,
-    /// Number of contiguous blocks following `line` (the 3-bit field).
-    pub extra: u8,
     /// Instructions executed from the beginning of the event before the
     /// run's first access.
-    pub icount: u64,
+    pub icount: u32,
+    /// Number of contiguous blocks following `line` (the 3-bit field).
+    pub extra: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<AddrRecord>() == 16);
 
 impl AddrRecord {
     /// Total blocks covered by the record.
@@ -94,6 +102,10 @@ impl AddrList {
     /// Consecutive accesses extending a contiguous run are folded into the
     /// previous entry's 3-bit run field at zero bit cost; re-touches of
     /// the previous block are ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new record's `icount` does not fit its `u32` field.
     pub fn record(&mut self, line: LineAddr, icount: u64) -> bool {
         if self.full {
             return false;
@@ -128,7 +140,8 @@ impl AddrList {
         }
         self.used_bits += cost;
         let _encoded_icount_delta = (icount - self.last_icount).min(ICOUNT_DELTA_MAX);
-        self.records.push(AddrRecord { line, extra: 0, icount });
+        let icount32 = u32::try_from(icount).expect("list record icount exceeds u32");
+        self.records.push(AddrRecord { line, icount: icount32, extra: 0 });
         self.last_line = Some(line);
         self.last_icount = icount;
         true
@@ -267,6 +280,19 @@ mod tests {
         }
         assert!(l.is_full());
         assert!(!l.record(LineAddr::new(line - 19), 0));
+    }
+
+    #[test]
+    fn the_largest_u32_icount_is_kept() {
+        let mut l = AddrList::new(499);
+        assert!(l.record(LineAddr::new(7), u64::from(u32::MAX)));
+        assert_eq!(l.records()[0].icount, u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32")]
+    fn an_icount_past_u32_is_refused() {
+        AddrList::new(499).record(LineAddr::new(7), 1 << 32);
     }
 
     #[test]

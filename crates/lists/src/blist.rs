@@ -15,8 +15,9 @@ pub struct BranchRecord {
     /// The taken-path target available for replay. `None` for indirect
     /// branches whose target did not fit in B-List-Target.
     pub target: Option<Addr>,
-    /// Retired instruction count at the branch (from the header entries).
-    pub icount: u64,
+    /// Retired instruction count at the branch (from the header entries),
+    /// 32-bit like [`crate::AddrRecord`]'s.
+    pub icount: u32,
     /// The branch flavour, so replay can reconstruct the micro-op.
     pub kind: RecordKind,
 }
@@ -142,7 +143,8 @@ impl BList {
     ///
     /// # Panics
     ///
-    /// Panics if `instr` is not a branch.
+    /// Panics if `instr` is not a branch, or if a recorded branch's
+    /// `icount` does not fit its `u32` field.
     pub fn record(&mut self, instr: &Instr, icount: u64) -> bool {
         if self.full {
             return false;
@@ -179,7 +181,7 @@ impl BList {
             taken,
             indirect: matches!(kind, RecordKind::Indirect | RecordKind::IndirectCall),
             target,
-            icount,
+            icount: u32::try_from(icount).expect("branch record icount exceeds u32"),
             kind,
         });
         true
@@ -262,6 +264,12 @@ mod tests {
 
     fn cond(pc: u64, taken: bool) -> Instr {
         Instr::cond_branch(Addr::new(pc), taken, Addr::new(pc + 0x20))
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32")]
+    fn an_icount_past_u32_is_refused() {
+        BList::new(566, 41).record(&cond(0x100, true), 1 << 32);
     }
 
     #[test]

@@ -176,6 +176,19 @@ impl RawStep {
         let kind = if flag { tag | FLAG_BIT } else { tag };
         RawStep { kind, pc: i.pc.as_u64(), op: op.as_u64() }
     }
+
+    /// The pc of the instruction that follows this one, as
+    /// [`Instr::next_pc`] gives it: sequential for ALUs, loads, stores
+    /// and not-taken conditionals, the operand (the target) otherwise.
+    #[inline(always)]
+    pub fn next_pc(&self) -> u64 {
+        let tag = self.kind & TAG_MASK;
+        if tag < TAG_COND || (tag == TAG_COND && self.kind & FLAG_BIT == 0) {
+            self.pc + INSTR_BYTES
+        } else {
+            self.op
+        }
+    }
 }
 
 /// A structural defect found while validating raw packed arrays
@@ -293,34 +306,48 @@ impl PackedTrace {
         PackedTrace::default()
     }
 
-    /// Appends one instruction.
-    pub fn push(&mut self, i: &Instr) {
-        let pc = i.pc.as_u64();
+    /// Creates an empty trace with room for `instrs` instructions' kind
+    /// bytes, so packing a stream of known length never grows them.
+    /// Operand words are reserved as they come.
+    pub fn with_capacity(instrs: usize) -> Self {
+        PackedTrace { kinds: Vec::with_capacity(instrs), ..PackedTrace::default() }
+    }
+
+    /// Appends one instruction given as a raw step — the one pack body;
+    /// every other way into a trace goes through it. The stored kind
+    /// byte keeps the step's tag and flag bit; its
+    /// [`kindbits::EXPLICIT_PC`] bit is decided here, from whether `pc`
+    /// follows the previous step, so a step decoded by a cursor packs
+    /// back to the same bytes. An ALU's operand is not stored.
+    #[inline]
+    pub fn push_raw(&mut self, step: RawStep) {
+        let mut kind = step.kind & !EXPLICIT_PC;
+        debug_assert_eq!(kind & !(TAG_MASK | FLAG_BIT), 0, "reserved kind bits set");
         let explicit = if self.kinds.is_empty() {
-            self.start_pc = pc;
+            self.start_pc = step.pc;
             false
         } else {
-            pc != self.expect_pc
+            step.pc != self.expect_pc
         };
-        let RawStep { mut kind, op, .. } = RawStep::from_instr(i);
         if explicit {
             kind |= EXPLICIT_PC;
-            push_op(&mut self.ops, pc);
+            push_op(&mut self.ops, step.pc);
         }
         if kind & TAG_MASK != TAG_ALU {
-            push_op(&mut self.ops, op);
+            push_op(&mut self.ops, step.op);
         }
         self.kinds.push(kind);
-        self.expect_pc = i.next_pc().as_u64();
+        self.expect_pc = step.next_pc();
+    }
+
+    /// Appends one instruction.
+    pub fn push(&mut self, i: &Instr) {
+        self.push_raw(RawStep::from_instr(i));
     }
 
     /// Packs a recorded instruction slice.
     pub fn from_instrs(instrs: &[Instr]) -> Self {
-        let mut t = PackedTrace::new();
-        for i in instrs {
-            t.push(i);
-        }
-        t
+        instrs.iter().copied().collect()
     }
 
     /// The pc of the first instruction (0 for an empty trace) — the
@@ -438,8 +465,11 @@ impl PackedTrace {
 }
 
 impl FromIterator<Instr> for PackedTrace {
+    /// Packs the instructions in order, reserving their kind bytes once
+    /// from the iterator's lower size bound.
     fn from_iter<T: IntoIterator<Item = Instr>>(iter: T) -> Self {
-        let mut t = PackedTrace::new();
+        let iter = iter.into_iter();
+        let mut t = PackedTrace::with_capacity(iter.size_hint().0);
         for i in iter {
             t.push(&i);
         }
@@ -512,14 +542,9 @@ impl PackedCursor<'_> {
         let tag = kind & TAG_MASK;
         let op = if tag == TAG_ALU { 0 } else { read_op(ops, &mut self.op_idx) };
         self.pos += 1;
-        // Mirror `Instr::next_pc`: sequential for ALU/load/store and
-        // not-taken conditionals, the target otherwise.
-        self.pc = if tag < TAG_COND || (tag == TAG_COND && kind & FLAG_BIT == 0) {
-            pc + INSTR_BYTES
-        } else {
-            op
-        };
-        Some(RawStep { kind, pc, op })
+        let step = RawStep { kind, pc, op };
+        self.pc = step.next_pc();
+        Some(step)
     }
 
     /// The pc the next decoded instruction would carry, assuming its kind

@@ -1,7 +1,7 @@
 //! The interval-model execution engine.
 
 use crate::EngineConfig;
-use esp_branch::{BranchPredictor, Prediction};
+use esp_branch::{BranchPredictor, Prediction, SpeculativeCheckpoint};
 use esp_mem::prefetch::{DcuNextLine, NextLineInstr, StridePrefetcher};
 use esp_mem::{MemoryHierarchy, Port};
 use esp_obs::{CpiStack, CycleClass, NullProbe, Probe, StepRecord};
@@ -143,6 +143,10 @@ pub struct Engine {
     pub(crate) stack: CpiStack,
     pub(crate) stats: EngineStats,
     warm: WarmStats,
+    /// Scratch storage for runahead's predictor checkpoint, reused by
+    /// every episode after the first (see
+    /// [`Engine::run_runahead_cursor`]); holds no state between episodes.
+    pub(crate) runahead_checkpoint: Option<SpeculativeCheckpoint>,
 }
 
 /// Auxiliary event counts accumulated by the functional-warming paths,
@@ -199,6 +203,7 @@ impl Engine {
             stack: CpiStack::default(),
             stats: EngineStats::default(),
             warm: WarmStats::default(),
+            runahead_checkpoint: None,
             cfg,
         }
     }

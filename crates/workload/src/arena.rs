@@ -28,7 +28,7 @@
 //! assert!(!packed.events().is_empty());
 //! ```
 
-use crate::{BenchmarkProfile, GeneratedWorkload};
+use crate::{BenchmarkProfile, EventWalk, GeneratedWorkload};
 use esp_trace::{PackedEvent, PackedTrace, PackedWorkload, TraceArena, Workload};
 use esp_types::EventId;
 use std::collections::HashMap;
@@ -41,25 +41,30 @@ impl GeneratedWorkload {
     /// The result replays bit-identically: the packed actual stream is
     /// the full regenerative walk, and the speculative view shares the
     /// actual arrays up to the event's recorded divergence point, then
-    /// continues in a tail recorded from the speculative walk. Decoding
-    /// is seed-deterministic, so the arena contents are independent of
-    /// `threads`.
+    /// continues in a tail recorded from the speculative walk, forked
+    /// from the actual one at that point (`EventWalk::diverge_here`).
+    /// The walks emit raw steps straight into the packed arrays, whose
+    /// kind bytes are reserved once from the walk's exact length.
+    /// Decoding is seed-deterministic, so the arena contents are
+    /// independent of `threads`.
     pub fn materialise_par(&self, threads: usize) -> PackedWorkload {
         let details = self.schedule().details();
         let events = esp_par::parallel_map(threads, details, |_, d| {
-            let id = EventId::new(d.index);
-            let mut actual: PackedTrace = self.walk_actual(id).collect();
+            let mut walk = self.walk_actual(EventId::new(d.index));
+            let mut actual = PackedTrace::with_capacity(walk.len());
+            // A divergence point past the event's budget never triggers;
+            // such an event is stored as non-diverging.
+            let diverge_at = d.diverge_at.filter(|&at| at < d.len);
+            let mut tail = PackedTrace::new();
+            if let Some(at) = diverge_at {
+                pack(&mut walk, &mut actual, at);
+                let mut spec = walk.diverge_here();
+                tail = PackedTrace::with_capacity(spec.len());
+                pack(&mut spec, &mut tail, u64::MAX);
+                tail.shrink_to_fit();
+            }
+            pack(&mut walk, &mut actual, u64::MAX);
             actual.shrink_to_fit();
-            let (diverge_at, tail) = match d.diverge_at {
-                // A divergence point past the event's budget never
-                // triggers; store the event as non-diverging.
-                Some(at) if at < d.len => {
-                    let mut tail: PackedTrace = self.walk_speculative(id).skip(at as usize).collect();
-                    tail.shrink_to_fit();
-                    (Some(at), tail)
-                }
-                _ => (None, PackedTrace::new()),
-            };
             PackedEvent::new(actual, diverge_at, tail)
         });
         PackedWorkload::new(
@@ -72,6 +77,14 @@ impl GeneratedWorkload {
     /// Sequential [`GeneratedWorkload::materialise_par`].
     pub fn materialise(&self) -> PackedWorkload {
         self.materialise_par(1)
+    }
+}
+
+/// Packs the walk's next `n` steps (fewer if it ends first) onto `trace`.
+fn pack(walk: &mut EventWalk<'_>, trace: &mut PackedTrace, n: u64) {
+    for _ in 0..n {
+        let Some(step) = walk.next_raw() else { break };
+        trace.push_raw(step);
     }
 }
 

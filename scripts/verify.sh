@@ -37,8 +37,9 @@ cargo test -q --release -p esp-bench --test trace_import_equivalence
 echo "== determinism: parallel runner == sequential simulation =="
 cargo test -q --release -p esp-bench --test determinism
 
-echo "== packed arena: PackedWorkload::pack == materialise, bit for bit =="
+echo "== packed arena: PackedWorkload::pack == materialise, bit for bit; committed arena digests =="
 cargo test -q --release -p esp-bench --test packed_equivalence
+cargo test -q --release -p esp-workload --test arena_digests
 
 echo "== hand-built workload: custom_workload packs, runs and round-trips through .espt =="
 cargo run --release -q --example custom_workload
@@ -81,6 +82,11 @@ s = d["sampled"]
 mips = f", {d['mips_1t']:.1f} MIPS" if "mips_1t" in d else ""
 print(f"  sims/sec: {d['sims_per_sec_1t']:.1f} (1 thread, cold){mips} "
       f"at scale {d['scale']}")
+ph = d["phase_seconds"]
+per_instr = (f", {ph['materialise'] * 1e9 / d['arena_instrs']:.1f} ns per packed instruction"
+             if d.get("arena_instrs") else "")
+print(f"  set-up: generate {ph['generate']:.3f} s, materialise {ph['materialise']:.3f} s"
+      f"{per_instr}")
 peak = (f", peak resident set {d['peak_rss_mib']:.1f} MiB (every pass)"
         if "peak_rss_mib" in d else "")
 print(f"  memory: packed arena {d['arena_bytes'] / 2**20:.1f} MiB{peak}")

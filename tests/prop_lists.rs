@@ -104,7 +104,7 @@ fn blist_decodes_faithfully() {
         for (rec, (pc, taken, icount)) in b.records().iter().zip(&accepted) {
             assert_eq!(rec.pc, *pc, "case {case}");
             assert_eq!(rec.taken, *taken, "case {case}");
-            assert_eq!(rec.icount, *icount, "case {case}");
+            assert_eq!(u64::from(rec.icount), *icount, "case {case}");
         }
     }
 }
