@@ -88,11 +88,6 @@ impl GeneratedWorkload {
     pub fn walk_actual(&self, id: EventId) -> EventWalk<'_> {
         self.open(id, false)
     }
-
-    /// Opens the speculative stream as a concrete type.
-    pub fn walk_speculative(&self, id: EventId) -> EventWalk<'_> {
-        self.open(id, true)
-    }
 }
 
 impl Workload for GeneratedWorkload {
